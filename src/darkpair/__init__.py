@@ -18,7 +18,6 @@ from .lattice import (
     LatticeConfig,
     ModeTable,
     build_mode_table,
-    dispersion,
 )
 from .operators import (
     OperatorExpr,
@@ -31,7 +30,6 @@ from .operators import (
     build_w,
     commutator,
     matrix_in_sector,
-    normal_order,
 )
 from .spectra import (
     bcs_variational_energy,
@@ -39,7 +37,7 @@ from .spectra import (
     nc_in_spectrum,
     scan_g,
 )
-from .states import bcs_state, boosted_nc_state, fermi_state, nc_state, phi_core
+from .states import bcs_state, fermi_state, nc_state, phi_core
 from .verify import continuum_energy_check, run_battery
 
 __version__ = "0.1.0"

@@ -18,13 +18,13 @@ from .lattice import LatticeConfig, LatticeError, build_mode_table
 from .operators import DegreeCapError
 from .spectra import (
     DENSE_CUTOFF,
+    SCAN_FIELDS,
+    SPECTRUM_FIELDS,
     ConvergenceError,
     scan_g,
-    scan_rows_to_csv,
     spectrum_rows,
-    spectrum_rows_to_csv,
 )
-from .verify import continuum_energy_check, continuum_rows_to_csv, run_battery
+from .verify import CONTINUUM_FIELDS, continuum_energy_check, run_battery
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -98,6 +98,20 @@ def load_config(path: str | Path) -> dict:
     }
 
 
+def write_csv(fields, rows: list[dict]) -> str:
+    """CSV text with a header line; floats, numpy scalars included, as
+    plain ``repr(float)`` literals."""
+    lines = [",".join(fields)]
+    for row in rows:
+        lines.append(
+            ",".join(
+                repr(float(row[f])) if isinstance(row[f], float) else str(row[f])
+                for f in fields
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
 def bundled_config_path(name: str) -> Path:
     """Path of a config shipped with the package (e.g. "minimal")."""
     ref = resources.files("darkpair").joinpath("configs", f"{name}.json")
@@ -151,7 +165,7 @@ def cmd_spectrum(args) -> int:
         basis_cap=cfg["basis_cap"],
     )
     out = _outdir(args, cfg)
-    (out / "spectrum.csv").write_text(spectrum_rows_to_csv(rows))
+    (out / "spectrum.csv").write_text(write_csv(SPECTRUM_FIELDS, rows))
     sys.stdout.write(f"wrote {len(rows)} eigenvalues to {out / 'spectrum.csv'}\n")
     return EXIT_OK
 
@@ -171,12 +185,11 @@ def cmd_scan(args) -> int:
         formfactor=cfg["formfactor"],
         seed=seed,
         with_variational=not args.no_variational,
-        threads=args.threads,
         dense_cutoff=cfg["dense_cutoff"],
         basis_cap=cfg["basis_cap"],
     )
     out = _outdir(args, cfg)
-    (out / "scan.csv").write_text(scan_rows_to_csv(rows))
+    (out / "scan.csv").write_text(write_csv(SCAN_FIELDS, rows))
     sys.stdout.write(f"wrote {len(rows)} rows to {out / 'scan.csv'}\n")
     return EXIT_OK
 
@@ -186,7 +199,7 @@ def cmd_continuum(args) -> int:
     rows = continuum_energy_check(args.kf, args.delta, sizes, c=args.c)
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "continuum.csv").write_text(continuum_rows_to_csv(rows))
+    (out / "continuum.csv").write_text(write_csv(CONTINUUM_FIELDS, rows))
     sys.stdout.write(f"wrote {len(rows)} rows to {out / 'continuum.csv'}\n")
     return EXIT_OK
 
@@ -204,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="config JSON path or bundled name")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
 
     p = sub.add_parser("verify", help="run the identity battery")
     common(p)

@@ -30,10 +30,6 @@ def mode_bit(n_modes: int, i: int) -> int:
     return 1 << (n_modes - 1 - i)
 
 
-def occupied(n_modes: int, occ: int, i: int) -> bool:
-    return bool(occ & mode_bit(n_modes, i))
-
-
 def parity_sign(n_modes: int, occ: int, i: int) -> int:
     """Sign from anticommuting past the occupied modes with index < i."""
     return -1 if (occ >> (n_modes - i)).bit_count() & 1 else 1
@@ -235,7 +231,3 @@ class StateVector:
             f"{a!r}|{occ_to_bitstring(self.n_modes, occ)}>" for occ, a in self.terms()
         ]
         return "StateVector(" + " + ".join(parts) + ")" if parts else "StateVector(0)"
-
-
-def inner_product(a: StateVector, b: StateVector) -> Scalar:
-    return a.inner(b)

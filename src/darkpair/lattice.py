@@ -149,11 +149,6 @@ class LatticeConfig:
         return e
 
 
-def dispersion(config: LatticeConfig, n: IVec) -> Fraction:
-    """Exact dispersion value at grid point ``n`` (mu-shifted when set)."""
-    return config.epsilon(tuple(n))
-
-
 class Mode(NamedTuple):
     spin: int
     n: IVec
@@ -259,6 +254,7 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
     config.validate()
     lo2, hi2 = config.shell_bounds2
     K = config.boost
+    two_k = vadd(K, K)  # partner of n is 2K - n
 
     inner: list[IVec] = []
     shell: list[IVec] = []
@@ -275,7 +271,7 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
                 )
             shell.append(tuple(n))
         for n in shell:
-            if tuple_partner(K, n) not in seen:
+            if vsub(two_k, n) not in seen:
                 raise UnpairedModeError(f"shell point {n} has no partner in the list")
     else:
         for n in _enumerate_ball(K, hi2):
@@ -291,7 +287,7 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
         raise EmptyShellError("no grid point falls inside the shell band")
     shell_set = set(shell)
     for n in shell_set:
-        if tuple_partner(K, n) not in shell_set:
+        if vsub(two_k, n) not in shell_set:
             raise UnpairedModeError(f"shell point {n} is unpaired")
 
     plus = sorted((n for n in shell if hemisphere_positive(vsub(n, K))), key=zyx_key)
@@ -334,10 +330,6 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
         core_energy=core_energy,
         core_momentum=core_momentum,
     )
-
-
-def tuple_partner(K: IVec, n: IVec) -> IVec:
-    return (2 * K[0] - n[0], 2 * K[1] - n[1], 2 * K[2] - n[2])
 
 
 def unfrozen_twin(table: ModeTable) -> ModeTable:

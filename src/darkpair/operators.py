@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .fock import StateVector, apply_annihilate, apply_create
+from .fock import StateVector
 from .lattice import SPIN_DOWN, SPIN_UP, IVec, ModeTable
 
 CREATE = "c"
@@ -181,9 +181,6 @@ class OperatorExpr:
     def __eq__(self, other) -> bool:
         return isinstance(other, OperatorExpr) and self.terms == other.terms
 
-    def degree(self) -> int:
-        return max((len(t) for t in self.terms), default=0)
-
     def one_norm(self):
         """Sum of |coefficients|: a cheap, basis-free operator-size bound."""
         return sum((abs(c) for c in self.terms.values()), Fraction(0))
@@ -216,11 +213,16 @@ class OperatorExpr:
 
     @classmethod
     def from_json(cls, text: str) -> "OperatorExpr":
-        terms: dict[Term, object] = {}
-        for rec in json.loads(text):
-            t = tuple((k, int(m)) for k, m in rec["factors"])
-            terms[t] = Fraction(rec["coeff_num"], rec["coeff_den"])
-        return cls(terms)
+        """Parse a dump; terms are normal-ordered on the way in."""
+        rows = json.loads(text)
+        return cls.from_monomials(
+            [
+                (Fraction(rec["coeff_num"], rec["coeff_den"]),
+                 tuple((k, int(m)) for k, m in rec["factors"]))
+                for rec in rows
+            ],
+            cap=max([DEGREE_CAP] + [len(rec["factors"]) for rec in rows]),
+        )
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -242,14 +244,54 @@ def commutator(a: OperatorExpr, b: OperatorExpr, cap: int = DEGREE_CAP) -> Opera
     return a.compose(b, cap) - b.compose(a, cap)
 
 
-def normal_order(coeff, factors: Iterable[Factor], cap: int = DEGREE_CAP) -> OperatorExpr:
-    """Canonicalize a single monomial, preserving its action exactly."""
-    return OperatorExpr.from_monomial(coeff, factors, cap)
-
-
 # ---------------------------------------------------------------------------
 # application to state vectors
 # ---------------------------------------------------------------------------
+
+def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
+    """Flat bitmask terms ``(cmask, amask, cpar, apar, coeff)`` in canonical order.
+
+    ``cmask``/``amask`` hold the created/annihilated modes; ``cpar``/``apar``
+    are the XOR of the "modes with smaller index" masks of those modes, so
+    the parity of the occupied modes they select is the term's fermionic
+    sign.  That holds for canonical terms only, so any other term (possible
+    through the raw ``OperatorExpr(dict)`` constructor) is rejected.
+    """
+    compiled = []
+    for factors, coeff in expr._sorted_items():
+        last = {CREATE: -1, ANNIHILATE: -1}
+        mask = {CREATE: 0, ANNIHILATE: 0}
+        par = {CREATE: 0, ANNIHILATE: 0}
+        for kind, mode in factors:
+            if mode <= last[kind] or (kind == CREATE and last[ANNIHILATE] >= 0):
+                raise ValueError(
+                    f"term {factors} is not normal-ordered; build operators "
+                    "with OperatorExpr.from_monomial(s)"
+                )
+            last[kind] = mode
+            mask[kind] |= 1 << (n_modes - 1 - mode)
+            par[kind] ^= ((1 << mode) - 1) << (n_modes - mode)
+        compiled.append(
+            (mask[CREATE], mask[ANNIHILATE], par[CREATE], par[ANNIHILATE], coeff)
+        )
+    return compiled
+
+
+def _apply_compiled(compiled: list[tuple], occ: int, amp, acc: dict) -> None:
+    """Accumulate ``amp * terms|occ>`` into ``acc`` (exact zeros are kept).
+
+    Annihilators act first, right to left: a term fires when its
+    annihilated modes are occupied and its created modes are empty after
+    the annihilation.
+    """
+    for cmask, amask, cpar, apar, coeff in compiled:
+        if occ & amask == amask:
+            mid = occ ^ amask
+            if not mid & cmask:
+                res = mid | cmask
+                sign = -1 if ((occ & apar) ^ (mid & cpar)).bit_count() & 1 else 1
+                acc[res] = acc.get(res, 0) + coeff * amp * sign
+
 
 def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     """Exact linear action; factors applied right-to-left.
@@ -257,27 +299,12 @@ def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     Accumulation iterates states and terms in canonical order, so the
     result is reproducible bit for bit regardless of construction order.
     """
-    n = vec.n_modes
-    out = StateVector(n)
-    terms = expr._sorted_items()
+    compiled = _compile(expr, vec.n_modes)
+    acc: dict = {}
     for occ, amp in vec.terms():
-        for factors, coeff in terms:
-            cur = occ
-            sign = 1
-            dead = False
-            for kind, mode in reversed(factors):
-                step = (
-                    apply_create(n, mode, cur)
-                    if kind == CREATE
-                    else apply_annihilate(n, mode, cur)
-                )
-                if step is None:
-                    dead = True
-                    break
-                s, cur = step
-                sign = -sign if s < 0 else sign
-            if not dead:
-                out.add_term(cur, coeff * amp * sign)
+        _apply_compiled(compiled, occ, amp, acc)
+    out = StateVector(vec.n_modes)
+    out.amp = {occ: a for occ, a in acc.items() if a != 0}
     return out
 
 
@@ -300,54 +327,26 @@ def matrix_in_sector(
         raise ValueError(
             "operator does not conserve particle number on a number-sector basis"
         )
+    compiled = _compile(expr, n_modes)
     index = {occ: i for i, occ in enumerate(basis)}
     dim = len(basis)
-    terms = expr._sorted_items()
-
+    rows, cols, data = [], [], []
+    for col, occ in enumerate(basis):
+        acc: dict = {}
+        _apply_compiled(compiled, occ, 1, acc)
+        for res in sorted(acc):
+            row = index.get(res)
+            if row is not None:
+                rows.append(row)
+                cols.append(col)
+                data.append(complex(acc[res]))
     if sparse:
         from scipy.sparse import csr_matrix
 
-        data, rows, cols = [], [], []
-        for col, occ in enumerate(basis):
-            acc: dict[int, complex] = {}
-            _apply_terms_to_occ(terms, n_modes, occ, acc)
-            for res in sorted(acc):
-                row = index.get(res)
-                if row is not None:
-                    rows.append(row)
-                    cols.append(col)
-                    data.append(complex(acc[res]))
         return csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.complex128)
-
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    for col, occ in enumerate(basis):
-        acc = {}
-        _apply_terms_to_occ(terms, n_modes, occ, acc)
-        for res, val in acc.items():
-            row = index.get(res)
-            if row is not None:
-                mat[row, col] = complex(val)
+    mat[rows, cols] = data
     return mat
-
-
-def _apply_terms_to_occ(terms, n_modes: int, occ: int, acc: dict) -> None:
-    for factors, coeff in terms:
-        cur = occ
-        sign = 1
-        dead = False
-        for kind, mode in reversed(factors):
-            step = (
-                apply_create(n_modes, mode, cur)
-                if kind == CREATE
-                else apply_annihilate(n_modes, mode, cur)
-            )
-            if step is None:
-                dead = True
-                break
-            s, cur = step
-            sign = -sign if s < 0 else sign
-        if not dead:
-            acc[cur] = acc.get(cur, 0) + coeff * sign
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +443,16 @@ def symmetrized_formfactor(table: ModeTable, g_fun: Formfactor) -> Formfactor:
     return sym
 
 
+def _weight_and_prefactor(
+    table: ModeTable, g, formfactor: Formfactor | None, symmetrize: bool
+) -> tuple[Formfactor, Fraction]:
+    """The interaction weight (partner-symmetrized unless strict) and g/volume."""
+    g_fun = formfactor if formfactor is not None else unit_formfactor
+    if symmetrize:
+        g_fun = symmetrized_formfactor(table, g_fun)
+    return g_fun, Fraction(g) / table.config.volume_fraction
+
+
 def build_w(
     table: ModeTable,
     g,
@@ -459,10 +468,7 @@ def build_w(
     an asymmetric weight then produces an interaction the paired states
     do not nullify, which is useful as a negative control.
     """
-    g_fun = formfactor if formfactor is not None else unit_formfactor
-    if symmetrize:
-        g_fun = symmetrized_formfactor(table, g_fun)
-    pref = Fraction(g) / table.config.volume_fraction
+    g_fun, pref = _weight_and_prefactor(table, g, formfactor, symmetrize)
     monomials = []
     for k1 in table.shell_all:
         p1 = table.partner(k1)
@@ -503,10 +509,7 @@ def pair_commutator_rhs(
         (1 + lam - lam n_{up,pk} - lam n_{dn,k} - n_{up,k} - n_{dn,pk})
     """
     k = _require_shell(table, k)
-    g_fun = formfactor if formfactor is not None else unit_formfactor
-    if symmetrize:
-        g_fun = symmetrized_formfactor(table, g_fun)
-    pref = Fraction(g) / table.config.volume_fraction
+    g_fun, pref = _weight_and_prefactor(table, g, formfactor, symmetrize)
     lam = Fraction(lam)
     pk = table.partner(k)
     up_k = table.mode_index(SPIN_UP, k)
@@ -533,14 +536,3 @@ def pair_commutator_rhs(
                 (coeff * weight, head + ((CREATE, idx), (ANNIHILATE, idx)))
             )
     return OperatorExpr.from_monomials(monomials)
-
-
-def gamma_commutator_rhs(
-    table: ModeTable,
-    k: IVec,
-    g,
-    formfactor: Formfactor | None = None,
-    symmetrize: bool = True,
-) -> OperatorExpr:
-    """Closed form of [W, gamma_k]: the lam = -1 pair commutator."""
-    return pair_commutator_rhs(table, k, Fraction(-1), g, formfactor, symmetrize)

@@ -248,7 +248,6 @@ def scan_g(
     formfactor: str | Callable = "unit",
     seed: int = 0,
     with_variational: bool = True,
-    threads: int = 1,
     dense_cutoff: int = DENSE_CUTOFF,
     basis_cap: int = BASIS_CAP,
 ) -> list[dict]:
@@ -272,27 +271,7 @@ def scan_g(
             "residual_NC": rec["residual"],
         }
 
-    ordered = sorted(g_values, key=float)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, ordered))
-    else:
-        rows = [one(g) for g in ordered]
-    return rows
-
-
-def scan_rows_to_csv(rows: list[dict]) -> str:
-    out = [",".join(SCAN_FIELDS)]
-    for row in rows:
-        out.append(
-            ",".join(
-                repr(row[f]) if isinstance(row[f], float) else str(row[f])
-                for f in SCAN_FIELDS
-            )
-        )
-    return "\n".join(out) + "\n"
+    return [one(g) for g in sorted(g_values, key=float)]
 
 
 SPECTRUM_FIELDS = ("g", "sector", "dim", "index", "eigenvalue")
@@ -325,15 +304,3 @@ def spectrum_rows(
         }
         for i, v in enumerate(spec.eigenvalues)
     ]
-
-
-def spectrum_rows_to_csv(rows: list[dict]) -> str:
-    out = [",".join(SPECTRUM_FIELDS)]
-    for row in rows:
-        out.append(
-            ",".join(
-                repr(row[f]) if isinstance(row[f], float) else str(row[f])
-                for f in SPECTRUM_FIELDS
-            )
-        )
-    return "\n".join(out) + "\n"

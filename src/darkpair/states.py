@@ -77,14 +77,6 @@ def nc_state(table: ModeTable, subset: Sequence[IVec] | None = None) -> StateVec
     return state
 
 
-def boosted_nc_state(table: ModeTable) -> StateVector:
-    """nc_state on a drifting lattice; the pairing partner map already
-    reflects about K, so the construction is identical."""
-    if table.config.boost == (0, 0, 0):
-        raise ValueError("table is not boosted; use nc_state")
-    return nc_state(table)
-
-
 def validate_pair_coefficients(
     table: ModeTable, coeffs: PairCoefficients, tol: float = 1e-9
 ) -> None:

@@ -26,7 +26,6 @@ from darkpair.operators import (
     build_pair,
     build_w,
     commutator,
-    normal_order,
     pair_commutator_rhs,
 )
 from darkpair.spectra import build_hamiltonian, nc_in_spectrum
@@ -269,7 +268,7 @@ def test_criterion_6_infrastructure():
              int(rng.integers(0, n_modes)))
             for _ in range(degree)
         )
-        expr = normal_order(Fraction(1), factors)
+        expr = OperatorExpr.from_monomial(Fraction(1), factors)
         for occ in (int(x) for x in rng.integers(0, 1 << n_modes, size=8)):
             cur, sign, dead = occ, 1, False
             for kind, mode in reversed(factors):

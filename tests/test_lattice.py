@@ -18,7 +18,6 @@ from darkpair.lattice import (
     UnpairedModeError,
     boosted_twin,
     build_mode_table,
-    dispersion,
     hemisphere_positive,
 )
 
@@ -145,11 +144,11 @@ def test_explicit_point_outside_band_rejected():
 
 def test_dispersion_examples():
     cfg = LatticeConfig(kf=1.2, delta=0.5)
-    assert dispersion(cfg, (0, 0, 1)) == 1
+    assert cfg.epsilon((0, 0, 1)) == 1
     cfg_mu = LatticeConfig(kf=1.2, delta=0.5, mu=1.0)
-    assert dispersion(cfg_mu, (1, 1, 0)) == 1
+    assert cfg_mu.epsilon((1, 1, 0)) == 1
     cfg_small_box = LatticeConfig(kf=2.4, delta=1.0, L=math.pi)
-    assert dispersion(cfg_small_box, (0, 0, 1)) == 4
+    assert cfg_small_box.epsilon((0, 0, 1)) == 4
 
 
 def test_boosted_partner_and_classification(boosted_table):

@@ -24,7 +24,6 @@ from darkpair.operators import (
     build_w,
     commutator,
     matrix_in_sector,
-    normal_order,
     pair_commutator_rhs,
     symmetrized_formfactor,
 )
@@ -46,17 +45,17 @@ def A(m):
 # ---------------------------------------------------------------------------
 
 def test_normal_order_single_contraction():
-    expr = normal_order(Fraction(1), (A(0), C(0)))
+    expr = OperatorExpr.from_monomial(Fraction(1), (A(0), C(0)))
     assert expr.terms == {(): Fraction(1), (C(0), A(0)): Fraction(-1)}
 
 
 def test_normal_order_block_sort():
-    expr = normal_order(Fraction(1), (C(1), C(0)))
+    expr = OperatorExpr.from_monomial(Fraction(1), (C(1), C(0)))
     assert expr.terms == {(C(0), C(1)): Fraction(-1)}
 
 
 def test_normal_order_nilpotent_chain():
-    expr = normal_order(Fraction(1), (A(3), C(3), C(0), A(3)))
+    expr = OperatorExpr.from_monomial(Fraction(1), (A(3), C(3), C(0), A(3)))
     assert expr.terms == {(C(0), A(3)): Fraction(1)}
 
 
@@ -89,7 +88,8 @@ def states_equal_on_all_occupations(n_modes, factors, expr):
 
 def test_normal_order_nilpotent_chain_action_matches():
     factors = (A(3), C(3), C(0), A(3))
-    states_equal_on_all_occupations(4, factors, normal_order(Fraction(1), factors))
+    states_equal_on_all_occupations(
+        4, factors, OperatorExpr.from_monomial(Fraction(1), factors))
 
 
 @st.composite
@@ -104,7 +104,7 @@ def monomials(draw):
 @settings(max_examples=300, deadline=None)
 @given(factors=monomials())
 def test_normal_order_preserves_action(factors):
-    expr = normal_order(Fraction(1), factors)
+    expr = OperatorExpr.from_monomial(Fraction(1), factors)
     for occ in range(64):
         raw = apply_raw_factors(6, factors, occ)
         expected = {}
@@ -116,7 +116,7 @@ def test_normal_order_preserves_action(factors):
 
 def test_degree_cap():
     with pytest.raises(DegreeCapError):
-        normal_order(Fraction(1), tuple(C(i) for i in range(9)))
+        OperatorExpr.from_monomial(Fraction(1), tuple(C(i) for i in range(9)))
     with pytest.raises(DegreeCapError):
         a = OperatorExpr.from_monomial(Fraction(1), tuple(C(i) for i in range(5)))
         b = OperatorExpr.from_monomial(Fraction(1), tuple(C(i) for i in range(5, 10)))
@@ -180,6 +180,84 @@ def test_apply_operator_is_linear(a, occ1, occ2):
     v2 = StateVector(4, {occ2: Fraction(-1, 2)})
     combined = apply_operator(a, v1 + v2)
     assert combined == apply_operator(a, v1) + apply_operator(a, v2)
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel against raw factor application
+# ---------------------------------------------------------------------------
+
+AMPLITUDES = {
+    "exact": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    "float": st.floats(-3, 3, allow_nan=False),
+    "complex": st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                  allow_infinity=False),
+}
+
+
+@st.composite
+def cancelling_monomials(draw, n_modes=5):
+    """Raw monomials, some repeated with a coefficient that cancels them
+    in full or in part."""
+    monos = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = draw(AMPLITUDES["exact"])
+        factors = tuple(
+            (draw(st.sampled_from([CREATE, ANNIHILATE])),
+             draw(st.integers(0, n_modes - 1)))
+            for _ in range(draw(st.integers(0, 4)))
+        )
+        monos.append((coeff, factors))
+        if draw(st.booleans()):
+            monos.append((draw(st.sampled_from([-coeff, -coeff / 2])), factors))
+    return monos
+
+
+@settings(max_examples=200, deadline=None)
+@given(monos=cancelling_monomials(), kind=st.sampled_from(sorted(AMPLITUDES)),
+       data=st.data())
+def test_apply_operator_equals_raw_factor_sum(monos, kind, data):
+    n_modes = 5
+    amps = data.draw(st.dictionaries(st.integers(0, (1 << n_modes) - 1),
+                                     AMPLITUDES[kind], min_size=1, max_size=6))
+    vec = StateVector(n_modes, amps)
+    expected = {}
+    for occ, amp in vec.amp.items():
+        for coeff, factors in monos:
+            raw = apply_raw_factors(n_modes, factors, occ)
+            if raw is not None:
+                sign, res = raw
+                expected[res] = expected.get(res, 0) + coeff * amp * sign
+    got = apply_operator(OperatorExpr.from_monomials(monos), vec).amp
+    if kind == "exact":
+        assert got == {k: v for k, v in expected.items() if v != 0}
+    else:
+        scale = sum(abs(c) for c, _ in monos) * max(abs(a) for a in amps.values())
+        for occ in expected.keys() | got.keys():
+            assert abs(got.get(occ, 0) - expected.get(occ, 0)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_matrix_columns_equal_apply_operator(twopair_table, sparse):
+    basis = sector_basis(8, 4)
+    h = build_h0(twopair_table) + build_w(twopair_table, Fraction(-3, 7))
+    h = h + commutator(h, build_number_op(twopair_table).scaled(Fraction(1, 2)))
+    mat = matrix_in_sector(h, basis, 8, sparse=sparse)
+    mat = mat.toarray() if sparse else mat
+    for col, occ in enumerate(basis):
+        image = apply_operator(h, StateVector(8, {occ: 1}))
+        column = {basis[r]: mat[r, col] for r in np.flatnonzero(mat[:, col])}
+        assert column == {k: complex(v) for k, v in image.amp.items()}
+
+
+@pytest.mark.parametrize("factors", [(C(1), C(0)), (A(0), C(0)), (A(2), A(1)),
+                                     (C(0), C(0)), (A(1), C(2), A(3))])
+def test_non_canonical_raw_term_is_rejected(factors):
+    expr = OperatorExpr({factors: Fraction(1)})
+    with pytest.raises(ValueError, match="normal-ordered"):
+        apply_operator(expr, StateVector(4, {0b1111: 1}))
+    if expr.conserves_particle_number():
+        with pytest.raises(ValueError, match="normal-ordered"):
+            matrix_in_sector(expr, sector_basis(4, 2), 4)
 
 
 def test_dagger_involution_and_hermiticity():
@@ -382,6 +460,13 @@ def test_operator_json_round_trip(minimal_table):
         '[{"coeff_num":1,"coeff_den":1,"factors":[["c",0],["c",3]]},'
         '{"coeff_num":1,"coeff_den":1,"factors":[["c",1],["c",2]]}]'
     )
+
+
+def test_operator_json_normal_orders_raw_terms():
+    text = '[{"coeff_num":1,"coeff_den":1,"factors":[["c",1],["c",0]]}]'
+    expr = OperatorExpr.from_json(text)
+    assert expr == OperatorExpr.from_monomial(Fraction(1), (C(1), C(0)))
+    assert apply_operator(expr, StateVector.vacuum(2)).amp == {B("11"): -1}
 
 
 def test_operator_json_rejects_inexact():

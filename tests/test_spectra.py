@@ -6,17 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from darkpair.cli import write_csv
 from darkpair.fock import sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import matrix_in_sector
 from darkpair.spectra import (
+    SCAN_FIELDS,
     bcs_variational_energy,
     build_hamiltonian,
     diagonalize_sector,
     nc_in_spectrum,
     rayleigh_quotient,
     scan_g,
-    scan_rows_to_csv,
     spectrum_rows,
 )
 from darkpair.states import bcs_state, fermi_state, nc_energy
@@ -161,16 +162,9 @@ def test_scan_g_constant_nc_column(minimal_table):
     assert math.isclose(g0["E_ground"], 2.0, abs_tol=1e-12)
 
 
-def test_scan_threads_do_not_change_rows(minimal_table):
-    gs = [Fraction(-1), Fraction(1)]
-    serial = scan_g(minimal_table, gs, with_variational=False, threads=1)
-    parallel = scan_g(minimal_table, gs, with_variational=False, threads=2)
-    assert scan_rows_to_csv(serial) == scan_rows_to_csv(parallel)
-
-
 def test_scan_csv_shape(minimal_table):
     rows = scan_g(minimal_table, [Fraction(-1)], with_variational=False)
-    text = scan_rows_to_csv(rows)
+    text = write_csv(SCAN_FIELDS, rows)
     lines = text.splitlines()
     assert lines[0] == "g,sector,dim,E_ground,E_NC,E_var,residual_NC"
     assert len(lines) == 2

@@ -17,7 +17,6 @@ from darkpair.operators import (
 )
 from darkpair.states import (
     bcs_state,
-    boosted_nc_state,
     fermi_state,
     nc_energy,
     nc_momentum,
@@ -163,7 +162,7 @@ def test_nc_zero_momentum_at_rest(threepair_table):
 
 
 def test_boosted_nc_momentum(boosted_table):
-    nc = boosted_nc_state(boosted_table)
+    nc = nc_state(boosted_table)
     _, _, pz = build_momentum_op(boosted_table)
     # table modes carry total particles minus the frozen core
     table_pz = nc_momentum(boosted_table)[2] - boosted_table.core_momentum[2]
@@ -178,14 +177,9 @@ def test_boosted_nc_momentum(boosted_table):
 
 
 def test_boosted_nc_dark(boosted_table):
-    nc = boosted_nc_state(boosted_table)
+    nc = nc_state(boosted_table)
     for g in (Fraction(-1), Fraction(1)):
         assert len(apply_operator(build_w(boosted_table, g), nc)) == 0
-
-
-def test_boosted_nc_requires_boost(minimal_table):
-    with pytest.raises(ValueError):
-        boosted_nc_state(minimal_table)
 
 
 def test_bcs_identity_coefficients(minimal_table):

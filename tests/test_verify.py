@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from darkpair.cli import write_csv
 from darkpair.lattice import LatticeConfig
 from darkpair.verify import (
     CHECK_IDS,
+    CONTINUUM_FIELDS,
     closed_form_energy_per_particle,
     continuum_energy_check,
-    continuum_rows_to_csv,
     counting_energy,
     eigen_residual,
     quadrature_energy_per_particle,
@@ -200,8 +201,8 @@ def test_continuum_rows_report_both_forms():
 
 def test_continuum_csv_round_trip_stable():
     rows = continuum_energy_check(1.0, 0.1, [8])
-    text = continuum_rows_to_csv(rows)
-    again = continuum_rows_to_csv(continuum_energy_check(1.0, 0.1, [8]))
+    text = write_csv(CONTINUUM_FIELDS, rows)
+    again = write_csv(CONTINUUM_FIELDS, continuum_energy_check(1.0, 0.1, [8]))
     assert text == again
     header = text.splitlines()[0].split(",")
     assert header[0] == "kf" and "dev_quadrature" in header
