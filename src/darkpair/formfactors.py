@@ -1,11 +1,13 @@
 """Interaction weights on shell pairs.
 
 Weights are exact rationals keyed by partner-pair classes so that the
-symbolic layer stays exact.  ``random_symmetric`` draws one value per
-ordered pair of hemisphere representatives, which respects the sign-flip
-symmetry in each argument while generally breaking exchange symmetry;
-``asymmetric`` deliberately violates the sign-flip symmetry and is used
-as a negative control.
+symbolic layer stays exact, and ``operators.build_w`` uses the weight
+``from_spec`` returns verbatim.  ``unit`` and ``random:<seed>`` are
+invariant under the partner flip k -> 2K - k in each argument by
+construction, so the paired states are dark for them; ``random`` draws
+one value per ordered pair of hemisphere representatives, which
+generally breaks exchange symmetry.  ``asymmetric:<seed>`` deliberately
+breaks the flip invariance and is used as a negative control.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .lattice import IVec, ModeTable
 from .operators import ShellDomainError, unit_formfactor
 
-FormfactorSpec = tuple[Callable[[IVec, IVec], Fraction], str, bool]
+FormfactorSpec = tuple[Callable[[IVec, IVec], Fraction], str]
 
 
 def _rep(table: ModeTable, k: IVec) -> IVec:
@@ -28,10 +30,6 @@ def _rep(table: ModeTable, k: IVec) -> IVec:
     if k in table.shell_minus:
         return table.partner(k)
     raise ShellDomainError(f"{k} is not a shell point of this lattice")
-
-
-def unit(table: ModeTable) -> FormfactorSpec:
-    return unit_formfactor, "unit", True
 
 
 def random_symmetric(table: ModeTable, seed: int) -> FormfactorSpec:
@@ -45,24 +43,24 @@ def random_symmetric(table: ModeTable, seed: int) -> FormfactorSpec:
     def g_fun(k1: IVec, k2: IVec) -> Fraction:
         return values[(_rep(table, k1), _rep(table, k2))]
 
-    return g_fun, f"random:{seed}", True
+    return g_fun, f"random:{seed}"
 
 
 def asymmetric(table: ModeTable, seed: int) -> FormfactorSpec:
     """Partner-asymmetric weight: breaks the sign-flip symmetry on purpose.
 
     The bump sits on the second argument, the one whose symmetry the
-    pair-annihilation identity actually relies on, so strict-mode builds
-    with this weight do not leave the paired state dark.
+    pair-annihilation identity actually relies on, so the interaction
+    built with this weight does not leave the paired state dark.
     """
-    base, _, _ = random_symmetric(table, seed)
+    base, _ = random_symmetric(table, seed)
     minus = set(table.shell_minus)
 
     def g_fun(k1: IVec, k2: IVec) -> Fraction:
         bump = Fraction(1, 3) if tuple(k2) in minus else Fraction(0)
         return base(k1, k2) + bump
 
-    return g_fun, f"asymmetric:{seed}", False
+    return g_fun, f"asymmetric:{seed}"
 
 
 def from_spec(table: ModeTable, spec: str, master_seed: int = 0) -> FormfactorSpec:
@@ -72,7 +70,7 @@ def from_spec(table: ModeTable, spec: str, master_seed: int = 0) -> FormfactorSp
     reproduces the whole run.
     """
     if spec == "unit":
-        return unit(table)
+        return unit_formfactor, "unit"
     name, _, seed_text = spec.partition(":")
     seed = int(seed_text) if seed_text else master_seed
     if name == "random":

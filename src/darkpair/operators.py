@@ -426,56 +426,27 @@ def build_gamma(table: ModeTable, k: IVec) -> OperatorExpr:
     return build_pair(table, k, Fraction(-1))
 
 
-def symmetrized_formfactor(table: ModeTable, g_fun: Formfactor) -> Formfactor:
-    """Average g_fun over partner flips of both arguments.
-
-    The pairing interaction is only guaranteed to be nullified by the
-    paired states when the formfactor is invariant under k -> 2K - k in
-    each argument separately; ingestion through this wrapper enforces
-    that symmetry for any user-supplied weight.
-    """
-
-    def sym(k1: IVec, k2: IVec):
-        p1, p2 = table.partner(k1), table.partner(k2)
-        total = g_fun(k1, k2) + g_fun(p1, k2) + g_fun(k1, p2) + g_fun(p1, p2)
-        return total / 4
-
-    return sym
-
-
-def _weight_and_prefactor(
-    table: ModeTable, g, formfactor: Formfactor | None, symmetrize: bool
-) -> tuple[Formfactor, Fraction]:
-    """The interaction weight (partner-symmetrized unless strict) and g/volume."""
-    g_fun = formfactor if formfactor is not None else unit_formfactor
-    if symmetrize:
-        g_fun = symmetrized_formfactor(table, g_fun)
-    return g_fun, Fraction(g) / table.config.volume_fraction
-
-
 def build_w(
-    table: ModeTable,
-    g,
-    formfactor: Formfactor | None = None,
-    symmetrize: bool = True,
+    table: ModeTable, g, formfactor: Formfactor = unit_formfactor
 ) -> OperatorExpr:
     """Pairing interaction over the full shell (both hemispheres).
 
     (g / volume) * sum_{k1,k2 in shell} G(k1,k2)
         a+_{up,k1} a+_{dn,p(k1)} a_{dn,p(k2)} a_{up,k2}
 
-    ``symmetrize=False`` uses the supplied weight verbatim (strict mode);
-    an asymmetric weight then produces an interaction the paired states
-    do not nullify, which is useful as a negative control.
+    The weight G is used verbatim.  The paired states are dark when
+    G(k1, k2) = G(k1, 2K - k2) on every shell pair, the invariance the
+    pair annihilation uses; a weight that breaks it, such as
+    ``formfactors.asymmetric``, gives an interaction they do not nullify.
     """
-    g_fun, pref = _weight_and_prefactor(table, g, formfactor, symmetrize)
+    pref = Fraction(g) / table.config.volume_fraction
     monomials = []
     for k1 in table.shell_all:
         p1 = table.partner(k1)
         c_up = table.mode_index(SPIN_UP, k1)
         c_dn = table.mode_index(SPIN_DOWN, p1)
         for k2 in table.shell_all:
-            coeff = pref * g_fun(k1, k2)
+            coeff = pref * formfactor(k1, k2)
             if coeff == 0:
                 continue
             p2 = table.partner(k2)
@@ -500,8 +471,7 @@ def pair_commutator_rhs(
     k: IVec,
     lam,
     g,
-    formfactor: Formfactor | None = None,
-    symmetrize: bool = True,
+    formfactor: Formfactor = unit_formfactor,
 ) -> OperatorExpr:
     """Independently constructed closed form of [W, build_pair(k, lam)].
 
@@ -509,7 +479,7 @@ def pair_commutator_rhs(
         (1 + lam - lam n_{up,pk} - lam n_{dn,k} - n_{up,k} - n_{dn,pk})
     """
     k = _require_shell(table, k)
-    g_fun, pref = _weight_and_prefactor(table, g, formfactor, symmetrize)
+    pref = Fraction(g) / table.config.volume_fraction
     lam = Fraction(lam)
     pk = table.partner(k)
     up_k = table.mode_index(SPIN_UP, k)
@@ -519,7 +489,7 @@ def pair_commutator_rhs(
 
     monomials = []
     for k1 in table.shell_all:
-        coeff = pref * g_fun(k1, k)
+        coeff = pref * formfactor(k1, k)
         if coeff == 0:
             continue
         p1 = table.partner(k1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,18 +57,10 @@ class SectorSpectrum:
 
 
 def build_hamiltonian(
-    table: ModeTable,
-    g,
-    formfactor: str | Callable = "unit",
-    seed: int = 0,
-    symmetrize: bool = True,
+    table: ModeTable, g, formfactor: str = "unit", seed: int = 0
 ) -> OperatorExpr:
-    if callable(formfactor):
-        g_fun = formfactor
-    else:
-        g_fun, name, _ = formfactors.from_spec(table, formfactor, seed)
-        symmetrize = symmetrize and not name.startswith("asymmetric")
-    return build_h0(table) + build_w(table, g, g_fun, symmetrize=symmetrize)
+    g_fun, _ = formfactors.from_spec(table, formfactor, seed)
+    return build_h0(table) + build_w(table, g, g_fun)
 
 
 def diagonalize_sector(
@@ -133,7 +125,7 @@ def diagonalize_sector(
 def nc_in_spectrum(
     table: ModeTable,
     g,
-    formfactor: str | Callable = "unit",
+    formfactor: str = "unit",
     seed: int = 0,
     dense_cutoff: int = DENSE_CUTOFF,
     basis_cap: int = BASIS_CAP,
@@ -180,7 +172,7 @@ def rayleigh_quotient(h: OperatorExpr, state: StateVector) -> float:
 def bcs_variational_energy(
     table: ModeTable,
     g,
-    formfactor: str | Callable = "unit",
+    formfactor: str = "unit",
     seed: int = 0,
     n_starts: int = 8,
     tol: float = 1e-10,
@@ -245,7 +237,7 @@ SCAN_FIELDS = ("g", "sector", "dim", "E_ground", "E_NC", "E_var", "residual_NC")
 def scan_g(
     table: ModeTable,
     g_values: Sequence,
-    formfactor: str | Callable = "unit",
+    formfactor: str = "unit",
     seed: int = 0,
     with_variational: bool = True,
     dense_cutoff: int = DENSE_CUTOFF,
@@ -280,7 +272,7 @@ SPECTRUM_FIELDS = ("g", "sector", "dim", "index", "eigenvalue")
 def spectrum_rows(
     table: ModeTable,
     g,
-    formfactor: str | Callable = "unit",
+    formfactor: str = "unit",
     seed: int = 0,
     sector: int | None = None,
     dense_cutoff: int = DENSE_CUTOFF,

@@ -179,13 +179,12 @@ def run_battery(
     table = build_mode_table(config)
     g_values = [Fraction(g) for g in g_values]
     lambda_values = [Fraction(l) for l in lambda_values]
-    g_fun, ff_name, _ = formfactors.from_spec(table, formfactor, seed)
-    symmetrize = not ff_name.startswith("asymmetric")
+    g_fun, ff_name = formfactors.from_spec(table, formfactor, seed)
     rng = np.random.default_rng(seed)
     report = VerificationReport(lattice=table.descriptor(), seed=seed)
 
     g_ref = g_values[0] if g_values else Fraction(1)
-    w_ref = build_w(table, g_ref, g_fun, symmetrize=symmetrize)
+    w_ref = build_w(table, g_ref, g_fun)
     state = nc_state(table)
 
     def record(check_id, params, residual, tolerance, t0):
@@ -213,7 +212,7 @@ def run_battery(
     for lam in lambda_values:
         for k in table.shell_plus:
             lhs = commutator(w_ref, build_pair(table, k, lam))
-            rhs = pair_commutator_rhs(table, k, lam, g_ref, g_fun, symmetrize)
+            rhs = pair_commutator_rhs(table, k, lam, g_ref, g_fun)
             res += (lhs - rhs).one_norm()
     record(
         "pair_commutator",
@@ -230,7 +229,7 @@ def run_battery(
     res = Fraction(0)
     for k in table.shell_plus:
         lhs = commutator(w_ref, build_gamma(table, k))
-        rhs = pair_commutator_rhs(table, k, Fraction(-1), g_ref, g_fun, symmetrize)
+        rhs = pair_commutator_rhs(table, k, Fraction(-1), g_ref, g_fun)
         res += (lhs - rhs).one_norm()
         res += sum(
             (abs(c) for t, c in lhs.terms.items()
@@ -263,8 +262,8 @@ def run_battery(
             ),
             cap,
         )
-    g_fun_thawed, _, _ = formfactors.from_spec(thawed, formfactor, seed)
-    w_thawed = build_w(thawed, g_ref, g_fun_thawed, symmetrize=symmetrize)
+    g_fun_thawed, _ = formfactors.from_spec(thawed, formfactor, seed)
+    w_thawed = build_w(thawed, g_ref, g_fun_thawed)
     res = commutator(w_thawed, phi, cap).one_norm()
     for k in thawed.shell_plus:
         inner_comm = commutator(w_thawed, build_gamma(thawed, k), cap)
@@ -276,7 +275,7 @@ def run_battery(
     t0 = time.perf_counter()
     residuals = []
     for g in g_values:
-        w = build_w(table, g, g_fun, symmetrize=symmetrize)
+        w = build_w(table, g, g_fun)
         residuals.append(relative_dark_residual(w, state))
     dark = max(residuals, default=0.0)
     record(

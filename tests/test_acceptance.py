@@ -73,7 +73,7 @@ def test_criterion_1_dark_state_identity():
         table = build_mode_table(cfg)
         state = nc_state(table)
         for ff in FORMFACTORS:
-            g_fun, _, _ = from_spec(table, ff)
+            g_fun, _ = from_spec(table, ff)
             for g in G_VALUES:
                 w = build_w(table, g, g_fun)
                 image = apply_operator(w, state)
@@ -101,7 +101,7 @@ def test_criterion_2_symbolic_commutators():
     ok = True
     for name in ("one-pair", "two-pair", "three-pair-core"):
         table = build_mode_table(LATTICES[name])
-        g_fun, _, _ = from_spec(table, "random:5")
+        g_fun, _ = from_spec(table, "random:5")
         w = build_w(table, Fraction(-2, 3), g_fun)
         for k in table.shell_plus:
             for lam in LAMBDA_VALUES:

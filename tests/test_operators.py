@@ -25,7 +25,6 @@ from darkpair.operators import (
     commutator,
     matrix_in_sector,
     pair_commutator_rhs,
-    symmetrized_formfactor,
 )
 from darkpair.states import phi_core
 
@@ -302,19 +301,6 @@ def test_build_w_volume_prefactor():
     assert w.one_norm() == Fraction(1, 2)
 
 
-def test_build_w_symmetrization_matches_symmetric_part(minimal_table):
-    t = minimal_table
-
-    def lopsided(k1, k2):
-        return Fraction(2) if k2 == (0, 0, 1) else Fraction(1)
-
-    sym_part = symmetrized_formfactor(t, lopsided)
-    built_sym = build_w(t, 1, lopsided, symmetrize=True)
-    built_explicit = build_w(t, 1, sym_part, symmetrize=False)
-    assert built_sym == built_explicit
-    assert built_sym != build_w(t, 1, lopsided, symmetrize=False)
-
-
 def test_number_and_momentum_operators(minimal_table):
     n_op = build_number_op(minimal_table)
     assert n_op.terms == {((C(i)), (A(i))): Fraction(1) for i in range(4)}
@@ -442,7 +428,7 @@ def test_w_hermitian_for_unit_and_exchange_symmetric(minimal_table, twopair_tabl
 
     from darkpair.formfactors import random_symmetric
 
-    g_fun, _, _ = random_symmetric(twopair_table, 5)
+    g_fun, _ = random_symmetric(twopair_table, 5)
 
     def exchange_symmetric(k1, k2):
         return g_fun(k1, k2) + g_fun(k2, k1)

@@ -129,7 +129,7 @@ def test_nc_state_rejects_non_hemisphere_subset(twopair_table):
 def test_nc_dark_for_all_couplings_and_symmetric_weights(threepair_table):
     nc = nc_state(threepair_table)
     for seed in (1, 2, 3):
-        g_fun, _, _ = random_symmetric(threepair_table, seed)
+        g_fun, _ = random_symmetric(threepair_table, seed)
         for g in (Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)):
             w = build_w(threepair_table, g, g_fun)
             image = apply_operator(w, nc)
