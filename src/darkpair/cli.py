@@ -13,6 +13,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from . import formfactors
 from .fock import BASIS_CAP, BasisSizeError
 from .lattice import LatticeConfig, LatticeError, build_mode_table
 from .operators import DegreeCapError
@@ -36,13 +37,19 @@ class ConfigError(ValueError):
     pass
 
 
-def _fraction(value) -> Fraction:
-    """Accept JSON numbers or "p/q" strings as exact rationals."""
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (int, float)):
-        return Fraction(value)
-    raise ConfigError(f"cannot interpret {value!r} as a rational number")
+def _parse(kind, value):
+    """``kind(value)`` as a config error on failure; ``Fraction`` takes JSON
+    numbers or "p/q" strings and keeps them exact."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"cannot interpret {value!r} as {kind.__name__}") from exc
+
+
+def _ivec(value, what: str) -> tuple[int, int, int]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{what} must hold 3 integers, got {value!r}")
+    return tuple(_parse(int, x) for x in value)
 
 
 def load_config(path: str | Path) -> dict:
@@ -56,46 +63,53 @@ def load_config(path: str | Path) -> dict:
     lat = raw["lattice"]
     try:
         kwargs = {
-            "kf": float(lat["kf"]),
-            "delta": float(lat["delta"]),
+            "kf": _parse(float, lat["kf"]),
+            "delta": _parse(float, lat["delta"]),
         }
     except KeyError as exc:
         raise ConfigError(f"lattice section is missing {exc}") from exc
-    if "L" in lat and lat["L"] is not None:
-        kwargs["L"] = float(lat["L"])
-    if "c" in lat and lat["c"] is not None:
-        kwargs["c"] = float(lat["c"])
-    if lat.get("mu") is not None:
-        kwargs["mu"] = float(lat["mu"])
+    for key in ("L", "c", "mu"):
+        if lat.get(key) is not None:
+            kwargs[key] = _parse(float, lat[key])
     if "boost" in lat and lat["boost"] is not None:
-        kwargs["boost"] = tuple(int(x) for x in lat["boost"])
+        kwargs["boost"] = _ivec(lat["boost"], "boost")
     kwargs["frozen_core"] = bool(lat.get("frozen_core", False))
     if lat.get("shell_points") is not None:
         kwargs["shell_points"] = tuple(
-            tuple(int(x) for x in p) for p in lat["shell_points"]
+            _ivec(p, "each shell point") for p in lat["shell_points"]
         )
     if lat.get("volume") is not None:
-        kwargs["volume"] = _fraction(lat["volume"])
+        kwargs["volume"] = _parse(Fraction, lat["volume"])
     config = LatticeConfig(**kwargs)
     try:
-        config.validate()
-        build_mode_table(config)
+        table = build_mode_table(config)
     except LatticeError as exc:
         raise ConfigError(f"invalid lattice: {exc}") from exc
 
     caps = raw.get("caps", {})
-    return {
+    cfg = {
         "lattice": config,
-        "couplings": [_fraction(g) for g in raw.get("couplings", [-1, -0.5, 0.5, 1])],
+        "couplings": [
+            _parse(Fraction, g) for g in raw.get("couplings", [-1, -0.5, 0.5, 1])
+        ],
         "lambda_values": [
-            _fraction(l) for l in raw.get("lambda_values", [-1, 0, 1, 2, "7/3"])
+            _parse(Fraction, l) for l in raw.get("lambda_values", [-1, 0, 1, 2, "7/3"])
         ],
         "formfactor": raw.get("formfactor", "unit"),
-        "seed": int(raw.get("seed", 0)),
+        "seed": _parse(int, raw.get("seed", 0)),
         "output_dir": raw.get("output_dir", "out"),
-        "basis_cap": int(caps.get("basis", BASIS_CAP)),
-        "dense_cutoff": int(caps.get("dense", DENSE_CUTOFF)),
+        "basis_cap": _parse(int, caps.get("basis", BASIS_CAP)),
+        "dense_cutoff": _parse(int, caps.get("dense", DENSE_CUTOFF)),
     }
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
+    if cfg["basis_cap"] <= 0 or cfg["dense_cutoff"] <= 0:
+        raise ConfigError(f"caps must be positive, got {caps!r}")
+    try:
+        formfactors.from_spec(table, cfg["formfactor"], cfg["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid formfactor: {exc}") from exc
+    return cfg
 
 
 def write_csv(fields, rows: list[dict]) -> str:
@@ -157,7 +171,7 @@ def cmd_spectrum(args) -> int:
     table = build_mode_table(cfg["lattice"])
     rows = spectrum_rows(
         table,
-        _fraction(args.g),
+        _parse(Fraction, args.g),
         formfactor=cfg["formfactor"],
         seed=seed,
         sector=args.sector,
@@ -175,7 +189,7 @@ def cmd_scan(args) -> int:
     seed = args.seed if args.seed is not None else cfg["seed"]
     table = build_mode_table(cfg["lattice"])
     g_values = (
-        [_fraction(x) for x in args.g_list.split(",")]
+        [_parse(Fraction, x) for x in args.g_list.split(",")]
         if args.g_list
         else cfg["couplings"]
     )

@@ -13,14 +13,13 @@ breaks the flip invariance and is used as a negative control.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
 from .lattice import IVec, ModeTable
-from .operators import ShellDomainError, unit_formfactor
+from .operators import Formfactor, ShellDomainError, unit_formfactor
 
-FormfactorSpec = tuple[Callable[[IVec, IVec], Fraction], str]
+FormfactorSpec = tuple[Formfactor, str]
 
 
 def _rep(table: ModeTable, k: IVec) -> IVec:
@@ -71,7 +70,7 @@ def from_spec(table: ModeTable, spec: str, master_seed: int = 0) -> FormfactorSp
     """
     if spec == "unit":
         return unit_formfactor, "unit"
-    name, _, seed_text = spec.partition(":")
+    name, _, seed_text = str(spec).partition(":")
     seed = int(seed_text) if seed_text else master_seed
     if name == "random":
         return random_symmetric(table, seed)

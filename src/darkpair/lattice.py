@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+from .fock import MAX_MODES
+
 TAU = 2.0 * math.pi
 
 SPIN_UP = 0
@@ -111,6 +113,12 @@ class LatticeConfig:
             )
 
     def validate(self) -> None:
+        for name in ("kf", "delta", "L", "c", "mu"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise LatticeError(f"{name} must be finite, got {value}")
+        if self.volume is not None and not self.volume > 0:
+            raise LatticeError("volume must be positive")
         if not self.delta > 0:
             raise LatticeError("delta must be positive")
         if not self.kf > self.delta:
@@ -314,9 +322,9 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
         for n in group:
             modes.append(Mode(SPIN_UP, n))
             modes.append(Mode(SPIN_DOWN, n))
-    if len(modes) > 64:
+    if len(modes) > MAX_MODES:
         raise LatticeError(
-            f"{len(modes)} modes exceed the 64-bit occupation word; "
+            f"{len(modes)} modes exceed the {MAX_MODES}-bit occupation word; "
             "shrink the shell or freeze the core"
         )
 

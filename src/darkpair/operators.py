@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .fock import StateVector
 from .lattice import SPIN_DOWN, SPIN_UP, IVec, ModeTable
@@ -89,15 +89,25 @@ class OperatorExpr:
 
     def __init__(self, terms: dict[Term, object] | None = None):
         self.terms: dict[Term, object] = terms if terms is not None else {}
+        for factors in self.terms:
+            keys = [(kind != CREATE, mode) for kind, mode in factors]
+            if keys != sorted(set(keys)):
+                raise ValueError(
+                    f"term {factors} is not normal-ordered; build operators "
+                    "with OperatorExpr.from_monomial(s)"
+                )
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls) -> "OperatorExpr":
-        return cls()
+    def _wrap(cls, terms: dict[Term, object]) -> "OperatorExpr":
+        """Unchecked constructor for term maps this module built canonical."""
+        expr = object.__new__(cls)
+        expr.terms = terms
+        return expr
 
     @classmethod
     def identity(cls, coeff=Fraction(1)) -> "OperatorExpr":
-        return cls({(): coeff} if coeff != 0 else {})
+        return cls._wrap({(): coeff} if coeff != 0 else {})
 
     @classmethod
     def from_monomial(
@@ -106,7 +116,7 @@ class OperatorExpr:
         out: dict[Term, object] = {}
         if coeff != 0:
             _normal_order_term(coeff, tuple(factors), cap, out)
-        return cls(out)
+        return cls._wrap(out)
 
     @classmethod
     def from_monomials(
@@ -116,7 +126,7 @@ class OperatorExpr:
         for coeff, factors in monomials:
             if coeff != 0:
                 _normal_order_term(coeff, tuple(factors), cap, out)
-        return cls(out)
+        return cls._wrap(out)
 
     # -- linear structure ---------------------------------------------
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
@@ -127,26 +137,18 @@ class OperatorExpr:
                 out.pop(t, None)
             else:
                 out[t] = cur
-        return OperatorExpr(out)
+        return OperatorExpr._wrap(out)
 
     def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
         return self + (-other)
 
     def __neg__(self) -> "OperatorExpr":
-        return OperatorExpr({t: -c for t, c in self.terms.items()})
+        return OperatorExpr._wrap({t: -c for t, c in self.terms.items()})
 
     def scaled(self, factor) -> "OperatorExpr":
         if factor == 0:
             return OperatorExpr()
-        return OperatorExpr({t: c * factor for t, c in self.terms.items()})
-
-    def __rmul__(self, factor) -> "OperatorExpr":
-        return self.scaled(factor)
-
-    def __mul__(self, other) -> "OperatorExpr":
-        if isinstance(other, OperatorExpr):
-            return self.compose(other)
-        return self.scaled(other)
+        return OperatorExpr._wrap({t: c * factor for t, c in self.terms.items()})
 
     def compose(self, other: "OperatorExpr", cap: int = DEGREE_CAP) -> "OperatorExpr":
         """Operator product, normal-ordered."""
@@ -154,7 +156,7 @@ class OperatorExpr:
         for t1, c1 in self._sorted_items():
             for t2, c2 in other._sorted_items():
                 _normal_order_term(c1 * c2, t1 + t2, cap, out)
-        return OperatorExpr(out)
+        return OperatorExpr._wrap(out)
 
     def dagger(self) -> "OperatorExpr":
         out: dict[Term, object] = {}
@@ -163,14 +165,11 @@ class OperatorExpr:
                 (CREATE if k == ANNIHILATE else ANNIHILATE, m) for k, m in reversed(t)
             )
             _normal_order_term(_conj(c), flipped, max(DEGREE_CAP, len(t)), out)
-        return OperatorExpr(out)
+        return OperatorExpr._wrap(out)
 
     # -- queries --------------------------------------------------------
     def _sorted_items(self) -> list[tuple[Term, object]]:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __iter__(self) -> Iterator[tuple[Term, object]]:
-        return iter(self._sorted_items())
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -254,21 +253,14 @@ def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
     ``cmask``/``amask`` hold the created/annihilated modes; ``cpar``/``apar``
     are the XOR of the "modes with smaller index" masks of those modes, so
     the parity of the occupied modes they select is the term's fermionic
-    sign.  That holds for canonical terms only, so any other term (possible
-    through the raw ``OperatorExpr(dict)`` constructor) is rejected.
+    sign.  That holds for canonical terms, the only ones an
+    ``OperatorExpr`` holds.
     """
     compiled = []
     for factors, coeff in expr._sorted_items():
-        last = {CREATE: -1, ANNIHILATE: -1}
         mask = {CREATE: 0, ANNIHILATE: 0}
         par = {CREATE: 0, ANNIHILATE: 0}
         for kind, mode in factors:
-            if mode <= last[kind] or (kind == CREATE and last[ANNIHILATE] >= 0):
-                raise ValueError(
-                    f"term {factors} is not normal-ordered; build operators "
-                    "with OperatorExpr.from_monomial(s)"
-                )
-            last[kind] = mode
             mask[kind] |= 1 << (n_modes - 1 - mode)
             par[kind] ^= ((1 << mode) - 1) << (n_modes - mode)
         compiled.append(
@@ -306,6 +298,14 @@ def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     out = StateVector(vec.n_modes)
     out.amp = {occ: a for occ, a in acc.items() if a != 0}
     return out
+
+
+def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
+    """|| A|psi> - lambda|psi> || / ||psi|| with exact arithmetic inside."""
+    diff = apply_operator(op, state) - state.scaled(eigenvalue)
+    if not diff.amp:
+        return 0.0
+    return diff.norm() / state.norm()
 
 
 def matrix_in_sector(

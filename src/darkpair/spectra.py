@@ -22,6 +22,7 @@ from .operators import (
     apply_operator,
     build_h0,
     build_w,
+    eigen_residual,
     matrix_in_sector,
 )
 from .states import (
@@ -138,9 +139,7 @@ def nc_in_spectrum(
     h = build_hamiltonian(table, g, formfactor, seed)
     state = nc_state(table)
     e_total = nc_energy(table)
-    e_table = e_total - table.core_energy
-    diff = apply_operator(h, state) - state.scaled(e_table)
-    residual = 0.0 if not diff.amp else diff.norm() / state.norm()
+    residual = eigen_residual(h, state, e_total - table.core_energy)
 
     sector = table.total_particles_nc() - table.core_particles
     spec = diagonalize_sector(

@@ -41,6 +41,7 @@ from .operators import (
     build_pair,
     build_w,
     commutator,
+    eigen_residual,
     pair_commutator_rhs,
 )
 from .states import nc_energy, nc_momentum, nc_state
@@ -127,14 +128,6 @@ def relative_dark_residual(w: OperatorExpr, state: StateVector) -> float:
     if denom == 0.0:
         return float(image.norm())
     return image.norm() / denom
-
-
-def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
-    """|| A|psi> - lambda|psi> || / ||psi|| with exact arithmetic inside."""
-    diff = apply_operator(op, state) - state.scaled(eigenvalue)
-    if not diff.amp:
-        return 0.0
-    return diff.norm() / state.norm()
 
 
 def _anticommutation_residual(n_modes: int, samples: int, rng) -> int:

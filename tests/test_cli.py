@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from darkpair.cli import (
     EXIT_CAP,
@@ -91,6 +92,35 @@ def test_malformed_json_config(tmp_path, capsys):
     code = main(["verify", "--config", str(path), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "not valid JSON" in capsys.readouterr().err
+
+
+MALFORMED = {
+    "unknown formfactor": {"formfactor": "bogus"},
+    "formfactor seed not an integer": {"formfactor": "random:x"},
+    "formfactor not a string": {"formfactor": 5},
+    "coupling divides by zero": {"couplings": ["1/0"]},
+    "lambda not a number": {"lambda_values": [None]},
+    "kf not finite": {"lattice": {"kf": "inf"}},
+    "delta not a number": {"lattice": {"delta": "abc"}},
+    "mu not finite": {"lattice": {"mu": float("nan")}},
+    "volume zero": {"lattice": {"volume": 0}},
+    "seed not an integer": {"seed": "abc"},
+    "seed negative": {"seed": -1},
+    "boost of two components": {"lattice": {"boost": [0, 0]}},
+    "shell point of two components": {"lattice": {"shell_points": [[0, 0], [0, 0]]}},
+    "negative basis cap": {"caps": {"basis": -1}},
+    "zero dense cutoff": {"caps": {"dense": 0}},
+}
+
+
+@pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_scan_csv_constant_paired_column(tmp_path):

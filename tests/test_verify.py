@@ -15,7 +15,6 @@ from darkpair.verify import (
     closed_form_energy_per_particle,
     continuum_energy_check,
     counting_energy,
-    eigen_residual,
     quadrature_energy_per_particle,
     relative_dark_residual,
     run_battery,
@@ -133,7 +132,7 @@ def test_battery_json_is_deterministic(minimal_config):
 
 
 def test_residual_helpers(minimal_table):
-    from darkpair.operators import build_h0, build_w
+    from darkpair.operators import build_h0, build_w, eigen_residual
     from darkpair.states import nc_state
 
     nc = nc_state(minimal_table)
