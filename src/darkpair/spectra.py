@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -25,12 +26,7 @@ from .operators import (
     eigen_residual,
     matrix_in_sector,
 )
-from .states import (
-    bcs_state,
-    nc_energy,
-    nc_state,
-    pair_coefficients_from_angles,
-)
+from .states import nc_energy, nc_state, phi_core_energy
 
 DENSE_CUTOFF = 4096
 
@@ -168,66 +164,73 @@ def rayleigh_quotient(h: OperatorExpr, state: StateVector) -> float:
     return value
 
 
-def bcs_variational_energy(
-    table: ModeTable,
-    g,
-    formfactor: str = "unit",
-    seed: int = 0,
-    n_starts: int = 8,
-    tol: float = 1e-10,
-    max_sweeps: int = 60,
-) -> tuple[float, dict]:
-    """Minimize the Rayleigh quotient of the pair-product ansatz.
+def pair_energy_form(
+    table: ModeTable, g, formfactor: str = "unit", seed: int = 0
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Coefficients (L, S, C) of the pair-product energy in closed form.
 
-    Coordinate descent over one mixing angle per shell point (u = cos,
-    v = sin), multi-start with a seeded generator.  Returns the best
-    absolute energy (core included) and the coefficient map.
+    With one mixing angle t per shell point (u = cos t, v = sin t) and
+    hard-core pairs,
+
+        E(t) = sum_k L_k sin^2 t_k + sum_{k != k'} S_kk' x_k x_k' + C,
+
+    x = sin(2t)/2, where W = (g/volume) G over ``table.shell_all``, L_k =
+    eps(k) + eps(2K-k) + W_kk, S is the symmetric part of W with its
+    diagonal zeroed, and C is the absolute core energy.
     """
-    from scipy.optimize import minimize_scalar
+    g_fun, _ = formfactors.from_spec(table, formfactor, seed)
+    points = table.shell_all
+    pref = Fraction(g) / table.config.volume_fraction
+    w = np.array([[float(pref * g_fun(k1, k2)) for k2 in points] for k1 in points])
+    pair_eps = [float(table.epsilon(k) + table.epsilon(table.partner(k))) for k in points]
+    sym = (w + w.T) / 2
+    np.fill_diagonal(sym, 0.0)
+    return np.array(pair_eps) + np.diag(w), sym, float(phi_core_energy(table))
 
-    h = build_hamiltonian(table, g, formfactor, seed)
-    points = list(table.shell_all)
+
+def pair_energy(form: tuple[np.ndarray, np.ndarray, float], theta: np.ndarray) -> float:
+    """E(theta) of ``pair_energy_form``'s closed form."""
+    lin, sym, const = form
+    x = np.sin(2 * theta) / 2
+    return float(lin @ np.sin(theta) ** 2 + x @ sym @ x) + const
+
+
+def bcs_variational_energy(
+    table: ModeTable, g, formfactor: str = "unit", seed: int = 0
+) -> tuple[float, dict]:
+    """Minimum of the pair-product energy, with no number constraint.
+
+    Coordinate descent sets each angle to its exact one-angle minimum
+    2t_i = atan2(-h_i, L_i/2), h_i = S_i . x (see ``pair_energy_form``),
+    until a sweep gains less than 1e-10 or 60 sweeps have run.  It starts
+    from t = 0 and seven seeded uniform draws and keeps the best: t = 0 is
+    stationary, and gradient descent from the same starts stops in local
+    minima that the rotations leave.  Returns the absolute energy and the
+    coefficient map.
+    """
+    form = pair_energy_form(table, g, formfactor, seed)
+    lin, sym, _ = form
+    points = table.shell_all
     rng = np.random.default_rng(seed)
-    shift = float(table.core_energy)
-
-    def energy(theta: np.ndarray) -> float:
-        coeffs = pair_coefficients_from_angles(
-            table, {p: float(t) for p, t in zip(points, theta)}
-        )
-        return rayleigh_quotient(h, bcs_state(table, coeffs))
-
-    best_val = math.inf
-    best_theta = None
     starts = [np.zeros(len(points))]
-    starts += [rng.uniform(0.0, math.pi, len(points)) for _ in range(n_starts - 1)]
+    starts += [rng.uniform(0.0, math.pi, len(points)) for _ in range(7)]
+    best_val, best_theta = math.inf, None
     for theta in starts:
-        theta = theta.copy()
-        current = energy(theta)
-        for _ in range(max_sweeps):
+        x = np.sin(2 * theta) / 2
+        current = pair_energy(form, theta)
+        for _ in range(60):
             previous = current
-            for idx in range(len(points)):
-                def line(t, idx=idx):
-                    trial = theta.copy()
-                    trial[idx] = t
-                    return energy(trial)
-
-                opt = minimize_scalar(
-                    line, bounds=(0.0, math.pi), method="bounded",
-                    options={"xatol": 1e-9},
-                )
-                if opt.fun < current:
-                    theta[idx] = opt.x
-                    current = opt.fun
-            if previous - current < tol:
+            for i in range(len(points)):
+                theta[i] = (math.atan2(-(sym[i] @ x), lin[i] / 2) % (2 * math.pi)) / 2
+                x[i] = math.sin(2 * theta[i]) / 2
+            current = pair_energy(form, theta)
+            if previous - current < 1e-10:
                 break
         if current < best_val:
-            best_val = current
-            best_theta = theta.copy()
+            best_val, best_theta = current, theta
 
-    coeffs = pair_coefficients_from_angles(
-        table, {p: float(t) for p, t in zip(points, best_theta)}
-    )
-    return best_val + shift, coeffs
+    coeffs = {k: (math.cos(t), math.sin(t)) for k, t in zip(points, best_theta)}
+    return best_val, coeffs
 
 
 SCAN_FIELDS = ("g", "sector", "dim", "E_ground", "E_NC", "E_var", "residual_NC")

@@ -8,7 +8,6 @@ rescales.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -107,26 +106,21 @@ def bcs_state(table: ModeTable, coeffs: PairCoefficients) -> StateVector:
     return state
 
 
-def pair_coefficients_from_angles(
-    table: ModeTable, angles: Mapping[IVec, float]
-) -> dict[IVec, tuple[float, float]]:
-    """u = cos(theta), v = sin(theta) per shell point."""
-    out = {}
-    for k in table.shell_all:
-        th = angles[tuple(k)]
-        out[tuple(k)] = (math.cos(th), math.sin(th))
-    return out
+def phi_core_energy(table: ModeTable) -> Fraction:
+    """Absolute kinetic energy of ``phi_core``: the frozen-core record, or
+    two particles per inner point when the core is live."""
+    if table.config.frozen_core:
+        return table.core_energy
+    return 2 * sum((table.epsilon(n) for n in table.inner_points), Fraction(0))
 
 
 def nc_energy(table: ModeTable) -> Fraction:
     """Counting oracle for the kinetic eigenvalue of the paired state.
 
-    Two particles per inner point plus one pair (energy eps(k)+eps(pk))
-    per hemisphere point, plus the frozen-core record.
+    The core energy plus one pair (energy eps(k)+eps(pk)) per hemisphere
+    point.
     """
-    e = table.core_energy
-    if not table.config.frozen_core:
-        e += 2 * sum((table.epsilon(n) for n in table.inner_points), Fraction(0))
+    e = phi_core_energy(table)
     for k in table.shell_plus:
         e += table.epsilon(k) + table.epsilon(table.partner(k))
     return e

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from darkpair.cli import write_csv
+from darkpair.cli import bundled_config_path, load_config, write_csv
 from darkpair.fock import sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import matrix_in_sector
@@ -16,6 +16,8 @@ from darkpair.spectra import (
     build_hamiltonian,
     diagonalize_sector,
     nc_in_spectrum,
+    pair_energy,
+    pair_energy_form,
     rayleigh_quotient,
     scan_g,
     spectrum_rows,
@@ -143,6 +145,99 @@ def test_variational_nonincreasing_with_attraction(minimal_table):
         for g in (Fraction(-1), Fraction(-2), Fraction(-4))
     ]
     assert values[0] >= values[1] - 1e-8 >= values[2] - 2e-8
+
+
+BUNDLED = ("minimal", "twopair", "threepair_core", "boosted", "broken_formfactor")
+# A live inner point and a chemical potential, so C and L both shift.
+UNFROZEN_MU = LatticeConfig(
+    kf=1.2, delta=0.5, mu=1.5, volume=1,
+    shell_points=((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0)),
+)
+
+
+def _variational_cases():
+    """(name, table, couplings, formfactor, seed) for every bundled config
+    and the unfrozen lattice with a chemical potential."""
+    cases = []
+    for name in BUNDLED:
+        cfg = load_config(bundled_config_path(name))
+        cases.append((name, build_mode_table(cfg["lattice"]), cfg["couplings"],
+                      cfg["formfactor"], cfg["seed"]))
+    cases.append(("unfrozen_mu", build_mode_table(UNFROZEN_MU),
+                  [Fraction(-1), Fraction(1, 2)], "random:5", 4))
+    return cases
+
+
+def _symbolic_energy(table, g, formfactor, seed, coeffs):
+    """Absolute energy of the pair product through the symbolic path."""
+    h = build_hamiltonian(table, g, formfactor, seed)
+    return rayleigh_quotient(h, bcs_state(table, coeffs)) + float(table.core_energy)
+
+
+def test_closed_form_equals_symbolic_rayleigh_quotient():
+    rng = np.random.default_rng(0)
+    for name, table, couplings, formfactor, seed in _variational_cases():
+        for g in [*couplings, Fraction(-3)]:
+            form = pair_energy_form(table, g, formfactor, seed)
+            for _ in range(3):
+                theta = rng.uniform(0.0, math.pi, len(table.shell_all))
+                coeffs = {k: (math.cos(t), math.sin(t))
+                          for k, t in zip(table.shell_all, theta)}
+                expected = _symbolic_energy(table, g, formfactor, seed, coeffs)
+                assert pair_energy(form, theta) == pytest.approx(
+                    expected, rel=0, abs=1e-12), (name, g)
+
+
+def test_variational_coeffs_reproduce_energy():
+    for name, table, couplings, formfactor, seed in _variational_cases():
+        for g in [*couplings, Fraction(-3)]:
+            energy, coeffs = bcs_variational_energy(table, g, formfactor, seed)
+            expected = _symbolic_energy(table, g, formfactor, seed, coeffs)
+            assert energy == pytest.approx(expected, rel=0, abs=1e-12), (name, g)
+
+
+# bcs_variational_energy(table, g, formfactor, seed) as the Brent line
+# search over the symbolic Rayleigh quotient computed it, before the
+# closed form replaced that path.
+RECORDED_E_VAR = {
+    ("minimal", Fraction(-1)): 0.0,
+    ("minimal", Fraction(-1, 2)): 0.0,
+    ("minimal", Fraction(1, 2)): 0.0,
+    ("minimal", Fraction(1)): 0.0,
+    ("minimal", Fraction(-3)): -2.666666666666667,
+    ("twopair", Fraction(-1)): -1.6484598681661078,
+    ("twopair", Fraction(-1, 2)): -0.022258742107410842,
+    ("twopair", Fraction(1, 2)): 0.0,
+    ("twopair", Fraction(1)): 0.0,
+    ("twopair", Fraction(-3)): -12.030450394499763,
+    ("threepair_core", Fraction(-1)): -8.88220773518243,
+    ("threepair_core", Fraction(-1, 2)): -2.2305614603210917,
+    ("threepair_core", Fraction(1, 2)): 0.0,
+    ("threepair_core", Fraction(1)): 0.0,
+    ("threepair_core", Fraction(-3)): -38.10584308935407,
+    ("boosted", Fraction(-1)): 2.0,
+    ("boosted", Fraction(-1, 2)): 2.0,
+    ("boosted", Fraction(1, 2)): 2.0,
+    ("boosted", Fraction(1)): 2.0,
+    ("boosted", Fraction(-3)): 1.3333333333333335,
+    ("broken_formfactor", Fraction(-1)): -0.8389194990763604,
+    ("broken_formfactor", Fraction(1)): 0.0,
+    ("broken_formfactor", Fraction(-3)): -7.675215534470751,
+    ("unfrozen_mu", Fraction(-1)): -13.872931008777066,
+    ("unfrozen_mu", Fraction(1, 2)): -4.241611996251172,
+    ("unfrozen_mu", Fraction(-3)): -29.257489890254078,
+}
+
+
+def test_variational_energy_matches_recorded_values():
+    seen = set()
+    for name, table, couplings, formfactor, seed in _variational_cases():
+        for g in [*couplings, Fraction(-3)]:
+            energy, _ = bcs_variational_energy(table, g, formfactor, seed)
+            assert energy == pytest.approx(
+                RECORDED_E_VAR[name, g], rel=0, abs=1e-9), (name, g)
+            seen.add((name, g))
+    assert seen == set(RECORDED_E_VAR)
 
 
 def test_scan_g_constant_nc_column(minimal_table):
