@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -52,15 +53,45 @@ def _ivec(value, what: str) -> tuple[int, int, int]:
     return tuple(_parse(int, x) for x in value)
 
 
+def _seed(value) -> int:
+    seed = _parse(int, value)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _object(value, what: str, keys) -> dict:
+    """``value`` if it is a JSON object holding only ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {what}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+CONFIG_KEYS = ("lattice", "couplings", "lambda_values", "formfactor", "seed",
+               "output_dir", "caps")
+LATTICE_KEYS = tuple(f.name for f in fields(LatticeConfig))
+CAPS_KEYS = ("basis", "dense")
+
+
 def load_config(path: str | Path) -> dict:
     text = Path(path).read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    raw = _object(raw, "the config", CONFIG_KEYS)
     if "lattice" not in raw:
         raise ConfigError("config is missing the 'lattice' section")
-    lat = raw["lattice"]
+    lat = _object(raw["lattice"], "the lattice section", LATTICE_KEYS)
     try:
         kwargs = {
             "kf": _parse(float, lat["kf"]),
@@ -75,9 +106,8 @@ def load_config(path: str | Path) -> dict:
         kwargs["boost"] = _ivec(lat["boost"], "boost")
     kwargs["frozen_core"] = bool(lat.get("frozen_core", False))
     if lat.get("shell_points") is not None:
-        kwargs["shell_points"] = tuple(
-            _ivec(p, "each shell point") for p in lat["shell_points"]
-        )
+        points = _list(lat["shell_points"], "shell_points")
+        kwargs["shell_points"] = tuple(_ivec(p, "each shell point") for p in points)
     if lat.get("volume") is not None:
         kwargs["volume"] = _parse(Fraction, lat["volume"])
     config = LatticeConfig(**kwargs)
@@ -86,23 +116,19 @@ def load_config(path: str | Path) -> dict:
     except LatticeError as exc:
         raise ConfigError(f"invalid lattice: {exc}") from exc
 
-    caps = raw.get("caps", {})
+    caps = _object(raw.get("caps", {}), "the caps section", CAPS_KEYS)
+    couplings = _list(raw.get("couplings", [-1, -0.5, 0.5, 1]), "couplings")
+    lambdas = _list(raw.get("lambda_values", [-1, 0, 1, 2, "7/3"]), "lambda_values")
     cfg = {
         "lattice": config,
-        "couplings": [
-            _parse(Fraction, g) for g in raw.get("couplings", [-1, -0.5, 0.5, 1])
-        ],
-        "lambda_values": [
-            _parse(Fraction, l) for l in raw.get("lambda_values", [-1, 0, 1, 2, "7/3"])
-        ],
+        "couplings": [_parse(Fraction, g) for g in couplings],
+        "lambda_values": [_parse(Fraction, l) for l in lambdas],
         "formfactor": raw.get("formfactor", "unit"),
-        "seed": _parse(int, raw.get("seed", 0)),
+        "seed": _seed(raw.get("seed", 0)),
         "output_dir": raw.get("output_dir", "out"),
         "basis_cap": _parse(int, caps.get("basis", BASIS_CAP)),
         "dense_cutoff": _parse(int, caps.get("dense", DENSE_CUTOFF)),
     }
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     if cfg["basis_cap"] <= 0 or cfg["dense_cutoff"] <= 0:
         raise ConfigError(f"caps must be positive, got {caps!r}")
     try:
@@ -150,7 +176,7 @@ def _outdir(args, cfg) -> Path:
 
 def cmd_verify(args) -> int:
     cfg = load_config(_resolve_config_arg(args.config))
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed = cfg["seed"] if args.seed is None else _seed(args.seed)
     report = run_battery(
         cfg["lattice"],
         cfg["couplings"],
@@ -167,7 +193,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = load_config(_resolve_config_arg(args.config))
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed = cfg["seed"] if args.seed is None else _seed(args.seed)
     table = build_mode_table(cfg["lattice"])
     rows = spectrum_rows(
         table,
@@ -186,7 +212,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = load_config(_resolve_config_arg(args.config))
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed = cfg["seed"] if args.seed is None else _seed(args.seed)
     table = build_mode_table(cfg["lattice"])
     g_values = (
         [_parse(Fraction, x) for x in args.g_list.split(",")]
@@ -209,7 +235,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_continuum(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    LatticeConfig(kf=args.kf, delta=args.delta, c=args.c).validate()
+    sizes = [_parse(int, s) for s in args.sizes.split(",")]
+    if min(sizes) <= 0:
+        raise ConfigError(f"sizes must be positive, got {args.sizes!r}")
     rows = continuum_energy_check(args.kf, args.delta, sizes, c=args.c)
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .fock import MAX_MODES
 
@@ -244,13 +244,36 @@ class ModeTable:
         return json.dumps(rows, indent=None, separators=(",", ":"), sort_keys=True)
 
 
-def _enumerate_ball(center: IVec, max_r2: Fraction) -> Iterable[IVec]:
-    reach = math.isqrt(math.floor(max_r2))
+def _points_between(center: IVec, lo: int, hi: int) -> Iterator[IVec]:
+    """Grid points n with lo <= |n - center|^2 <= hi, one (z, y) row at a
+    time; each row's x range is solved for, so a thin band costs no more
+    than its rows."""
+    reach = math.isqrt(hi) if hi >= 0 else -1
     for dz in range(-reach, reach + 1):
         for dy in range(-reach, reach + 1):
-            for dx in range(-reach, reach + 1):
-                n = (center[0] + dx, center[1] + dy, center[2] + dz)
-                yield n
+            r2 = dz * dz + dy * dy
+            if r2 > hi:
+                continue
+            top = math.isqrt(hi - r2)
+            low = math.isqrt(lo - r2 - 1) + 1 if lo > r2 else 0
+            xs = range(-top, top + 1) if low == 0 else (
+                *range(-top, -low + 1), *range(low, top + 1))
+            for dx in xs:
+                yield (center[0] + dx, center[1] + dy, center[2] + dz)
+
+
+def _capped(points: Iterable[IVec], limit: int) -> list[IVec]:
+    """The points as a list; a LatticeError as soon as there are more than
+    ``limit``, before the rest are enumerated."""
+    out = []
+    for n in points:
+        out.append(n)
+        if len(out) > limit:
+            raise LatticeError(
+                f"more than {MAX_MODES} modes, the width of the occupation "
+                "word; shrink the shell or freeze the core"
+            )
+    return out
 
 
 def build_mode_table(config: LatticeConfig) -> ModeTable:
@@ -264,9 +287,12 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
     K = config.boost
     two_k = vadd(K, K)  # partner of n is 2K - n
 
-    inner: list[IVec] = []
-    shell: list[IVec] = []
+    # |n - K|^2 is an integer: the band is ceil(lo2)..floor(hi2), the
+    # inner region everything below.
+    band_lo, band_hi = math.ceil(lo2), math.floor(hi2)
+    limit = MAX_MODES // 2  # grid points; each holds two spin modes
     if config.shell_points is not None:
+        shell: list[IVec] = []
         seen = set()
         for n in config.shell_points:
             if n in seen:
@@ -281,18 +307,16 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
         for n in shell:
             if vsub(two_k, n) not in seen:
                 raise UnpairedModeError(f"shell point {n} has no partner in the list")
+        shell = _capped(shell, limit)
     else:
-        for n in _enumerate_ball(K, hi2):
-            u2 = norm2(vsub(n, K))
-            if lo2 <= u2 <= hi2:
-                shell.append(n)
-    # Inner region is always radial.
-    for n in _enumerate_ball(K, lo2):
-        if norm2(vsub(n, K)) < lo2:
-            inner.append(n)
-
+        shell = _capped(_points_between(K, band_lo, band_hi), limit)
     if not shell:
         raise EmptyShellError("no grid point falls inside the shell band")
+    inner_region = _points_between(K, 0, band_lo - 1)
+    if config.frozen_core:
+        inner = list(inner_region)
+    else:
+        inner = _capped(inner_region, limit - len(shell))
     shell_set = set(shell)
     for n in shell_set:
         if vsub(two_k, n) not in shell_set:
@@ -322,12 +346,6 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
         for n in group:
             modes.append(Mode(SPIN_UP, n))
             modes.append(Mode(SPIN_DOWN, n))
-    if len(modes) > MAX_MODES:
-        raise LatticeError(
-            f"{len(modes)} modes exceed the {MAX_MODES}-bit occupation word; "
-            "shrink the shell or freeze the core"
-        )
-
     return ModeTable(
         config=config,
         modes=tuple(modes),

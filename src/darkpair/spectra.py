@@ -75,14 +75,15 @@ def diagonalize_sector(
 
     Dense full spectrum up to ``dense_cutoff``; above that, the lowest
     ``n_lowest`` eigenpairs from a Krylov solver with a seeded start
-    vector (so repeated runs agree bit for bit).
+    vector (so repeated runs agree bit for bit).  A sector too small for
+    the Krylov solver (which needs dim > n_lowest + 1) is dense too.
     """
     basis = sector_basis(table.n_modes, n_particles, basis_cap)
     dim = len(basis)
     shift = float(table.core_energy)
     if dim == 0:
         return SectorSpectrum(n_particles, 0, "empty", np.empty(0))
-    if dim <= dense_cutoff:
+    if dim <= max(dense_cutoff, n_lowest + 1):
         mat = matrix_in_sector(hamiltonian, basis, table.n_modes)
         if want_vectors:
             vals, vecs = np.linalg.eigh(mat)
@@ -93,11 +94,10 @@ def diagonalize_sector(
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     mat = matrix_in_sector(hamiltonian, basis, table.n_modes, sparse=True)
-    k = min(n_lowest, dim - 1)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     try:
-        vals, vecs = eigsh(mat, k=k, which="SA", v0=v0, maxiter=maxiter)
+        vals, vecs = eigsh(mat, k=n_lowest, which="SA", v0=v0, maxiter=maxiter)
     except ArpackNoConvergence as exc:
         if len(exc.eigenvalues):
             vals = np.sort(exc.eigenvalues.real)

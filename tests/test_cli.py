@@ -1,9 +1,16 @@
 """Command-line behavior: exit codes, outputs, reproducibility."""
 
+import contextlib
+import io
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkpair.cli import (
     EXIT_CAP,
@@ -33,7 +40,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
         "output_dir": str(tmp_path / "out"),
     }
     for key, val in overrides.items():
-        if key == "lattice":
+        if key == "lattice" and isinstance(val, dict):
             cfg["lattice"].update(val)
         else:
             cfg[key] = val
@@ -110,17 +117,133 @@ MALFORMED = {
     "shell point of two components": {"lattice": {"shell_points": [[0, 0], [0, 0]]}},
     "negative basis cap": {"caps": {"basis": -1}},
     "zero dense cutoff": {"caps": {"dense": 0}},
+    "config not an object": "5",
+    "lattice not an object": {"lattice": 5},
+    "caps not an object": {"caps": 5},
+    "couplings not a list": {"couplings": 5},
+    "shell points not a list": {"lattice": {"shell_points": 5}},
+    "unknown top-level key": {"coupling": [-1]},
+    "unknown lattice key": {"lattice": {"frozen-core": False}},
+    "unknown caps key": {"caps": {"basis_cap": 10}},
 }
 
 
 @pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, overrides):
-    cfg = write_config(tmp_path, **overrides)
+    if isinstance(overrides, str):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(overrides)
+    else:
+        cfg = write_config(tmp_path, **overrides)
     code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unknown_key_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, lattice={"frozen-core": True})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "'frozen-core'" in capsys.readouterr().err
+
+
+BAD_FLAGS = {
+    "negative seed override": ["verify", "--config", "minimal", "--seed", "-1"],
+    "negative scan seed": ["scan", "--config", "minimal", "--seed", "-1"],
+    "size not an integer": ["continuum", "--kf", "1", "--delta", "0.1",
+                            "--sizes", "x"],
+    "zero size": ["continuum", "--kf", "1", "--delta", "0.1", "--sizes", "8,0"],
+    "negative size": ["continuum", "--kf", "1", "--delta", "0.1", "--sizes=-4"],
+    "kf not finite": ["continuum", "--kf", "nan", "--delta", "0.1", "--sizes", "8"],
+    "delta above kf": ["continuum", "--kf", "1", "--delta", "2", "--sizes", "8"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_bad_command_line_value_exits_2_with_one_line(tmp_path, capsys, argv):
+    code = main([*argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_huge_lattice_exits_2_fast(tmp_path, capsys):
+    # the kf = 400 band would fill about 2.7e8 grid points of the ball
+    cfg = write_config(tmp_path, lattice={"kf": 400, "shell_points": None})
+    start = time.perf_counter()
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    assert "more than 64 modes" in capsys.readouterr().err
+
+
+# Valid lattices: radial threepair, one pair, a live core with a chemical
+# potential, a drifting pair.  A radial band around a live core is left
+# out: its paired sector of 3003 states costs seconds per coupling.
+FUZZ_LATTICES = [
+    {"kf": 1.0, "delta": 0.25, "frozen_core": True},
+    {"kf": 1.2, "delta": 0.5, "frozen_core": True, "volume": 1,
+     "shell_points": [[0, 0, 1], [0, 0, -1]]},
+    {"kf": 1.2, "delta": 0.5, "mu": 1.5, "volume": "1/2",
+     "shell_points": [[0, 0, 1], [0, 0, -1], [0, 1, 0], [0, -1, 0]]},
+    {"kf": 1.2, "delta": 0.5, "boost": [0, 0, 1], "frozen_core": True,
+     "shell_points": [[0, 0, 2], [0, 0, 0]], "volume": 1},
+]
+FUZZ_OPTIONAL = {
+    "couplings": [[-1], [-1, "1/2"], [0], []],
+    "lambda_values": [[0, 1], []],
+    "formfactor": ["unit", "random:3", "random", "asymmetric:2"],
+    "seed": [0, 3],
+    "caps": [{"basis": 4}, {"dense": 1}, {}],
+}
+# (section, key, value); section None replaces the whole config.
+FUZZ_BREAKS = [
+    ("lattice", "kf", "x"), ("lattice", "kf", 400), ("lattice", "kf", 0.3),
+    ("lattice", "delta", 0), ("lattice", "delta", "1e400"),
+    ("lattice", "shell_points", 5), ("lattice", "shell_points", [[0, 0, 1]]),
+    ("lattice", "shell_points", [[0, 0]]), ("lattice", "boost", [0, 0]),
+    ("lattice", "volume", 0), ("lattice", "mu", "nan"),
+    ("lattice", "frozen-core", True), ("config", "lattice", 5),
+    ("config", "lattice", []), ("config", "couplings", 5),
+    ("config", "couplings", ["1/0"]), ("config", "lambda_values", [None]),
+    ("config", "formfactor", "bogus"), ("config", "formfactor", 5),
+    ("config", "seed", -1), ("config", "seed", "a"), ("config", "caps", 5),
+    ("config", "caps", {"x": 1}), ("config", "extra", 1),
+    (None, None, 5), (None, None, []), (None, None, "x"),
+]
+
+
+@st.composite
+def fuzz_configs(draw):
+    cfg = {"lattice": dict(draw(st.sampled_from(FUZZ_LATTICES)))}
+    for key, values in FUZZ_OPTIONAL.items():
+        if draw(st.booleans()):
+            cfg[key] = draw(st.sampled_from(values))
+    for section, key, value in draw(st.lists(st.sampled_from(FUZZ_BREAKS), max_size=2)):
+        if section is None:
+            return value
+        target = cfg["lattice"] if section == "lattice" else cfg
+        if isinstance(target, dict):
+            target[key] = value
+    return cfg
+
+
+@settings(max_examples=120, deadline=None)
+@given(config=fuzz_configs(),
+       command=st.sampled_from([["verify"], ["scan"], ["spectrum", "--g=-1"]]))
+def test_fuzzed_config_keeps_exit_code_contract(config, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*command, "--config", str(path), "--out", tmp])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_CAP)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_CHECK_FAILED:
+        assert config["formfactor"].startswith("asymmetric:")
 
 
 def test_scan_csv_constant_paired_column(tmp_path):

@@ -1,6 +1,8 @@
 """Lattice classification, mode ordering, and dispersion."""
 
 import math
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,6 +48,32 @@ def test_shell_enumeration_against_brute_force():
     assert units <= expected
     assert {(0, 0, 1), (0, 1, 0), (1, 0, 0)} <= set(table.shell_plus)
     assert len(table.shell_plus) == 9
+
+
+@pytest.mark.parametrize("kf, delta, boost, L", [
+    (1.0, 0.25, (0, 0, 0), 2 * math.pi),
+    (1.575, 0.17, (0, 0, 0), 2 * math.pi),
+    (2.0, 0.05, (1, -2, 3), 2 * math.pi),
+    (1.3, 0.6, (0, 1, 0), 5.0),
+])
+def test_band_and_inner_points_against_brute_force(kf, delta, boost, L):
+    config = LatticeConfig(kf=kf, delta=delta, boost=boost, L=L, frozen_core=True)
+    table = build_mode_table(config)
+    lo2, hi2 = config.shell_bounds2
+    reach = math.isqrt(math.floor(hi2)) + 1
+    band, inner = set(), set()
+    for z in range(-reach, reach + 1):
+        for y in range(-reach, reach + 1):
+            for x in range(-reach, reach + 1):
+                n2 = x * x + y * y + z * z
+                n = (boost[0] + x, boost[1] + y, boost[2] + z)
+                if lo2 <= n2 <= hi2:
+                    band.add(n)
+                elif n2 < lo2:
+                    inner.add(n)
+    assert set(table.shell_all) == band
+    assert set(table.inner_points) == inner
+    assert table.core_particles == 2 * len(inner)
 
 
 def test_three_pair_shell_is_exactly_unit_vectors(threepair_table):
@@ -191,3 +219,18 @@ def test_mode_table_json_dump(minimal_table):
 def test_too_many_modes_rejected():
     with pytest.raises(LatticeError):
         build_mode_table(LatticeConfig(kf=3.0, delta=1.0))
+    # live inner points count towards the cap: 2 shell points, 57 inner
+    config = LatticeConfig(kf=2.5, delta=0.1, volume=1,
+                           shell_points=((1, 1, 2), (-1, -1, -2)))
+    with pytest.raises(LatticeError, match="more than 64 modes"):
+        build_mode_table(config)
+    assert len(build_mode_table(replace(config, frozen_core=True)).inner_points) == 57
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_huge_band_rejected_before_enumeration(frozen):
+    # the kf = 400 ball holds about 2.7e8 grid points
+    start = time.perf_counter()
+    with pytest.raises(LatticeError, match="more than 64 modes"):
+        build_mode_table(LatticeConfig(kf=400, delta=0.5, frozen_core=frozen))
+    assert time.perf_counter() - start < 1.0

@@ -65,6 +65,13 @@ def test_dense_and_krylov_agree(threepair_table):
     assert rel <= 1e-9
 
 
+def test_sector_too_small_for_krylov_is_dense(minimal_table):
+    h = build_hamiltonian(minimal_table, Fraction(-1))
+    spec = diagonalize_sector(h, minimal_table, 2, dense_cutoff=1)
+    assert spec.method == "dense" and spec.dim == 6
+    assert np.allclose(spec.eigenvalues, [0.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+
+
 def test_krylov_nonconvergence_reports_best_value(threepair_table):
     from darkpair.spectra import ConvergenceError
 
