@@ -255,9 +255,11 @@ def _points_between(center: IVec, lo: int, hi: int) -> Iterator[IVec]:
             if r2 > hi:
                 continue
             top = math.isqrt(hi - r2)
-            low = math.isqrt(lo - r2 - 1) + 1 if lo > r2 else 0
-            xs = range(-top, top + 1) if low == 0 else (
-                *range(-top, -low + 1), *range(low, top + 1))
+            if lo > r2:
+                low = math.isqrt(lo - r2 - 1) + 1  # least x with x^2 >= lo - r2
+                xs = [*range(-top, -low + 1), *range(low, top + 1)]
+            else:
+                xs = range(-top, top + 1)
             for dx in xs:
                 yield (center[0] + dx, center[1] + dy, center[2] + dz)
 
@@ -312,15 +314,15 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
         shell = _capped(_points_between(K, band_lo, band_hi), limit)
     if not shell:
         raise EmptyShellError("no grid point falls inside the shell band")
+    shell_set = set(shell)
+    for n in shell_set:
+        if vsub(two_k, n) not in shell_set:
+            raise UnpairedModeError(f"shell point {n} is unpaired")
     inner_region = _points_between(K, 0, band_lo - 1)
     if config.frozen_core:
         inner = list(inner_region)
     else:
         inner = _capped(inner_region, limit - len(shell))
-    shell_set = set(shell)
-    for n in shell_set:
-        if vsub(two_k, n) not in shell_set:
-            raise UnpairedModeError(f"shell point {n} is unpaired")
 
     plus = sorted((n for n in shell if hemisphere_positive(vsub(n, K))), key=zyx_key)
     plus_set = set(plus)
