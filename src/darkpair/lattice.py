@@ -248,7 +248,7 @@ def _points_between(center: IVec, lo: int, hi: int) -> Iterator[IVec]:
     """Grid points n with lo <= |n - center|^2 <= hi, one (z, y) row at a
     time; each row's x range is solved for, so a thin band costs no more
     than its rows."""
-    reach = math.isqrt(hi) if hi >= 0 else -1
+    reach = math.isqrt(hi)
     for dz in range(-reach, reach + 1):
         for dy in range(-reach, reach + 1):
             r2 = dz * dz + dy * dy
