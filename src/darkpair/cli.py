@@ -26,7 +26,12 @@ from .spectra import (
     scan_g,
     spectrum_rows,
 )
-from .verify import CONTINUUM_FIELDS, continuum_energy_check, run_battery
+from .verify import (
+    CONTINUUM_FIELDS,
+    GridSizeError,
+    continuum_energy_check,
+    run_battery,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,7 +109,10 @@ def load_config(path: str | Path) -> dict:
             kwargs[key] = _parse(float, lat[key])
     if "boost" in lat and lat["boost"] is not None:
         kwargs["boost"] = _ivec(lat["boost"], "boost")
-    kwargs["frozen_core"] = bool(lat.get("frozen_core", False))
+    frozen = lat.get("frozen_core")
+    if frozen is not None and not isinstance(frozen, bool):
+        raise ConfigError(f"frozen_core must be true or false, got {frozen!r}")
+    kwargs["frozen_core"] = bool(frozen)
     if lat.get("shell_points") is not None:
         points = _list(lat["shell_points"], "shell_points")
         kwargs["shell_points"] = tuple(_ivec(p, "each shell point") for p in points)
@@ -117,6 +125,8 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"invalid lattice: {exc}") from exc
 
     caps = _object(raw.get("caps", {}), "the caps section", CAPS_KEYS)
+    if not isinstance(raw.get("output_dir", "out"), str):
+        raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
     couplings = _list(raw.get("couplings", [-1, -0.5, 0.5, 1]), "couplings")
     lambdas = _list(raw.get("lambda_values", [-1, 0, 1, 2, "7/3"]), "lambda_values")
     cfg = {
@@ -300,7 +310,7 @@ def main(argv=None) -> int:
     except LatticeError as exc:
         sys.stderr.write(f"lattice error: {exc}\n")
         return EXIT_CONFIG
-    except (BasisSizeError, DegreeCapError) as exc:
+    except (BasisSizeError, DegreeCapError, GridSizeError) as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return EXIT_CAP
     except ConvergenceError as exc:

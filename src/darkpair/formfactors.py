@@ -22,15 +22,6 @@ from .operators import Formfactor, ShellDomainError, unit_formfactor
 FormfactorSpec = tuple[Formfactor, str]
 
 
-def _rep(table: ModeTable, k: IVec) -> IVec:
-    k = tuple(k)
-    if k in table.shell_plus:
-        return k
-    if k in table.shell_minus:
-        return table.partner(k)
-    raise ShellDomainError(f"{k} is not a shell point of this lattice")
-
-
 def random_symmetric(table: ModeTable, seed: int) -> FormfactorSpec:
     """Uniform rationals in [1/2, 2] per (rep1, rep2) hemisphere class."""
     rng = np.random.default_rng(seed)
@@ -38,9 +29,18 @@ def random_symmetric(table: ModeTable, seed: int) -> FormfactorSpec:
     for r1 in table.shell_plus:
         for r2 in table.shell_plus:
             values[(r1, r2)] = Fraction(int(rng.integers(32, 129)), 64)
+    # hemisphere representative: the point itself on the plus side, its
+    # partner on the minus side
+    reps = {k: k for k in table.shell_plus}
+    reps.update((k, table.partner(k)) for k in table.shell_minus)
 
     def g_fun(k1: IVec, k2: IVec) -> Fraction:
-        return values[(_rep(table, k1), _rep(table, k2))]
+        try:
+            return values[(reps[tuple(k1)], reps[tuple(k2)])]
+        except KeyError as exc:
+            raise ShellDomainError(
+                f"{exc.args[0]} is not a shell point of this lattice"
+            ) from None
 
     return g_fun, f"random:{seed}"
 

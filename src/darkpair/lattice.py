@@ -181,9 +181,13 @@ class ModeTable:
     core_energy: Fraction = Fraction(0)
     core_momentum: IVec = (0, 0, 0)
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _partition: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._index.update({m: i for i, m in enumerate(self.modes)})
+        for name, points in ((INNER, self.inner_points), (SHELL_PLUS, self.shell_plus),
+                             (SHELL_MINUS, self.shell_minus)):
+            self._partition.update(dict.fromkeys(points, name))
 
     @property
     def n_modes(self) -> int:
@@ -202,18 +206,13 @@ class ModeTable:
         return (2 * k[0] - n[0], 2 * k[1] - n[1], 2 * k[2] - n[2])
 
     def partition_of(self, n: IVec) -> str:
-        n = tuple(n)
-        if n in self.inner_points:
-            return INNER
-        if n in self.shell_plus:
-            return SHELL_PLUS
-        if n in self.shell_minus:
-            return SHELL_MINUS
-        raise KeyError(f"grid point {n} not in table")
+        try:
+            return self._partition[tuple(n)]
+        except KeyError:
+            raise KeyError(f"grid point {n} not in table") from None
 
     def is_shell(self, n: IVec) -> bool:
-        n = tuple(n)
-        return n in self.shell_plus or n in self.shell_minus
+        return self._partition.get(tuple(n)) in (SHELL_PLUS, SHELL_MINUS)
 
     def epsilon(self, n: IVec) -> Fraction:
         return self.config.epsilon(n)

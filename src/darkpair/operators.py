@@ -18,8 +18,11 @@ arithmetic unchanged if a caller supplies them.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .fock import StateVector
 from .lattice import SPIN_DOWN, SPIN_UP, IVec, ModeTable
@@ -308,6 +311,83 @@ def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
     return diff.norm() / state.norm()
 
 
+def _integer_numerators(compiled: list[tuple]) -> tuple[list[int], int] | None:
+    """``(nums, den)`` with every coefficient equal to ``num / den``.
+
+    None when a coefficient is not an int or ``Fraction``, or when ``den``
+    or the sum of ``|num|`` reaches 2**53: below that bound every partial
+    sum of one matrix entry is an integer that float64 holds exactly.
+    """
+    coeffs = [term[-1] for term in compiled]
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return None
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [int(c * den) for c in coeffs]
+    if max(den, sum(map(abs, nums))) >= 1 << 53:
+        return None
+    return nums, den
+
+
+def _parity(x):
+    """Bitwise parity of a uint64 array, by xor-folding."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> np.uint64(shift))
+    return (x & np.uint64(1)).astype(bool)
+
+
+def _sector_entries(compiled: list[tuple], nums: list[int], occs):
+    """Rows, columns and signed numerators of every term's entries.
+
+    ``occs`` is the ascending basis as uint64.  One vectorized pass per
+    term: the kernel of ``_apply_compiled`` over all columns at once.
+    Number-type terms (``cmask == amask``) only touch the diagonal, with
+    a sign fixed by their canonical order, so they are summed into it
+    first; every other entry appears once per term that reaches it.
+    """
+    index = np.int32 if len(occs) < 2**31 else np.int64
+    diag = np.zeros(len(occs), dtype=np.int64)
+    on_diag = np.zeros(len(occs), dtype=bool)
+    rows, cols, vals = [], [], []
+    for (cmask, amask, cpar, apar, _), num in zip(compiled, nums):
+        fires = occs & np.uint64(amask) == np.uint64(amask)
+        if cmask == amask:
+            diag[fires] += -num if (amask & apar).bit_count() & 1 else num
+            on_diag |= fires
+            continue
+        col = np.flatnonzero(fires)
+        occ = occs[col]
+        mid = occ ^ np.uint64(amask)
+        free = mid & np.uint64(cmask) == 0
+        col, occ, mid = col[free], occ[free], mid[free]
+        res = mid | np.uint64(cmask)
+        row = np.searchsorted(occs, res)
+        found = occs.take(row, mode="clip") == res
+        odd = _parity((occ & np.uint64(apar)) ^ (mid & np.uint64(cpar)))[found]
+        rows.append(row[found].astype(index))
+        cols.append(col[found].astype(index))
+        vals.append(np.where(odd, -num, num).astype(np.int64))
+    where = np.flatnonzero(on_diag).astype(index)
+    return (np.concatenate([where, *rows]), np.concatenate([where, *cols]),
+            np.concatenate([diag[where], *vals]))
+
+
+def _column_entries(compiled: list[tuple], basis: list[int]):
+    """Per-column reference assembly, for coefficients the integer kernel
+    cannot hold exactly: each entry is summed in term order, then rounded."""
+    index = {occ: i for i, occ in enumerate(basis)}
+    rows, cols, data = [], [], []
+    for col, occ in enumerate(basis):
+        acc: dict = {}
+        _apply_compiled(compiled, occ, 1, acc)
+        for res in sorted(acc):
+            row = index.get(res)
+            if row is not None:
+                rows.append(row)
+                cols.append(col)
+                data.append(complex(acc[res]))
+    return rows, cols, data
+
+
 def matrix_in_sector(
     expr: OperatorExpr,
     basis: list[int],
@@ -319,33 +399,52 @@ def matrix_in_sector(
     When the basis is a fixed particle-number sector the operator must
     conserve particle number, otherwise weight would leak out of the
     block and the matrix would misrepresent the operator.
-    """
-    import numpy as np
 
-    numbers = {occ.bit_count() for occ in basis}
-    if len(numbers) == 1 and not expr.conserves_particle_number():
+    With int/``Fraction`` coefficients and an ascending basis (as
+    ``sector_basis`` gives), entries are summed as integer numerators
+    over the common denominator and divided once, so each is the exact
+    rational entry correctly rounded, with a +0.0 imaginary part.  Other
+    coefficients take ``_column_entries``.  Sparse matrices are canonical
+    CSR and keep entries whose terms cancel as explicit zeros.
+    """
+    if not expr.conserves_particle_number() and (
+        len({occ.bit_count() for occ in basis}) == 1
+    ):
         raise ValueError(
             "operator does not conserve particle number on a number-sector basis"
         )
     compiled = _compile(expr, n_modes)
-    index = {occ: i for i, occ in enumerate(basis)}
     dim = len(basis)
-    rows, cols, data = [], [], []
-    for col, occ in enumerate(basis):
-        acc: dict = {}
-        _apply_compiled(compiled, occ, 1, acc)
-        for res in sorted(acc):
-            row = index.get(res)
-            if row is not None:
-                rows.append(row)
-                cols.append(col)
-                data.append(complex(acc[res]))
+    exact = _integer_numerators(compiled)
+    occs = np.array(basis, dtype=np.uint64) if exact and n_modes <= 64 else None
+    if occs is None or np.any(occs[1:] <= occs[:-1]):
+        rows, cols, data = _column_entries(compiled, basis)
+        if sparse:
+            from scipy.sparse import csr_matrix
+
+            return csr_matrix((data, (rows, cols)), shape=(dim, dim),
+                              dtype=np.complex128)
+        mat = np.zeros((dim, dim), dtype=np.complex128)
+        mat[rows, cols] = data
+        return mat
+
+    nums, den = exact
+    rows, cols, vals = _sector_entries(compiled, nums, occs)
+    del occs
     if sparse:
         from scipy.sparse import csr_matrix
 
-        return csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.complex128)
+        # COO -> CSR sums the duplicates in int64: exact, in any order
+        mat = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        del rows, cols, vals
+        data = np.zeros(mat.nnz, dtype=np.complex128)
+        np.divide(mat.data, den, out=data.real)
+        mat.data = data
+        return mat
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[rows, cols] = data
+    real = mat.real
+    np.add.at(real, (rows, cols), vals)  # integer sums below 2**53: exact
+    real[rows, cols] /= den  # the set entries only: untouched pages stay unmapped
     return mat
 
 

@@ -23,6 +23,7 @@ from .lattice import (
     SPIN_DOWN,
     SPIN_UP,
     LatticeConfig,
+    LatticeError,
     ModeTable,
     boosted_twin,
     build_mode_table,
@@ -352,6 +353,21 @@ def _strict_below(x: Fraction) -> int:
     return f - 1 if x == f else f
 
 
+GRID_CAP = 1 << 24  # grid points of one refinement; each costs tens of bytes
+
+
+class GridSizeError(ValueError):
+    """A continuum refinement would allocate more than GRID_CAP grid points."""
+
+
+def _grid_bounds(kf: float, delta: float, refinement: int) -> tuple[int, int, int]:
+    """Squared grid-norm bounds (inner max, shell low, shell high)."""
+    scale = refinement * refinement
+    lo2 = (Fraction(kf) - Fraction(delta)) ** 2 * scale
+    hi2 = (Fraction(kf) + Fraction(delta)) ** 2 * scale
+    return _strict_below(lo2), math.ceil(lo2), _floor_frac(hi2)
+
+
 def counting_energy(kf: float, delta: float, refinement: int, c: float = 1.0) -> dict:
     """Exact lattice sums of the paired construction at one grid refinement.
 
@@ -360,12 +376,7 @@ def counting_energy(kf: float, delta: float, refinement: int, c: float = 1.0) ->
     the end.
     """
     q = Fraction(1, refinement)
-    lo2 = (Fraction(kf) - Fraction(delta)) ** 2 / q**2
-    hi2 = (Fraction(kf) + Fraction(delta)) ** 2 / q**2
-    inner_max = _strict_below(lo2)
-    shell_lo = -(-lo2.numerator // lo2.denominator)  # ceil
-    shell_hi = _floor_frac(hi2)
-
+    inner_max, shell_lo, shell_hi = _grid_bounds(kf, delta, refinement)
     reach = math.isqrt(shell_hi)
     axis = np.arange(-reach, reach + 1, dtype=np.int64)
     n2 = (
@@ -400,7 +411,8 @@ def quadrature_energy_per_particle(kf: float, delta: float, c: float = 1.0) -> f
     """Independent continuum oracle by numerical quadrature.
 
     Doubly occupied ball of radius kf-delta plus singly occupied shell,
-    energy and particle integrals both by radial quadrature.
+    energy and particle integrals both by radial quadrature; 0.0 when the
+    particle integral underflows to 0.
     """
     from scipy.integrate import quad
 
@@ -409,16 +421,34 @@ def quadrature_energy_per_particle(kf: float, delta: float, c: float = 1.0) -> f
     e_shell = quad(lambda k: c * k**4, a, b)[0]
     n_inner = quad(lambda k: k**2, 0.0, a)[0]
     n_shell = quad(lambda k: k**2, a, b)[0]
-    return (2.0 * e_inner + e_shell) / (2.0 * n_inner + n_shell)
+    particles = 2.0 * n_inner + n_shell
+    return (2.0 * e_inner + e_shell) / particles if particles else 0.0
 
 
 def continuum_energy_check(
     kf: float, delta: float, sizes: Sequence[int], c: float = 1.0
 ) -> list[dict]:
     """One row per grid refinement comparing counting with both candidate
-    closed forms; deviations are relative."""
+    closed forms; deviations are relative.
+
+    Raises GridSizeError before any work if a refinement's grid exceeds
+    GRID_CAP points, and LatticeError if a closed form is 0 (``c = 0``),
+    since the deviations are relative to it.
+    """
+    for size in sizes:
+        points = (2 * math.isqrt(_grid_bounds(kf, delta, size)[2]) + 1) ** 3
+        if points > GRID_CAP:
+            raise GridSizeError(
+                f"continuum grid at size {size} has {points} points, "
+                f"over the cap {GRID_CAP}"
+            )
     closed = closed_form_energy_per_particle(kf, delta, c)
     oracle = quadrature_energy_per_particle(kf, delta, c)
+    if closed == 0 or oracle == 0:
+        raise LatticeError(
+            f"the continuum energy per particle is 0 at kf={kf}, delta={delta}, "
+            f"c={c}; deviations relative to it are undefined"
+        )
     rows = []
     for size in sizes:
         rec = counting_energy(kf, delta, size, c)

@@ -125,6 +125,8 @@ MALFORMED = {
     "unknown top-level key": {"coupling": [-1]},
     "unknown lattice key": {"lattice": {"frozen-core": False}},
     "unknown caps key": {"caps": {"basis_cap": 10}},
+    "output dir not a string": {"output_dir": 5},
+    "frozen core not a boolean": {"lattice": {"frozen_core": "no"}},
 }
 
 
@@ -157,6 +159,8 @@ BAD_FLAGS = {
     "negative size": ["continuum", "--kf", "1", "--delta", "0.1", "--sizes=-4"],
     "kf not finite": ["continuum", "--kf", "nan", "--delta", "0.1", "--sizes", "8"],
     "delta above kf": ["continuum", "--kf", "1", "--delta", "2", "--sizes", "8"],
+    "zero dispersion scale": ["continuum", "--kf", "1", "--delta", "0.1",
+                              "--sizes", "8", "--c", "0"],
 }
 
 
@@ -167,6 +171,18 @@ def test_bad_command_line_value_exits_2_with_one_line(tmp_path, capsys, argv):
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_oversized_continuum_grid_exits_3_before_allocating(tmp_path, capsys):
+    # size 10**5 at kf + delta = 1.1 would need about 1e16 grid points
+    start = time.perf_counter()
+    code = main(["continuum", "--kf", "1", "--delta", "0.1", "--sizes", "8,100000",
+                 "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == EXIT_CAP
+    assert err.startswith("cap exceeded: continuum grid at size 100000")
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
 
 def test_huge_lattice_exits_2_fast(tmp_path, capsys):

@@ -71,9 +71,17 @@ def test_band_and_inner_points_against_brute_force(kf, delta, boost, L):
                     band.add(n)
                 elif n2 < lo2:
                     inner.add(n)
+                else:
+                    assert not table.is_shell(n)
+                    with pytest.raises(KeyError):
+                        table.partition_of(n)
     assert set(table.shell_all) == band
     assert set(table.inner_points) == inner
     assert table.core_particles == 2 * len(inner)
+    for n in band | inner:
+        side = SHELL_PLUS if n in table.shell_plus else SHELL_MINUS
+        assert table.partition_of(n) == (side if n in band else INNER)
+        assert table.is_shell(n) == (n in band)
 
 
 def test_three_pair_shell_is_exactly_unit_vectors(threepair_table):

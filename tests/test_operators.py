@@ -1,5 +1,6 @@
 """Normal ordering, commutators, model operator builders, sector matrices."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,9 @@ from darkpair.operators import (
     DegreeCapError,
     OperatorExpr,
     ShellDomainError,
+    _apply_compiled,
+    _compile,
+    _integer_numerators,
     apply_operator,
     build_gamma,
     build_h0,
@@ -420,6 +424,174 @@ def test_matrix_rejects_number_breaking_operator():
     expr = OperatorExpr.from_monomial(Fraction(1), (C(0),))
     with pytest.raises(ValueError):
         matrix_in_sector(expr, sector_basis(4, 2), 4)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized sector kernel against the per-column reference
+# ---------------------------------------------------------------------------
+
+def column_reference(expr, basis, n_modes, sparse):
+    """Sector matrix built one column at a time with ``_apply_compiled``:
+    each entry an exact sum in term order, rounded once by ``complex``."""
+    from scipy.sparse import csr_matrix
+
+    compiled = _compile(expr, n_modes)
+    index = {occ: i for i, occ in enumerate(basis)}
+    rows, cols, data = [], [], []
+    for col, occ in enumerate(basis):
+        acc = {}
+        _apply_compiled(compiled, occ, 1, acc)
+        for res in sorted(acc):
+            if res in index:
+                rows.append(index[res])
+                cols.append(col)
+                data.append(complex(acc[res]))
+    dim = len(basis)
+    if sparse:
+        return csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.complex128)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[rows, cols] = data
+    return mat
+
+
+def assert_same_bits(expr, basis, n_modes):
+    """Dense and CSR output equal the reference bit for bit, stored zeros
+    included."""
+    dense = matrix_in_sector(expr, basis, n_modes)
+    want = column_reference(expr, basis, n_modes, sparse=False)
+    assert dense.dtype == want.dtype and dense.tobytes() == want.tobytes()
+    csr = matrix_in_sector(expr, basis, n_modes, sparse=True)
+    want = column_reference(expr, basis, n_modes, sparse=True)
+    assert csr.shape == want.shape and csr.nnz == want.nnz
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(csr, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+    return csr
+
+
+def occupation(n_modes, modes):
+    return sum(1 << (n_modes - 1 - m) for m in modes)
+
+
+EXACT_COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+                Fraction(-3, 7), Fraction(5, 6)]
+
+
+@st.composite
+def sector_problems(draw):
+    """A number-conserving canonical operator on up to 64 modes and an
+    ascending basis of one particle number.
+
+    The basis holds states of a few active modes over a background that
+    is always occupied; some states may be dropped, so images can fall
+    outside it.  Terms hop among the active modes and may carry
+    spectators, background modes both annihilated and re-created, so
+    several terms reach the same entry, and with coefficients of one
+    magnitude and both signs they can cancel there.
+    """
+    n_modes = draw(st.one_of(st.just(64), st.integers(2, 63)))
+    pool = list(range(n_modes))
+    if draw(st.booleans()):  # put mode 0, the top bit, in play
+        pool.remove(0)
+        pool.insert(0, 0)
+    else:
+        pool = draw(st.permutations(pool))
+    n_active = draw(st.integers(2, min(6, n_modes)))
+    active, rest = sorted(pool[:n_active]), pool[n_active:]
+    background = sorted(rest[: draw(st.integers(0, min(3, len(rest))))])
+    k = draw(st.integers(1, n_active - 1))
+    base = occupation(n_modes, background)
+    basis = sorted(base | occupation(n_modes, combo)
+                   for combo in itertools.combinations(active, k))
+    keep = draw(st.lists(st.sampled_from([True, True, True, False]),
+                         min_size=len(basis), max_size=len(basis)))
+    basis = [occ for occ, kept in zip(basis, keep) if kept or not any(keep)]
+
+    monos = []
+    for _ in range(draw(st.integers(1, 8))):
+        degree = draw(st.integers(1, min(2, n_active)))
+        creates = draw(st.lists(st.sampled_from(active), min_size=degree,
+                                max_size=degree, unique=True))
+        annihilates = draw(st.lists(st.sampled_from(active), min_size=degree,
+                                    max_size=degree, unique=True))
+        spectators = draw(st.lists(st.sampled_from(background), max_size=1,
+                                   unique=True)) if background else []
+        factors = tuple(C(m) for m in creates + spectators) + tuple(
+            A(m) for m in spectators + annihilates)
+        coeff = draw(st.sampled_from([Fraction(1), Fraction(-1)]) if
+                     draw(st.booleans()) else st.sampled_from(EXACT_COEFFS))
+        monos.append((coeff, factors))
+    return OperatorExpr.from_monomials(monos), basis, n_modes
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=sector_problems())
+def test_sector_kernel_equals_column_reference(problem):
+    expr, basis, n_modes = problem
+    assert _integer_numerators(_compile(expr, n_modes)) is not None
+    assert_same_bits(expr, basis, n_modes)
+
+
+def test_sector_kernel_keeps_cancelled_entries_as_stored_zeros():
+    # c0 a1 - c0 n2 a1 vanishes on every state with mode 2 occupied
+    expr = OperatorExpr.from_monomials([(Fraction(1), (C(0), A(1))),
+                                        (Fraction(-1), (C(0), C(2), A(2), A(1)))])
+    basis = [B("0101"), B("0110"), B("1001"), B("1010")]
+    csr = assert_same_bits(expr, basis, 4)
+    assert csr.nnz == 2 and csr.count_nonzero() == 1
+
+
+def test_sector_kernel_uses_the_top_bit_of_64_modes():
+    # hops between mode 0 (the top bit of the word) and mode 63; the hop
+    # with spectator 5 reaches the same entry as c0 a63
+    expr = OperatorExpr.from_monomials([
+        (Fraction(2, 3), (C(0), A(63))), (Fraction(2, 3), (C(63), A(0))),
+        (Fraction(-1, 5), (C(0), A(0))), (Fraction(1), (C(0), C(5), A(5), A(63))),
+    ])
+    basis = sorted(occupation(64, modes) for modes in ((0, 5), (5, 63), (1, 5)))
+    assert basis[-1] >= 1 << 63
+    csr = assert_same_bits(expr, basis, 64)
+    assert csr.nnz == 3
+
+
+def test_sector_kernel_on_one_state_and_on_no_reachable_state(minimal_table):
+    assert_same_bits(build_h0(minimal_table) + build_w(minimal_table, Fraction(-1, 3)),
+                     [B("0110")], 4)
+    # the operator only moves the particle out of the basis
+    hop = OperatorExpr.from_monomial(Fraction(1), (C(3), A(0)))
+    csr = assert_same_bits(hop, [B("1000"), B("0100")], 4)
+    assert csr.nnz == 0
+    assert_same_bits(OperatorExpr(), sector_basis(4, 2), 4)
+
+
+def test_unsorted_basis_takes_the_column_fallback(twopair_table):
+    h = build_h0(twopair_table) + build_w(twopair_table, Fraction(-3, 7))
+    assert_same_bits(h, sector_basis(8, 4)[::-1], 8)
+
+
+@pytest.mark.parametrize("coeff", [0.1, 0.5 - 0.25j, Fraction(3, 10) + 0.0])
+def test_inexact_coefficients_take_the_column_fallback(coeff):
+    expr = OperatorExpr.from_monomials([(coeff, (C(0), A(1))),
+                                        (coeff, (C(1), A(0))),
+                                        (Fraction(1, 3), (C(1), A(1)))])
+    assert _integer_numerators(_compile(expr, 4)) is None
+    assert_same_bits(expr, sector_basis(4, 2), 4)
+
+
+def test_huge_denominator_takes_the_column_fallback():
+    # mu = 0.3 is a binary fraction with a 2**54 denominator
+    table = build_mode_table(LatticeConfig(
+        kf=1.2, delta=0.5, frozen_core=True, mu=0.3, volume=1,
+        shell_points=((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0))))
+    h = build_h0(table) + build_w(table, Fraction(-1))
+    assert _integer_numerators(_compile(h, 8)) is None
+    assert_same_bits(h, sector_basis(8, 4), 8)
+
+
+def test_numerator_sum_at_2_53_takes_the_column_fallback():
+    big = OperatorExpr.from_monomials([(2**52, (C(0), A(0))), (2**52, (C(1), A(1)))])
+    assert _integer_numerators(_compile(big, 2)) is None
+    assert_same_bits(big, [B("01"), B("10")], 2)
 
 
 def test_w_hermitian_for_unit_and_exchange_symmetric(minimal_table, twopair_table):
