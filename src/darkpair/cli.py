@@ -131,6 +131,7 @@ def load_config(path: str | Path) -> dict:
     lambdas = _list(raw.get("lambda_values", [-1, 0, 1, 2, "7/3"]), "lambda_values")
     cfg = {
         "lattice": config,
+        "table": table,
         "couplings": [_parse(Fraction, g) for g in couplings],
         "lambda_values": [_parse(Fraction, l) for l in lambdas],
         "formfactor": raw.get("formfactor", "unit"),
@@ -204,9 +205,8 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = load_config(_resolve_config_arg(args.config))
     seed = cfg["seed"] if args.seed is None else _seed(args.seed)
-    table = build_mode_table(cfg["lattice"])
     rows = spectrum_rows(
-        table,
+        cfg["table"],
         _parse(Fraction, args.g),
         formfactor=cfg["formfactor"],
         seed=seed,
@@ -223,14 +223,13 @@ def cmd_spectrum(args) -> int:
 def cmd_scan(args) -> int:
     cfg = load_config(_resolve_config_arg(args.config))
     seed = cfg["seed"] if args.seed is None else _seed(args.seed)
-    table = build_mode_table(cfg["lattice"])
     g_values = (
         [_parse(Fraction, x) for x in args.g_list.split(",")]
         if args.g_list
         else cfg["couplings"]
     )
     rows = scan_g(
-        table,
+        cfg["table"],
         g_values,
         formfactor=cfg["formfactor"],
         seed=seed,

@@ -179,17 +179,6 @@ class StateVector:
     def norm(self) -> float:
         return math.sqrt(float(self.norm2()))
 
-    def purge(self, eps: float = 0.0) -> "StateVector":
-        """Drop amplitudes with |a| <= eps (eps=0 keeps everything stored)."""
-        if eps <= 0:
-            return self
-        out = StateVector(self.n_modes)
-        out.amp = {occ: a for occ, a in self.amp.items() if abs(a) > eps}
-        return out
-
-    def particle_numbers(self) -> set[int]:
-        return {occ.bit_count() for occ in self.amp}
-
     def to_jsonl(self) -> str:
         lines = []
         for occ, a in self.terms():

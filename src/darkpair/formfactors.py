@@ -5,9 +5,11 @@ symbolic layer stays exact, and ``operators.build_w`` uses the weight
 ``from_spec`` returns verbatim.  ``unit`` and ``random:<seed>`` are
 invariant under the partner flip k -> 2K - k in each argument by
 construction, so the paired states are dark for them; ``random`` draws
-one value per ordered pair of hemisphere representatives, which
-generally breaks exchange symmetry.  ``asymmetric:<seed>`` deliberately
-breaks the flip invariance and is used as a negative control.
+one value per ordered pair of hemisphere representatives, so it is not
+exchange-symmetric, G(k1, k2) != G(k2, k1) in general, and the
+Hamiltonian it gives is not Hermitian: sector "eigenvalues" reported for
+it are not eigenvalues of H.  ``asymmetric:<seed>`` deliberately breaks
+the flip invariance and is used as a negative control.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .fock import StateVector
+from .fock import MAX_MODES, StateVector
 from .lattice import SPIN_DOWN, SPIN_UP, IVec, ModeTable
 
 CREATE = "c"
@@ -34,6 +34,7 @@ Factor = tuple[str, int]
 Term = tuple[Factor, ...]
 
 DEGREE_CAP = 8
+_NIBBLES = np.uint64(0x1111111111111111)
 
 
 class DegreeCapError(ValueError):
@@ -272,35 +273,51 @@ def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
     return compiled
 
 
-def _apply_compiled(compiled: list[tuple], occ: int, amp, acc: dict) -> None:
-    """Accumulate ``amp * terms|occ>`` into ``acc`` (exact zeros are kept).
+def _fire(term: tuple, occs):
+    """Positions in the uint64 array ``occs`` where one compiled term fires,
+    the occupations it yields there, and True where its sign is negative.
 
-    Annihilators act first, right to left: a term fires when its
+    Annihilators act first, right to left: the term fires where its
     annihilated modes are occupied and its created modes are empty after
     the annihilation.
     """
-    for cmask, amask, cpar, apar, coeff in compiled:
-        if occ & amask == amask:
-            mid = occ ^ amask
-            if not mid & cmask:
-                res = mid | cmask
-                sign = -1 if ((occ & apar) ^ (mid & cpar)).bit_count() & 1 else 1
-                acc[res] = acc.get(res, 0) + coeff * amp * sign
+    cmask, amask, cpar, apar, both = map(np.uint64, (*term[:4], term[0] | term[1]))
+    at = np.flatnonzero(occs & both == amask)
+    occ = occs[at]
+    mid = occ ^ amask
+    odd = (occ & apar) ^ (mid & cpar)
+    odd ^= odd >> np.uint64(1)  # parity: each nibble's, summed into the top one
+    odd ^= odd >> np.uint64(2)
+    odd = (odd & _NIBBLES) * _NIBBLES >> np.uint64(60)
+    return at, mid | cmask, (odd & np.uint64(1)).astype(bool)
 
 
 def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     """Exact linear action; factors applied right-to-left.
 
-    Accumulation iterates states and terms in canonical order, so the
-    result is reproducible bit for bit regardless of construction order.
+    Contributions are summed in a fixed order, input states ascending and
+    then terms in canonical order, so the result is reproducible bit for
+    bit regardless of construction order.
     """
     compiled = _compile(expr, vec.n_modes)
+    if not compiled:
+        return StateVector(vec.n_modes)
+    # signed[2 * t + odd]: term t's coefficient with its sign; (-c) * a is
+    # c * a * -1 up to the sign of a zero, which the sum from 0 drops
+    signed = [c for *_, coeff in compiled for c in (coeff, -coeff)]
+    occs = sorted(vec.amp)
+    step = max(1, (1 << 16) // len(compiled))  # 2**16 state-term visits a block
     acc: dict = {}
-    for occ, amp in vec.terms():
-        _apply_compiled(compiled, occ, amp, acc)
-    out = StateVector(vec.n_modes)
-    out.amp = {occ: a for occ, a in acc.items() if a != 0}
-    return out
+    for lo in range(0, len(occs), step):
+        amps = [vec.amp[occ] for occ in occs[lo:lo + step]]
+        packed = np.array(occs[lo:lo + step], dtype=np.uint64)
+        fired = [_fire(term, packed) for term in compiled]
+        at, res, odd = map(np.concatenate, zip(*fired))
+        which = 2 * np.repeat(np.arange(len(compiled)), [len(f[0]) for f in fired]) + odd
+        order = np.argsort(at, kind="stable")
+        for i, k, r in zip(*(a[order].tolist() for a in (at, which, res))):
+            acc[r] = acc.get(r, 0) + signed[k] * amps[i]
+    return StateVector(vec.n_modes, acc)  # drops the exact zeros
 
 
 def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
@@ -311,81 +328,54 @@ def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
     return diff.norm() / state.norm()
 
 
-def _integer_numerators(compiled: list[tuple]) -> tuple[list[int], int] | None:
-    """``(nums, den)`` with every coefficient equal to ``num / den``.
+def _term_values(compiled: list[tuple]) -> tuple[list, int | None, type]:
+    """``(values, den, dtype)``: what ``matrix_in_sector`` sums per term.
 
-    None when a coefficient is not an int or ``Fraction``, or when ``den``
-    or the sum of ``|num|`` reaches 2**53: below that bound every partial
-    sum of one matrix entry is an integer that float64 holds exactly.
+    int/``Fraction`` coefficients become integer numerators over their
+    common denominator ``den``: int64 while ``den`` and the sum of
+    ``|num|`` stay below 2**53, so that every partial sum of one entry is
+    an integer float64 holds exactly, Python ints (object dtype) beyond.
+    Other coefficients are summed themselves (object dtype, ``den`` None).
     """
     coeffs = [term[-1] for term in compiled]
     if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-        return None
+        return coeffs, None, object
     den = math.lcm(*(c.denominator for c in coeffs))
     nums = [int(c * den) for c in coeffs]
     if max(den, sum(map(abs, nums))) >= 1 << 53:
-        return None
-    return nums, den
+        return nums, den, object
+    return nums, den, np.int64
 
 
-def _parity(x):
-    """Bitwise parity of a uint64 array, by xor-folding."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        x = x ^ (x >> np.uint64(shift))
-    return (x & np.uint64(1)).astype(bool)
+def _sector_entries(compiled: list[tuple], values: list, dtype, occs):
+    """Rows, columns and signed values of every term's entries, per term.
 
-
-def _sector_entries(compiled: list[tuple], nums: list[int], occs):
-    """Rows, columns and signed numerators of every term's entries.
-
-    ``occs`` is the ascending basis as uint64.  One vectorized pass per
-    term: the kernel of ``_apply_compiled`` over all columns at once.
-    Number-type terms (``cmask == amask``) only touch the diagonal, with
-    a sign fixed by their canonical order, so they are summed into it
-    first; every other entry appears once per term that reaches it.
+    ``occs`` is the basis as uint64; one that is not ascending is ranked
+    with ``argsort``.  Number-type terms (``cmask == amask``) only touch
+    the diagonal, so they are summed into it first, in term order; every
+    other entry appears once per term that reaches it.
     """
+    rank = np.argsort(occs, kind="stable") if np.any(occs[1:] <= occs[:-1]) else None
+    ordered = occs if rank is None else occs[rank]
     index = np.int32 if len(occs) < 2**31 else np.int64
-    diag = np.zeros(len(occs), dtype=np.int64)
+    diag = np.zeros(len(occs), dtype=dtype)
     on_diag = np.zeros(len(occs), dtype=bool)
     rows, cols, vals = [], [], []
-    for (cmask, amask, cpar, apar, _), num in zip(compiled, nums):
-        fires = occs & np.uint64(amask) == np.uint64(amask)
-        if cmask == amask:
-            diag[fires] += -num if (amask & apar).bit_count() & 1 else num
-            on_diag |= fires
+    for term, value in zip(compiled, values):
+        signs = np.array([value, -value], dtype=dtype)
+        col, res, odd = _fire(term, occs)
+        if term[0] == term[1]:
+            diag[col] += signs.take(odd.view(np.uint8))
+            on_diag[col] = True
             continue
-        col = np.flatnonzero(fires)
-        occ = occs[col]
-        mid = occ ^ np.uint64(amask)
-        free = mid & np.uint64(cmask) == 0
-        col, occ, mid = col[free], occ[free], mid[free]
-        res = mid | np.uint64(cmask)
-        row = np.searchsorted(occs, res)
-        found = occs.take(row, mode="clip") == res
-        odd = _parity((occ & np.uint64(apar)) ^ (mid & np.uint64(cpar)))[found]
-        rows.append(row[found].astype(index))
+        row = np.searchsorted(ordered, res)
+        found = ordered.take(row, mode="clip") == res
+        row = row[found]
+        rows.append((row if rank is None else rank[row]).astype(index))
         cols.append(col[found].astype(index))
-        vals.append(np.where(odd, -num, num).astype(np.int64))
+        vals.append(signs.take(odd[found].view(np.uint8)))
     where = np.flatnonzero(on_diag).astype(index)
-    return (np.concatenate([where, *rows]), np.concatenate([where, *cols]),
-            np.concatenate([diag[where], *vals]))
-
-
-def _column_entries(compiled: list[tuple], basis: list[int]):
-    """Per-column reference assembly, for coefficients the integer kernel
-    cannot hold exactly: each entry is summed in term order, then rounded."""
-    index = {occ: i for i, occ in enumerate(basis)}
-    rows, cols, data = [], [], []
-    for col, occ in enumerate(basis):
-        acc: dict = {}
-        _apply_compiled(compiled, occ, 1, acc)
-        for res in sorted(acc):
-            row = index.get(res)
-            if row is not None:
-                rows.append(row)
-                cols.append(col)
-                data.append(complex(acc[res]))
-    return rows, cols, data
+    return [where, *rows], [where, *cols], [diag[where], *vals]
 
 
 def matrix_in_sector(
@@ -400,13 +390,17 @@ def matrix_in_sector(
     conserve particle number, otherwise weight would leak out of the
     block and the matrix would misrepresent the operator.
 
-    With int/``Fraction`` coefficients and an ascending basis (as
-    ``sector_basis`` gives), entries are summed as integer numerators
-    over the common denominator and divided once, so each is the exact
+    Every term goes through ``_fire`` over all columns at once; only the
+    values summed depend on the coefficients (``_term_values``).
+    int/``Fraction`` coefficients are summed as integer numerators over
+    their common denominator and divided once, so each entry is the exact
     rational entry correctly rounded, with a +0.0 imaginary part.  Other
-    coefficients take ``_column_entries``.  Sparse matrices are canonical
-    CSR and keep entries whose terms cancel as explicit zeros.
+    coefficients are summed per entry in term order, starting from 0.
+    Sparse matrices are canonical CSR and keep entries whose terms cancel
+    as explicit zeros.
     """
+    if n_modes > MAX_MODES:
+        raise ValueError(f"n_modes {n_modes} exceeds {MAX_MODES}")
     if not expr.conserves_particle_number() and (
         len({occ.bit_count() for occ in basis}) == 1
     ):
@@ -415,22 +409,27 @@ def matrix_in_sector(
         )
     compiled = _compile(expr, n_modes)
     dim = len(basis)
-    exact = _integer_numerators(compiled)
-    occs = np.array(basis, dtype=np.uint64) if exact and n_modes <= 64 else None
-    if occs is None or np.any(occs[1:] <= occs[:-1]):
-        rows, cols, data = _column_entries(compiled, basis)
+    values, den, dtype = _term_values(compiled)
+    rows, cols, vals = _sector_entries(compiled, values, dtype,
+                                       np.array(basis, dtype=np.uint64))
+    if dtype is object:  # each distinct entry summed in term order from 0
+        keys = np.concatenate(rows).astype(np.int64) * dim + np.concatenate(cols)
+        keys, slot = np.unique(keys, return_inverse=True)
+        sums = np.zeros(len(keys), dtype=object)
+        for part, end in zip(vals, np.cumsum([len(part) for part in vals])):
+            sums[slot[end - len(part):end]] += part
+        rows, cols = keys // dim, keys % dim
+        data = np.array([complex(x) if den is None else x / den for x in sums],
+                        dtype=np.complex128)
         if sparse:
             from scipy.sparse import csr_matrix
 
-            return csr_matrix((data, (rows, cols)), shape=(dim, dim),
-                              dtype=np.complex128)
+            return csr_matrix((data, (rows, cols)), shape=(dim, dim))
         mat = np.zeros((dim, dim), dtype=np.complex128)
         mat[rows, cols] = data
         return mat
 
-    nums, den = exact
-    rows, cols, vals = _sector_entries(compiled, nums, occs)
-    del occs
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     if sparse:
         from scipy.sparse import csr_matrix
 

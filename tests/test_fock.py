@@ -140,6 +140,8 @@ def test_exact_zero_amplitudes_are_dropped():
     v.add_term(B("1001"), Fraction(-1))
     assert len(v) == 0
     assert v == StateVector(4)
+    # tiny amplitudes are not zeros: they stay stored
+    assert len(StateVector(4, {B("1000"): 1e-16, B("0001"): 1.0})) == 2
 
 
 def test_norm_independent_of_insertion_order():
@@ -152,12 +154,6 @@ def test_norm_independent_of_insertion_order():
         v2.add_term(occ, a)
     assert v1.norm2() == v2.norm2()
     assert v1 == v2
-
-
-def test_purge_thresholds():
-    v = StateVector(4, {B("1000"): 1e-16, B("0001"): 1.0})
-    assert len(v) == 2  # default keeps everything stored
-    assert len(v.purge(1e-12)) == 1
 
 
 def test_jsonl_round_trip_is_bit_exact():

@@ -16,9 +16,8 @@ from darkpair.operators import (
     DegreeCapError,
     OperatorExpr,
     ShellDomainError,
-    _apply_compiled,
     _compile,
-    _integer_numerators,
+    _term_values,
     apply_operator,
     build_gamma,
     build_h0,
@@ -239,6 +238,63 @@ def test_apply_operator_equals_raw_factor_sum(monos, kind, data):
             assert abs(got.get(occ, 0) - expected.get(occ, 0)) <= 1e-12 * scale
 
 
+def _apply_compiled(compiled: list[tuple], occ: int, amp, acc: dict) -> None:
+    """Accumulate ``amp * terms|occ>`` into ``acc`` (exact zeros are kept).
+
+    Annihilators act first, right to left: a term fires when its
+    annihilated modes are occupied and its created modes are empty after
+    the annihilation.
+    """
+    for cmask, amask, cpar, apar, coeff in compiled:
+        if occ & amask == amask:
+            mid = occ ^ amask
+            if not mid & cmask:
+                res = mid | cmask
+                sign = -1 if ((occ & apar) ^ (mid & cpar)).bit_count() & 1 else 1
+                acc[res] = acc.get(res, 0) + coeff * amp * sign
+
+
+def bits(amp):
+    """Amplitudes by type and ``repr``, which tells -0.0 from 0.0."""
+    return {occ: (type(a), repr(a)) for occ, a in amp.items()}
+
+
+def apply_reference(expr, vec):
+    """``apply_operator`` one state and one term at a time."""
+    compiled = _compile(expr, vec.n_modes)
+    acc = {}
+    for occ, amp in vec.terms():
+        _apply_compiled(compiled, occ, amp, acc)
+    return {occ: a for occ, a in acc.items() if a != 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(monos=cancelling_monomials(), kind=st.sampled_from(sorted(AMPLITUDES)),
+       data=st.data())
+def test_apply_operator_bits_equal_compiled_reference(monos, kind, data):
+    # float sums depend on their order: input states ascending, then terms;
+    # hops, with coefficients of the amplitudes' kind, make many images
+    # that three or more contributions reach
+    n_modes = 5
+    hops = data.draw(st.lists(st.tuples(AMPLITUDES[kind], st.integers(0, 4),
+                                        st.integers(0, 4)), max_size=10))
+    amps = data.draw(st.dictionaries(st.integers(0, (1 << n_modes) - 1),
+                                     AMPLITUDES[kind], min_size=1, max_size=12))
+    vec = StateVector(n_modes, amps)
+    expr = OperatorExpr.from_monomials(monos + [(c, (C(i), A(j))) for c, i, j in hops])
+    assert bits(apply_operator(expr, vec).amp) == bits(apply_reference(expr, vec))
+
+
+def test_apply_operator_bits_across_blocks():
+    # 100 hops on all 1024 states of 10 modes: the states span two blocks
+    rng = np.random.default_rng(3)
+    vec = StateVector(10, {occ: complex(*rng.standard_normal(2))
+                           for occ in range(1024)})
+    expr = OperatorExpr.from_monomials([(float(rng.standard_normal()), (C(i), A(j)))
+                                        for i in range(10) for j in range(10)])
+    assert bits(apply_operator(expr, vec).amp) == bits(apply_reference(expr, vec))
+
+
 @pytest.mark.parametrize("sparse", [False, True])
 def test_matrix_columns_equal_apply_operator(twopair_table, sparse):
     basis = sector_basis(8, 4)
@@ -420,6 +476,12 @@ def test_matrix_sparse_agrees_with_dense(twopair_table):
     assert np.allclose(dense, dense.conj().T)
 
 
+def test_matrix_rejects_more_than_64_modes():
+    expr = OperatorExpr.from_monomial(Fraction(1), (C(64), A(64)))
+    with pytest.raises(ValueError, match="exceeds 64"):
+        matrix_in_sector(expr, [1, 2], 65)
+
+
 def test_matrix_rejects_number_breaking_operator():
     expr = OperatorExpr.from_monomial(Fraction(1), (C(0),))
     with pytest.raises(ValueError):
@@ -528,7 +590,7 @@ def sector_problems(draw):
 @given(problem=sector_problems())
 def test_sector_kernel_equals_column_reference(problem):
     expr, basis, n_modes = problem
-    assert _integer_numerators(_compile(expr, n_modes)) is not None
+    assert _term_values(_compile(expr, n_modes))[2] is np.int64
     assert_same_bits(expr, basis, n_modes)
 
 
@@ -574,23 +636,37 @@ def test_inexact_coefficients_take_the_column_fallback(coeff):
     expr = OperatorExpr.from_monomials([(coeff, (C(0), A(1))),
                                         (coeff, (C(1), A(0))),
                                         (Fraction(1, 3), (C(1), A(1)))])
-    assert _integer_numerators(_compile(expr, 4)) is None
+    assert _term_values(_compile(expr, 4))[1:] == (None, object)
     assert_same_bits(expr, sector_basis(4, 2), 4)
 
 
+def test_mixed_coefficients_sum_in_term_order():
+    # 1/3 and -1/5 meet a float at one entry: summed exactly, then rounded
+    # when the float arrives, as in the reference; rounding each first
+    # gives another last bit
+    expr = OperatorExpr.from_monomials([
+        (Fraction(1, 3), (C(0), A(1))), (Fraction(-1, 5), (C(0), C(2), A(2), A(1))),
+        (0.1, (C(0), C(3), A(3), A(1)))])
+    assert _term_values(_compile(expr, 4))[1:] == (None, object)
+    assert_same_bits(expr, [B("0111"), B("1011")], 4)
+
+
 def test_huge_denominator_takes_the_column_fallback():
-    # mu = 0.3 is a binary fraction with a 2**54 denominator
-    table = build_mode_table(LatticeConfig(
-        kf=1.2, delta=0.5, frozen_core=True, mu=0.3, volume=1,
-        shell_points=((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0))))
-    h = build_h0(table) + build_w(table, Fraction(-1))
-    assert _integer_numerators(_compile(h, 8)) is None
-    assert_same_bits(h, sector_basis(8, 4), 8)
+    # mu = 0.3 is a binary fraction with a 2**54 denominator; the default
+    # volume L**3 = (2 pi)**3 is a float cubed as a Fraction
+    shell = ((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0))
+    for extra in ({"mu": 0.3, "volume": 1}, {}):
+        table = build_mode_table(LatticeConfig(
+            kf=1.2, delta=0.5, frozen_core=True, shell_points=shell, **extra))
+        h = build_h0(table) + build_w(table, Fraction(-1))
+        _, den, dtype = _term_values(_compile(h, 8))
+        assert dtype is object and den >= 1 << 53
+        assert_same_bits(h, sector_basis(8, 4), 8)
 
 
 def test_numerator_sum_at_2_53_takes_the_column_fallback():
     big = OperatorExpr.from_monomials([(2**52, (C(0), A(0))), (2**52, (C(1), A(1)))])
-    assert _integer_numerators(_compile(big, 2)) is None
+    assert _term_values(_compile(big, 2))[1:] == (1, object)
     assert_same_bits(big, [B("01"), B("10")], 2)
 
 
