@@ -8,7 +8,7 @@ symbolically and on explicit state vectors, including exact
 diagonalization of small particle-number sectors.
 """
 
-from .fock import StateVector, apply_annihilate, apply_create, sector_basis
+from .fock import StateVector, sector_basis
 from .lattice import (
     INNER,
     SHELL_MINUS,

@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
     cfg = load_config(_resolve_config_arg(args.config))
     seed = cfg["seed"] if args.seed is None else _seed(args.seed)
     report = run_battery(
-        cfg["lattice"],
+        cfg["table"],
         cfg["couplings"],
         cfg["lambda_values"],
         formfactor=cfg["formfactor"],

@@ -6,8 +6,10 @@ integer order of packed states coincide with the lexicographic order of
 their printed bitstrings (mode 0 leftmost), which is the iteration order
 used for every deterministic reduction in this package.
 
-Creation/annihilation carry the usual fermionic sign
-``(-1)**(number of occupied modes with smaller index)``.
+Operators act on these states through ``operators._compile`` and
+``operators._fire``, which carry the usual fermionic sign
+``(-1)**(number of occupied modes with smaller index)``; ``mode_bit`` is
+the one statement of the bit layout they and the state builders use.
 """
 
 from __future__ import annotations
@@ -27,28 +29,8 @@ class BasisSizeError(ValueError):
 
 
 def mode_bit(n_modes: int, i: int) -> int:
+    """The bit of mode ``i``: mode 0 is the most significant of ``n_modes``."""
     return 1 << (n_modes - 1 - i)
-
-
-def parity_sign(n_modes: int, occ: int, i: int) -> int:
-    """Sign from anticommuting past the occupied modes with index < i."""
-    return -1 if (occ >> (n_modes - i)).bit_count() & 1 else 1
-
-
-def apply_create(n_modes: int, i: int, occ: int) -> tuple[int, int] | None:
-    """Create a particle in mode ``i``; None encodes Pauli exclusion."""
-    bit = mode_bit(n_modes, i)
-    if occ & bit:
-        return None
-    return parity_sign(n_modes, occ, i), occ | bit
-
-
-def apply_annihilate(n_modes: int, i: int, occ: int) -> tuple[int, int] | None:
-    """Remove the particle in mode ``i``; None if the mode is empty."""
-    bit = mode_bit(n_modes, i)
-    if not occ & bit:
-        return None
-    return parity_sign(n_modes, occ, i), occ & ~bit
 
 
 def occ_to_bitstring(n_modes: int, occ: int) -> str:

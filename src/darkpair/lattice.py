@@ -243,24 +243,42 @@ class ModeTable:
         return json.dumps(rows, indent=None, separators=(",", ":"), sort_keys=True)
 
 
-def _points_between(center: IVec, lo: int, hi: int) -> Iterator[IVec]:
-    """Grid points n with lo <= |n - center|^2 <= hi, one (z, y) row at a
-    time; each row's x range is solved for, so a thin band costs no more
-    than its rows."""
+def _band_rows(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
+    """Rows ``(dz, dy, low, top)`` of the offsets d with lo <= |d|^2 <= hi,
+    one (z, y) row at a time: the row holds the dx with low <= |dx| <= top.
+    Each row's x range is solved for, so a thin band costs no more than
+    its rows."""
     reach = math.isqrt(hi)
     for dz in range(-reach, reach + 1):
-        for dy in range(-reach, reach + 1):
+        ry = math.isqrt(hi - dz * dz)
+        for dy in range(-ry, ry + 1):
             r2 = dz * dz + dy * dy
-            if r2 > hi:
-                continue
-            top = math.isqrt(hi - r2)
-            if lo > r2:
-                low = math.isqrt(lo - r2 - 1) + 1  # least x with x^2 >= lo - r2
-                xs = [*range(-top, -low + 1), *range(low, top + 1)]
-            else:
-                xs = range(-top, top + 1)
-            for dx in xs:
-                yield (center[0] + dx, center[1] + dy, center[2] + dz)
+            # low: the least x >= 0 with x^2 >= lo - r2
+            low = math.isqrt(lo - r2 - 1) + 1 if lo > r2 else 0
+            yield dz, dy, low, math.isqrt(hi - r2)
+
+
+def _points_between(center: IVec, lo: int, hi: int) -> Iterator[IVec]:
+    """Grid points n with lo <= |n - center|^2 <= hi, row by row."""
+    for dz, dy, low, top in _band_rows(lo, hi):
+        for dx in (*range(-top, 1 - low), *range(max(low, 1), top + 1)):
+            yield (center[0] + dx, center[1] + dy, center[2] + dz)
+
+
+def band_sums(lo: int, hi: int) -> tuple[int, int]:
+    """Count and sum of |d|^2 over the integer offsets d with
+    lo <= |d|^2 <= hi: the rows of ``_points_between``, each summed in
+    closed form, sum_{x=1..t} x^2 = t(t+1)(2t+1)/6."""
+
+    def squares(t: int) -> int:
+        return t * (t + 1) * (2 * t + 1) // 6  # 0 at t = -1
+
+    count = moment = 0
+    for dz, dy, low, top in _band_rows(lo, hi):
+        n = 2 * (top - low + 1) - (low == 0)  # low <= top + 1: never negative
+        count += n
+        moment += n * (dz * dz + dy * dy) + 2 * (squares(top) - squares(low - 1))
+    return count, moment
 
 
 def _capped(points: Iterable[IVec], limit: int) -> list[IVec]:
@@ -305,9 +323,6 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
                     f"explicit shell point {n} lies outside the shell band"
                 )
             shell.append(tuple(n))
-        for n in shell:
-            if vsub(two_k, n) not in seen:
-                raise UnpairedModeError(f"shell point {n} has no partner in the list")
         shell = _capped(shell, limit)
     else:
         shell = _capped(_points_between(K, band_lo, band_hi), limit)

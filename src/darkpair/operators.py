@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .fock import MAX_MODES, StateVector
+from .fock import MAX_MODES, StateVector, mode_bit
 from .lattice import SPIN_DOWN, SPIN_UP, IVec, ModeTable
 
 CREATE = "c"
@@ -265,8 +265,9 @@ def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
         mask = {CREATE: 0, ANNIHILATE: 0}
         par = {CREATE: 0, ANNIHILATE: 0}
         for kind, mode in factors:
-            mask[kind] |= 1 << (n_modes - 1 - mode)
-            par[kind] ^= ((1 << mode) - 1) << (n_modes - mode)
+            bit = mode_bit(n_modes, mode)
+            mask[kind] |= bit
+            par[kind] ^= (1 << n_modes) - (bit << 1)  # the bits above ``bit``
         compiled.append(
             (mask[CREATE], mask[ANNIHILATE], par[CREATE], par[ANNIHILATE], coeff)
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .fock import StateVector
+from .fock import StateVector, mode_bit
 from .lattice import SPIN_DOWN, SPIN_UP, EmptyShellError, IVec, ModeTable
 from .operators import (
     CREATE,
@@ -33,8 +33,8 @@ def phi_core(table: ModeTable) -> StateVector:
     occ = 0
     if not table.config.frozen_core:
         for n in table.inner_points:
-            occ |= 1 << (table.n_modes - 1 - table.mode_index(SPIN_UP, n))
-            occ |= 1 << (table.n_modes - 1 - table.mode_index(SPIN_DOWN, n))
+            occ |= mode_bit(table.n_modes, table.mode_index(SPIN_UP, n))
+            occ |= mode_bit(table.n_modes, table.mode_index(SPIN_DOWN, n))
     return StateVector(table.n_modes, {occ: 1})
 
 
@@ -50,7 +50,7 @@ def fermi_state(table: ModeTable) -> StateVector:
     for i, mode in enumerate(table.modes):
         u = (mode.n[0] - K[0], mode.n[1] - K[1], mode.n[2] - K[2])
         if u[0] * u[0] + u[1] * u[1] + u[2] * u[2] <= kf2:
-            occ |= 1 << (table.n_modes - 1 - i)
+            occ |= mode_bit(table.n_modes, i)
     return StateVector(table.n_modes, {occ: 1})
 
 

@@ -4,6 +4,11 @@ Symbolic checks are exact (rational arithmetic, tolerance 0); numerical
 checks on state vectors use a 1e-12 relative tolerance.  A report is
 deterministic given (config, seeds); wall times are reported in the text
 rendering only, so the JSON artifact is byte-reproducible.
+
+The continuum section compares the closed-form energy per particle with
+exact lattice counting at growing grid refinements.  The counts and
+second moments are summed one (z, y) row at a time in closed form
+(``lattice.band_sums``), so no array grows with the grid volume.
 """
 
 from __future__ import annotations
@@ -18,15 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from . import formfactors
-from .fock import StateVector, apply_annihilate, apply_create
+from .fock import StateVector
 from .lattice import (
     SPIN_DOWN,
     SPIN_UP,
-    LatticeConfig,
     LatticeError,
     ModeTable,
+    band_sums,
     boosted_twin,
-    build_mode_table,
     unfrozen_twin,
 )
 from .operators import (
@@ -34,6 +38,8 @@ from .operators import (
     CREATE,
     DEGREE_CAP,
     OperatorExpr,
+    _compile,
+    _fire,
     apply_operator,
     build_gamma,
     build_h0,
@@ -132,45 +138,55 @@ def relative_dark_residual(w: OperatorExpr, state: StateVector) -> float:
 
 
 def _anticommutation_residual(n_modes: int, samples: int, rng) -> int:
-    """Exact sweep of {a_i, a+_j} s = delta_ij s on random states and modes."""
+    """Exact sweep of {a_i, a+_j} s = delta_ij s on random states and modes.
+
+    Each a_i and a+_j is a one-factor term compiled once per mode and
+    fired through the operator kernel one factor at a time, so the sweep
+    checks the sign rule every operator, state and sector matrix runs on.
+    """
+    occs = rng.integers(0, 1 << n_modes, size=samples, dtype=np.uint64)
+    modes = {ANNIHILATE: rng.integers(0, n_modes, size=samples),
+             CREATE: rng.integers(0, n_modes, size=samples)}
+    terms = {kind: [_compile(OperatorExpr.from_monomial(1, [(kind, m)]), n_modes)[0]
+                    for m in range(n_modes)]
+             for kind in modes}
+
+    def product(kinds):
+        """The factors ``kinds`` on every sample, rightmost first: where the
+        product survives, the state it yields and True for a minus sign."""
+        alive = np.ones(samples, dtype=bool)
+        occ, odd = occs.copy(), np.zeros(samples, dtype=bool)
+        for kind in reversed(kinds):
+            for m in np.unique(modes[kind][alive]):
+                at = np.flatnonzero(alive & (modes[kind] == m))
+                fired, res, flip = _fire(terms[kind][m], occ[at])
+                alive[at] = False
+                at = at[fired]
+                alive[at], occ[at] = True, res
+                odd[at] ^= flip
+        return alive.tolist(), occ.tolist(), odd.tolist()
+
+    products = [product((ANNIHILATE, CREATE)), product((CREATE, ANNIHILATE))]
+    i, j = modes[ANNIHILATE].tolist(), modes[CREATE].tolist()
     worst = 0
-    for _ in range(samples):
-        occ = int(rng.integers(0, 1 << n_modes))
-        i = int(rng.integers(0, n_modes))
-        j = int(rng.integers(0, n_modes))
-        acc: dict[int, int] = {}
-        # a_i a+_j
-        step = apply_create(n_modes, j, occ)
-        if step is not None:
-            s1, mid = step
-            step2 = apply_annihilate(n_modes, i, mid)
-            if step2 is not None:
-                s2, res = step2
-                acc[res] = acc.get(res, 0) + s1 * s2
-        # a+_j a_i
-        step = apply_annihilate(n_modes, i, occ)
-        if step is not None:
-            s1, mid = step
-            step2 = apply_create(n_modes, j, mid)
-            if step2 is not None:
-                s2, res = step2
-                acc[res] = acc.get(res, 0) + s1 * s2
-        expect = {occ: 1} if i == j else {}
-        for key in set(acc) | set(expect):
-            worst = max(worst, abs(acc.get(key, 0) - expect.get(key, 0)))
+    for s, occ in enumerate(occs.tolist()):
+        acc = {occ: -1} if i[s] == j[s] else {}
+        for alive, res, odd in products:
+            if alive[s]:
+                acc[res[s]] = acc.get(res[s], 0) + (-1 if odd[s] else 1)
+        worst = max([worst, *map(abs, acc.values())])
     return worst
 
 
 def run_battery(
-    config: LatticeConfig,
+    table: ModeTable,
     g_values: Sequence,
     lambda_values: Sequence,
     formfactor: str = "unit",
     seed: int = 0,
     anticommutation_samples: int = 200,
 ) -> VerificationReport:
-    """Execute the fixed battery; one record per check id, fixed order."""
-    table = build_mode_table(config)
+    """The fixed battery on ``table``: one record per check id, fixed order."""
     g_values = [Fraction(g) for g in g_values]
     lambda_values = [Fraction(l) for l in lambda_values]
     g_fun, ff_name = formfactors.from_spec(table, formfactor, seed)
@@ -343,52 +359,33 @@ def _momentum_residual(table: ModeTable, state: StateVector) -> float:
 # continuum energy comparison (pure counting, no Fock space)
 # ---------------------------------------------------------------------------
 
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _strict_below(x: Fraction) -> int:
-    """Largest integer strictly less than x."""
-    f = _floor_frac(x)
-    return f - 1 if x == f else f
-
-
-GRID_CAP = 1 << 24  # grid points of one refinement; each costs tens of bytes
+GRID_CAP = 1 << 24  # grid points of a refinement; bounds the work of counting its rows
 
 
 class GridSizeError(ValueError):
-    """A continuum refinement would allocate more than GRID_CAP grid points."""
+    """A continuum refinement's grid would exceed GRID_CAP points."""
 
 
 def _grid_bounds(kf: float, delta: float, refinement: int) -> tuple[int, int, int]:
-    """Squared grid-norm bounds (inner max, shell low, shell high)."""
+    """Squared grid-norm bounds (inner max, shell low, shell high); the
+    inner region ends just below the shell, as the lattice's band does."""
     scale = refinement * refinement
     lo2 = (Fraction(kf) - Fraction(delta)) ** 2 * scale
     hi2 = (Fraction(kf) + Fraction(delta)) ** 2 * scale
-    return _strict_below(lo2), math.ceil(lo2), _floor_frac(hi2)
+    return math.ceil(lo2) - 1, math.ceil(lo2), math.floor(hi2)
 
 
 def counting_energy(kf: float, delta: float, refinement: int, c: float = 1.0) -> dict:
     """Exact lattice sums of the paired construction at one grid refinement.
 
     ``refinement`` scales the box so the momentum quantum is 1/refinement;
-    counts and integer second moments are exact, converted to floats at
-    the end.
+    counts and integer second moments are summed row by row by
+    ``lattice.band_sums``, exactly, and converted to floats at the end.
     """
     q = Fraction(1, refinement)
     inner_max, shell_lo, shell_hi = _grid_bounds(kf, delta, refinement)
-    reach = math.isqrt(shell_hi)
-    axis = np.arange(-reach, reach + 1, dtype=np.int64)
-    n2 = (
-        axis[:, None, None] ** 2 + axis[None, :, None] ** 2 + axis[None, None, :] ** 2
-    ).ravel()
-    inner_mask = n2 <= inner_max
-    shell_mask = (n2 >= shell_lo) & (n2 <= shell_hi)
-
-    inner_count = int(inner_mask.sum())
-    shell_count = int(shell_mask.sum())
-    inner_m2 = int(n2[inner_mask].sum())
-    shell_m2 = int(n2[shell_mask].sum())
+    inner_count, inner_m2 = band_sums(0, inner_max)
+    shell_count, shell_m2 = band_sums(shell_lo, shell_hi)
 
     n_particles = 2 * inner_count + shell_count
     energy = Fraction(c) * q**2 * (2 * inner_m2 + shell_m2)

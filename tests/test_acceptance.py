@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from darkpair.fock import StateVector, apply_annihilate, apply_create
+from darkpair.fock import StateVector
 from darkpair.formfactors import from_spec
 from darkpair.lattice import LatticeConfig, build_mode_table, unfrozen_twin
 from darkpair.operators import (
@@ -36,6 +36,7 @@ from darkpair.verify import (
     quadrature_energy_per_particle,
     run_battery,
 )
+from scalar_signs import apply_raw_factors
 
 G_VALUES = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
 LAMBDA_VALUES = [Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(7, 3)]
@@ -243,21 +244,12 @@ def test_criterion_6_infrastructure():
         occ = int(rng.integers(0, 1 << n_modes))
         i = int(rng.integers(0, n_modes))
         j = int(rng.integers(0, n_modes))
-        acc = {}
-        step = apply_create(n_modes, j, occ)
-        if step is not None:
-            s1, mid = step
-            step2 = apply_annihilate(n_modes, i, mid)
-            if step2 is not None:
-                acc[step2[1]] = acc.get(step2[1], 0) + s1 * step2[0]
-        step = apply_annihilate(n_modes, i, occ)
-        if step is not None:
-            s1, mid = step
-            step2 = apply_create(n_modes, j, mid)
-            if step2 is not None:
-                acc[step2[1]] = acc.get(step2[1], 0) + s1 * step2[0]
-        acc = {k: v for k, v in acc.items() if v != 0}
-        assert acc == ({occ: 1} if i == j else {})
+        s = StateVector(n_modes, {occ: 1})
+        a_i = OperatorExpr.from_monomial(1, [(ANNIHILATE, i)])
+        c_j = OperatorExpr.from_monomial(1, [(CREATE, j)])
+        anti = (apply_operator(a_i, apply_operator(c_j, s))
+                + apply_operator(c_j, apply_operator(a_i, s)))
+        assert anti.amp == ({occ: 1} if i == j else {})
         anticommutation_cases += 1
 
     normal_order_cases = 0
@@ -270,16 +262,8 @@ def test_criterion_6_infrastructure():
         )
         expr = OperatorExpr.from_monomial(Fraction(1), factors)
         for occ in (int(x) for x in rng.integers(0, 1 << n_modes, size=8)):
-            cur, sign, dead = occ, 1, False
-            for kind, mode in reversed(factors):
-                step = (apply_create(n_modes, mode, cur) if kind == CREATE
-                        else apply_annihilate(n_modes, mode, cur))
-                if step is None:
-                    dead = True
-                    break
-                s, cur = step
-                sign *= s
-            expected = {} if dead else {cur: sign}
+            raw = apply_raw_factors(n_modes, factors, occ)
+            expected = {} if raw is None else {raw[1]: raw[0]}
             got = apply_operator(expr, StateVector(n_modes, {occ: 1}))
             assert got.amp == expected
         normal_order_cases += 1
@@ -292,10 +276,10 @@ def test_criterion_6_infrastructure():
     assert OperatorExpr.from_json(gamma.to_json()) == gamma
 
     # determinism: identical seeds, identical bytes
-    cfg = LATTICES["one-pair"]
-    j1 = run_battery(cfg, G_VALUES, LAMBDA_VALUES, formfactor="random:9",
+    table = build_mode_table(LATTICES["one-pair"])
+    j1 = run_battery(table, G_VALUES, LAMBDA_VALUES, formfactor="random:9",
                      seed=9).to_json()
-    j2 = run_battery(cfg, G_VALUES, LAMBDA_VALUES, formfactor="random:9",
+    j2 = run_battery(table, G_VALUES, LAMBDA_VALUES, formfactor="random:9",
                      seed=9).to_json()
     assert j1 == j2 and json.loads(j1)["all_passed"]
 

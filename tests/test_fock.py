@@ -10,37 +10,55 @@ from hypothesis import strategies as st
 from darkpair.fock import (
     BasisSizeError,
     StateVector,
-    apply_annihilate,
-    apply_create,
     bitstring_to_occ,
     occ_to_bitstring,
     sector_basis,
 )
+from darkpair.operators import ANNIHILATE, CREATE, OperatorExpr, apply_operator
 
 B = bitstring_to_occ
 
 
+def factor(kind, i):
+    return OperatorExpr.from_monomial(1, [(kind, i)])
+
+
+def fire(n_modes, kind, i, occ):
+    """One factor through the operator engine: ``(sign, occ)``, or None
+    where it kills the state."""
+    out = apply_operator(factor(kind, i), StateVector(n_modes, {occ: 1}))
+    return next(((a, res) for res, a in out.amp.items()), None)
+
+
+def create(n_modes, i, occ):
+    return fire(n_modes, CREATE, i, occ)
+
+
+def annihilate(n_modes, i, occ):
+    return fire(n_modes, ANNIHILATE, i, occ)
+
+
 def test_create_examples():
-    assert apply_create(4, 3, B("0000")) == (1, B("0001"))
-    assert apply_create(4, 0, B("0001")) == (1, B("1001"))
-    assert apply_create(4, 2, B("0100")) == (-1, B("0110"))
-    assert apply_create(4, 3, B("0001")) is None
+    assert create(4, 3, B("0000")) == (1, B("0001"))
+    assert create(4, 0, B("0001")) == (1, B("1001"))
+    assert create(4, 2, B("0100")) == (-1, B("0110"))
+    assert create(4, 3, B("0001")) is None
 
 
 def test_annihilate_examples():
-    assert apply_annihilate(4, 3, B("1001")) == (-1, B("1000"))
-    assert apply_annihilate(4, 0, B("1001")) == (1, B("0001"))
-    assert apply_annihilate(4, 2, B("1001")) is None
+    assert annihilate(4, 3, B("1001")) == (-1, B("1000"))
+    assert annihilate(4, 0, B("1001")) == (1, B("0001"))
+    assert annihilate(4, 2, B("1001")) is None
 
 
 def test_create_then_annihilate_is_identity():
     for occ in range(16):
         for i in range(4):
-            created = apply_create(4, i, occ)
+            created = create(4, i, occ)
             if created is None:
                 continue
             s1, mid = created
-            s2, back = apply_annihilate(4, i, mid)
+            s2, back = annihilate(4, i, mid)
             assert back == occ and s1 * s2 == 1
 
 
@@ -49,10 +67,10 @@ def test_creation_order_antisymmetry():
         for j in range(4):
             if i == j:
                 continue
-            si, a = apply_create(4, i, 0)
-            sj, ab = apply_create(4, j, a)
-            sj2, b = apply_create(4, j, 0)
-            si2, ba = apply_create(4, i, b)
+            si, a = create(4, i, 0)
+            sj, ab = create(4, j, a)
+            sj2, b = create(4, j, 0)
+            si2, ba = create(4, i, b)
             assert ab == ba
             assert si * sj == -sj2 * si2
 
@@ -69,23 +87,11 @@ def test_anticommutation_property(n_modes, i, j, occ):
     i %= n_modes
     j %= n_modes
     occ &= (1 << n_modes) - 1
-    acc = {}
-    first = apply_create(n_modes, j, occ)
-    if first is not None:
-        s1, mid = first
-        second = apply_annihilate(n_modes, i, mid)
-        if second is not None:
-            s2, res = second
-            acc[res] = acc.get(res, 0) + s1 * s2
-    first = apply_annihilate(n_modes, i, occ)
-    if first is not None:
-        s1, mid = first
-        second = apply_create(n_modes, j, mid)
-        if second is not None:
-            s2, res = second
-            acc[res] = acc.get(res, 0) + s1 * s2
-    acc = {k: v for k, v in acc.items() if v != 0}
-    assert acc == ({occ: 1} if i == j else {})
+    s = StateVector(n_modes, {occ: 1})
+    a_i, c_j = factor(ANNIHILATE, i), factor(CREATE, j)
+    anti = (apply_operator(a_i, apply_operator(c_j, s))
+            + apply_operator(c_j, apply_operator(a_i, s)))
+    assert anti.amp == ({occ: 1} if i == j else {})
 
 
 def test_sector_basis_enumeration():
@@ -180,6 +186,6 @@ def test_bitstring_conventions():
     occ = B("1000")
     assert occ == 8
     assert occ_to_bitstring(4, occ) == "1000"
-    s, res = apply_create(4, 1, occ)
+    s, res = create(4, 1, occ)
     assert occ_to_bitstring(4, res) == "1100"
     assert s == -1

@@ -18,6 +18,7 @@ from darkpair.lattice import (
     LatticeError,
     Mode,
     UnpairedModeError,
+    band_sums,
     boosted_twin,
     build_mode_table,
     hemisphere_positive,
@@ -48,6 +49,19 @@ def test_shell_enumeration_against_brute_force():
     assert units <= expected
     assert {(0, 0, 1), (0, 1, 0), (1, 0, 0)} <= set(table.shell_plus)
     assert len(table.shell_plus) == 9
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 0), (0, 7), (1, 1), (3, 3), (4, 8), (5, 12), (9, 30), (26, 26), (7, 7),
+])
+def test_band_sums_against_brute_force(lo, hi):
+    reach = math.isqrt(hi) + 1
+    norms = [x * x + y * y + z * z
+             for x in range(-reach, reach + 1)
+             for y in range(-reach, reach + 1)
+             for z in range(-reach, reach + 1)]
+    band = [n2 for n2 in norms if lo <= n2 <= hi]
+    assert band_sums(lo, hi) == (len(band), sum(band))
 
 
 @pytest.mark.parametrize("kf, delta, boost, L", [

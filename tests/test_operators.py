@@ -30,6 +30,7 @@ from darkpair.operators import (
     pair_commutator_rhs,
 )
 from darkpair.states import phi_core
+from scalar_signs import apply_raw_factors
 
 B = bitstring_to_occ
 
@@ -59,22 +60,6 @@ def test_normal_order_block_sort():
 def test_normal_order_nilpotent_chain():
     expr = OperatorExpr.from_monomial(Fraction(1), (A(3), C(3), C(0), A(3)))
     assert expr.terms == {(C(0), A(3)): Fraction(1)}
-
-
-def apply_raw_factors(n_modes, factors, occ):
-    """First-principles application of a raw factor string, right to left."""
-    from darkpair.fock import apply_annihilate, apply_create
-
-    sign = 1
-    cur = occ
-    for kind, mode in reversed(factors):
-        step = (apply_create(n_modes, mode, cur) if kind == CREATE
-                else apply_annihilate(n_modes, mode, cur))
-        if step is None:
-            return None
-        s, cur = step
-        sign *= s
-    return sign, cur
 
 
 def states_equal_on_all_occupations(n_modes, factors, expr):

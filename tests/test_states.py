@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from darkpair.fock import StateVector, apply_create, bitstring_to_occ
+from darkpair.fock import StateVector, bitstring_to_occ
 from darkpair.formfactors import random_symmetric
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import (
@@ -23,6 +23,7 @@ from darkpair.states import (
     nc_state,
     phi_core,
 )
+from scalar_signs import apply_create
 
 B = bitstring_to_occ
 

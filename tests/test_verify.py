@@ -2,13 +2,15 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from darkpair.cli import write_csv
-from darkpair.lattice import LatticeConfig
+from darkpair.lattice import LatticeConfig, build_mode_table
+from darkpair import verify
 from darkpair.verify import (
     CHECK_IDS,
     CONTINUUM_FIELDS,
@@ -16,6 +18,7 @@ from darkpair.verify import (
     continuum_energy_check,
     counting_energy,
     quadrature_energy_per_particle,
+    _anticommutation_residual,
     relative_dark_residual,
     run_battery,
 )
@@ -24,29 +27,29 @@ G_LIST = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
 LAMBDAS = [Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(7, 3)]
 
 
-def test_battery_minimal_all_pass(minimal_config):
-    report = run_battery(minimal_config, G_LIST, LAMBDAS, seed=7)
+def test_battery_minimal_all_pass(minimal_table):
+    report = run_battery(minimal_table, G_LIST, LAMBDAS, seed=7)
     assert report.all_passed
     assert [c.check_id for c in report.checks] == list(CHECK_IDS)
     assert all(c.residual == 0.0 for c in report.checks)
 
 
-def test_battery_each_check_appears_once(minimal_config):
-    report = run_battery(minimal_config, G_LIST, LAMBDAS, seed=7)
+def test_battery_each_check_appears_once(minimal_table):
+    report = run_battery(minimal_table, G_LIST, LAMBDAS, seed=7)
     ids = [c.check_id for c in report.checks]
     assert len(ids) == len(set(ids)) == 10
 
 
-def test_battery_pass_iff_residual_within_tolerance(minimal_config):
-    report = run_battery(minimal_config, G_LIST, LAMBDAS, seed=7)
+def test_battery_pass_iff_residual_within_tolerance(minimal_table):
+    report = run_battery(minimal_table, G_LIST, LAMBDAS, seed=7)
     for c in report.checks:
         assert c.passed == (c.residual <= c.tolerance)
 
 
-def test_battery_random_formfactor_passes(minimal_config):
+def test_battery_random_formfactor_passes(minimal_table):
     for seed in (1, 2, 3):
         report = run_battery(
-            minimal_config, G_LIST, LAMBDAS, formfactor=f"random:{seed}", seed=seed
+            minimal_table, G_LIST, LAMBDAS, formfactor=f"random:{seed}", seed=seed
         )
         assert report.all_passed, report.to_text()
 
@@ -63,7 +66,8 @@ def test_battery_randomized_weights_on_every_lattice(seed):
     ]
     for cfg in configs:
         report = run_battery(
-            cfg, G_LIST, LAMBDAS, formfactor=f"random:{seed}", seed=seed
+            build_mode_table(cfg), G_LIST, LAMBDAS, formfactor=f"random:{seed}",
+            seed=seed,
         )
         assert report.all_passed, report.to_text()
         symbolic = [c for c in report.checks if c.tolerance == 0.0]
@@ -76,7 +80,7 @@ def test_battery_boosted_lattice_passes():
         kf=1.2, delta=0.5, boost=(0, 0, 1), frozen_core=True,
         shell_points=((0, 0, 2), (0, 0, 0)), volume=1,
     )
-    report = run_battery(cfg, G_LIST, LAMBDAS, seed=3)
+    report = run_battery(build_mode_table(cfg), G_LIST, LAMBDAS, seed=3)
     assert report.all_passed, report.to_text()
 
 
@@ -85,7 +89,7 @@ def test_battery_with_chemical_potential():
         kf=1.2, delta=0.5, mu=0.5, frozen_core=True,
         shell_points=((0, 0, 1), (0, 0, -1)), volume=1,
     )
-    report = run_battery(cfg, G_LIST, LAMBDAS, seed=1)
+    report = run_battery(build_mode_table(cfg), G_LIST, LAMBDAS, seed=1)
     assert report.all_passed, report.to_text()
 
 
@@ -93,7 +97,7 @@ def test_battery_unfrozen_core_passes():
     cfg = LatticeConfig(
         kf=1.2, delta=0.5, shell_points=((0, 0, 1), (0, 0, -1)), volume=1
     )
-    report = run_battery(cfg, G_LIST, LAMBDAS, seed=1)
+    report = run_battery(build_mode_table(cfg), G_LIST, LAMBDAS, seed=1)
     assert report.all_passed, report.to_text()
 
 
@@ -112,9 +116,9 @@ def test_full_radial_shell_dark_state():
     assert len(apply_operator(build_w(table, Fraction(-1)), nc)) == 0
 
 
-def test_battery_asymmetric_control_fails(minimal_config):
+def test_battery_asymmetric_control_fails(minimal_table):
     report = run_battery(
-        minimal_config, G_LIST, LAMBDAS, formfactor="asymmetric:3", seed=3
+        minimal_table, G_LIST, LAMBDAS, formfactor="asymmetric:3", seed=3
     )
     assert not report.all_passed
     by_id = {c.check_id: c for c in report.checks}
@@ -122,9 +126,27 @@ def test_battery_asymmetric_control_fails(minimal_config):
     assert not by_id["dark_state"].passed
 
 
-def test_battery_json_is_deterministic(minimal_config):
-    a = run_battery(minimal_config, G_LIST, LAMBDAS, seed=7).to_json()
-    b = run_battery(minimal_config, G_LIST, LAMBDAS, seed=7).to_json()
+def test_anticommutation_sweep_covers_64_modes():
+    # at MAX_MODES the sampled occupations fill the whole uint64 word
+    assert _anticommutation_residual(64, 200, np.random.default_rng(0)) == 0
+
+
+def test_anticommutation_sweep_fires_the_operator_kernel(monkeypatch):
+    # a kernel that loses its signs must fail check (1): a_i a+_j and
+    # a+_j a_i then add up to 2 instead of cancelling
+    fire = verify._fire
+
+    def unsigned(term, occs):
+        at, res, odd = fire(term, occs)
+        return at, res, np.zeros_like(odd)
+
+    monkeypatch.setattr(verify, "_fire", unsigned)
+    assert _anticommutation_residual(8, 200, np.random.default_rng(0)) == 2
+
+
+def test_battery_json_is_deterministic(minimal_table):
+    a = run_battery(minimal_table, G_LIST, LAMBDAS, seed=7).to_json()
+    b = run_battery(minimal_table, G_LIST, LAMBDAS, seed=7).to_json()
     assert a == b
     payload = json.loads(a)
     assert payload["all_passed"] is True
@@ -162,6 +184,17 @@ def test_counting_energy_small_grid_by_hand():
     assert rec["particles"] == 2 + 6
     assert rec["energy"] == 6.0
     assert rec["grid_points"] == 7
+
+
+def test_counting_energy_allocates_no_grid():
+    # row-wise sums: nothing grows with the (2*reach+1)^3 points of the box
+    tracemalloc.start()
+    try:
+        counting_energy(1.0, 0.1, 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_counting_converges_to_quadrature_oracle():
