@@ -3,20 +3,27 @@
 An operator is a finite sum of monomials ``coeff * f1 f2 ... fd`` where
 each factor is a creation ("c") or annihilation ("a") of one mode.  Every
 stored monomial is kept in canonical normal order: all creations before
-all annihilations, each block sorted by ascending mode index, signs
-tracked exactly through the rewriting
+all annihilations, each block sorted by ascending mode index.  Raw
+monomials (``from_monomial(s)``, ``dagger``) reach it by the rewriting
 
     a_i a+_j = delta_ij - a+_j a_i,      a_i a_j = -a_j a_i (i != j),
-    a_i a_i = 0  (same for creations).
+    a_i a_i = 0  (same for creations),
+
+with signs tracked exactly; products of canonical operators (``compose``)
+skip it and expand by Wick's theorem on mode bitmasks, one sum over
+contraction sets per pair of terms.
 
 Canonical form makes operator equality a dictionary comparison, which is
 what turns commutator identities into decidable checks.  Coefficients are
-exact rationals throughout this module; complex values pass through the
-arithmetic unchanged if a caller supplies them.
+exact rationals throughout this module, summed as integer numerators over
+a common denominator where that is exact (``compose``, ``apply_operator``,
+``matrix_in_sector``); complex values pass through the arithmetic
+unchanged if a caller supplies them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -155,12 +162,91 @@ class OperatorExpr:
         return OperatorExpr._wrap({t: c * factor for t, c in self.terms.items()})
 
     def compose(self, other: "OperatorExpr", cap: int = DEGREE_CAP) -> "OperatorExpr":
-        """Operator product, normal-ordered."""
-        out: dict[Term, object] = {}
-        for t1, c1 in self._sorted_items():
-            for t2, c2 in other._sorted_items():
-                _normal_order_term(c1 * c2, t1 + t2, cap, out)
-        return OperatorExpr._wrap(out)
+        """Operator product, normal-ordered by Wick's theorem on mode bitmasks.
+
+        Canonical monomials ``C1 A1`` and ``C2 A2`` (sets of modes) multiply
+        to a sum over contraction sets ``S`` of ``A1 & C2``.  A term is zero
+        when ``C1`` meets ``C2 - S`` or ``A1 - S`` meets ``A2``, so ``S``
+        holds every mode ``C1`` shares with ``C2`` and ``A1`` with ``A2``.
+        The term ``(C1 | C2 - S) (A1 - S | A2)`` has the sign (-1)**p, p the
+        sum of
+
+        * sum over s in S of #{x in A1 - S: x > s} + #{y in C2: y < s},
+        * |A1 - S| * |C2 - S|,
+        * sum over y in C2 - S of #{c in C1: c > y},
+        * sum over x in A1 - S of #{a in A2: a < x},
+
+        each a count of pairs that ``_above`` turns into a parity.  When one
+        factor's coefficients are all ``Fraction``s and the other's
+        int/``Fraction``, every product term is a ``Fraction``, summed as an
+        integer numerator over the product of the two common denominators.
+        Other coefficients are summed themselves, pairs of terms in
+        canonical order; a pair yields each product term at most once, so
+        the sums run as in ``from_monomials`` of the ``t1 + t2`` products.
+        """
+        sides = [list(self.terms), list(other.terms)]
+        degree = next((d1 + d2 for d1, d2 in itertools.product(
+            *(sorted(set(map(len, side))) for side in sides)) if d1 + d2 > cap), None)
+        if degree is not None:
+            raise DegreeCapError(f"monomial degree {degree} exceeds cap {cap}")
+        values = [list(self.terms.values()), list(other.terms.values())]
+        exact = [_numerators(v) for v in values]
+        den = None
+        if None not in exact and any(
+                all(isinstance(c, Fraction) for c in v) for v in values):
+            (values[0], den1), (values[1], den2) = exact
+            den = den1 * den2
+        else:  # the values themselves, summed in canonical pair order
+            for i, expr in enumerate((self, other)):
+                items = expr._sorted_items()
+                sides[i], values[i] = [t for t, _ in items], [c for _, c in items]
+        width = 1 + max((m for side in sides for t in side for _, m in t), default=0)
+        top = (1 << width) - 1
+        above = [top ^ ((2 << m) - 1) for m in range(width)]
+        right = [(*_masks(t, above), v) for t, v in zip(sides[1], values[1])]
+
+        out: dict[int, object] = {}
+        for t1, v1 in zip(sides[0], values[0]):
+            cm1, am1, _, _ = _masks(t1, above)
+            for cm2, am2, cup2, aup2, v2 in right:
+                free = am1 & cm2
+                must = (cm1 & cm2) | (am1 & am2)
+                if must & ~free:
+                    continue
+                free ^= must
+                value = v1 * v2
+                sub = free
+                while True:
+                    s = must | sub
+                    a1, c2 = am1 ^ s, cm2 ^ s
+                    sup = _above(s, above) if s else 0
+                    p = (((a1 & (sup ^ aup2)) ^ (s & cup2) ^ (cm1 & (cup2 ^ sup)))
+                         .bit_count() + a1.bit_count() * c2.bit_count())
+                    key = (cm1 | c2) << width | a1 | am2
+                    cur = out.get(key, 0) + (-value if p & 1 else value)
+                    if cur == 0:
+                        out.pop(key, None)
+                    else:
+                        out[key] = cur
+                    if not sub:
+                        break
+                    sub = (sub - 1) & free
+
+        # the factor tuples and Fractions of the product, each built once
+        factor = {kind: [(kind, m) for m in range(width)] for kind in (CREATE, ANNIHILATE)}
+        parts: dict[tuple[str, int], Term] = {}
+        as_fraction: dict[int, Fraction] = {}
+        terms: dict[Term, object] = {}
+        for key, value in out.items():
+            for kind, mask in ((CREATE, key >> width), (ANNIHILATE, key & top)):
+                if (kind, mask) not in parts:
+                    parts[kind, mask] = tuple(factor[kind][m] for m in _modes(mask))
+            if den is not None:
+                if value not in as_fraction:
+                    as_fraction[value] = Fraction(value, den)
+                value = as_fraction[value]
+            terms[parts[CREATE, key >> width] + parts[ANNIHILATE, key & top]] = value
+        return OperatorExpr._wrap(terms)
 
     def dagger(self) -> "OperatorExpr":
         out: dict[Term, object] = {}
@@ -238,6 +324,40 @@ class OperatorExpr:
         return "OperatorExpr(" + " + ".join(bits) + more + ")"
 
 
+def _modes(mask: int) -> list[int]:
+    """The modes of a bitmask whose bit m is mode m, ascending."""
+    modes = []
+    while mask:
+        low = mask & -mask
+        modes.append(low.bit_length() - 1)
+        mask ^= low
+    return modes
+
+
+def _above(mask: int, above: list[int]) -> int:
+    """The bits z with an odd number of ``mask`` bits below z, where
+    ``above[m]`` holds the bits above m: ``(x & _above(y, above))
+    .bit_count()`` is #{(i, j): i in x, j in y, i > j} mod 2."""
+    out = 0
+    for m in _modes(mask):
+        out ^= above[m]
+    return out
+
+
+def _masks(factors: Term, above: list[int]) -> tuple[int, int, int, int]:
+    """``(C, A, _above(C), _above(A))`` of a canonical term: the masks of its
+    created and annihilated modes, bit m for mode m."""
+    cm = am = cup = aup = 0
+    for kind, mode in factors:
+        if kind == CREATE:
+            cm |= 1 << mode
+            cup ^= above[mode]
+        else:
+            am |= 1 << mode
+            aup ^= above[mode]
+    return cm, am, cup, aup
+
+
 def _conj(x):
     return x.conjugate() if isinstance(x, complex) else x
 
@@ -293,32 +413,83 @@ def _fire(term: tuple, occs):
     return at, mid | cmask, (odd & np.uint64(1)).astype(bool)
 
 
+def _numerators(values: list) -> tuple[list[int], int] | None:
+    """Integer numerators of int/``Fraction`` ``values`` over their common
+    denominator, and that denominator; None if a value is neither."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _state_values(coeffs: list, amps: list) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """``(signed, amps, den)``: what ``apply_operator`` multiplies.
+
+    ``signed[2 * t + odd]`` is term t's coefficient with its sign.  When
+    coefficients and amplitudes are all int/``Fraction`` both arrays hold
+    integer numerators, over ``den`` together: int64 while the sum of
+    ``|coefficient| * |amplitude|`` numerators stays below 2**53, as in
+    ``_term_values``, Python ints (object dtype) beyond.  Otherwise they
+    hold the values themselves (object dtype, ``den`` None); (-c) * a is
+    c * a * -1 up to the sign of a zero, which the sum from 0 drops.
+    """
+    cnum, anum = _numerators(coeffs), _numerators(amps)
+    if cnum is None or anum is None:
+        den, dtype = None, object
+    else:
+        (coeffs, cden), (amps, aden) = cnum, anum
+        den = cden * aden
+        wide = sum(map(abs, coeffs)) * sum(map(abs, amps)) >= 1 << 53
+        dtype = object if wide else np.int64
+    signed = np.array([s for c in coeffs for s in (c, -c)], dtype=dtype)
+    return signed, np.array(amps, dtype=dtype), den
+
+
 def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     """Exact linear action; factors applied right-to-left.
 
-    Contributions are summed in a fixed order, input states ascending and
-    then terms in canonical order, so the result is reproducible bit for
-    bit regardless of construction order.
+    Every term goes through ``_fire`` over all input states at once, and
+    the contributions are grouped by the state they yield.  int/``Fraction``
+    values are summed as integer numerators (``_state_values``) and divided
+    once; an entry is a ``Fraction`` exactly when one of its contributions
+    has a ``Fraction`` coefficient or amplitude, an int otherwise.  Other
+    values are summed per entry from 0 in a fixed order, input states
+    ascending and then terms in canonical order, so the result is
+    reproducible bit for bit regardless of construction order.
     """
     compiled = _compile(expr, vec.n_modes)
-    if not compiled:
-        return StateVector(vec.n_modes)
-    # signed[2 * t + odd]: term t's coefficient with its sign; (-c) * a is
-    # c * a * -1 up to the sign of a zero, which the sum from 0 drops
-    signed = [c for *_, coeff in compiled for c in (coeff, -coeff)]
     occs = sorted(vec.amp)
-    step = max(1, (1 << 16) // len(compiled))  # 2**16 state-term visits a block
-    acc: dict = {}
-    for lo in range(0, len(occs), step):
-        amps = [vec.amp[occ] for occ in occs[lo:lo + step]]
-        packed = np.array(occs[lo:lo + step], dtype=np.uint64)
-        fired = [_fire(term, packed) for term in compiled]
-        at, res, odd = map(np.concatenate, zip(*fired))
-        which = 2 * np.repeat(np.arange(len(compiled)), [len(f[0]) for f in fired]) + odd
-        order = np.argsort(at, kind="stable")
-        for i, k, r in zip(*(a[order].tolist() for a in (at, which, res))):
-            acc[r] = acc.get(r, 0) + signed[k] * amps[i]
-    return StateVector(vec.n_modes, acc)  # drops the exact zeros
+    packed = np.array(occs, dtype=np.uint64)
+    fired = [_fire(term, packed) for term in compiled]
+    counts = [len(f[0]) for f in fired]
+    if not sum(counts):
+        return StateVector(vec.n_modes)
+    at, res, odd = map(np.concatenate, zip(*fired))
+    del fired  # the contributions are held once, not twice
+    which = np.repeat(np.arange(0, 2 * len(compiled), 2), counts) + odd
+    order = np.lexsort((which, at, res))  # by image, then state, then term
+    at, res, which = at[order], res[order], which[order]
+    del order
+    new = np.concatenate(([True], res[1:] != res[:-1]))
+    first = np.flatnonzero(new)
+    coeffs = [term[-1] for term in compiled]
+    amps = [vec.amp[occ] for occ in occs]
+    signed, amp, den = _state_values(coeffs, amps)
+    contrib = signed[which] * amp[at]
+    if den is None:  # each image's sum starts from 0, as a dict's would
+        padded = np.zeros(len(contrib) + len(first), dtype=object)
+        padded[np.arange(len(contrib)) + np.cumsum(new)] = contrib
+        sums = np.add.reduceat(padded, first + np.arange(len(first)))
+        return StateVector(vec.n_modes, dict(zip(res[first].tolist(), sums.tolist())))
+    fracs = (np.array([isinstance(c, Fraction) for c in coeffs])[which >> 1]
+             | np.array([isinstance(a, Fraction) for a in amps])[at])
+    sums = np.add.reduceat(contrib, first)
+    fracs = np.logical_or.reduceat(fracs, first)
+    keep = np.flatnonzero(sums != 0)
+    out = StateVector(vec.n_modes)
+    out.amp = {occ: Fraction(n, den) if frac else n // den for occ, n, frac in
+               zip(res[first[keep]].tolist(), sums[keep].tolist(), fracs[keep].tolist())}
+    return out
 
 
 def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
@@ -339,10 +510,10 @@ def _term_values(compiled: list[tuple]) -> tuple[list, int | None, type]:
     Other coefficients are summed themselves (object dtype, ``den`` None).
     """
     coeffs = [term[-1] for term in compiled]
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+    exact = _numerators(coeffs)
+    if exact is None:
         return coeffs, None, object
-    den = math.lcm(*(c.denominator for c in coeffs))
-    nums = [int(c * den) for c in coeffs]
+    nums, den = exact
     if max(den, sum(map(abs, nums))) >= 1 << 53:
         return nums, den, object
     return nums, den, np.int64

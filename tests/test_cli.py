@@ -195,6 +195,19 @@ def test_huge_lattice_exits_2_fast(tmp_path, capsys):
     assert "more than 64 modes" in capsys.readouterr().err
 
 
+def test_over_cap_thawed_twin_exits_2_fast(tmp_path, capsys):
+    # 64 frozen modes fit the occupation word, but the core-commutator
+    # check needs the thawed twin, which does not; no check may run first
+    cfg = write_config(tmp_path, lattice={"kf": 1.5, "delta": 0.5, "shell_points": None})
+    start = time.perf_counter()
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("lattice error: more than 64 modes")
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+
 # Valid lattices: radial threepair, one pair, a live core with a chemical
 # potential, a drifting pair.  A radial band around a live core is left
 # out: its paired sector of 3003 states costs seconds per coupling.

@@ -1,6 +1,7 @@
 """Normal ordering, commutators, model operator builders, sector matrices."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from darkpair.operators import (
     OperatorExpr,
     ShellDomainError,
     _compile,
+    _state_values,
     _term_values,
     apply_operator,
     build_gamma,
@@ -170,6 +172,115 @@ def test_apply_operator_is_linear(a, occ1, occ2):
 
 
 # ---------------------------------------------------------------------------
+# compose against normal ordering of the raw products, and both against
+# sympy's Wick expansion
+# ---------------------------------------------------------------------------
+
+COMPOSE_COEFFS = {
+    "int": st.integers(-3, 3).filter(bool),
+    "fraction": st.fractions(-3, 3, max_denominator=4).filter(bool),
+    "complex": st.builds(complex, st.integers(-3, 3), st.integers(1, 3)),
+}
+MODE_POOLS = [range(5), range(62, 67), (0, 3, 63, 64, 100, 130), range(60, 80)]
+
+
+@st.composite
+def compose_operands(draw, coeff, pool, max_degree):
+    monos = [(draw(coeff), tuple(draw(st.lists(
+        st.tuples(st.sampled_from([CREATE, ANNIHILATE]), st.sampled_from(pool)),
+        max_size=max_degree)))) for _ in range(draw(st.integers(1, 3)))]
+    return OperatorExpr.from_monomials(monos, cap=max_degree)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_compose_equals_normal_ordered_products(data):
+    kinds = data.draw(st.sets(st.sampled_from(sorted(COMPOSE_COEFFS)), min_size=1))
+    coeff = st.one_of(*(COMPOSE_COEFFS[k] for k in sorted(kinds)))
+    pool = data.draw(st.sampled_from(MODE_POOLS))
+    degree = data.draw(st.sampled_from([2, 4, 9]))  # 9 + 9 = 18 factors
+    a = data.draw(compose_operands(coeff, pool, degree))
+    b = data.draw(compose_operands(coeff, pool, degree))
+    cap = data.draw(st.integers(0, 2 * degree))
+    products = [(c1 * c2, t1 + t2) for t1, c1 in a._sorted_items()
+                for t2, c2 in b._sorted_items()]
+    if any(len(t) > cap for _, t in products):
+        with pytest.raises(DegreeCapError):
+            a.compose(b, cap)
+        return
+    got = a.compose(b, cap)
+    assert got == OperatorExpr.from_monomials(products, cap)
+    # the same types too: int, Fraction or complex as the sums make them
+    assert ({t: (type(c), repr(c)) for t, c in got.terms.items()}
+            == {t: (type(c), repr(c)) for t, c in
+                OperatorExpr.from_monomials(products, cap).terms.items()})
+
+
+def sympy_normal_order(monomials) -> dict:
+    """The term map of ``sum coeff * factors`` normal-ordered by sympy's
+    ``wicks``, each block then sorted here by counting transpositions.
+
+    Each factor gets its own above-Fermi symbol, so the vacuum is empty and
+    the creators ``Fd`` go left; the mode numbers replace the symbols only
+    afterwards, in the deltas and the factors, as integer labels make
+    ``wicks`` emit dummy deltas such as ``KroneckerDelta(1, _a)``.
+    """
+    sympy = pytest.importorskip("sympy")
+    sq = pytest.importorskip("sympy.physics.secondquant")
+
+    def split(x, mode):
+        """(scalar, factors) of one product of the expansion."""
+        if isinstance(x, sympy.Mul):
+            parts = [split(arg, mode) for arg in x.args]
+            return (math.prod((s for s, _ in parts), start=Fraction(1)),
+                    [f for _, fs in parts for f in fs])
+        if isinstance(x, sq.NO):
+            return split(x.args[0], mode)
+        if isinstance(x, sympy.KroneckerDelta):
+            return Fraction(int(mode[x.args[0]] == mode[x.args[1]])), []
+        if isinstance(x, (sq.CreateFermion, sq.AnnihilateFermion)):
+            kind = CREATE if isinstance(x, sq.CreateFermion) else ANNIHILATE
+            return Fraction(1), [(kind, mode[x.args[0]])]
+        return Fraction(int(x.p), int(x.q)), []  # a rational number
+
+    out = {}
+    for coeff, factors in monomials:
+        symbols = [sympy.Symbol(f"p{i}", above_fermi=True) for i in range(len(factors))]
+        mode = {sym: m for sym, (_, m) in zip(symbols, factors)}
+        product = sympy.Mul(*[(sq.Fd if kind == CREATE else sq.F)(sym)
+                              for sym, (kind, _) in zip(symbols, factors)])
+        for term in sympy.Add.make_args(sq.wicks(product)):
+            scalar, ops = split(term, mode)
+            creates = [m for k, m in ops if k == CREATE]
+            annihilates = [m for k, m in ops if k == ANNIHILATE]
+            assert ops == [C(m) for m in creates] + [A(m) for m in annihilates]
+            if any(len(set(ms)) < len(ms) for ms in (creates, annihilates)):
+                continue  # a repeated mode: the term vanishes
+            for ms in (creates, annihilates):
+                scalar *= (-1) ** sum(x > y for i, x in enumerate(ms) for y in ms[i + 1:])
+            key = tuple(map(C, sorted(creates))) + tuple(map(A, sorted(annihilates)))
+            out[key] = out.get(key, 0) + coeff * scalar
+    return {t: c for t, c in out.items() if c != 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors=st.lists(st.tuples(st.sampled_from([CREATE, ANNIHILATE]),
+                                  st.integers(0, 4)), max_size=6))
+def test_normal_order_term_equals_sympy_wicks(factors):
+    assert (OperatorExpr.from_monomial(Fraction(1), factors).terms
+            == sympy_normal_order([(Fraction(1), factors)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=compose_operands(COMPOSE_COEFFS["fraction"], range(5), 3),
+       b=compose_operands(COMPOSE_COEFFS["int"], range(5), 3))
+def test_compose_equals_sympy_wicks(a, b):
+    want = sympy_normal_order([(c1 * c2, t1 + t2) for t1, c1 in a._sorted_items()
+                               for t2, c2 in b._sorted_items()])
+    assert a.compose(b).terms == want
+
+
+# ---------------------------------------------------------------------------
 # the compiled kernel against raw factor application
 # ---------------------------------------------------------------------------
 
@@ -270,14 +381,63 @@ def test_apply_operator_bits_equal_compiled_reference(monos, kind, data):
     assert bits(apply_operator(expr, vec).amp) == bits(apply_reference(expr, vec))
 
 
-def test_apply_operator_bits_across_blocks():
-    # 100 hops on all 1024 states of 10 modes: the states span two blocks
+def test_apply_operator_bits_on_many_contributions():
+    # 100 hops on all 1024 states of 10 modes: each image gets many
+    # contributions, from many states and terms
     rng = np.random.default_rng(3)
     vec = StateVector(10, {occ: complex(*rng.standard_normal(2))
                            for occ in range(1024)})
     expr = OperatorExpr.from_monomials([(float(rng.standard_normal()), (C(i), A(j)))
                                         for i in range(10) for j in range(10)])
     assert bits(apply_operator(expr, vec).amp) == bits(apply_reference(expr, vec))
+
+
+def test_apply_operator_sums_floats_by_state_then_term():
+    # c0 a1 and c0 c2 a2 a1 take 011 to 101, c2 a1 takes 110 there: by
+    # state, (1e16 - 1e16) + 1 = 1; by term, c2 a1 would come second and
+    # (1e16 + 1) - 1e16 = 0
+    expr = OperatorExpr.from_monomials([(1e16, (C(0), A(1))), (-1e16, (C(0), C(2), A(2), A(1))),
+                                        (1.0, (C(2), A(1)))])
+    for amp in (1.0, 1j, 0.5 - 0.25j):
+        vec = StateVector(3, {B("011"): amp, B("110"): amp})
+        got = apply_operator(expr, vec).amp
+        assert got == {B("101"): amp}
+        assert bits(got) == bits(apply_reference(expr, vec))
+
+
+@pytest.mark.parametrize("coeff, amp, dtype", [
+    # (|c| + |-c|) * (|amp| + |amp|) against 2**53
+    (2**51 - 1, 1, np.int64),
+    (2**51, 1, object),
+    (Fraction(2**51 + 2, 3), Fraction(1, 2), object),
+    (2**40, 2**30, object),  # the products alone overflow int64
+])
+def test_apply_operator_routes_numerators_at_2_53(coeff, amp, dtype):
+    # the number operator and a hop, on two states with the same image
+    expr = OperatorExpr.from_monomials([(coeff, (C(0), A(0))), (-coeff, (C(0), A(1)))])
+    vec = StateVector(2, {B("10"): amp, B("01"): amp})
+    compiled = _compile(expr, 2)
+    signed, amps, den = _state_values([t[-1] for t in compiled], list(vec.amp.values()))
+    assert signed.dtype == amps.dtype == np.dtype(dtype)
+    assert bits(apply_operator(expr, vec).amp) == bits(apply_reference(expr, vec))
+    assert apply_operator(expr, vec).amp == {}  # the hop cancels the number term
+    half = StateVector(2, {B("10"): amp})
+    assert apply_operator(expr, half).amp == {B("10"): coeff * amp}
+
+
+def test_apply_operator_types_mixed_int_and_fraction_entries():
+    # an entry is a Fraction exactly when a contribution to it has a
+    # Fraction coefficient or amplitude, even when its value is integral
+    expr = OperatorExpr.from_monomials([(2, (C(0), A(0))), (Fraction(3, 2), (C(1), A(0))),
+                                        (1, (C(2), A(0))), (Fraction(1, 2), (C(0), A(2)))])
+    vec = StateVector(3, {B("100"): 2, B("001"): Fraction(4, 2)})
+    got = apply_operator(expr, vec).amp
+    assert bits(got) == bits(apply_reference(expr, vec))
+    assert bits(got) == {
+        B("100"): (Fraction, "Fraction(5, 1)"),  # 2 * 2 + 1/2 * 2
+        B("010"): (Fraction, "Fraction(3, 1)"),
+        B("001"): (int, "2"),
+    }
 
 
 @pytest.mark.parametrize("sparse", [False, True])

@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkpair.cli import write_csv
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair import verify
+from darkpair.operators import ANNIHILATE, CREATE, OperatorExpr
 from darkpair.verify import (
     CHECK_IDS,
     CONTINUUM_FIELDS,
@@ -19,6 +22,7 @@ from darkpair.verify import (
     counting_energy,
     quadrature_energy_per_particle,
     _anticommutation_residual,
+    _distance,
     relative_dark_residual,
     run_battery,
 )
@@ -32,6 +36,23 @@ def test_battery_minimal_all_pass(minimal_table):
     assert report.all_passed
     assert [c.check_id for c in report.checks] == list(CHECK_IDS)
     assert all(c.residual == 0.0 for c in report.checks)
+
+
+@st.composite
+def term_maps(draw):
+    factor = st.tuples(st.sampled_from([CREATE, ANNIHILATE]), st.integers(0, 2))
+    return OperatorExpr.from_monomials(draw(st.lists(st.tuples(
+        st.fractions(-2, 2, max_denominator=3), st.lists(factor, max_size=3)),
+        max_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=term_maps(), b=term_maps())
+def test_distance_is_the_one_norm_of_the_difference(a, b):
+    # the residual of the commutator checks, without building a - b
+    got = _distance(a, b)
+    assert type(got) is Fraction and got == (a - b).one_norm()
+    assert _distance(a, a) == 0
 
 
 def test_battery_each_check_appears_once(minimal_table):
