@@ -205,6 +205,11 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = load_config(_resolve_config_arg(args.config))
     seed = cfg["seed"] if args.seed is None else _seed(args.seed)
+    n_modes = cfg["table"].n_modes
+    if args.sector is not None and not 0 <= args.sector <= n_modes:
+        raise ConfigError(
+            f"--sector must be a particle number from 0 to {n_modes}, got {args.sector}"
+        )
     rows = spectrum_rows(
         cfg["table"],
         _parse(Fraction, args.g),
@@ -223,11 +228,12 @@ def cmd_spectrum(args) -> int:
 def cmd_scan(args) -> int:
     cfg = load_config(_resolve_config_arg(args.config))
     seed = cfg["seed"] if args.seed is None else _seed(args.seed)
-    g_values = (
-        [_parse(Fraction, x) for x in args.g_list.split(",")]
-        if args.g_list
-        else cfg["couplings"]
-    )
+    if args.g_list is None:
+        g_values = cfg["couplings"]
+    elif not args.g_list.strip():
+        raise ConfigError("--g-list is empty; give at least one coupling")
+    else:
+        g_values = [_parse(Fraction, x) for x in args.g_list.split(",")]
     rows = scan_g(
         cfg["table"],
         g_values,

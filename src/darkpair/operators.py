@@ -9,9 +9,9 @@ monomials (``from_monomial(s)``, ``dagger``) reach it by the rewriting
     a_i a+_j = delta_ij - a+_j a_i,      a_i a_j = -a_j a_i (i != j),
     a_i a_i = 0  (same for creations),
 
-with signs tracked exactly; products of canonical operators (``compose``)
-skip it and expand by Wick's theorem on mode bitmasks, one sum over
-contraction sets per pair of terms.
+with signs tracked exactly; products of canonical operators (``compose``,
+``commutator``) skip it and expand by Wick's theorem on mode bitmasks, one
+sum over contraction sets per pair of terms.
 
 Canonical form makes operator equality a dictionary comparison, which is
 what turns commutator identities into decidable checks.  Coefficients are
@@ -162,91 +162,8 @@ class OperatorExpr:
         return OperatorExpr._wrap({t: c * factor for t, c in self.terms.items()})
 
     def compose(self, other: "OperatorExpr", cap: int = DEGREE_CAP) -> "OperatorExpr":
-        """Operator product, normal-ordered by Wick's theorem on mode bitmasks.
-
-        Canonical monomials ``C1 A1`` and ``C2 A2`` (sets of modes) multiply
-        to a sum over contraction sets ``S`` of ``A1 & C2``.  A term is zero
-        when ``C1`` meets ``C2 - S`` or ``A1 - S`` meets ``A2``, so ``S``
-        holds every mode ``C1`` shares with ``C2`` and ``A1`` with ``A2``.
-        The term ``(C1 | C2 - S) (A1 - S | A2)`` has the sign (-1)**p, p the
-        sum of
-
-        * sum over s in S of #{x in A1 - S: x > s} + #{y in C2: y < s},
-        * |A1 - S| * |C2 - S|,
-        * sum over y in C2 - S of #{c in C1: c > y},
-        * sum over x in A1 - S of #{a in A2: a < x},
-
-        each a count of pairs that ``_above`` turns into a parity.  When one
-        factor's coefficients are all ``Fraction``s and the other's
-        int/``Fraction``, every product term is a ``Fraction``, summed as an
-        integer numerator over the product of the two common denominators.
-        Other coefficients are summed themselves, pairs of terms in
-        canonical order; a pair yields each product term at most once, so
-        the sums run as in ``from_monomials`` of the ``t1 + t2`` products.
-        """
-        sides = [list(self.terms), list(other.terms)]
-        degree = next((d1 + d2 for d1, d2 in itertools.product(
-            *(sorted(set(map(len, side))) for side in sides)) if d1 + d2 > cap), None)
-        if degree is not None:
-            raise DegreeCapError(f"monomial degree {degree} exceeds cap {cap}")
-        values = [list(self.terms.values()), list(other.terms.values())]
-        exact = [_numerators(v) for v in values]
-        den = None
-        if None not in exact and any(
-                all(isinstance(c, Fraction) for c in v) for v in values):
-            (values[0], den1), (values[1], den2) = exact
-            den = den1 * den2
-        else:  # the values themselves, summed in canonical pair order
-            for i, expr in enumerate((self, other)):
-                items = expr._sorted_items()
-                sides[i], values[i] = [t for t, _ in items], [c for _, c in items]
-        width = 1 + max((m for side in sides for t in side for _, m in t), default=0)
-        top = (1 << width) - 1
-        above = [top ^ ((2 << m) - 1) for m in range(width)]
-        right = [(*_masks(t, above), v) for t, v in zip(sides[1], values[1])]
-
-        out: dict[int, object] = {}
-        for t1, v1 in zip(sides[0], values[0]):
-            cm1, am1, _, _ = _masks(t1, above)
-            for cm2, am2, cup2, aup2, v2 in right:
-                free = am1 & cm2
-                must = (cm1 & cm2) | (am1 & am2)
-                if must & ~free:
-                    continue
-                free ^= must
-                value = v1 * v2
-                sub = free
-                while True:
-                    s = must | sub
-                    a1, c2 = am1 ^ s, cm2 ^ s
-                    sup = _above(s, above) if s else 0
-                    p = (((a1 & (sup ^ aup2)) ^ (s & cup2) ^ (cm1 & (cup2 ^ sup)))
-                         .bit_count() + a1.bit_count() * c2.bit_count())
-                    key = (cm1 | c2) << width | a1 | am2
-                    cur = out.get(key, 0) + (-value if p & 1 else value)
-                    if cur == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = cur
-                    if not sub:
-                        break
-                    sub = (sub - 1) & free
-
-        # the factor tuples and Fractions of the product, each built once
-        factor = {kind: [(kind, m) for m in range(width)] for kind in (CREATE, ANNIHILATE)}
-        parts: dict[tuple[str, int], Term] = {}
-        as_fraction: dict[int, Fraction] = {}
-        terms: dict[Term, object] = {}
-        for key, value in out.items():
-            for kind, mask in ((CREATE, key >> width), (ANNIHILATE, key & top)):
-                if (kind, mask) not in parts:
-                    parts[kind, mask] = tuple(factor[kind][m] for m in _modes(mask))
-            if den is not None:
-                if value not in as_fraction:
-                    as_fraction[value] = Fraction(value, den)
-                value = as_fraction[value]
-            terms[parts[CREATE, key >> width] + parts[ANNIHILATE, key & top]] = value
-        return OperatorExpr._wrap(terms)
+        """Operator product, normal-ordered by Wick's theorem (``_products``)."""
+        return _products(self, other, cap, commute=False)
 
     def dagger(self) -> "OperatorExpr":
         out: dict[Term, object] = {}
@@ -363,8 +280,121 @@ def _conj(x):
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr, cap: int = DEGREE_CAP) -> OperatorExpr:
-    """Normal-ordered AB - BA."""
-    return a.compose(b, cap) - b.compose(a, cap)
+    """Normal-ordered AB - BA, equal to ``a.compose(b, cap) - b.compose(a, cap)``
+    in value and type, summed in one pass of ``_products``."""
+    return _products(a, b, cap, commute=True)
+
+
+def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> OperatorExpr:
+    """``AB``, or ``AB - BA`` when ``commute``, normal-ordered by Wick's theorem.
+
+    Canonical monomials ``C1 A1`` and ``C2 A2`` (sets of modes) multiply to
+    a sum over contraction sets ``S`` of ``A1 & C2`` (``_wick_sum``).  When
+    one operand's coefficients are all ``Fraction``s and the other's
+    int/``Fraction``, every product term is a ``Fraction``: both orders are
+    summed as integer numerators over the product of the two common
+    denominators into one map, ``BA`` with the numerators of ``B`` negated,
+    and only the terms that survive get factor tuples and ``Fraction``s.
+    Other coefficients are summed themselves, pairs of terms in canonical
+    order; a pair yields each product term at most once, so the sums run as
+    in ``from_monomials`` of the ``t1 + t2`` products, and the commutator is
+    the two products' difference by ``OperatorExpr.__sub__``.
+    """
+    exprs = (a, b)
+    sides = [list(x.terms) for x in exprs]
+    degree = next((d1 + d2 for d1, d2 in itertools.product(
+        *(sorted(set(map(len, side))) for side in sides)) if d1 + d2 > cap), None)
+    if degree is not None:
+        raise DegreeCapError(f"monomial degree {degree} exceeds cap {cap}")
+    values = [list(x.terms.values()) for x in exprs]
+    exact = [_numerators(v) for v in values]
+    den = None
+    if None not in exact and any(all(isinstance(c, Fraction) for c in v) for v in values):
+        (values[0], den1), (values[1], den2) = exact
+        den = den1 * den2
+    else:  # the values themselves, summed in canonical pair order
+        for i, x in enumerate(exprs):
+            items = x._sorted_items()
+            sides[i], values[i] = [t for t, _ in items], [c for _, c in items]
+    width = 1 + max((m for side in sides for t in side for _, m in t), default=0)
+    top = (1 << width) - 1
+    above = [top ^ ((2 << m) - 1) for m in range(width)]
+    ops_a, ops_b = ([(*_masks(t, above), v) for t, v in zip(side, vals)]
+                    for side, vals in zip(sides, values))
+
+    # the factor tuples and Fractions of the result, each built once
+    factor = {kind: [(kind, m) for m in range(width)] for kind in (CREATE, ANNIHILATE)}
+    parts: dict[tuple[str, int], Term] = {}
+    as_fraction: dict[int, Fraction] = {}
+
+    def expr(out: dict[int, object]) -> OperatorExpr:
+        terms: dict[Term, object] = {}
+        for key, value in out.items():
+            for kind, mask in ((CREATE, key >> width), (ANNIHILATE, key & top)):
+                if (kind, mask) not in parts:
+                    parts[kind, mask] = tuple(factor[kind][m] for m in _modes(mask))
+            if den is not None:
+                if value not in as_fraction:
+                    as_fraction[value] = Fraction(value, den)
+                value = as_fraction[value]
+            terms[parts[CREATE, key >> width] + parts[ANNIHILATE, key & top]] = value
+        return OperatorExpr._wrap(terms)
+
+    out: dict[int, object] = {}
+    _wick_sum(ops_a, ops_b, width, above, out)
+    if not commute:
+        return expr(out)
+    if den is None:
+        ba: dict[int, object] = {}
+        _wick_sum(ops_b, ops_a, width, above, ba)
+        return expr(out) - expr(ba)
+    _wick_sum([(*op[:4], -op[4]) for op in ops_b], ops_a, width, above, out)
+    return expr(out)
+
+
+def _wick_sum(left: list[tuple], right: list[tuple], width: int, above: list[int],
+              out: dict[int, object]) -> None:
+    """Add the product ``left * right`` of two operands given as ``_masks``
+    tuples with their values into ``out``, keyed ``C << width | A``.
+
+    A pair of terms contributes a term for each contraction set ``S`` of
+    ``A1 & C2``.  A term is zero when ``C1`` meets ``C2 - S`` or ``A1 - S``
+    meets ``A2``, so ``S`` holds every mode ``C1`` shares with ``C2`` and
+    ``A1`` with ``A2``.  The term ``(C1 | C2 - S) (A1 - S | A2)`` has the
+    sign (-1)**p, p the sum of
+
+    * sum over s in S of #{x in A1 - S: x > s} + #{y in C2: y < s},
+    * |A1 - S| * |C2 - S|,
+    * sum over y in C2 - S of #{c in C1: c > y},
+    * sum over x in A1 - S of #{a in A2: a < x},
+
+    each a count of pairs that ``_above`` turns into a parity.  A sum that
+    reaches zero leaves ``out``, as in ``from_monomials``.
+    """
+    for cm1, am1, _, _, v1 in left:
+        for cm2, am2, cup2, aup2, v2 in right:
+            free = am1 & cm2
+            must = (cm1 & cm2) | (am1 & am2)
+            if must & ~free:
+                continue
+            free ^= must
+            value = v1 * v2
+            sub = free
+            while True:
+                s = must | sub
+                a1, c2 = am1 ^ s, cm2 ^ s
+                sup = _above(s, above) if s else 0
+                p = (((a1 & (sup ^ aup2)) ^ (s & cup2) ^ (cm1 & (cup2 ^ sup)))
+                     .bit_count() + a1.bit_count() * c2.bit_count())
+                key = (cm1 | c2) << width | a1 | am2
+                cur = out.get(key, 0) + (-value if p & 1 else value)
+                if cur == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = cur
+                if not sub:
+                    break
+                sub = (sub - 1) & free
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,11 @@ BAD_FLAGS = {
     "delta above kf": ["continuum", "--kf", "1", "--delta", "2", "--sizes", "8"],
     "zero dispersion scale": ["continuum", "--kf", "1", "--delta", "0.1",
                               "--sizes", "8", "--c", "0"],
+    # minimal has 4 table modes: sectors 0..4
+    "sector below 0": ["spectrum", "--config", "minimal", "--g=-1", "--sector=-1"],
+    "sector above the table modes": ["spectrum", "--config", "minimal", "--g=-1",
+                                     "--sector", "5"],
+    "empty coupling list": ["scan", "--config", "minimal", "--g-list", ""],
 }
 
 
@@ -171,6 +176,15 @@ def test_bad_command_line_value_exits_2_with_one_line(tmp_path, capsys, argv):
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sector", [0, 4])
+def test_spectrum_accepts_the_sector_bounds(tmp_path, sector):
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", "minimal", "--g=-1", "--sector", str(sector),
+                 "--out", str(out)]) == EXIT_OK
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[2] == "1"  # one state
 
 
 def test_oversized_continuum_grid_exits_3_before_allocating(tmp_path, capsys):

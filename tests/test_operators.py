@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darkpair import formfactors
 from darkpair.fock import StateVector, bitstring_to_occ, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import (
@@ -180,6 +181,11 @@ COMPOSE_COEFFS = {
     "int": st.integers(-3, 3).filter(bool),
     "fraction": st.fractions(-3, 3, max_denominator=4).filter(bool),
     "complex": st.builds(complex, st.integers(-3, 3), st.integers(1, 3)),
+    # inexact values: the order of every sum shows in the rounded bits
+    "float": st.one_of(st.sampled_from([0.1, -0.3, 3.0, 2.0 ** -54]),
+                       st.floats(-3, 3).filter(bool)),
+    "inexact complex": st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                          allow_infinity=False).filter(bool),
 }
 MODE_POOLS = [range(5), range(62, 67), (0, 3, 63, 64, 100, 130), range(60, 80)]
 
@@ -214,6 +220,85 @@ def test_compose_equals_normal_ordered_products(data):
     assert ({t: (type(c), repr(c)) for t, c in got.terms.items()}
             == {t: (type(c), repr(c)) for t, c in
                 OperatorExpr.from_monomials(products, cap).terms.items()})
+
+
+def typed(expr: OperatorExpr) -> dict:
+    """The term map with each coefficient's type and ``repr``: the value
+    bits, signed zeros of complex parts included."""
+    return {t: (type(c), repr(c)) for t, c in expr.terms.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_commutator_equals_both_orders_of_products(data):
+    kinds = data.draw(st.sets(st.sampled_from(sorted(COMPOSE_COEFFS)), min_size=1))
+    coeff = st.one_of(*(COMPOSE_COEFFS[k] for k in sorted(kinds)))
+    pool = data.draw(st.sampled_from(MODE_POOLS))
+    degree = data.draw(st.sampled_from([2, 4, 9]))
+    a = data.draw(compose_operands(coeff, pool, degree))
+    b = data.draw(compose_operands(coeff, pool, degree))
+    cap = data.draw(st.integers(0, 2 * degree))
+    ab = [(c1 * c2, t1 + t2) for t1, c1 in a._sorted_items()
+          for t2, c2 in b._sorted_items()]
+    ba = [(c2 * c1, t2 + t1) for t2, c2 in b._sorted_items()
+          for t1, c1 in a._sorted_items()]
+    if any(len(t) > cap for _, t in ab):
+        with pytest.raises(DegreeCapError) as got:
+            commutator(a, b, cap)
+        with pytest.raises(DegreeCapError) as want:
+            a.compose(b, cap)
+        assert str(got.value) == str(want.value)
+        return
+    got = typed(commutator(a, b, cap))
+    assert got == typed(OperatorExpr.from_monomials(ab, cap)
+                        - OperatorExpr.from_monomials(ba, cap))
+    assert got == typed(a.compose(b, cap) - b.compose(a, cap))
+
+
+@pytest.mark.parametrize("coeff", [Fraction(2, 3), 2, 1.5 - 0.5j])
+def test_commutator_of_an_operator_with_itself_is_empty(coeff):
+    x = OperatorExpr.from_monomials([(coeff, (C(0), C(3), A(1))),
+                                     (coeff * 3, (C(2), A(0))), (coeff, (A(2),))])
+    assert commutator(x, x).terms == {}
+
+
+@pytest.mark.parametrize("coeff", [Fraction(2, 3), 2, 1.5 - 0.5j])
+def test_commutator_drops_a_term_both_orders_cancel(coeff):
+    # [n0, a+_0 a_1 + n2] = a+_0 a_1: the n0 n2 term of both products cancels
+    n0 = OperatorExpr.from_monomial(coeff, (C(0), A(0)))
+    b = OperatorExpr.from_monomials([(coeff, (C(0), A(1))), (coeff, (C(2), A(2)))])
+    both = (C(0), C(2), A(0), A(2))
+    assert both in n0.compose(b).terms and both in b.compose(n0).terms
+    got = commutator(n0, b)
+    assert got.terms == {(C(0), A(1)): coeff * coeff}
+    assert typed(got) == typed(n0.compose(b) - b.compose(n0))
+
+
+def test_commutator_sums_inexact_products_apart():
+    # the (c2 a0 a1 a2) term is 3 * 2**-54 from AB minus two products of BA;
+    # summing those two first rounds differently from subtracting each
+    a = OperatorExpr.from_monomials([(0.1, (C(0),)), (2.0 ** -54, (A(2), C(2))),
+                                     (0.1, (A(1),))])
+    b = OperatorExpr.from_monomials([(3.0, (A(0), A(1))),
+                                     (2.0 ** -54, (A(0), C(2), A(2)))])
+    assert typed(commutator(a, b)) == typed(a.compose(b) - b.compose(a))
+
+
+def test_pair_commutator_on_the_40_mode_shell():
+    """[W, pair(k, lam)] on the |n|^2 in {2, 3} shell with random weights:
+    the one-pass commutator equals the difference of the two products and
+    the closed form."""
+    table = build_mode_table(LatticeConfig(kf=1.575, delta=0.17, frozen_core=True))
+    assert table.n_modes == 40
+    g = Fraction(-1)
+    weight, _ = formfactors.from_spec(table, "random:102", 0)
+    w = build_w(table, g, weight)
+    k = table.shell_plus[0]
+    for lam in (Fraction(0), Fraction(7, 3)):
+        pair = build_pair(table, k, lam)
+        got = commutator(w, pair)
+        assert typed(got) == typed(w.compose(pair) - pair.compose(w))
+        assert got == pair_commutator_rhs(table, k, lam, g, weight)
 
 
 def sympy_normal_order(monomials) -> dict:
