@@ -75,9 +75,11 @@ def _object(value, what: str, keys) -> dict:
     return value
 
 
-def _list(value, what: str) -> list:
+def _list(value, what: str, nonempty: bool = False) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{what} must be a list, got {value!r}")
+    if nonempty and not value:
+        raise ConfigError(f"{what} is empty; give at least one value")
     return value
 
 
@@ -127,8 +129,8 @@ def load_config(path: str | Path) -> dict:
     caps = _object(raw.get("caps", {}), "the caps section", CAPS_KEYS)
     if not isinstance(raw.get("output_dir", "out"), str):
         raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
-    couplings = _list(raw.get("couplings", [-1, -0.5, 0.5, 1]), "couplings")
-    lambdas = _list(raw.get("lambda_values", [-1, 0, 1, 2, "7/3"]), "lambda_values")
+    couplings = _list(raw.get("couplings", [-1, -0.5, 0.5, 1]), "couplings", True)
+    lambdas = _list(raw.get("lambda_values", [-1, 0, 1, 2, "7/3"]), "lambda_values", True)
     cfg = {
         "lattice": config,
         "table": table,

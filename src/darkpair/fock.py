@@ -71,7 +71,10 @@ class StateVector:
 
     Amplitudes may be exact (int / Fraction) or floating complex; exact
     zeros are dropped on insertion so that "the residual vanishes" is a
-    statement about an empty map, not about small numbers.
+    statement about an empty map, not about small numbers.  The operator
+    kernels take exact amplitudes only: float amplitudes, such as those of
+    ``states.bcs_state`` or ``from_jsonl``, raise ``TypeError`` in
+    ``operators.apply_operator``.
     """
 
     __slots__ = ("n_modes", "amp")

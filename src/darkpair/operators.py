@@ -14,11 +14,11 @@ with signs tracked exactly; products of canonical operators (``compose``,
 sum over contraction sets per pair of terms.
 
 Canonical form makes operator equality a dictionary comparison, which is
-what turns commutator identities into decidable checks.  Coefficients are
-exact rationals throughout this module, summed as integer numerators over
-a common denominator where that is exact (``compose``, ``apply_operator``,
-``matrix_in_sector``); complex values pass through the arithmetic
-unchanged if a caller supplies them.
+what turns commutator identities into decidable checks.  Every coefficient
+is a ``Fraction`` (the constructors convert ints and reject floats and
+complex values), and every kernel (``compose``, ``commutator``,
+``apply_operator``, ``matrix_in_sector``) sums integer numerators over a
+common denominator: int64 while the sums are small, Python ints beyond.
 """
 
 from __future__ import annotations
@@ -93,13 +93,27 @@ def _normal_order_term(coeff, factors: Term, cap: int, out: dict) -> None:
                 out[fac] = cur
 
 
+def _exact(coeff) -> Fraction:
+    """``coeff`` as a ``Fraction``: an int is converted, a float or complex
+    value raises ``TypeError``."""
+    if isinstance(coeff, Fraction):
+        return coeff
+    if isinstance(coeff, int):
+        return Fraction(coeff)
+    raise TypeError(
+        f"operator coefficients are exact rationals, not {type(coeff).__name__}"
+    )
+
+
 class OperatorExpr:
-    """Canonical (normal-ordered) term map with exact arithmetic."""
+    """Canonical (normal-ordered) term map with ``Fraction`` coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Term, object] | None = None):
-        self.terms: dict[Term, object] = terms if terms is not None else {}
+        self.terms: dict[Term, Fraction] = {
+            t: _exact(c) for t, c in (terms or {}).items()
+        }
         for factors in self.terms:
             keys = [(kind != CREATE, mode) for kind, mode in factors]
             if keys != sorted(set(keys)):
@@ -118,6 +132,7 @@ class OperatorExpr:
 
     @classmethod
     def identity(cls, coeff=Fraction(1)) -> "OperatorExpr":
+        coeff = _exact(coeff)
         return cls._wrap({(): coeff} if coeff != 0 else {})
 
     @classmethod
@@ -125,6 +140,7 @@ class OperatorExpr:
         cls, coeff, factors: Iterable[Factor], cap: int = DEGREE_CAP
     ) -> "OperatorExpr":
         out: dict[Term, object] = {}
+        coeff = _exact(coeff)
         if coeff != 0:
             _normal_order_term(coeff, tuple(factors), cap, out)
         return cls._wrap(out)
@@ -135,6 +151,7 @@ class OperatorExpr:
     ) -> "OperatorExpr":
         out: dict[Term, object] = {}
         for coeff, factors in monomials:
+            coeff = _exact(coeff)
             if coeff != 0:
                 _normal_order_term(coeff, tuple(factors), cap, out)
         return cls._wrap(out)
@@ -157,6 +174,7 @@ class OperatorExpr:
         return OperatorExpr._wrap({t: -c for t, c in self.terms.items()})
 
     def scaled(self, factor) -> "OperatorExpr":
+        factor = _exact(factor)
         if factor == 0:
             return OperatorExpr()
         return OperatorExpr._wrap({t: c * factor for t, c in self.terms.items()})
@@ -171,7 +189,7 @@ class OperatorExpr:
             flipped = tuple(
                 (CREATE if k == ANNIHILATE else ANNIHILATE, m) for k, m in reversed(t)
             )
-            _normal_order_term(_conj(c), flipped, max(DEGREE_CAP, len(t)), out)
+            _normal_order_term(c, flipped, max(DEGREE_CAP, len(t)), out)
         return OperatorExpr._wrap(out)
 
     # -- queries --------------------------------------------------------
@@ -205,9 +223,6 @@ class OperatorExpr:
     def to_json(self) -> str:
         rows = []
         for t, c in self._sorted_items():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError("operator dump requires exact rational coefficients")
-            c = Fraction(c)
             rows.append(
                 {
                     "coeff_num": c.numerator,
@@ -275,13 +290,9 @@ def _masks(factors: Term, above: list[int]) -> tuple[int, int, int, int]:
     return cm, am, cup, aup
 
 
-def _conj(x):
-    return x.conjugate() if isinstance(x, complex) else x
-
-
 def commutator(a: OperatorExpr, b: OperatorExpr, cap: int = DEGREE_CAP) -> OperatorExpr:
-    """Normal-ordered AB - BA, equal to ``a.compose(b, cap) - b.compose(a, cap)``
-    in value and type, summed in one pass of ``_products``."""
+    """Normal-ordered AB - BA, equal to ``a.compose(b, cap) - b.compose(a, cap)``,
+    summed in one pass of ``_products``."""
     return _products(a, b, cap, commute=True)
 
 
@@ -289,73 +300,50 @@ def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> Oper
     """``AB``, or ``AB - BA`` when ``commute``, normal-ordered by Wick's theorem.
 
     Canonical monomials ``C1 A1`` and ``C2 A2`` (sets of modes) multiply to
-    a sum over contraction sets ``S`` of ``A1 & C2`` (``_wick_sum``).  When
-    one operand's coefficients are all ``Fraction``s and the other's
-    int/``Fraction``, every product term is a ``Fraction``: both orders are
-    summed as integer numerators over the product of the two common
-    denominators into one map, ``BA`` with the numerators of ``B`` negated,
-    and only the terms that survive get factor tuples and ``Fraction``s.
-    Other coefficients are summed themselves, pairs of terms in canonical
-    order; a pair yields each product term at most once, so the sums run as
-    in ``from_monomials`` of the ``t1 + t2`` products, and the commutator is
-    the two products' difference by ``OperatorExpr.__sub__``.
+    a sum over contraction sets ``S`` of ``A1 & C2`` (``_wick_sum``).  Both
+    orders are summed as integer numerators over the product of the two
+    common denominators into one map, ``BA`` with the numerators of ``B``
+    negated, and only the terms that survive get factor tuples and
+    ``Fraction``s.
     """
-    exprs = (a, b)
-    sides = [list(x.terms) for x in exprs]
+    sides = [list(x.terms) for x in (a, b)]
     degree = next((d1 + d2 for d1, d2 in itertools.product(
         *(sorted(set(map(len, side))) for side in sides)) if d1 + d2 > cap), None)
     if degree is not None:
         raise DegreeCapError(f"monomial degree {degree} exceeds cap {cap}")
-    values = [list(x.terms.values()) for x in exprs]
-    exact = [_numerators(v) for v in values]
-    den = None
-    if None not in exact and any(all(isinstance(c, Fraction) for c in v) for v in values):
-        (values[0], den1), (values[1], den2) = exact
-        den = den1 * den2
-    else:  # the values themselves, summed in canonical pair order
-        for i, x in enumerate(exprs):
-            items = x._sorted_items()
-            sides[i], values[i] = [t for t, _ in items], [c for _, c in items]
+    (nums_a, den_a), (nums_b, den_b) = (_numerators(list(x.terms.values()))
+                                        for x in (a, b))
+    den = den_a * den_b
     width = 1 + max((m for side in sides for t in side for _, m in t), default=0)
     top = (1 << width) - 1
     above = [top ^ ((2 << m) - 1) for m in range(width)]
-    ops_a, ops_b = ([(*_masks(t, above), v) for t, v in zip(side, vals)]
-                    for side, vals in zip(sides, values))
+    ops_a, ops_b = ([(*_masks(t, above), v) for t, v in zip(side, nums)]
+                    for side, nums in zip(sides, (nums_a, nums_b)))
+
+    out: dict[int, int] = {}
+    _wick_sum(ops_a, ops_b, width, above, out)
+    if commute:
+        _wick_sum([(*op[:4], -op[4]) for op in ops_b], ops_a, width, above, out)
 
     # the factor tuples and Fractions of the result, each built once
     factor = {kind: [(kind, m) for m in range(width)] for kind in (CREATE, ANNIHILATE)}
     parts: dict[tuple[str, int], Term] = {}
     as_fraction: dict[int, Fraction] = {}
-
-    def expr(out: dict[int, object]) -> OperatorExpr:
-        terms: dict[Term, object] = {}
-        for key, value in out.items():
-            for kind, mask in ((CREATE, key >> width), (ANNIHILATE, key & top)):
-                if (kind, mask) not in parts:
-                    parts[kind, mask] = tuple(factor[kind][m] for m in _modes(mask))
-            if den is not None:
-                if value not in as_fraction:
-                    as_fraction[value] = Fraction(value, den)
-                value = as_fraction[value]
-            terms[parts[CREATE, key >> width] + parts[ANNIHILATE, key & top]] = value
-        return OperatorExpr._wrap(terms)
-
-    out: dict[int, object] = {}
-    _wick_sum(ops_a, ops_b, width, above, out)
-    if not commute:
-        return expr(out)
-    if den is None:
-        ba: dict[int, object] = {}
-        _wick_sum(ops_b, ops_a, width, above, ba)
-        return expr(out) - expr(ba)
-    _wick_sum([(*op[:4], -op[4]) for op in ops_b], ops_a, width, above, out)
-    return expr(out)
+    terms: dict[Term, Fraction] = {}
+    for key, value in out.items():
+        for kind, mask in ((CREATE, key >> width), (ANNIHILATE, key & top)):
+            if (kind, mask) not in parts:
+                parts[kind, mask] = tuple(factor[kind][m] for m in _modes(mask))
+        if value not in as_fraction:
+            as_fraction[value] = Fraction(value, den)
+        terms[parts[CREATE, key >> width] + parts[ANNIHILATE, key & top]] = as_fraction[value]
+    return OperatorExpr._wrap(terms)
 
 
 def _wick_sum(left: list[tuple], right: list[tuple], width: int, above: list[int],
-              out: dict[int, object]) -> None:
+              out: dict[int, int]) -> None:
     """Add the product ``left * right`` of two operands given as ``_masks``
-    tuples with their values into ``out``, keyed ``C << width | A``.
+    tuples with their numerators into ``out``, keyed ``C << width | A``.
 
     A pair of terms contributes a term for each contraction set ``S`` of
     ``A1 & C2``.  A term is zero when ``C1`` meets ``C2 - S`` or ``A1 - S``
@@ -443,34 +431,27 @@ def _fire(term: tuple, occs):
     return at, mid | cmask, (odd & np.uint64(1)).astype(bool)
 
 
-def _numerators(values: list) -> tuple[list[int], int] | None:
+def _numerators(values: list) -> tuple[list[int], int]:
     """Integer numerators of int/``Fraction`` ``values`` over their common
-    denominator, and that denominator; None if a value is neither."""
+    denominator, and that denominator; ``TypeError`` if a value is neither."""
     if not all(isinstance(v, (int, Fraction)) for v in values):
-        return None
+        raise TypeError("operator kernels take int or Fraction values only")
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _state_values(coeffs: list, amps: list) -> tuple[np.ndarray, np.ndarray, int | None]:
+def _state_values(coeffs: list, amps: list) -> tuple[np.ndarray, np.ndarray, int]:
     """``(signed, amps, den)``: what ``apply_operator`` multiplies.
 
-    ``signed[2 * t + odd]`` is term t's coefficient with its sign.  When
-    coefficients and amplitudes are all int/``Fraction`` both arrays hold
-    integer numerators, over ``den`` together: int64 while the sum of
-    ``|coefficient| * |amplitude|`` numerators stays below 2**53, as in
-    ``_term_values``, Python ints (object dtype) beyond.  Otherwise they
-    hold the values themselves (object dtype, ``den`` None); (-c) * a is
-    c * a * -1 up to the sign of a zero, which the sum from 0 drops.
+    ``signed[2 * t + odd]`` is term t's coefficient with its sign.  Both
+    arrays hold integer numerators, over ``den`` together: int64 while the
+    sum of ``|coefficient| * |amplitude|`` numerators stays below 2**53, as
+    in ``_term_values``, Python ints (object dtype) beyond.
     """
-    cnum, anum = _numerators(coeffs), _numerators(amps)
-    if cnum is None or anum is None:
-        den, dtype = None, object
-    else:
-        (coeffs, cden), (amps, aden) = cnum, anum
-        den = cden * aden
-        wide = sum(map(abs, coeffs)) * sum(map(abs, amps)) >= 1 << 53
-        dtype = object if wide else np.int64
+    (coeffs, cden), (amps, aden) = _numerators(coeffs), _numerators(amps)
+    den = cden * aden
+    wide = sum(map(abs, coeffs)) * sum(map(abs, amps)) >= 1 << 53
+    dtype = object if wide else np.int64
     signed = np.array([s for c in coeffs for s in (c, -c)], dtype=dtype)
     return signed, np.array(amps, dtype=dtype), den
 
@@ -479,16 +460,15 @@ def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     """Exact linear action; factors applied right-to-left.
 
     Every term goes through ``_fire`` over all input states at once, and
-    the contributions are grouped by the state they yield.  int/``Fraction``
-    values are summed as integer numerators (``_state_values``) and divided
-    once; an entry is a ``Fraction`` exactly when one of its contributions
-    has a ``Fraction`` coefficient or amplitude, an int otherwise.  Other
-    values are summed per entry from 0 in a fixed order, input states
-    ascending and then terms in canonical order, so the result is
-    reproducible bit for bit regardless of construction order.
+    the contributions are grouped by the state they yield.  Amplitudes must
+    be int or ``Fraction`` (``TypeError`` otherwise); contributions are
+    summed as integer numerators (``_state_values``) and divided once, so
+    every entry is a ``Fraction``.
     """
     compiled = _compile(expr, vec.n_modes)
     occs = sorted(vec.amp)
+    signed, amp, den = _state_values([term[-1] for term in compiled],
+                                     [vec.amp[occ] for occ in occs])
     packed = np.array(occs, dtype=np.uint64)
     fired = [_fire(term, packed) for term in compiled]
     counts = [len(f[0]) for f in fired]
@@ -497,28 +477,15 @@ def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     at, res, odd = map(np.concatenate, zip(*fired))
     del fired  # the contributions are held once, not twice
     which = np.repeat(np.arange(0, 2 * len(compiled), 2), counts) + odd
-    order = np.lexsort((which, at, res))  # by image, then state, then term
+    order = np.argsort(res)  # by image: integer sums are exact in any order
     at, res, which = at[order], res[order], which[order]
     del order
-    new = np.concatenate(([True], res[1:] != res[:-1]))
-    first = np.flatnonzero(new)
-    coeffs = [term[-1] for term in compiled]
-    amps = [vec.amp[occ] for occ in occs]
-    signed, amp, den = _state_values(coeffs, amps)
-    contrib = signed[which] * amp[at]
-    if den is None:  # each image's sum starts from 0, as a dict's would
-        padded = np.zeros(len(contrib) + len(first), dtype=object)
-        padded[np.arange(len(contrib)) + np.cumsum(new)] = contrib
-        sums = np.add.reduceat(padded, first + np.arange(len(first)))
-        return StateVector(vec.n_modes, dict(zip(res[first].tolist(), sums.tolist())))
-    fracs = (np.array([isinstance(c, Fraction) for c in coeffs])[which >> 1]
-             | np.array([isinstance(a, Fraction) for a in amps])[at])
-    sums = np.add.reduceat(contrib, first)
-    fracs = np.logical_or.reduceat(fracs, first)
+    first = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
+    sums = np.add.reduceat(signed[which] * amp[at], first)
     keep = np.flatnonzero(sums != 0)
     out = StateVector(vec.n_modes)
-    out.amp = {occ: Fraction(n, den) if frac else n // den for occ, n, frac in
-               zip(res[first[keep]].tolist(), sums[keep].tolist(), fracs[keep].tolist())}
+    out.amp = {occ: Fraction(n, den) for occ, n in
+               zip(res[first[keep]].tolist(), sums[keep].tolist())}
     return out
 
 
@@ -530,20 +497,15 @@ def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
     return diff.norm() / state.norm()
 
 
-def _term_values(compiled: list[tuple]) -> tuple[list, int | None, type]:
-    """``(values, den, dtype)``: what ``matrix_in_sector`` sums per term.
+def _term_values(compiled: list[tuple]) -> tuple[list[int], int, type]:
+    """``(nums, den, dtype)``: what ``matrix_in_sector`` sums per term.
 
-    int/``Fraction`` coefficients become integer numerators over their
-    common denominator ``den``: int64 while ``den`` and the sum of
-    ``|num|`` stay below 2**53, so that every partial sum of one entry is
-    an integer float64 holds exactly, Python ints (object dtype) beyond.
-    Other coefficients are summed themselves (object dtype, ``den`` None).
+    The coefficients become integer numerators over their common
+    denominator ``den``: int64 while ``den`` and the sum of ``|num|`` stay
+    below 2**53, so that every partial sum of one entry is an integer
+    float64 holds exactly, Python ints (object dtype) beyond.
     """
-    coeffs = [term[-1] for term in compiled]
-    exact = _numerators(coeffs)
-    if exact is None:
-        return coeffs, None, object
-    nums, den = exact
+    nums, den = _numerators([term[-1] for term in compiled])
     if max(den, sum(map(abs, nums))) >= 1 << 53:
         return nums, den, object
     return nums, den, np.int64
@@ -554,8 +516,8 @@ def _sector_entries(compiled: list[tuple], values: list, dtype, occs):
 
     ``occs`` is the basis as uint64; one that is not ascending is ranked
     with ``argsort``.  Number-type terms (``cmask == amask``) only touch
-    the diagonal, so they are summed into it first, in term order; every
-    other entry appears once per term that reaches it.
+    the diagonal, so they are summed into it first; every other entry
+    appears once per term that reaches it.
     """
     rank = np.argsort(occs, kind="stable") if np.any(occs[1:] <= occs[:-1]) else None
     ordered = occs if rank is None else occs[rank]
@@ -592,12 +554,10 @@ def matrix_in_sector(
     conserve particle number, otherwise weight would leak out of the
     block and the matrix would misrepresent the operator.
 
-    Every term goes through ``_fire`` over all columns at once; only the
-    values summed depend on the coefficients (``_term_values``).
-    int/``Fraction`` coefficients are summed as integer numerators over
-    their common denominator and divided once, so each entry is the exact
-    rational entry correctly rounded, with a +0.0 imaginary part.  Other
-    coefficients are summed per entry in term order, starting from 0.
+    Every term goes through ``_fire`` over all columns at once, and the
+    coefficients are summed as integer numerators over their common
+    denominator (``_term_values``) and divided once, so each entry is the
+    exact rational entry correctly rounded, with a +0.0 imaginary part.
     Sparse matrices are canonical CSR and keep entries whose terms cancel
     as explicit zeros.
     """
@@ -614,28 +574,17 @@ def matrix_in_sector(
     values, den, dtype = _term_values(compiled)
     rows, cols, vals = _sector_entries(compiled, values, dtype,
                                        np.array(basis, dtype=np.uint64))
-    if dtype is object:  # each distinct entry summed in term order from 0
-        keys = np.concatenate(rows).astype(np.int64) * dim + np.concatenate(cols)
-        keys, slot = np.unique(keys, return_inverse=True)
-        sums = np.zeros(len(keys), dtype=object)
-        for part, end in zip(vals, np.cumsum([len(part) for part in vals])):
-            sums[slot[end - len(part):end]] += part
-        rows, cols = keys // dim, keys % dim
-        data = np.array([complex(x) if den is None else x / den for x in sums],
-                        dtype=np.complex128)
-        if sparse:
-            from scipy.sparse import csr_matrix
-
-            return csr_matrix((data, (rows, cols)), shape=(dim, dim))
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[rows, cols] = data
-        return mat
-
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    if dtype is object:  # each distinct entry's Python-int sum, divided here
+        keys, slot = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
+        sums = np.zeros(len(keys), dtype=object)
+        np.add.at(sums, slot, vals)
+        rows, cols = keys // dim, keys % dim
+        vals, den = np.array([x / den for x in sums], dtype=np.float64), 1
     if sparse:
         from scipy.sparse import csr_matrix
 
-        # COO -> CSR sums the duplicates in int64: exact, in any order
+        # COO -> CSR sums the int64 duplicates: exact, in any order
         mat = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
         del rows, cols, vals
         data = np.zeros(mat.nnz, dtype=np.complex128)

@@ -20,7 +20,6 @@ from .fock import BASIS_CAP, StateVector, sector_basis
 from .lattice import ModeTable
 from .operators import (
     OperatorExpr,
-    apply_operator,
     build_h0,
     build_w,
     eigen_residual,
@@ -157,11 +156,13 @@ def nc_in_spectrum(
 
 
 def rayleigh_quotient(h: OperatorExpr, state: StateVector) -> float:
-    image = apply_operator(h, state)
-    num = state.inner(image)
-    den = state.norm2()
-    value = complex(num).real / float(den)
-    return value
+    """<psi|H|psi> / <psi|psi>, with H's exact matrix on the occupations
+    the state holds, so float amplitudes (``bcs_state``) need no exact
+    kernel."""
+    occs = sorted(state.amp)
+    mat = matrix_in_sector(h, occs, state.n_modes, sparse=True)
+    psi = np.array([state.amp[occ] for occ in occs], dtype=np.complex128)
+    return float((np.vdot(psi, mat @ psi) / np.vdot(psi, psi)).real)
 
 
 def pair_energy_form(

@@ -11,11 +11,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .fock import StateVector, mode_bit
 from .lattice import SPIN_DOWN, SPIN_UP, EmptyShellError, IVec, ModeTable
 from .operators import (
     CREATE,
     OperatorExpr,
+    _compile,
+    _fire,
     apply_operator,
     build_gamma,
 )
@@ -91,18 +95,28 @@ def bcs_state(table: ModeTable, coeffs: PairCoefficients) -> StateVector:
     """Variational product state Prod_{k in shell} (u_k + v_k a+_up,k a+_dn,pk).
 
     The product runs over the full shell (both hemispheres), mixing
-    particle-number sectors.
+    particle-number sectors.  The coefficients may be floats, which the
+    exact operator kernels do not take: each pair creator is compiled once
+    and fired with ``_fire`` over the current occupations, its sign taken
+    from the canonical term's coefficient.
     """
     validate_pair_coefficients(table, coeffs)
     state = phi_core(table)
     for k in table.shell_all:
         u, v = coeffs[tuple(k)]
-        pk = table.partner(k)
-        factor = OperatorExpr.identity(u) + OperatorExpr.from_monomials(
-            [(v, ((CREATE, table.mode_index(SPIN_UP, k)),
-                  (CREATE, table.mode_index(SPIN_DOWN, pk))))]
-        )
-        state = apply_operator(factor, state)
+        up, dn = table.mode_index(SPIN_UP, k), table.mode_index(SPIN_DOWN, table.partner(k))
+        (term,) = _compile(OperatorExpr.from_monomial(1, ((CREATE, up), (CREATE, dn))),
+                           table.n_modes)
+        occs = sorted(state.amp)
+        amps = [state.amp[occ] for occ in occs]
+        at, res, odd = _fire(term, np.array(occs, dtype=np.uint64))
+        odd ^= term[-1] < 0
+        out = StateVector(table.n_modes)
+        for occ, a in zip(occs, amps):
+            out.add_term(occ, u * a)
+        for i, occ, flip in zip(at.tolist(), res.tolist(), odd.tolist()):
+            out.add_term(occ, -v * amps[i] if flip else v * amps[i])
+        state = out
     return state
 
 

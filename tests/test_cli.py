@@ -121,6 +121,8 @@ MALFORMED = {
     "lattice not an object": {"lattice": 5},
     "caps not an object": {"caps": 5},
     "couplings not a list": {"couplings": 5},
+    "couplings empty": {"couplings": []},
+    "lambda values empty": {"lambda_values": []},
     "shell points not a list": {"lattice": {"shell_points": 5}},
     "unknown top-level key": {"coupling": [-1]},
     "unknown lattice key": {"lattice": {"frozen-core": False}},
@@ -142,6 +144,15 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, overrides):
     assert code == EXIT_CONFIG
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["couplings", "lambda_values"])
+def test_scan_with_an_empty_list_writes_nothing(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, **{key: []})
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_unknown_key_is_named(tmp_path, capsys):

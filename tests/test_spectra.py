@@ -9,7 +9,7 @@ import pytest
 from darkpair.cli import bundled_config_path, load_config, write_csv
 from darkpair.fock import sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
-from darkpair.operators import matrix_in_sector
+from darkpair.operators import apply_operator, matrix_in_sector
 from darkpair.spectra import (
     SCAN_FIELDS,
     bcs_variational_energy,
@@ -22,7 +22,7 @@ from darkpair.spectra import (
     scan_g,
     spectrum_rows,
 )
-from darkpair.states import bcs_state, fermi_state, nc_energy
+from darkpair.states import bcs_state, fermi_state, nc_energy, nc_state
 
 
 def test_free_spectrum_is_degenerate_diagonal(minimal_table):
@@ -117,6 +117,20 @@ def test_rayleigh_quotient_of_fermi_state(minimal_table):
     value = rayleigh_quotient(h, full)
     # 4 particles at eps=1 plus the four diagonal pairing terms at g=-1
     assert math.isclose(value, 4.0 - 2.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["minimal", "twopair", "threepair_core", "boosted",
+                                  "broken_formfactor"])
+def test_rayleigh_quotient_equals_exact_expectation(name):
+    """The sector-matrix quotient against <psi|H|psi> / <psi|psi> summed
+    exactly by the operator kernel, on the paired and Fermi states."""
+    cfg = load_config(bundled_config_path(name))
+    table = build_mode_table(cfg["lattice"])
+    for g in cfg["couplings"]:
+        h = build_hamiltonian(table, g, cfg["formfactor"], cfg["seed"])
+        for state in (nc_state(table), fermi_state(table)):
+            want = float(state.inner(apply_operator(h, state)) / state.norm2())
+            assert rayleigh_quotient(h, state) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_variational_free_limit(minimal_table):

@@ -7,8 +7,10 @@ import pytest
 
 from darkpair.fock import StateVector, bitstring_to_occ
 from darkpair.formfactors import random_symmetric
-from darkpair.lattice import LatticeConfig, build_mode_table
+from darkpair.lattice import SPIN_DOWN, SPIN_UP, LatticeConfig, build_mode_table
 from darkpair.operators import (
+    CREATE,
+    OperatorExpr,
     apply_operator,
     build_h0,
     build_momentum_op,
@@ -206,6 +208,31 @@ def test_bcs_equal_mixture_signs(minimal_table):
     assert math.isclose(state.amp[B("0110")], -half)
     assert math.isclose(state.amp[B("1111")], -half)
     assert {occ.bit_count() for occ in state.amp} == {0, 2, 4}
+
+
+EXACT_PAIR_COEFFS = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)),
+                     (Fraction(5, 13), Fraction(-12, 13))]
+
+
+@pytest.mark.parametrize("table_name", ["minimal_table", "twopair_table"])
+def test_bcs_state_equals_exact_pair_product(request, table_name):
+    """With exact coefficients the pair product is the exact
+    Prod_k (u_k + v_k a+_up,k a+_dn,pk)|core>, built with the operator
+    kernels."""
+    table = request.getfixturevalue(table_name)
+    for shift in range(len(EXACT_PAIR_COEFFS)):
+        coeffs = {k: EXACT_PAIR_COEFFS[(i + shift) % len(EXACT_PAIR_COEFFS)]
+                  for i, k in enumerate(table.shell_all)}
+        want = phi_core(table)
+        for k in table.shell_all:
+            u, v = coeffs[k]
+            pair = OperatorExpr.from_monomial(v, (
+                (CREATE, table.mode_index(SPIN_UP, k)),
+                (CREATE, table.mode_index(SPIN_DOWN, table.partner(k)))))
+            want = apply_operator(OperatorExpr.identity(u) + pair, want)
+        got = bcs_state(table, coeffs)
+        assert got == want
+        assert len(got) == 2 ** len(table.shell_all)
 
 
 def test_bcs_rejects_unnormalized(minimal_table):
