@@ -9,16 +9,7 @@ diagonalization of small particle-number sectors.
 """
 
 from .fock import StateVector, sector_basis
-from .lattice import (
-    INNER,
-    SHELL_MINUS,
-    SHELL_PLUS,
-    SPIN_DOWN,
-    SPIN_UP,
-    LatticeConfig,
-    ModeTable,
-    build_mode_table,
-)
+from .lattice import SPIN_DOWN, SPIN_UP, LatticeConfig, ModeTable, build_mode_table
 from .operators import (
     OperatorExpr,
     apply_operator,

@@ -52,14 +52,22 @@ def _parse(kind, value):
         raise ConfigError(f"cannot interpret {value!r} as {kind.__name__}") from exc
 
 
+def _int(value, what: str) -> int:
+    """``value`` as an int; a JSON boolean or a number with a fractional
+    part is a config error, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return _parse(int, value)
+
+
 def _ivec(value, what: str) -> tuple[int, int, int]:
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{what} must hold 3 integers, got {value!r}")
-    return tuple(_parse(int, x) for x in value)
+    return tuple(_int(x, f"every component of {what}") for x in value)
 
 
 def _seed(value) -> int:
-    seed = _parse(int, value)
+    seed = _int(value, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return seed
@@ -139,8 +147,8 @@ def load_config(path: str | Path) -> dict:
         "formfactor": raw.get("formfactor", "unit"),
         "seed": _seed(raw.get("seed", 0)),
         "output_dir": raw.get("output_dir", "out"),
-        "basis_cap": _parse(int, caps.get("basis", BASIS_CAP)),
-        "dense_cutoff": _parse(int, caps.get("dense", DENSE_CUTOFF)),
+        "basis_cap": _int(caps.get("basis", BASIS_CAP), "caps.basis"),
+        "dense_cutoff": _int(caps.get("dense", DENSE_CUTOFF), "caps.dense"),
     }
     if cfg["basis_cap"] <= 0 or cfg["dense_cutoff"] <= 0:
         raise ConfigError(f"caps must be positive, got {caps!r}")

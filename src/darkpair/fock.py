@@ -14,9 +14,7 @@ the one statement of the bit layout they and the state builders use.
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Iterator
 
 MAX_MODES = 64
 BASIS_CAP = 2_000_000
@@ -31,14 +29,6 @@ class BasisSizeError(ValueError):
 def mode_bit(n_modes: int, i: int) -> int:
     """The bit of mode ``i``: mode 0 is the most significant of ``n_modes``."""
     return 1 << (n_modes - 1 - i)
-
-
-def occ_to_bitstring(n_modes: int, occ: int) -> str:
-    return format(occ, f"0{n_modes}b")
-
-
-def bitstring_to_occ(bits: str) -> int:
-    return int(bits, 2)
 
 
 def sector_basis(n_modes: int, n_particles: int, cap: int = BASIS_CAP) -> list[int]:
@@ -73,7 +63,7 @@ class StateVector:
     zeros are dropped on insertion so that "the residual vanishes" is a
     statement about an empty map, not about small numbers.  The operator
     kernels take exact amplitudes only: float amplitudes, such as those of
-    ``states.bcs_state`` or ``from_jsonl``, raise ``TypeError`` in
+    ``states.bcs_state``, raise ``TypeError`` in
     ``operators.apply_operator``.
     """
 
@@ -103,11 +93,6 @@ class StateVector:
             self.amp.pop(occ, None)
         else:
             self.amp[occ] = cur
-
-    def terms(self) -> Iterator[tuple[int, Scalar]]:
-        """(occ, amplitude) pairs in ascending occupation order."""
-        for occ in sorted(self.amp):
-            yield occ, self.amp[occ]
 
     def __len__(self) -> int:
         return len(self.amp)
@@ -164,44 +149,8 @@ class StateVector:
     def norm(self) -> float:
         return math.sqrt(float(self.norm2()))
 
-    def to_jsonl(self) -> str:
-        lines = []
-        for occ, a in self.terms():
-            ca = complex(a)
-            lines.append(
-                json.dumps(
-                    {
-                        "bitstring": occ_to_bitstring(self.n_modes, occ),
-                        "re": ca.real,
-                        "im": ca.imag,
-                    },
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "StateVector":
-        amp: dict[int, complex] = {}
-        n_modes = None
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            bits = rec["bitstring"]
-            if n_modes is None:
-                n_modes = len(bits)
-            elif n_modes != len(bits):
-                raise ValueError("inconsistent bitstring widths")
-            amp[bitstring_to_occ(bits)] = complex(rec["re"], rec["im"])
-        if n_modes is None:
-            raise ValueError("empty state serialization")
-        out = cls(n_modes)
-        out.amp = amp
-        return out
-
     def __repr__(self) -> str:
         parts = [
-            f"{a!r}|{occ_to_bitstring(self.n_modes, occ)}>" for occ, a in self.terms()
+            f"{self.amp[occ]!r}|{occ:0{self.n_modes}b}>" for occ in sorted(self.amp)
         ]
         return "StateVector(" + " + ".join(parts) + ")" if parts else "StateVector(0)"

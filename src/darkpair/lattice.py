@@ -6,7 +6,7 @@ inner filled region (``|k - K| < kf - delta``), a thin interacting shell
 (``kf - delta <= |k - K| <= kf + delta``), and everything else, where
 ``K`` is an optional drift wavevector the whole construction is centred
 on.  Shell points come in partner pairs ``n <-> 2K - n`` and exactly one
-point of each pair is labelled SHELL_PLUS.
+point of each pair is in the plus hemisphere (``shell_plus``).
 
 All membership decisions compare the integer ``|n - K|^2`` against exact
 rational bounds, so boundary points are never misclassified by floating
@@ -16,7 +16,6 @@ fermionic sign downstream depends on it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -28,11 +27,6 @@ TAU = 2.0 * math.pi
 
 SPIN_UP = 0
 SPIN_DOWN = 1
-SPIN_NAMES = {SPIN_UP: "up", SPIN_DOWN: "down"}
-
-INNER = "inner"
-SHELL_PLUS = "shell+"
-SHELL_MINUS = "shell-"
 
 IVec = tuple[int, int, int]
 
@@ -47,10 +41,6 @@ class EmptyShellError(LatticeError):
 
 class UnpairedModeError(LatticeError):
     """A shell point's partner 2K - n is missing from the shell."""
-
-
-def vneg(n: IVec) -> IVec:
-    return (-n[0], -n[1], -n[2])
 
 
 def vadd(a: IVec, b: IVec) -> IVec:
@@ -166,7 +156,7 @@ class Mode(NamedTuple):
 class ModeTable:
     """Ordered single-particle modes of a lattice plus the frozen-core record.
 
-    Mode order is (partition INNER < SHELL_PLUS < SHELL_MINUS, then
+    Mode order is (inner < shell_plus < shell_minus points, then
     (n_z, n_y, n_x) lexicographic, then spin up < down).  When the core is
     frozen, inner modes are dropped from the table and summarized by
     ``core_particles`` / ``core_energy`` / ``core_momentum``.
@@ -181,13 +171,11 @@ class ModeTable:
     core_energy: Fraction = Fraction(0)
     core_momentum: IVec = (0, 0, 0)
     _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _partition: dict = field(default_factory=dict, repr=False, compare=False)
+    _shell: set = field(default_factory=set, repr=False, compare=False)
 
     def __post_init__(self):
         self._index.update({m: i for i, m in enumerate(self.modes)})
-        for name, points in ((INNER, self.inner_points), (SHELL_PLUS, self.shell_plus),
-                             (SHELL_MINUS, self.shell_minus)):
-            self._partition.update(dict.fromkeys(points, name))
+        self._shell.update(self.shell_plus, self.shell_minus)
 
     @property
     def n_modes(self) -> int:
@@ -205,14 +193,8 @@ class ModeTable:
         k = self.config.boost
         return (2 * k[0] - n[0], 2 * k[1] - n[1], 2 * k[2] - n[2])
 
-    def partition_of(self, n: IVec) -> str:
-        try:
-            return self._partition[tuple(n)]
-        except KeyError:
-            raise KeyError(f"grid point {n} not in table") from None
-
     def is_shell(self, n: IVec) -> bool:
-        return self._partition.get(tuple(n)) in (SHELL_PLUS, SHELL_MINUS)
+        return tuple(n) in self._shell
 
     def epsilon(self, n: IVec) -> Fraction:
         return self.config.epsilon(n)
@@ -228,19 +210,6 @@ class ModeTable:
             f"modes={self.n_modes} frozen={self.config.frozen_core} "
             f"K={self.config.boost}"
         )
-
-    def to_json(self) -> str:
-        rows = []
-        for i, m in enumerate(self.modes):
-            rows.append(
-                {
-                    "index": i,
-                    "spin": SPIN_NAMES[m.spin],
-                    "n": list(m.n),
-                    "partition": self.partition_of(m.n),
-                }
-            )
-        return json.dumps(rows, indent=None, separators=(",", ":"), sort_keys=True)
 
 
 def _band_rows(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:

@@ -24,7 +24,6 @@ common denominator: int64 while the sums are small, Python ints beyond.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -218,32 +217,6 @@ class OperatorExpr:
 
     def is_hermitian(self) -> bool:
         return self == self.dagger()
-
-    # -- serialization ----------------------------------------------------
-    def to_json(self) -> str:
-        rows = []
-        for t, c in self._sorted_items():
-            rows.append(
-                {
-                    "coeff_num": c.numerator,
-                    "coeff_den": c.denominator,
-                    "factors": [[k, m] for k, m in t],
-                }
-            )
-        return json.dumps(rows, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "OperatorExpr":
-        """Parse a dump; terms are normal-ordered on the way in."""
-        rows = json.loads(text)
-        return cls.from_monomials(
-            [
-                (Fraction(rec["coeff_num"], rec["coeff_den"]),
-                 tuple((k, int(m)) for k, m in rec["factors"]))
-                for rec in rows
-            ],
-            cap=max([DEGREE_CAP] + [len(rec["factors"]) for rec in rows]),
-        )
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -514,13 +487,14 @@ def _term_values(compiled: list[tuple]) -> tuple[list[int], int, type]:
 def _sector_entries(compiled: list[tuple], values: list, dtype, occs):
     """Rows, columns and signed values of every term's entries, per term.
 
-    ``occs`` is the basis as uint64; one that is not ascending is ranked
-    with ``argsort``.  Number-type terms (``cmask == amask``) only touch
-    the diagonal, so they are summed into it first; every other entry
-    appears once per term that reaches it.
+    ``occs`` is the basis as uint64, strictly ascending: a basis that is
+    not is rejected with ``ValueError``, not ranked, because each image's
+    row is found by binary search.  Number-type terms (``cmask == amask``)
+    only touch the diagonal, so they are summed into it first; every other
+    entry appears once per term that reaches it.
     """
-    rank = np.argsort(occs, kind="stable") if np.any(occs[1:] <= occs[:-1]) else None
-    ordered = occs if rank is None else occs[rank]
+    if np.any(occs[1:] <= occs[:-1]):
+        raise ValueError("sector basis must be strictly ascending")
     index = np.int32 if len(occs) < 2**31 else np.int64
     diag = np.zeros(len(occs), dtype=dtype)
     on_diag = np.zeros(len(occs), dtype=bool)
@@ -532,10 +506,9 @@ def _sector_entries(compiled: list[tuple], values: list, dtype, occs):
             diag[col] += signs.take(odd.view(np.uint8))
             on_diag[col] = True
             continue
-        row = np.searchsorted(ordered, res)
-        found = ordered.take(row, mode="clip") == res
-        row = row[found]
-        rows.append((row if rank is None else rank[row]).astype(index))
+        row = np.searchsorted(occs, res)
+        found = occs.take(row, mode="clip") == res
+        rows.append(row[found].astype(index))
         cols.append(col[found].astype(index))
         vals.append(signs.take(odd[found].view(np.uint8)))
     where = np.flatnonzero(on_diag).astype(index)
@@ -548,7 +521,8 @@ def matrix_in_sector(
     n_modes: int,
     sparse: bool = False,
 ):
-    """Matrix entries <basis_r | expr | basis_c> on an ordered basis.
+    """Matrix entries <basis_r | expr | basis_c> on a strictly ascending
+    basis, such as ``sector_basis`` output; any other raises ``ValueError``.
 
     When the basis is a fixed particle-number sector the operator must
     conserve particle number, otherwise weight would leak out of the

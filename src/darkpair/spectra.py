@@ -45,7 +45,6 @@ class SectorSpectrum:
     dim: int
     method: str
     eigenvalues: np.ndarray  # ascending, absolute (core energy included)
-    eigenvectors: np.ndarray | None = None
 
     @property
     def ground_energy(self) -> float:
@@ -66,14 +65,13 @@ def diagonalize_sector(
     n_lowest: int = 6,
     dense_cutoff: int = DENSE_CUTOFF,
     basis_cap: int = BASIS_CAP,
-    want_vectors: bool = False,
     seed: int = 0,
     maxiter: int | None = None,
 ) -> SectorSpectrum:
     """Eigenvalues of the Hamiltonian restricted to one number sector.
 
     Dense full spectrum up to ``dense_cutoff``; above that, the lowest
-    ``n_lowest`` eigenpairs from a Krylov solver with a seeded start
+    ``n_lowest`` eigenvalues from a Krylov solver with a seeded start
     vector (so repeated runs agree bit for bit).  A sector too small for
     the Krylov solver (which needs dim > n_lowest + 1) is dense too.
     """
@@ -84,9 +82,6 @@ def diagonalize_sector(
         return SectorSpectrum(n_particles, 0, "empty", np.empty(0))
     if dim <= max(dense_cutoff, n_lowest + 1):
         mat = matrix_in_sector(hamiltonian, basis, table.n_modes)
-        if want_vectors:
-            vals, vecs = np.linalg.eigh(mat)
-            return SectorSpectrum(n_particles, dim, "dense", vals + shift, vecs)
         vals = np.linalg.eigvalsh(mat)
         return SectorSpectrum(n_particles, dim, "dense", vals + shift)
 
@@ -96,7 +91,7 @@ def diagonalize_sector(
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     try:
-        vals, vecs = eigsh(mat, k=n_lowest, which="SA", v0=v0, maxiter=maxiter)
+        vals, _ = eigsh(mat, k=n_lowest, which="SA", v0=v0, maxiter=maxiter)
     except ArpackNoConvergence as exc:
         if len(exc.eigenvalues):
             vals = np.sort(exc.eigenvalues.real)
@@ -111,11 +106,7 @@ def diagonalize_sector(
         raise ConvergenceError(
             "Krylov solver produced no converged eigenvalues", math.nan, math.inf
         ) from exc
-    order = np.argsort(vals)
-    vals = vals[order].real + shift
-    if want_vectors:
-        return SectorSpectrum(n_particles, dim, "krylov", vals, vecs[:, order])
-    return SectorSpectrum(n_particles, dim, "krylov", vals)
+    return SectorSpectrum(n_particles, dim, "krylov", np.sort(vals).real + shift)
 
 
 def nc_in_spectrum(

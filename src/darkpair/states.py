@@ -9,7 +9,7 @@ rescales.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -58,24 +58,17 @@ def fermi_state(table: ModeTable) -> StateVector:
     return StateVector(table.n_modes, {occ: 1})
 
 
-def nc_state(table: ModeTable, subset: Sequence[IVec] | None = None) -> StateVector:
+def nc_state(table: ModeTable) -> StateVector:
     """Product of antisymmetric pair creators over the plus hemisphere,
     acting on the filled core.
 
-    ``subset`` restricts the product to an explicit list of hemisphere
-    points (experimental partial-shell variant); default is the full
-    hemisphere, which is what particle counting dictates.  The factors
-    commute, so any order gives the same vector; the deterministic
-    hemisphere order is used for reproducibility.
+    The factors commute, so any order gives the same vector; the
+    deterministic hemisphere order is used for reproducibility.
     """
     if not table.shell_plus:
         raise EmptyShellError("lattice has no hemisphere points to pair")
-    points = table.shell_plus if subset is None else tuple(tuple(p) for p in subset)
-    for p in points:
-        if p not in table.shell_plus:
-            raise ValueError(f"{p} is not a plus-hemisphere point")
     state = phi_core(table)
-    for k in points:
+    for k in table.shell_plus:
         state = apply_operator(build_gamma(table, k), state)
     return state
 

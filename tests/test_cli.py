@@ -129,6 +129,13 @@ MALFORMED = {
     "unknown caps key": {"caps": {"basis_cap": 10}},
     "output dir not a string": {"output_dir": 5},
     "frozen core not a boolean": {"lattice": {"frozen_core": "no"}},
+    # integer fields take no fraction and no boolean: int() would truncate
+    "boost not integral": {"lattice": {"boost": [0, 0, 0.9]}},
+    "shell point not integral": {"lattice": {"shell_points": [[0, 0, 1.4], [0, 0, -1]]}},
+    "seed not integral": {"seed": 7.9},
+    "seed a boolean": {"seed": True},
+    "basis cap not integral": {"caps": {"basis": 100.5}},
+    "dense cutoff a boolean": {"caps": {"dense": True}},
 }
 
 
@@ -263,7 +270,8 @@ FUZZ_BREAKS = [
     ("config", "lattice", []), ("config", "couplings", 5),
     ("config", "couplings", ["1/0"]), ("config", "lambda_values", [None]),
     ("config", "formfactor", "bogus"), ("config", "formfactor", 5),
-    ("config", "seed", -1), ("config", "seed", "a"), ("config", "caps", 5),
+    ("config", "seed", -1), ("config", "seed", "a"), ("config", "seed", 7.9),
+    ("config", "caps", 5),
     ("config", "caps", {"x": 1}), ("config", "extra", 1),
     (None, None, 5), (None, None, []), (None, None, "x"),
 ]

@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkpair.fock import (
-    BasisSizeError,
-    StateVector,
-    bitstring_to_occ,
-    occ_to_bitstring,
-    sector_basis,
-)
+from darkpair.fock import BasisSizeError, StateVector, mode_bit, sector_basis
 from darkpair.operators import ANNIHILATE, CREATE, OperatorExpr, apply_operator
-
-B = bitstring_to_occ
 
 
 def factor(kind, i):
@@ -39,16 +31,16 @@ def annihilate(n_modes, i, occ):
 
 
 def test_create_examples():
-    assert create(4, 3, B("0000")) == (1, B("0001"))
-    assert create(4, 0, B("0001")) == (1, B("1001"))
-    assert create(4, 2, B("0100")) == (-1, B("0110"))
-    assert create(4, 3, B("0001")) is None
+    assert create(4, 3, 0b0000) == (1, 0b0001)
+    assert create(4, 0, 0b0001) == (1, 0b1001)
+    assert create(4, 2, 0b0100) == (-1, 0b0110)
+    assert create(4, 3, 0b0001) is None
 
 
 def test_annihilate_examples():
-    assert annihilate(4, 3, B("1001")) == (-1, B("1000"))
-    assert annihilate(4, 0, B("1001")) == (1, B("0001"))
-    assert annihilate(4, 2, B("1001")) is None
+    assert annihilate(4, 3, 0b1001) == (-1, 0b1000)
+    assert annihilate(4, 0, 0b1001) == (1, 0b0001)
+    assert annihilate(4, 2, 0b1001) is None
 
 
 def test_create_then_annihilate_is_identity():
@@ -95,8 +87,7 @@ def test_anticommutation_property(n_modes, i, j, occ):
 
 
 def test_sector_basis_enumeration():
-    assert sector_basis(4, 2) == [B(s) for s in
-                                  ["0011", "0101", "0110", "1001", "1010", "1100"]]
+    assert sector_basis(4, 2) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
     assert sector_basis(4, 0) == [0]
     assert len(sector_basis(16, 8)) == 12870
     assert sector_basis(4, 5) == []
@@ -117,20 +108,20 @@ def test_sector_basis_cap():
 def test_inner_product_examples():
     vac = StateVector.vacuum(4)
     assert vac.inner(vac) == 1
-    a = StateVector(4, {B("1001"): 1, B("0110"): 1})
-    b = StateVector(4, {B("1001"): 1, B("0110"): -1})
+    a = StateVector(4, {0b1001: 1, 0b0110: 1})
+    b = StateVector(4, {0b1001: 1, 0b0110: -1})
     assert a.inner(b) == 0
     assert a.inner(a) == 2
 
 
 def test_inner_product_conjugate_symmetric():
-    a = StateVector(3, {B("100"): 1 + 2j, B("010"): 0.5})
-    b = StateVector(3, {B("100"): -1j, B("001"): 3.0})
+    a = StateVector(3, {0b100: 1 + 2j, 0b010: 0.5})
+    b = StateVector(3, {0b100: -1j, 0b001: 3.0})
     assert a.inner(b) == b.inner(a).conjugate()
 
 
 def test_inner_product_positive_definite():
-    a = StateVector(3, {B("101"): Fraction(1, 3), B("010"): -2})
+    a = StateVector(3, {0b101: Fraction(1, 3), 0b010: -2})
     assert a.norm2() > 0
     assert StateVector(3).norm2() == 0
 
@@ -142,16 +133,16 @@ def test_mode_count_mismatch_raises():
 
 def test_exact_zero_amplitudes_are_dropped():
     v = StateVector(4)
-    v.add_term(B("1001"), Fraction(1))
-    v.add_term(B("1001"), Fraction(-1))
+    v.add_term(0b1001, Fraction(1))
+    v.add_term(0b1001, Fraction(-1))
     assert len(v) == 0
     assert v == StateVector(4)
     # tiny amplitudes are not zeros: they stay stored
-    assert len(StateVector(4, {B("1000"): 1e-16, B("0001"): 1.0})) == 2
+    assert len(StateVector(4, {0b1000: 1e-16, 0b0001: 1.0})) == 2
 
 
 def test_norm_independent_of_insertion_order():
-    terms = [(B("1100"), 0.1), (B("0011"), 0.7), (B("1001"), -0.3)]
+    terms = [(0b1100, 0.1), (0b0011, 0.7), (0b1001, -0.3)]
     v1 = StateVector(4)
     v2 = StateVector(4)
     for occ, a in terms:
@@ -162,30 +153,11 @@ def test_norm_independent_of_insertion_order():
     assert v1 == v2
 
 
-def test_jsonl_round_trip_is_bit_exact():
-    v = StateVector(4, {B("1001"): 1.0, B("0110"): -0.3333333333333333,
-                        B("0001"): 2.5e-17})
-    text = v.to_jsonl()
-    again = StateVector.from_jsonl(text)
-    assert again.to_jsonl() == text
-    assert [occ for occ, _ in again.terms()] == sorted(again.amp)
-
-
-def test_jsonl_rejects_garbage():
-    with pytest.raises(ValueError):
-        StateVector.from_jsonl("")
-    with pytest.raises(ValueError):
-        StateVector.from_jsonl(
-            '{"bitstring":"10","re":1.0,"im":0.0}\n'
-            '{"bitstring":"100","re":1.0,"im":0.0}\n'
-        )
-
-
 def test_bitstring_conventions():
-    # mode 0 is the leftmost character
-    occ = B("1000")
-    assert occ == 8
-    assert occ_to_bitstring(4, occ) == "1000"
+    # mode 0 is the leftmost character, of the packed int and of the repr
+    occ = 0b1000
+    assert occ == mode_bit(4, 0)
+    assert repr(StateVector(4, {occ: 1})) == "StateVector(1|1000>)"
     s, res = create(4, 1, occ)
-    assert occ_to_bitstring(4, res) == "1100"
+    assert f"{res:04b}" == "1100"
     assert s == -1

@@ -8,9 +8,6 @@ from fractions import Fraction
 import pytest
 
 from darkpair.lattice import (
-    INNER,
-    SHELL_MINUS,
-    SHELL_PLUS,
     SPIN_DOWN,
     SPIN_UP,
     EmptyShellError,
@@ -87,14 +84,13 @@ def test_band_and_inner_points_against_brute_force(kf, delta, boost, L):
                     inner.add(n)
                 else:
                     assert not table.is_shell(n)
-                    with pytest.raises(KeyError):
-                        table.partition_of(n)
-    assert set(table.shell_all) == band
-    assert set(table.inner_points) == inner
+    assert set(table.shell_all) == band and len(table.shell_all) == len(band)
+    assert set(table.inner_points) == inner and len(table.inner_points) == len(inner)
     assert table.core_particles == 2 * len(inner)
+    assert {table.partner(n) for n in table.shell_plus} == set(table.shell_minus)
+    # frozen core: the modes are the plus, then the minus points, two spins each
+    assert [m.n for m in table.modes] == [n for n in table.shell_all for _ in range(2)]
     for n in band | inner:
-        side = SHELL_PLUS if n in table.shell_plus else SHELL_MINUS
-        assert table.partition_of(n) == (side if n in band else INNER)
         assert table.is_shell(n) == (n in band)
 
 
@@ -121,14 +117,6 @@ def test_shell_symmetric_under_negation():
     assert shell == {(-x, -y, -z) for x, y, z in shell}
 
 
-def test_negation_is_total_involution():
-    from darkpair.lattice import norm2, vneg
-
-    for n in [(0, 0, 0), (1, -2, 3), (-4, 0, 2)]:
-        assert vneg(vneg(n)) == n
-        assert norm2(vneg(n)) == norm2(n)
-
-
 def test_frozen_core_record(minimal_table):
     assert minimal_table.inner_points == ((0, 0, 0),)
     assert minimal_table.core_particles == 2
@@ -152,9 +140,9 @@ def test_mode_order_partition_then_zyx_then_spin(minimal_unfrozen_table):
         Mode(SPIN_UP, (0, 0, -1)),
         Mode(SPIN_DOWN, (0, 0, -1)),
     )
-    assert t.partition_of((0, 0, 0)) == INNER
-    assert t.partition_of((0, 0, 1)) == SHELL_PLUS
-    assert t.partition_of((0, 0, -1)) == SHELL_MINUS
+    assert t.inner_points == ((0, 0, 0),)
+    assert t.shell_plus == ((0, 0, 1),)
+    assert t.shell_minus == ((0, 0, -1),)
 
 
 def test_build_is_pure():
@@ -163,7 +151,9 @@ def test_build_is_pure():
     b = build_mode_table(cfg)
     assert a.modes == b.modes
     assert a.shell_plus == b.shell_plus
-    assert a.to_json() == b.to_json()
+    assert a.shell_minus == b.shell_minus
+    assert a.inner_points == b.inner_points
+    assert a == b
 
 
 def test_delta_reaching_origin_rejected():
@@ -226,16 +216,6 @@ def test_boosted_twin_preserves_relative_structure(minimal_table):
     t = boosted_twin(minimal_table, (0, 0, 1))
     assert t.shell_plus == ((0, 0, 2),)
     assert t.shell_minus == ((0, 0, 0),)
-
-
-def test_mode_table_json_dump(minimal_table):
-    import json
-
-    rows = json.loads(minimal_table.to_json())
-    assert len(rows) == 4
-    assert rows[0] == {
-        "index": 0, "n": [0, 0, 1], "partition": "shell+", "spin": "up"
-    }
 
 
 def test_too_many_modes_rejected():

@@ -43,11 +43,13 @@ def test_pairing_block_splitting(minimal_table):
 
 def test_dense_eigenpair_residuals(minimal_table):
     h = build_hamiltonian(minimal_table, Fraction(-1))
-    spec = diagonalize_sector(h, minimal_table, 2, want_vectors=True)
-    basis = sector_basis(4, 2)
-    mat = matrix_in_sector(h, basis, 4)
+    spec = diagonalize_sector(h, minimal_table, 2)
+    mat = matrix_in_sector(h, sector_basis(4, 2), 4)
+    vals, vecs = np.linalg.eigh(mat)
+    assert np.allclose(vals + float(minimal_table.core_energy), spec.eigenvalues,
+                       atol=1e-12)
     for idx in range(spec.dim):
-        v = spec.eigenvectors[:, idx]
+        v = vecs[:, idx]
         lam = spec.eigenvalues[idx] - float(minimal_table.core_energy)
         assert np.linalg.norm(mat @ v - lam * v) <= 1e-10
 

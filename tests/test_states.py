@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from darkpair.fock import StateVector, bitstring_to_occ
 from darkpair.formfactors import random_symmetric
 from darkpair.lattice import SPIN_DOWN, SPIN_UP, LatticeConfig, build_mode_table
 from darkpair.operators import (
     CREATE,
     OperatorExpr,
     apply_operator,
+    build_gamma,
     build_h0,
     build_momentum_op,
     build_number_op,
@@ -27,12 +27,10 @@ from darkpair.states import (
 )
 from scalar_signs import apply_create
 
-B = bitstring_to_occ
-
 
 def test_phi_core_unfrozen(minimal_unfrozen_table):
     core = phi_core(minimal_unfrozen_table)
-    assert core.amp == {B("110000"): 1}
+    assert core.amp == {0b110000: 1}
 
 
 def test_phi_core_frozen(minimal_table):
@@ -43,7 +41,7 @@ def test_phi_core_frozen(minimal_table):
 
 def test_fermi_state_fills_everything_inside_kf(minimal_table):
     # both shell points are inside kf = 1.2
-    assert fermi_state(minimal_table).amp == {B("1111"): 1}
+    assert fermi_state(minimal_table).amp == {0b1111: 1}
 
 
 def test_fermi_state_counts(minimal_unfrozen_table):
@@ -62,7 +60,7 @@ def test_fermi_state_empty_when_shell_outside_kf():
 
 def test_nc_state_single_pair(minimal_table):
     nc = nc_state(minimal_table)
-    assert nc.amp == {B("1001"): 1, B("0110"): 1}
+    assert nc.amp == {0b1001: 1, 0b0110: 1}
     assert nc.norm2() == 2
 
 
@@ -97,11 +95,10 @@ def hand_built_two_pair_expectation(table):
 def test_nc_state_two_pairs_matches_hand_expansion(twopair_table):
     nc = nc_state(twopair_table)
     assert nc.norm2() == 4
-    assert all(abs(a) == 1 for _, a in nc.terms())
+    assert all(abs(a) == 1 for a in nc.amp.values())
     assert nc.amp == hand_built_two_pair_expectation(twopair_table)
     # frozen expected occupations for this mode order
-    expected = {B(s): 1 for s in
-                ["10100101", "01100110", "10011001", "01011010"]}
+    expected = dict.fromkeys([0b10100101, 0b01100110, 0b10011001, 0b01011010], 1)
     assert nc.amp == expected
 
 
@@ -111,22 +108,27 @@ def test_nc_state_three_pairs_norm(threepair_table):
     assert len(nc) == 8
 
 
+def gamma_product(table, points):
+    """Antisymmetric pair creators of ``points`` on the filled core, the
+    last point's applied first."""
+    state = phi_core(table)
+    for k in reversed(points):
+        state = apply_operator(build_gamma(table, k), state)
+    return state
+
+
 def test_nc_state_order_independent(twopair_table):
-    forward = nc_state(twopair_table)
-    backward = nc_state(twopair_table, subset=tuple(reversed(twopair_table.shell_plus)))
-    assert forward == backward
+    plus = twopair_table.shell_plus
+    assert gamma_product(twopair_table, plus) == nc_state(twopair_table)
+    assert gamma_product(twopair_table, plus[::-1]) == nc_state(twopair_table)
 
 
 def test_nc_state_partial_shell_is_still_dark(twopair_table):
-    partial = nc_state(twopair_table, subset=twopair_table.shell_plus[:1])
+    partial = gamma_product(twopair_table, twopair_table.shell_plus[:1])
+    assert len(partial) == 2
     for g in (Fraction(-1), Fraction(1, 2)):
         w = build_w(twopair_table, g)
         assert len(apply_operator(w, partial)) == 0
-
-
-def test_nc_state_rejects_non_hemisphere_subset(twopair_table):
-    with pytest.raises(ValueError):
-        nc_state(twopair_table, subset=((0, 0, -1),))
 
 
 def test_nc_dark_for_all_couplings_and_symmetric_weights(threepair_table):
@@ -193,20 +195,20 @@ def test_bcs_identity_coefficients(minimal_table):
 def test_bcs_fully_paired(minimal_table):
     coeffs = {k: (0.0, 1.0) for k in minimal_table.shell_all}
     state = bcs_state(minimal_table, coeffs)
-    assert set(state.amp) == {B("1111")}
-    assert abs(state.amp[B("1111")]) == 1
+    assert set(state.amp) == {0b1111}
+    assert abs(state.amp[0b1111]) == 1
 
 
 def test_bcs_equal_mixture_signs(minimal_table):
     r = 1 / math.sqrt(2)
     coeffs = {k: (r, r) for k in minimal_table.shell_all}
     state = bcs_state(minimal_table, coeffs)
-    assert set(state.amp) == {B("0000"), B("1001"), B("0110"), B("1111")}
+    assert set(state.amp) == {0b0000, 0b1001, 0b0110, 0b1111}
     half = 0.5
-    assert math.isclose(state.amp[B("0000")], half)
-    assert math.isclose(state.amp[B("1001")], half)
-    assert math.isclose(state.amp[B("0110")], -half)
-    assert math.isclose(state.amp[B("1111")], -half)
+    assert math.isclose(state.amp[0b0000], half)
+    assert math.isclose(state.amp[0b1001], half)
+    assert math.isclose(state.amp[0b0110], -half)
+    assert math.isclose(state.amp[0b1111], -half)
     assert {occ.bit_count() for occ in state.amp} == {0, 2, 4}
 
 
@@ -245,11 +247,3 @@ def test_bcs_requires_full_shell_coverage(minimal_table):
     coeffs = {(0, 0, 1): (1.0, 0.0)}
     with pytest.raises(ValueError):
         bcs_state(minimal_table, coeffs)
-
-
-def test_state_serialization_of_nc(twopair_table):
-    nc = nc_state(twopair_table)
-    text = nc.to_jsonl()
-    again = StateVector.from_jsonl(text)
-    assert again.to_jsonl() == text
-    assert {occ for occ, _ in again.terms()} == set(nc.amp)
