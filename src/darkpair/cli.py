@@ -45,7 +45,10 @@ class ConfigError(ValueError):
 
 def _parse(kind, value):
     """``kind(value)`` as a config error on failure; ``Fraction`` takes JSON
-    numbers or "p/q" strings and keeps them exact."""
+    numbers or "p/q" strings and keeps them exact.  A JSON boolean is an
+    error, not read as 1 or 0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"cannot interpret {value!r} as {kind.__name__}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:

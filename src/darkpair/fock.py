@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 MAX_MODES = 64
 BASIS_CAP = 2_000_000
 
@@ -31,29 +33,38 @@ def mode_bit(n_modes: int, i: int) -> int:
     return 1 << (n_modes - 1 - i)
 
 
-def sector_basis(n_modes: int, n_particles: int, cap: int = BASIS_CAP) -> list[int]:
-    """All C(M, N) occupations with N particles, ascending.
+def sector_basis(
+    n_modes: int, n_particles: int, cap: int = BASIS_CAP, *, as_array: bool = False
+):
+    """All C(M, N) occupations with N particles, ascending: a list of ints,
+    or with ``as_array`` the ``uint64`` array that ``matrix_in_sector``
+    reads without a copy.
 
-    Enumerated with Gosper's hack so the list is produced already sorted.
+    Built bit by bit from the least significant: the states of the low
+    ``m`` bits holding ``n`` particles are those of the low ``m - 1`` bits
+    holding ``n``, then those holding ``n - 1`` with bit ``m - 1`` set, so
+    every level is ascending by construction.
     """
     if not 0 <= n_particles <= n_modes:
-        return []
+        return np.empty(0, dtype=np.uint64) if as_array else []
     size = math.comb(n_modes, n_particles)
     if size > cap:
         raise BasisSizeError(
             f"sector dimension C({n_modes},{n_particles}) = {size} exceeds cap {cap}"
         )
-    if n_particles == 0:
-        return [0]
-    v = (1 << n_particles) - 1
-    limit = 1 << n_modes
-    out = []
-    while v < limit:
-        out.append(v)
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r
-    return out
+    # level[n]: the low-m-bit states with n particles; only the counts from
+    # which N can still be reached with the remaining bits are kept
+    level = {0: np.zeros(1, dtype=np.uint64)}
+    empty = np.empty(0, dtype=np.uint64)
+    for m in range(1, n_modes + 1):
+        top = np.uint64(1) << np.uint64(m - 1)
+        low = max(0, n_particles - (n_modes - m))
+        level = {
+            n: np.concatenate((level.get(n, empty), level.get(n - 1, empty) | top))
+            for n in range(low, min(m, n_particles) + 1)
+        }
+    out = level[n_particles]
+    return out if as_array else out.tolist()
 
 
 class StateVector:

@@ -44,7 +44,8 @@ class SectorSpectrum:
     sector: int
     dim: int
     method: str
-    eigenvalues: np.ndarray  # ascending, absolute (core energy included)
+    # ascending, absolute (core energy included); the ground alone for "blocks"
+    eigenvalues: np.ndarray
 
     @property
     def ground_energy(self) -> float:
@@ -70,12 +71,24 @@ def diagonalize_sector(
 ) -> SectorSpectrum:
     """Eigenvalues of the Hamiltonian restricted to one number sector.
 
-    Dense full spectrum up to ``dense_cutoff``; above that, the lowest
-    ``n_lowest`` eigenvalues from a Krylov solver with a seeded start
-    vector (so repeated runs agree bit for bit).  A sector too small for
-    the Krylov solver (which needs dim > n_lowest + 1) is dense too.
+    Dense full spectrum up to ``dense_cutoff``.  Above that:
+
+    - ``n_lowest == 1`` (the ground energy alone, as ``nc_in_spectrum``
+      asks): when every connected component of the sector matrix fits
+      ``dense_cutoff``, method ``"blocks"`` gives the least real part of
+      the components' eigenvalues, the quantity the Krylov route reports.
+      The pairing term moves only time-reversed pairs, so the sector
+      splits into many small components.
+    - Otherwise the lowest ``n_lowest`` eigenvalues from a Krylov solver
+      with a seeded start vector (so repeated runs agree bit for bit).
+      Krylov can return fewer copies of a degenerate eigenvalue than it
+      has and then a higher one, so its i-th value need not be the i-th
+      eigenvalue.
+
+    A sector too small for the Krylov solver (which needs
+    dim > n_lowest + 1) is dense too.
     """
-    basis = sector_basis(table.n_modes, n_particles, basis_cap)
+    basis = sector_basis(table.n_modes, n_particles, basis_cap, as_array=True)
     dim = len(basis)
     shift = float(table.core_energy)
     if dim == 0:
@@ -85,9 +98,14 @@ def diagonalize_sector(
         vals = np.linalg.eigvalsh(mat)
         return SectorSpectrum(n_particles, dim, "dense", vals + shift)
 
+    mat = matrix_in_sector(hamiltonian, basis, table.n_modes, sparse=True)
+    if n_lowest == 1:
+        ground = _block_ground(mat, dense_cutoff)
+        if ground is not None:
+            return SectorSpectrum(n_particles, dim, "blocks", np.array([ground + shift]))
+
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    mat = matrix_in_sector(hamiltonian, basis, table.n_modes, sparse=True)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     try:
@@ -109,6 +127,46 @@ def diagonalize_sector(
     return SectorSpectrum(n_particles, dim, "krylov", np.sort(vals).real + shift)
 
 
+def _components(mat) -> np.ndarray:
+    """Connected-component label of each row of the square CSR ``mat``.
+
+    Labelled on the sparsity pattern, explicit zeros included, so no
+    stored entry joins two components."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = csr_matrix((np.ones(mat.nnz, dtype=np.int8), mat.indices, mat.indptr),
+                         shape=mat.shape)
+    return connected_components(pattern, directed=False)[1]
+
+
+def _block_ground(mat, cutoff: int) -> float | None:
+    """Least real part of the eigenvalues of the CSR matrix ``mat``, from
+    dense solves of its connected components stacked by size; ``None``
+    when a component is larger than ``cutoff``."""
+    labels = _components(mat)
+    sizes = np.bincount(labels)
+    if sizes.max() > cutoff:
+        return None
+    # each state's place in its component, each component's in its size class
+    order = np.argsort(labels, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    pos = np.empty_like(labels)
+    pos[order] = np.arange(len(labels)) - starts[labels[order]]
+    slot = np.empty_like(sizes)
+    coo = mat.tocoo()
+    comp = labels[coo.row]
+    ground = np.inf
+    for d in np.unique(sizes):
+        members = sizes == d
+        slot[members] = np.arange(np.count_nonzero(members))
+        take = members[comp]
+        stack = np.zeros((np.count_nonzero(members), d, d), dtype=mat.dtype)
+        stack[slot[comp[take]], pos[coo.row[take]], pos[coo.col[take]]] = coo.data[take]
+        ground = min(ground, float(np.linalg.eigvals(stack).real.min()))
+    return ground
+
+
 def nc_in_spectrum(
     table: ModeTable,
     g,
@@ -120,7 +178,11 @@ def nc_in_spectrum(
     """Locate the paired state's energy within its number sector.
 
     Returns the eigen-residual of H on the paired state, the exact sector
-    ground energy, and the (signed) gap ground - E_paired.
+    ground energy, and the (signed) gap ground - E_paired.  The ground
+    energy is the least eigenvalue of the dense sector matrix up to
+    ``dense_cutoff``; above it, of the matrix's connected components
+    (``method`` "blocks") when each fits ``dense_cutoff``, else of a
+    Krylov solve (see ``diagonalize_sector``).
     """
     h = build_hamiltonian(table, g, formfactor, seed)
     state = nc_state(table)
@@ -129,7 +191,8 @@ def nc_in_spectrum(
 
     sector = table.total_particles_nc() - table.core_particles
     spec = diagonalize_sector(
-        h, table, sector, dense_cutoff=dense_cutoff, basis_cap=basis_cap, seed=seed
+        h, table, sector, n_lowest=1, dense_cutoff=dense_cutoff, basis_cap=basis_cap,
+        seed=seed,
     )
     ground = spec.ground_energy
     gap = ground - float(e_total)

@@ -136,6 +136,15 @@ MALFORMED = {
     "seed a boolean": {"seed": True},
     "basis cap not integral": {"caps": {"basis": 100.5}},
     "dense cutoff a boolean": {"caps": {"dense": True}},
+    # number fields take no boolean either: float() and Fraction() read 1 or 0
+    "kf a boolean": {"lattice": {"kf": True}},
+    "delta a boolean": {"lattice": {"delta": True}},
+    "L a boolean": {"lattice": {"L": True}},
+    "c a boolean": {"lattice": {"c": False}},
+    "mu a boolean": {"lattice": {"mu": False}},
+    "volume a boolean": {"lattice": {"volume": True}},
+    "coupling a boolean": {"couplings": [True, -1]},
+    "lambda a boolean": {"lambda_values": [0, False]},
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from darkpair.cli import bundled_config_path, load_config, write_csv
-from darkpair.fock import sector_basis
+from darkpair.fock import BasisSizeError, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import apply_operator, matrix_in_sector
 from darkpair.spectra import (
@@ -83,6 +83,83 @@ def test_krylov_nonconvergence_reports_best_value(threepair_table):
                            seed=5, maxiter=1)
     assert math.isfinite(err.value.best_value)
     assert err.value.residual >= 0.0
+
+
+# The threepair sector 6 (dim 924) splits into its seniority blocks: the
+# unbroken-pair block of C(6,3) = 20 states, 60 of 6, 240 of 2 and 64 of 1.
+# A cutoff of 20 sends the ground energy through the block route.
+THREEPAIR_BLOCK_SIZES = {20: 1, 6: 60, 2: 240, 1: 64}
+
+
+@pytest.mark.parametrize("formfactor", ["unit", "random:13", "asymmetric:2"])
+def test_block_ground_equals_the_dense_ground(threepair_table, formfactor):
+    h = build_hamiltonian(threepair_table, Fraction(-1), formfactor, seed=3)
+    blocks = diagonalize_sector(h, threepair_table, 6, n_lowest=1, dense_cutoff=20)
+    assert blocks.method == "blocks" and blocks.dim == 924
+    assert len(blocks.eigenvalues) == 1
+    mat = matrix_in_sector(h, sector_basis(12, 6), 12)
+    core = float(threepair_table.core_energy)
+    # random and asymmetric weights make H non-Hermitian; the ground energy
+    # is then the least real part of its eigenvalues, as Krylov reports it
+    want = np.linalg.eigvals(mat).real.min() + core
+    assert abs(blocks.ground_energy - want) <= 1e-10
+    if formfactor == "unit":
+        dense = diagonalize_sector(h, threepair_table, 6)
+        assert dense.method == "dense"
+        assert abs(blocks.ground_energy - dense.ground_energy) <= 1e-10
+
+
+def test_components_are_the_seniority_blocks(threepair_table):
+    from darkpair.spectra import _components
+
+    h = build_hamiltonian(threepair_table, Fraction(-1), "random:13")
+    mat = matrix_in_sector(h, sector_basis(12, 6), 12, sparse=True)
+    labels = _components(mat)
+    coo = mat.tocoo()
+    assert np.array_equal(labels[coo.row], labels[coo.col])
+    sizes, counts = np.unique(np.bincount(labels), return_counts=True)
+    assert dict(zip(sizes.tolist(), counts.tolist())) == THREEPAIR_BLOCK_SIZES
+
+
+def test_an_explicit_zero_joins_its_rows_into_one_component():
+    from scipy.sparse import csr_matrix
+
+    from darkpair.spectra import _components
+
+    # rows 0 and 1 share only a stored zero; row 2 stands alone
+    mat = csr_matrix((np.array([1.0, 0.0, 2.0, 3.0]), np.array([0, 1, 1, 2]),
+                      np.array([0, 2, 3, 4])), shape=(3, 3))
+    assert mat.nnz == 4
+    labels = _components(mat)
+    assert labels[0] == labels[1] != labels[2]
+
+
+def test_block_ground_equals_krylov_on_the_16_mode_shell():
+    # the 16-mode |n|^2 = 3 shell: sector 8 (dim 12,870) has blocks of at
+    # most 70 states
+    table = build_mode_table(LatticeConfig(kf=math.sqrt(3), delta=0.05,
+                                           frozen_core=True, volume=1))
+    h = build_hamiltonian(table, Fraction(-1, 2), "random:106", seed=5)
+    blocks = diagonalize_sector(h, table, 8, n_lowest=1, seed=5)
+    krylov = diagonalize_sector(h, table, 8, seed=5)
+    assert blocks.method == "blocks" and krylov.method == "krylov"
+    assert blocks.dim == krylov.dim == 12870
+    assert abs(blocks.ground_energy - krylov.ground_energy) <= 1e-9
+
+
+def test_block_route_falls_back_to_krylov_above_the_cutoff(threepair_table):
+    h = build_hamiltonian(threepair_table, Fraction(-1))
+    spec = diagonalize_sector(h, threepair_table, 6, n_lowest=1, dense_cutoff=19,
+                              seed=5)
+    assert spec.method == "krylov" and len(spec.eigenvalues) == 1
+    dense = diagonalize_sector(h, threepair_table, 6)
+    assert abs(spec.ground_energy - dense.ground_energy) <= 1e-9
+
+
+def test_over_cap_sector_raises_inside_diagonalize_sector(threepair_table):
+    with pytest.raises(BasisSizeError) as err:
+        nc_in_spectrum(threepair_table, Fraction(-1), basis_cap=923)
+    assert "diagonalize_sector" in [entry.name for entry in err.traceback]
 
 
 def test_nc_in_spectrum_minimal(minimal_table):
