@@ -56,9 +56,9 @@ def _parse(kind, value):
 
 
 def _int(value, what: str) -> int:
-    """``value`` as an int; a JSON boolean or a number with a fractional
-    part is a config error, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int; a JSON boolean (see ``_parse``) or a number
+    with a fractional part is a config error, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return _parse(int, value)
 

@@ -33,12 +33,8 @@ def mode_bit(n_modes: int, i: int) -> int:
     return 1 << (n_modes - 1 - i)
 
 
-def sector_basis(
-    n_modes: int, n_particles: int, cap: int = BASIS_CAP, *, as_array: bool = False
-):
-    """All C(M, N) occupations with N particles, ascending: a list of ints,
-    or with ``as_array`` the ``uint64`` array that ``matrix_in_sector``
-    reads without a copy.
+def sector_basis(n_modes: int, n_particles: int, cap: int = BASIS_CAP) -> list[int]:
+    """All C(M, N) occupations with N particles, ascending.
 
     Built bit by bit from the least significant: the states of the low
     ``m`` bits holding ``n`` particles are those of the low ``m - 1`` bits
@@ -46,7 +42,7 @@ def sector_basis(
     every level is ascending by construction.
     """
     if not 0 <= n_particles <= n_modes:
-        return np.empty(0, dtype=np.uint64) if as_array else []
+        return []
     size = math.comb(n_modes, n_particles)
     if size > cap:
         raise BasisSizeError(
@@ -63,8 +59,7 @@ def sector_basis(
             n: np.concatenate((level.get(n, empty), level.get(n - 1, empty) | top))
             for n in range(low, min(m, n_particles) + 1)
         }
-    out = level[n_particles]
-    return out if as_array else out.tolist()
+    return level[n_particles].tolist()
 
 
 class StateVector:

@@ -517,13 +517,12 @@ def _sector_entries(compiled: list[tuple], values: list, dtype, occs):
 
 def matrix_in_sector(
     expr: OperatorExpr,
-    basis,
+    basis: list[int],
     n_modes: int,
     sparse: bool = False,
 ):
     """Matrix entries <basis_r | expr | basis_c> on a strictly ascending
     basis, such as ``sector_basis`` output; any other raises ``ValueError``.
-    A ``uint64`` array basis is read in place, a list of ints is converted.
 
     When the basis is a fixed particle-number sector the operator must
     conserve particle number, otherwise weight would leak out of the
@@ -539,7 +538,7 @@ def matrix_in_sector(
     if n_modes > MAX_MODES:
         raise ValueError(f"n_modes {n_modes} exceeds {MAX_MODES}")
     if not expr.conserves_particle_number() and (
-        len({int(occ).bit_count() for occ in basis}) == 1
+        len({occ.bit_count() for occ in basis}) == 1
     ):
         raise ValueError(
             "operator does not conserve particle number on a number-sector basis"
@@ -548,7 +547,7 @@ def matrix_in_sector(
     dim = len(basis)
     values, den, dtype = _term_values(compiled)
     rows, cols, vals = _sector_entries(compiled, values, dtype,
-                                       np.asarray(basis, dtype=np.uint64))
+                                       np.array(basis, dtype=np.uint64))
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     if dtype is object:  # each distinct entry's Python-int sum, divided here
         keys, slot = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)

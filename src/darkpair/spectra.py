@@ -88,7 +88,7 @@ def diagonalize_sector(
     A sector too small for the Krylov solver (which needs
     dim > n_lowest + 1) is dense too.
     """
-    basis = sector_basis(table.n_modes, n_particles, basis_cap, as_array=True)
+    basis = sector_basis(table.n_modes, n_particles, basis_cap)
     dim = len(basis)
     shift = float(table.core_energy)
     if dim == 0:

@@ -641,18 +641,6 @@ def test_matrix_rejects_number_breaking_operator():
         matrix_in_sector(expr, sector_basis(4, 2), 4)
 
 
-def test_matrix_reads_a_uint64_basis_as_its_list(twopair_table):
-    h = build_h0(twopair_table) + build_w(twopair_table, Fraction(-3, 7))
-    basis = sector_basis(8, 4, as_array=True)
-    for sparse in (False, True):
-        got = matrix_in_sector(h, basis, 8, sparse=sparse)
-        want = matrix_in_sector(h, sector_basis(8, 4), 8, sparse=sparse)
-        got, want = (got.toarray(), want.toarray()) if sparse else (got, want)
-        assert got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="does not conserve"):
-        matrix_in_sector(OperatorExpr.from_monomial(Fraction(1), (C(0),)), basis, 8)
-
-
 # ---------------------------------------------------------------------------
 # the vectorized sector kernel against the per-column reference
 # ---------------------------------------------------------------------------

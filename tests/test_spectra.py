@@ -147,13 +147,18 @@ def test_block_ground_equals_krylov_on_the_16_mode_shell():
     assert abs(blocks.ground_energy - krylov.ground_energy) <= 1e-9
 
 
-def test_block_route_falls_back_to_krylov_above_the_cutoff(threepair_table):
-    h = build_hamiltonian(threepair_table, Fraction(-1))
+@pytest.mark.parametrize("formfactor", ["unit", "random:13", "asymmetric:2"])
+def test_block_route_falls_back_to_krylov_above_the_cutoff(threepair_table, formfactor):
+    # the 20-state block exceeds a cutoff of 19; the fallback asks Krylov
+    # for the one lowest value, which on a non-Hermitian H is again the
+    # least real part of the eigenvalues
+    h = build_hamiltonian(threepair_table, Fraction(-1), formfactor, seed=3)
     spec = diagonalize_sector(h, threepair_table, 6, n_lowest=1, dense_cutoff=19,
                               seed=5)
     assert spec.method == "krylov" and len(spec.eigenvalues) == 1
-    dense = diagonalize_sector(h, threepair_table, 6)
-    assert abs(spec.ground_energy - dense.ground_energy) <= 1e-9
+    mat = matrix_in_sector(h, sector_basis(12, 6), 12)
+    want = np.linalg.eigvals(mat).real.min() + float(threepair_table.core_energy)
+    assert abs(spec.ground_energy - want) <= 1e-9
 
 
 def test_over_cap_sector_raises_inside_diagonalize_sector(threepair_table):
