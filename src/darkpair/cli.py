@@ -1,7 +1,8 @@
 """Config-driven command line: verify / spectrum / scan / continuum.
 
-Exit codes: 0 success, 1 failed verification check, 2 config error,
-3 dimension or degree cap exceeded.
+Exit codes: 0 success, 1 failed verification check, 2 config error
+(including a value that passes float range), 3 dimension or degree cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -286,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True,
                            help="config JSON path or bundled name")
+            p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
 
     p = sub.add_parser("verify", help="run the identity battery")
     common(p)
@@ -319,11 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
     try:
+        if extra:  # such as a flag this command does not take
+            raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
+    except OverflowError as exc:  # a coupling, volume or entry past float range
+        sys.stderr.write(f"config error: a value passes float range: {exc}\n")
         return EXIT_CONFIG
     except LatticeError as exc:
         sys.stderr.write(f"lattice error: {exc}\n")

@@ -413,17 +413,18 @@ def _numerators(values: list) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _state_values(coeffs: list, amps: list) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(signed, amps, den)``: what ``apply_operator`` multiplies.
+def _values(coeffs: list, amps: list) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(signed, amps, den)``: the integer numerators both kernels multiply.
 
-    ``signed[2 * t + odd]`` is term t's coefficient with its sign.  Both
-    arrays hold integer numerators, over ``den`` together: int64 while the
-    sum of ``|coefficient| * |amplitude|`` numerators stays below 2**53, as
-    in ``_term_values``, Python ints (object dtype) beyond.
+    ``signed[2 * t + odd]`` is term t's coefficient with its sign, and
+    products of ``signed`` and ``amps`` are over ``den``.  Both arrays are
+    int64 while ``den`` and the sum of ``|coefficient| * |amplitude|``
+    numerators stay below 2**53, so that every partial sum of one entry is
+    an integer float64 holds exactly, Python ints (object dtype) beyond.
     """
     (coeffs, cden), (amps, aden) = _numerators(coeffs), _numerators(amps)
     den = cden * aden
-    wide = sum(map(abs, coeffs)) * sum(map(abs, amps)) >= 1 << 53
+    wide = max(den, sum(map(abs, coeffs)) * sum(map(abs, amps))) >= 1 << 53
     dtype = object if wide else np.int64
     signed = np.array([s for c in coeffs for s in (c, -c)], dtype=dtype)
     return signed, np.array(amps, dtype=dtype), den
@@ -435,13 +436,13 @@ def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     Every term goes through ``_fire`` over all input states at once, and
     the contributions are grouped by the state they yield.  Amplitudes must
     be int or ``Fraction`` (``TypeError`` otherwise); contributions are
-    summed as integer numerators (``_state_values``) and divided once, so
+    summed as integer numerators (``_values``) and divided once, so
     every entry is a ``Fraction``.
     """
     compiled = _compile(expr, vec.n_modes)
     occs = sorted(vec.amp)
-    signed, amp, den = _state_values([term[-1] for term in compiled],
-                                     [vec.amp[occ] for occ in occs])
+    signed, amp, den = _values([term[-1] for term in compiled],
+                               [vec.amp[occ] for occ in occs])
     packed = np.array(occs, dtype=np.uint64)
     fired = [_fire(term, packed) for term in compiled]
     counts = [len(f[0]) for f in fired]
@@ -470,21 +471,7 @@ def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
     return diff.norm() / state.norm()
 
 
-def _term_values(compiled: list[tuple]) -> tuple[list[int], int, type]:
-    """``(nums, den, dtype)``: what ``matrix_in_sector`` sums per term.
-
-    The coefficients become integer numerators over their common
-    denominator ``den``: int64 while ``den`` and the sum of ``|num|`` stay
-    below 2**53, so that every partial sum of one entry is an integer
-    float64 holds exactly, Python ints (object dtype) beyond.
-    """
-    nums, den = _numerators([term[-1] for term in compiled])
-    if max(den, sum(map(abs, nums))) >= 1 << 53:
-        return nums, den, object
-    return nums, den, np.int64
-
-
-def _sector_entries(compiled: list[tuple], values: list, dtype, occs):
+def _sector_entries(compiled: list[tuple], signed: np.ndarray, occs):
     """Rows, columns and signed values of every term's entries, per term.
 
     ``occs`` is the basis as uint64, strictly ascending: a basis that is
@@ -496,11 +483,11 @@ def _sector_entries(compiled: list[tuple], values: list, dtype, occs):
     if np.any(occs[1:] <= occs[:-1]):
         raise ValueError("sector basis must be strictly ascending")
     index = np.int32 if len(occs) < 2**31 else np.int64
-    diag = np.zeros(len(occs), dtype=dtype)
+    diag = np.zeros(len(occs), dtype=signed.dtype)
     on_diag = np.zeros(len(occs), dtype=bool)
     rows, cols, vals = [], [], []
-    for term, value in zip(compiled, values):
-        signs = np.array([value, -value], dtype=dtype)
+    for t, term in enumerate(compiled):
+        signs = signed[2 * t:2 * t + 2]  # the term's (c, -c), indexed by odd
         col, res, odd = _fire(term, occs)
         if term[0] == term[1]:
             diag[col] += signs.take(odd.view(np.uint8))
@@ -530,8 +517,9 @@ def matrix_in_sector(
 
     Every term goes through ``_fire`` over all columns at once, and the
     coefficients are summed as integer numerators over their common
-    denominator (``_term_values``) and divided once, so each entry is the
-    exact rational entry correctly rounded, with a +0.0 imaginary part.
+    denominator (``_values`` with a unit amplitude) and divided once, so
+    each entry is the exact rational entry correctly rounded, with a +0.0
+    imaginary part.
     Sparse matrices are canonical CSR and keep entries whose terms cancel
     as explicit zeros.
     """
@@ -545,11 +533,10 @@ def matrix_in_sector(
         )
     compiled = _compile(expr, n_modes)
     dim = len(basis)
-    values, den, dtype = _term_values(compiled)
-    rows, cols, vals = _sector_entries(compiled, values, dtype,
-                                       np.array(basis, dtype=np.uint64))
+    signed, _, den = _values([term[-1] for term in compiled], [1])
+    rows, cols, vals = _sector_entries(compiled, signed, np.array(basis, dtype=np.uint64))
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    if dtype is object:  # each distinct entry's Python-int sum, divided here
+    if signed.dtype == object:  # each distinct entry's Python-int sum, divided here
         keys, slot = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
         sums = np.zeros(len(keys), dtype=object)
         np.add.at(sums, slot, vals)

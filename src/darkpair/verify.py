@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,6 +54,7 @@ from .operators import (
 from .states import nc_energy, nc_momentum, nc_state
 
 NUMERIC_TOL = 1e-12
+ANTICOMMUTATION_SAMPLES = 200  # random (state, i, j) draws of check (1)
 
 CHECK_IDS = (
     "anticommutation",
@@ -72,7 +73,6 @@ CHECK_IDS = (
 @dataclass
 class CheckResult:
     check_id: str
-    lattice: str
     params: dict
     residual: float
     tolerance: float
@@ -93,21 +93,16 @@ class VerificationReport:
     def to_json(self) -> str:
         # wall times are excluded on purpose: same config + seed must give
         # byte-identical JSON.
+        checks = []
+        for c in self.checks:
+            record = asdict(c)
+            del record["seconds"]
+            checks.append({**record, "lattice": self.lattice})
         payload = {
             "lattice": self.lattice,
             "seed": self.seed,
             "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "check_id": c.check_id,
-                    "lattice": c.lattice,
-                    "params": c.params,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": checks,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -195,14 +190,16 @@ def run_battery(
     lambda_values: Sequence,
     formfactor: str = "unit",
     seed: int = 0,
-    anticommutation_samples: int = 200,
 ) -> VerificationReport:
-    """The fixed battery on ``table``: one record per check id, fixed order."""
+    """The fixed battery on ``table``: one record per check id, fixed order.
+
+    Each check is a function returning ``(params, residual, tolerance)``;
+    one loop runs them in ``CHECK_IDS`` order and times each one.
+    """
     g_values = [Fraction(g) for g in g_values]
     lambda_values = [Fraction(l) for l in lambda_values]
     g_fun, ff_name = formfactors.from_spec(table, formfactor, seed)
     rng = np.random.default_rng(seed)
-    report = VerificationReport(lattice=table.descriptor(), seed=seed)
     # check (5)'s core-filled twin, built first: a twin over the mode cap
     # stops the battery before any other check has run
     thawed = unfrozen_twin(table)
@@ -210,151 +207,116 @@ def run_battery(
     g_ref = g_values[0] if g_values else Fraction(1)
     w_ref = build_w(table, g_ref, g_fun)
     state = nc_state(table)
+    dark = 0.0  # check (6)'s residual, which check (10) reports too
 
-    def record(check_id, params, residual, tolerance, t0):
-        residual = float(residual)
-        report.checks.append(
-            CheckResult(
-                check_id=check_id,
-                lattice=table.descriptor(),
-                params=params,
-                residual=residual,
-                tolerance=tolerance,
-                passed=residual <= tolerance,
-                seconds=time.perf_counter() - t0,
-            )
-        )
+    def anticommutation():
+        """(1) canonical anticommutation relations on the table's modes"""
+        res = _anticommutation_residual(table.n_modes, ANTICOMMUTATION_SAMPLES, rng)
+        return {"samples": ANTICOMMUTATION_SAMPLES}, res, 0.0
 
-    # (1) canonical anticommutation relations on the table's modes
-    t0 = time.perf_counter()
-    res = _anticommutation_residual(table.n_modes, anticommutation_samples, rng)
-    record("anticommutation", {"samples": anticommutation_samples}, res, 0.0, t0)
+    def pair_commutator():
+        """(2) [W, pair(k, lam)] against its closed form, every hemisphere k"""
+        res = Fraction(0)
+        for lam in lambda_values:
+            for k in table.shell_plus:
+                lhs = commutator(w_ref, build_pair(table, k, lam))
+                rhs = pair_commutator_rhs(table, k, lam, g_ref, g_fun)
+                res += _distance(lhs, rhs)
+        params = {"lambdas": [str(l) for l in lambda_values], "g": str(g_ref),
+                  "formfactor": ff_name}
+        return params, res, 0.0
 
-    # (2) [W, pair(k, lam)] against its closed form, every hemisphere k
-    t0 = time.perf_counter()
-    res = Fraction(0)
-    for lam in lambda_values:
+    def gamma_commutator():
+        """(3) [W, gamma_k] against the annihilator-terminated closed form;
+        every normal-ordered term must end in annihilators (no pure-creation
+        part)"""
+        res = Fraction(0)
         for k in table.shell_plus:
-            lhs = commutator(w_ref, build_pair(table, k, lam))
-            rhs = pair_commutator_rhs(table, k, lam, g_ref, g_fun)
+            lhs = commutator(w_ref, build_gamma(table, k))
+            rhs = pair_commutator_rhs(table, k, Fraction(-1), g_ref, g_fun)
             res += _distance(lhs, rhs)
-    record(
-        "pair_commutator",
-        {"lambdas": [str(l) for l in lambda_values], "g": str(g_ref),
-         "formfactor": ff_name},
-        res,
-        0.0,
-        t0,
-    )
+            res += sum(
+                (abs(c) for t, c in lhs.terms.items()
+                 if not any(kind == ANNIHILATE for kind, _ in t)),
+                Fraction(0),
+            )
+        return {"g": str(g_ref), "formfactor": ff_name}, res, 0.0
 
-    # (3) [W, gamma_k] against the annihilator-terminated closed form; every
-    # normal-ordered term must end in annihilators (no pure-creation part)
-    t0 = time.perf_counter()
-    res = Fraction(0)
-    for k in table.shell_plus:
-        lhs = commutator(w_ref, build_gamma(table, k))
-        rhs = pair_commutator_rhs(table, k, Fraction(-1), g_ref, g_fun)
-        res += _distance(lhs, rhs)
-        res += sum(
-            (abs(c) for t, c in lhs.terms.items()
-             if not any(kind == ANNIHILATE for kind, _ in t)),
-            Fraction(0),
-        )
-    record("gamma_commutator", {"g": str(g_ref), "formfactor": ff_name}, res, 0.0, t0)
+    def gamma_negation():
+        """(4) gamma at the partner point is the negative"""
+        res = Fraction(0)
+        for k in table.shell_plus:
+            res += (build_gamma(table, table.partner(k)) + build_gamma(table, k)).one_norm()
+        for k in table.shell_plus:
+            for kp in table.shell_plus:
+                if k != kp:
+                    res += commutator(build_gamma(table, k), build_gamma(table, kp)).one_norm()
+        return {}, res, 0.0
 
-    # (4) gamma at the partner point is the negative
-    t0 = time.perf_counter()
-    res = Fraction(0)
-    for k in table.shell_plus:
-        res += (build_gamma(table, table.partner(k)) + build_gamma(table, k)).one_norm()
-    for k in table.shell_plus:
-        for kp in table.shell_plus:
-            if k != kp:
-                res += commutator(build_gamma(table, k), build_gamma(table, kp)).one_norm()
-    record("gamma_negation", {}, res, 0.0, t0)
+    def core_commutators():
+        """(5) interaction and pair commutators commute with the filled core"""
+        cap = max(DEGREE_CAP, 4 + 2 * len(thawed.inner_points) + 2)
+        phi = OperatorExpr.identity()
+        for n in thawed.inner_points:
+            phi = phi.compose(
+                OperatorExpr.from_monomials(
+                    [(Fraction(1), ((CREATE, thawed.mode_index(SPIN_UP, n)),
+                                    (CREATE, thawed.mode_index(SPIN_DOWN, n))))]
+                ),
+                cap,
+            )
+        g_fun_thawed, _ = formfactors.from_spec(thawed, formfactor, seed)
+        w_thawed = build_w(thawed, g_ref, g_fun_thawed)
+        res = commutator(w_thawed, phi, cap).one_norm()
+        for k in thawed.shell_plus:
+            inner_comm = commutator(w_thawed, build_gamma(thawed, k), cap)
+            res += commutator(inner_comm, phi, cap).one_norm()
+        return {"inner_points": len(thawed.inner_points)}, res, 0.0
 
-    # (5) interaction and pair commutators commute with the filled core
-    t0 = time.perf_counter()
-    cap = max(DEGREE_CAP, 4 + 2 * len(thawed.inner_points) + 2)
-    phi = OperatorExpr.identity()
-    for n in thawed.inner_points:
-        phi = phi.compose(
-            OperatorExpr.from_monomials(
-                [(Fraction(1), ((CREATE, thawed.mode_index(SPIN_UP, n)),
-                                (CREATE, thawed.mode_index(SPIN_DOWN, n))))]
-            ),
-            cap,
-        )
-    g_fun_thawed, _ = formfactors.from_spec(thawed, formfactor, seed)
-    w_thawed = build_w(thawed, g_ref, g_fun_thawed)
-    res = commutator(w_thawed, phi, cap).one_norm()
-    for k in thawed.shell_plus:
-        inner_comm = commutator(w_thawed, build_gamma(thawed, k), cap)
-        res += commutator(inner_comm, phi, cap).one_norm()
-    record("core_commutators", {"inner_points": len(thawed.inner_points)}, res, 0.0, t0)
+    def dark_state():
+        """(6) the paired state is dark for every coupling"""
+        nonlocal dark
+        dark = max((relative_dark_residual(build_w(table, g, g_fun), state)
+                    for g in g_values), default=0.0)
+        return {"g": [str(g) for g in g_values], "formfactor": ff_name}, dark, NUMERIC_TOL
 
-    # (6) the paired state is dark for every coupling; the same residuals
-    # also back check (10)
-    t0 = time.perf_counter()
-    residuals = []
-    for g in g_values:
-        w = build_w(table, g, g_fun)
-        residuals.append(relative_dark_residual(w, state))
-    dark = max(residuals, default=0.0)
-    record(
-        "dark_state",
-        {"g": [str(g) for g in g_values], "formfactor": ff_name},
-        dark,
-        NUMERIC_TOL,
-        t0,
-    )
+    def h0_eigenstate():
+        """(7) kinetic eigenstate with the counting-oracle eigenvalue"""
+        e_expect = nc_energy(table) - table.core_energy  # table-space part
+        res = eigen_residual(build_h0(table), state, e_expect)
+        return {"energy": str(nc_energy(table))}, res, NUMERIC_TOL
 
-    # (7) kinetic eigenstate with the counting-oracle eigenvalue
-    t0 = time.perf_counter()
-    e_expect = nc_energy(table) - table.core_energy  # table-space part
-    res = eigen_residual(build_h0(table), state, e_expect)
-    record(
-        "h0_eigenstate",
-        {"energy": str(nc_energy(table))},
-        res,
-        NUMERIC_TOL,
-        t0,
-    )
+    def number_eigenvalue():
+        """(8) particle-number eigenvalue"""
+        n_total = table.total_particles_nc()
+        n_table = n_total - table.core_particles
+        res = eigen_residual(build_number_op(table), state, Fraction(n_table))
+        return {"particles": n_total}, res, NUMERIC_TOL
 
-    # (8) particle-number eigenvalue
-    t0 = time.perf_counter()
-    n_total = table.total_particles_nc()
-    n_table = n_total - table.core_particles
-    res = eigen_residual(build_number_op(table), state, Fraction(n_table))
-    record("number_eigenvalue", {"particles": n_total}, res, NUMERIC_TOL, t0)
+    def momentum_eigenvalue():
+        """(9) momentum eigenvalue, here and on a boosted twin"""
+        res = _momentum_residual(table, state)
+        boost_K = table.config.boost
+        if boost_K == (0, 0, 0):
+            btab = boosted_twin(table, (0, 0, 1))
+            res = max(res, _momentum_residual(btab, nc_state(btab)))
+            boost_K = (0, 0, 1)
+        return {"boost_checked": list(boost_K)}, res, NUMERIC_TOL
 
-    # (9) momentum eigenvalue, here and on a boosted twin
-    t0 = time.perf_counter()
-    res = _momentum_residual(table, state)
-    boost_K = table.config.boost
-    if boost_K == (0, 0, 0):
-        btab = boosted_twin(table, (0, 0, 1))
-        res = max(res, _momentum_residual(btab, nc_state(btab)))
-        boost_K = (0, 0, 1)
-    record(
-        "momentum_eigenvalue",
-        {"boost_checked": list(boost_K)},
-        res,
-        NUMERIC_TOL,
-        t0,
-    )
+    def coupling_independence():
+        """(10) one state, every coupling: residual must not depend on g"""
+        return {"g": [str(g) for g in g_values]}, dark, NUMERIC_TOL
 
-    # (10) one state, every coupling: residual must not depend on g
-    t0 = time.perf_counter()
-    record(
-        "coupling_independence",
-        {"g": [str(g) for g in g_values]},
-        dark,
-        NUMERIC_TOL,
-        t0,
-    )
-
-    assert [c.check_id for c in report.checks] == list(CHECK_IDS)
+    checks = (anticommutation, pair_commutator, gamma_commutator, gamma_negation,
+              core_commutators, dark_state, h0_eigenstate, number_eigenvalue,
+              momentum_eigenvalue, coupling_independence)
+    report = VerificationReport(lattice=table.descriptor(), seed=seed)
+    for check_id, check in zip(CHECK_IDS, checks, strict=True):
+        t0 = time.perf_counter()
+        params, residual, tolerance = check()
+        residual = float(residual)
+        report.checks.append(CheckResult(check_id, params, residual, tolerance,
+                                         residual <= tolerance, time.perf_counter() - t0))
     return report
 
 

@@ -145,6 +145,8 @@ MALFORMED = {
     "volume a boolean": {"lattice": {"volume": True}},
     "coupling a boolean": {"couplings": [True, -1]},
     "lambda a boolean": {"lambda_values": [0, False]},
+    # the negative control's nonzero dark residual is relative to a norm of W
+    "coupling past float range": {"couplings": ["1e400"], "formfactor": "asymmetric:3"},
 }
 
 
@@ -193,6 +195,15 @@ BAD_FLAGS = {
     "sector above the table modes": ["spectrum", "--config", "minimal", "--g=-1",
                                      "--sector", "5"],
     "empty coupling list": ["scan", "--config", "minimal", "--g-list", ""],
+    "continuum seed, which it does not read": ["continuum", "--kf", "1", "--delta",
+                                               "0.1", "--sizes", "8", "--seed", "3"],
+    # values past float range: a coupling, and sector-matrix entries of a
+    # finite coupling times a random weight
+    "coupling past float range": ["scan", "--config", "minimal", "--g-list", "1e400"],
+    "scan entry past float range": ["scan", "--config", "twopair", "--no-variational",
+                                    "--g-list", "1e308"],
+    "spectrum entry past float range": ["spectrum", "--config", "twopair",
+                                        "--g", "1.7e308"],
 }
 
 
@@ -203,6 +214,23 @@ def test_bad_command_line_value_exits_2_with_one_line(tmp_path, capsys, argv):
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["scan"], ["spectrum", "--g=-1"]])
+def test_volume_past_float_range_exits_2_with_one_line(tmp_path, capsys, command):
+    # g / volume is exact, but no float holds it
+    cfg = write_config(tmp_path, lattice={"volume": "1e-400"})
+    code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_keeps_a_coupling_past_float_range_exact(tmp_path):
+    # the battery's residuals are exactly 0, so nothing has to become a float
+    cfg = write_config(tmp_path, couplings=["1e400"])
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("sector", [0, 4])
@@ -274,10 +302,11 @@ FUZZ_BREAKS = [
     ("lattice", "delta", 0), ("lattice", "delta", "1e400"),
     ("lattice", "shell_points", 5), ("lattice", "shell_points", [[0, 0, 1]]),
     ("lattice", "shell_points", [[0, 0]]), ("lattice", "boost", [0, 0]),
-    ("lattice", "volume", 0), ("lattice", "mu", "nan"),
+    ("lattice", "volume", 0), ("lattice", "volume", "1e-400"), ("lattice", "mu", "nan"),
     ("lattice", "frozen-core", True), ("config", "lattice", 5),
     ("config", "lattice", []), ("config", "couplings", 5),
-    ("config", "couplings", ["1/0"]), ("config", "lambda_values", [None]),
+    ("config", "couplings", ["1/0"]), ("config", "couplings", ["1e400"]),
+    ("config", "lambda_values", [None]),
     ("config", "formfactor", "bogus"), ("config", "formfactor", 5),
     ("config", "seed", -1), ("config", "seed", "a"), ("config", "seed", 7.9),
     ("config", "caps", 5),

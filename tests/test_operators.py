@@ -19,8 +19,7 @@ from darkpair.operators import (
     OperatorExpr,
     ShellDomainError,
     _compile,
-    _state_values,
-    _term_values,
+    _values,
     apply_operator,
     build_gamma,
     build_h0,
@@ -434,13 +433,14 @@ def test_apply_operator_bits_equal_compiled_reference(monos, data):
     (2**51, 1, object),
     (Fraction(2**51 + 2, 3), Fraction(1, 2), object),
     (2**40, 2**30, object),  # the products alone overflow int64
+    (Fraction(1, 2**53), 1, object),  # the denominator alone, as in matrix_in_sector
 ])
 def test_apply_operator_routes_numerators_at_2_53(coeff, amp, dtype):
     # the number operator and a hop, on two states with the same image
     expr = OperatorExpr.from_monomials([(coeff, (C(0), A(0))), (-coeff, (C(0), A(1)))])
     vec = StateVector(2, {0b10: amp, 0b01: amp})
     compiled = _compile(expr, 2)
-    signed, amps, den = _state_values([t[-1] for t in compiled], list(vec.amp.values()))
+    signed, amps, den = _values([t[-1] for t in compiled], list(vec.amp.values()))
     assert signed.dtype == amps.dtype == np.dtype(dtype)
     assert bits(apply_operator(expr, vec).amp) == bits(apply_reference(expr, vec))
     assert apply_operator(expr, vec).amp == {}  # the hop cancels the number term
@@ -739,11 +739,17 @@ def sector_problems(draw):
     return OperatorExpr.from_monomials(monos), basis, n_modes
 
 
+def sector_values(expr, n_modes):
+    """The numerators ``matrix_in_sector`` sums: ``_values`` with a unit
+    amplitude."""
+    return _values([t[-1] for t in _compile(expr, n_modes)], [1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(problem=sector_problems())
 def test_sector_kernel_equals_column_reference(problem):
     expr, basis, n_modes = problem
-    assert _term_values(_compile(expr, n_modes))[2] is np.int64
+    assert sector_values(expr, n_modes)[0].dtype == np.int64
     assert_same_bits(expr, basis, n_modes)
 
 
@@ -797,14 +803,15 @@ def test_huge_denominator_takes_the_column_fallback():
         table = build_mode_table(LatticeConfig(
             kf=1.2, delta=0.5, frozen_core=True, shell_points=shell, **extra))
         h = build_h0(table) + build_w(table, Fraction(-1))
-        _, den, dtype = _term_values(_compile(h, 8))
-        assert dtype is object and den >= 1 << 53
+        signed, _, den = sector_values(h, 8)
+        assert signed.dtype == object and den >= 1 << 53
         assert_same_bits(h, sector_basis(8, 4), 8)
 
 
 def test_numerator_sum_at_2_53_takes_the_column_fallback():
     big = OperatorExpr.from_monomials([(2**52, (C(0), A(0))), (2**52, (C(1), A(1)))])
-    assert _term_values(_compile(big, 2))[1:] == (1, object)
+    signed, _, den = sector_values(big, 2)
+    assert (den, signed.dtype) == (1, object)
     assert_same_bits(big, [0b01, 0b10], 2)
 
 
