@@ -276,8 +276,16 @@ def cmd_continuum(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ``ConfigError``, reported on one line like any
+    other; subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="darkpair",
         description="Exact engine for pairing-interaction dark states",
     )
@@ -319,11 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
     try:
-        if extra:  # such as a flag this command does not take
-            raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -139,12 +139,17 @@ class LatticeConfig:
         hi = Fraction(self.kf) + Fraction(self.delta)
         return self.radius2_grid(lo), self.radius2_grid(hi)
 
+    def energy_sum(self, count: int, moment: int) -> Fraction:
+        """Summed energy c*|k|^2 (- mu if set) of ``count`` grid points
+        whose |n|^2 sum to ``moment``."""
+        e = Fraction(self.c) * self.kunit2 * moment
+        if self.mu is not None:
+            e -= count * Fraction(self.mu)
+        return e
+
     def epsilon(self, n: IVec) -> Fraction:
         """Single-particle energy c*|k|^2 (- mu if set) at grid point n."""
-        e = Fraction(self.c) * self.kunit2 * norm2(n)
-        if self.mu is not None:
-            e -= Fraction(self.mu)
-        return e
+        return self.energy_sum(1, norm2(n))
 
 
 class Mode(NamedTuple):
@@ -158,8 +163,9 @@ class ModeTable:
 
     Mode order is (inner < shell_plus < shell_minus points, then
     (n_z, n_y, n_x) lexicographic, then spin up < down).  When the core is
-    frozen, inner modes are dropped from the table and summarized by
-    ``core_particles`` / ``core_energy`` / ``core_momentum``.
+    frozen, ``inner_points`` is empty: the inner ball is never enumerated,
+    and ``core_particles`` / ``core_energy`` / ``core_momentum`` hold its
+    closed-form sums.
     """
 
     config: LatticeConfig
@@ -167,9 +173,9 @@ class ModeTable:
     inner_points: tuple[IVec, ...]
     shell_plus: tuple[IVec, ...]
     shell_minus: tuple[IVec, ...]
-    core_particles: int = 0
-    core_energy: Fraction = Fraction(0)
-    core_momentum: IVec = (0, 0, 0)
+    core_particles: int
+    core_energy: Fraction
+    core_momentum: IVec
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     _shell: set = field(default_factory=set, repr=False, compare=False)
 
@@ -188,6 +194,11 @@ class ModeTable:
     def mode_index(self, spin: int, n: IVec) -> int:
         return self._index[Mode(spin, tuple(n))]
 
+    def pair_modes(self, k: IVec) -> tuple[int, int]:
+        """Modes (up at k, down at the partner 2K - k) of the pair at k."""
+        return (self.mode_index(SPIN_UP, k),
+                self.mode_index(SPIN_DOWN, self.partner(k)))
+
     def partner(self, n: IVec) -> IVec:
         """Pairing partner 2K - n (plain negation for an unboosted lattice)."""
         k = self.config.boost
@@ -201,12 +212,13 @@ class ModeTable:
 
     def total_particles_nc(self) -> int:
         """Particle count of the fully paired construction, core included."""
-        live_inner = 0 if self.config.frozen_core else len(self.inner_points)
-        return self.core_particles + 2 * live_inner + 2 * len(self.shell_plus)
+        return (self.core_particles + 2 * len(self.inner_points)
+                + 2 * len(self.shell_plus))
 
     def descriptor(self) -> str:
+        inner = len(self.inner_points) + self.core_particles // 2
         return (
-            f"inner={len(self.inner_points)} plus={len(self.shell_plus)} "
+            f"inner={inner} plus={len(self.shell_plus)} "
             f"modes={self.n_modes} frozen={self.config.frozen_core} "
             f"K={self.config.boost}"
         )
@@ -301,33 +313,20 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
     for n in shell_set:
         if vsub(two_k, n) not in shell_set:
             raise UnpairedModeError(f"shell point {n} is unpaired")
-    inner_region = _points_between(K, 0, band_lo - 1)
-    if config.frozen_core:
-        inner = list(inner_region)
+    if config.frozen_core:  # the inner ball, counted and summed in closed form
+        count, moment = band_sums(0, band_lo - 1)
+        inner: list[IVec] = []
     else:
-        inner = _capped(inner_region, limit - len(shell))
+        count = moment = 0
+        inner = _capped(_points_between(K, 0, band_lo - 1), limit - len(shell))
 
     plus = sorted((n for n in shell if hemisphere_positive(vsub(n, K))), key=zyx_key)
     plus_set = set(plus)
     minus = sorted((n for n in shell if n not in plus_set), key=zyx_key)
     inner.sort(key=zyx_key)
 
-    core_particles = 0
-    core_energy = Fraction(0)
-    core_momentum = (0, 0, 0)
-    point_groups: list[list[IVec]] = [inner, plus, minus]
-    if config.frozen_core:
-        core_particles = 2 * len(inner)
-        core_energy = 2 * sum((config.epsilon(n) for n in inner), Fraction(0))
-        cm = [0, 0, 0]
-        for n in inner:
-            for ax in range(3):
-                cm[ax] += 2 * n[ax]
-        core_momentum = tuple(cm)
-        point_groups = [[], plus, minus]
-
     modes: list[Mode] = []
-    for group in point_groups:
+    for group in (inner, plus, minus):
         for n in group:
             modes.append(Mode(SPIN_UP, n))
             modes.append(Mode(SPIN_DOWN, n))
@@ -337,9 +336,11 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
         inner_points=tuple(inner),
         shell_plus=tuple(plus),
         shell_minus=tuple(minus),
-        core_particles=core_particles,
-        core_energy=core_energy,
-        core_momentum=core_momentum,
+        # two particles a point; the ball's offsets d from K sum to 0, so
+        # sum |n|^2 = sum |d|^2 + count*|K|^2 and sum n = count*K
+        core_particles=2 * count,
+        core_energy=2 * config.energy_sum(count, moment + count * norm2(K)),
+        core_momentum=(2 * count * K[0], 2 * count * K[1], 2 * count * K[2]),
     )
 
 

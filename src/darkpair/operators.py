@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .fock import MAX_MODES, StateVector, mode_bit
-from .lattice import SPIN_DOWN, SPIN_UP, IVec, ModeTable
+from .lattice import IVec, ModeTable
 
 CREATE = "c"
 ANNIHILATE = "a"
@@ -618,11 +618,8 @@ def build_pair(table: ModeTable, k: IVec, lam) -> OperatorExpr:
     weight on the exchanged branch.
     """
     k = _require_shell(table, k)
-    pk = table.partner(k)
-    up_k = table.mode_index(SPIN_UP, k)
-    dn_pk = table.mode_index(SPIN_DOWN, pk)
-    up_pk = table.mode_index(SPIN_UP, pk)
-    dn_k = table.mode_index(SPIN_DOWN, k)
+    up_k, dn_pk = table.pair_modes(k)
+    up_pk, dn_k = table.pair_modes(table.partner(k))
     return OperatorExpr.from_monomials(
         [
             (Fraction(1), ((CREATE, up_k), (CREATE, dn_pk))),
@@ -652,16 +649,12 @@ def build_w(
     pref = Fraction(g) / table.config.volume_fraction
     monomials = []
     for k1 in table.shell_all:
-        p1 = table.partner(k1)
-        c_up = table.mode_index(SPIN_UP, k1)
-        c_dn = table.mode_index(SPIN_DOWN, p1)
+        c_up, c_dn = table.pair_modes(k1)
         for k2 in table.shell_all:
             coeff = pref * formfactor(k1, k2)
             if coeff == 0:
                 continue
-            p2 = table.partner(k2)
-            a_dn = table.mode_index(SPIN_DOWN, p2)
-            a_up = table.mode_index(SPIN_UP, k2)
+            a_up, a_dn = table.pair_modes(k2)
             monomials.append(
                 (
                     coeff,
@@ -691,20 +684,16 @@ def pair_commutator_rhs(
     k = _require_shell(table, k)
     pref = Fraction(g) / table.config.volume_fraction
     lam = Fraction(lam)
-    pk = table.partner(k)
-    up_k = table.mode_index(SPIN_UP, k)
-    dn_k = table.mode_index(SPIN_DOWN, k)
-    up_pk = table.mode_index(SPIN_UP, pk)
-    dn_pk = table.mode_index(SPIN_DOWN, pk)
+    up_k, dn_pk = table.pair_modes(k)
+    up_pk, dn_k = table.pair_modes(table.partner(k))
 
     monomials = []
     for k1 in table.shell_all:
         coeff = pref * formfactor(k1, k)
         if coeff == 0:
             continue
-        p1 = table.partner(k1)
-        head = ((CREATE, table.mode_index(SPIN_UP, k1)),
-                (CREATE, table.mode_index(SPIN_DOWN, p1)))
+        c_up, c_dn = table.pair_modes(k1)
+        head = ((CREATE, c_up), (CREATE, c_dn))
         monomials.append((coeff * (1 + lam), head))
         for weight, idx in (
             (-lam, up_pk),

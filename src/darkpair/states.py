@@ -30,15 +30,14 @@ PairCoefficients = Mapping[IVec, tuple[complex, complex]]
 def phi_core(table: ModeTable) -> StateVector:
     """Inner sphere completely filled (both spins), amplitude +1.
 
-    With a frozen core the inner modes are not in the table, so this is
-    the formal vacuum of the shell-only space; the analytic core record
-    on the table carries the omitted particles and energy.
+    With a frozen core the table has no inner points, so this is the
+    formal vacuum of the shell-only space; the table's core record
+    carries the omitted particles and energy.
     """
     occ = 0
-    if not table.config.frozen_core:
-        for n in table.inner_points:
-            occ |= mode_bit(table.n_modes, table.mode_index(SPIN_UP, n))
-            occ |= mode_bit(table.n_modes, table.mode_index(SPIN_DOWN, n))
+    for n in table.inner_points:
+        occ |= mode_bit(table.n_modes, table.mode_index(SPIN_UP, n))
+        occ |= mode_bit(table.n_modes, table.mode_index(SPIN_DOWN, n))
     return StateVector(table.n_modes, {occ: 1})
 
 
@@ -97,7 +96,7 @@ def bcs_state(table: ModeTable, coeffs: PairCoefficients) -> StateVector:
     state = phi_core(table)
     for k in table.shell_all:
         u, v = coeffs[tuple(k)]
-        up, dn = table.mode_index(SPIN_UP, k), table.mode_index(SPIN_DOWN, table.partner(k))
+        up, dn = table.pair_modes(k)
         (term,) = _compile(OperatorExpr.from_monomial(1, ((CREATE, up), (CREATE, dn))),
                            table.n_modes)
         occs = sorted(state.amp)
@@ -114,11 +113,10 @@ def bcs_state(table: ModeTable, coeffs: PairCoefficients) -> StateVector:
 
 
 def phi_core_energy(table: ModeTable) -> Fraction:
-    """Absolute kinetic energy of ``phi_core``: the frozen-core record, or
-    two particles per inner point when the core is live."""
-    if table.config.frozen_core:
-        return table.core_energy
-    return 2 * sum((table.epsilon(n) for n in table.inner_points), Fraction(0))
+    """Absolute kinetic energy of ``phi_core``: the frozen-core record plus
+    two particles per live inner point."""
+    return table.core_energy + 2 * sum(
+        (table.epsilon(n) for n in table.inner_points), Fraction(0))
 
 
 def nc_energy(table: ModeTable) -> Fraction:

@@ -204,6 +204,11 @@ BAD_FLAGS = {
                                     "--g-list", "1e308"],
     "spectrum entry past float range": ["spectrum", "--config", "twopair",
                                         "--g", "1.7e308"],
+    # usage errors argparse finds itself
+    "missing config": ["scan", "--g-list", "1"],
+    "sector not an integer": ["spectrum", "--config", "minimal", "--g", "1",
+                              "--sector", "x"],
+    "unknown command": ["bogus"],
 }
 
 

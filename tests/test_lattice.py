@@ -61,15 +61,11 @@ def test_band_sums_against_brute_force(lo, hi):
     assert band_sums(lo, hi) == (len(band), sum(band))
 
 
-@pytest.mark.parametrize("kf, delta, boost, L", [
-    (1.0, 0.25, (0, 0, 0), 2 * math.pi),
-    (1.575, 0.17, (0, 0, 0), 2 * math.pi),
-    (2.0, 0.05, (1, -2, 3), 2 * math.pi),
-    (1.3, 0.6, (0, 1, 0), 5.0),
-])
-def test_band_and_inner_points_against_brute_force(kf, delta, boost, L):
-    config = LatticeConfig(kf=kf, delta=delta, boost=boost, L=L, frozen_core=True)
+def check_against_brute_force(config):
+    """Shell, frozen-core record and live inner points of ``config``
+    against an enumeration of the grid about its boost."""
     table = build_mode_table(config)
+    boost = config.boost
     lo2, hi2 = config.shell_bounds2
     reach = math.isqrt(math.floor(hi2)) + 1
     band, inner = set(), set()
@@ -85,8 +81,18 @@ def test_band_and_inner_points_against_brute_force(kf, delta, boost, L):
                 else:
                     assert not table.is_shell(n)
     assert set(table.shell_all) == band and len(table.shell_all) == len(band)
-    assert set(table.inner_points) == inner and len(table.inner_points) == len(inner)
+    # the frozen core is a closed-form record of the inner ball
+    assert table.inner_points == ()
     assert table.core_particles == 2 * len(inner)
+    assert table.core_energy == 2 * sum(config.epsilon(n) for n in inner)
+    assert table.core_momentum == tuple(2 * sum(n[ax] for n in inner) for ax in range(3))
+    assert f"inner={len(inner)} " in table.descriptor()
+    assert table.total_particles_nc() == 2 * len(inner) + len(band)
+    if len(inner) + len(band) <= 32:  # the live core fits the 64-mode word
+        thawed = build_mode_table(replace(config, frozen_core=False))
+        assert set(thawed.inner_points) == inner
+        assert len(thawed.inner_points) == len(inner)
+        assert thawed.descriptor().split()[0] == table.descriptor().split()[0]
     assert {table.partner(n) for n in table.shell_plus} == set(table.shell_minus)
     # frozen core: the modes are the plus, then the minus points, two spins each
     assert [m.n for m in table.modes] == [n for n in table.shell_all for _ in range(2)]
@@ -94,10 +100,38 @@ def test_band_and_inner_points_against_brute_force(kf, delta, boost, L):
         assert table.is_shell(n) == (n in band)
 
 
+GEOMETRIES = [
+    (1.0, 0.25, (0, 0, 0), 2 * math.pi),
+    (1.575, 0.17, (0, 0, 0), 2 * math.pi),
+    (2.0, 0.05, (1, -2, 3), 2 * math.pi),
+    (1.3, 0.6, (0, 1, 0), 5.0),
+]
+
+
+@pytest.mark.parametrize("kf, delta, boost, L", GEOMETRIES)
+def test_band_and_inner_points_against_brute_force(kf, delta, boost, L):
+    check_against_brute_force(
+        LatticeConfig(kf=kf, delta=delta, boost=boost, L=L, frozen_core=True))
+
+
+@pytest.mark.parametrize("geometry, c, mu", [
+    (GEOMETRIES[3], 1.7, 0.3),
+    (GEOMETRIES[2], 0.5, -1.25),
+    (GEOMETRIES[1], 3.0, 2.0),
+])
+def test_core_record_with_dispersion_against_brute_force(geometry, c, mu):
+    # mu shifts every inner point, so the core energy carries count*mu
+    kf, delta, boost, L = geometry
+    check_against_brute_force(LatticeConfig(kf=kf, delta=delta, boost=boost, L=L,
+                                            c=c, mu=mu, frozen_core=True))
+
+
 def test_three_pair_shell_is_exactly_unit_vectors(threepair_table):
     assert set(threepair_table.shell_plus) == {(0, 0, 1), (0, 1, 0), (1, 0, 0)}
     assert set(threepair_table.shell_minus) == {(0, 0, -1), (0, -1, 0), (-1, 0, 0)}
-    assert threepair_table.inner_points == ((0, 0, 0),)
+    assert threepair_table.inner_points == ()
+    assert threepair_table.core_particles == 2
+    assert threepair_table.descriptor().startswith("inner=1 ")
 
 
 def test_hemisphere_covers_each_pair_once():
@@ -118,7 +152,8 @@ def test_shell_symmetric_under_negation():
 
 
 def test_frozen_core_record(minimal_table):
-    assert minimal_table.inner_points == ((0, 0, 0),)
+    assert minimal_table.inner_points == ()
+    assert minimal_table.descriptor().startswith("inner=1 ")
     assert minimal_table.core_particles == 2
     assert minimal_table.core_energy == 0
     assert len(minimal_table.modes) == 4
@@ -196,7 +231,8 @@ def test_boosted_partner_and_classification(boosted_table):
     assert t.shell_plus == ((0, 0, 2),)
     assert t.shell_minus == ((0, 0, 0),)
     assert t.partner((0, 0, 2)) == (0, 0, 0)
-    assert t.inner_points == ((0, 0, 1),)
+    assert t.inner_points == ()
+    assert t.descriptor().startswith("inner=1 ")
     # core record at the drift point: two particles of energy 1 each
     assert t.core_particles == 2
     assert t.core_energy == 2
@@ -226,7 +262,21 @@ def test_too_many_modes_rejected():
                            shell_points=((1, 1, 2), (-1, -1, -2)))
     with pytest.raises(LatticeError, match="more than 64 modes"):
         build_mode_table(config)
-    assert len(build_mode_table(replace(config, frozen_core=True)).inner_points) == 57
+    frozen = build_mode_table(replace(config, frozen_core=True))
+    assert frozen.core_particles == 2 * 57
+    assert frozen.descriptor().startswith("inner=57 ")
+
+
+def test_frozen_core_is_not_enumerated():
+    # the kf = 40 ball holds 258,135 grid points; the record is summed row
+    # by row in closed form, never point by point
+    start = time.perf_counter()
+    table = build_mode_table(LatticeConfig(kf=40, delta=0.5, frozen_core=True,
+                                           shell_points=((40, 0, 0), (-40, 0, 0))))
+    assert time.perf_counter() - start < 1.0
+    assert table.inner_points == ()
+    assert table.descriptor().startswith("inner=258135 ")
+    assert table.core_particles == 2 * 258135
 
 
 @pytest.mark.parametrize("frozen", [True, False])
