@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .fock import MAX_MODES
 
 TAU = 2.0 * math.pi
@@ -246,19 +248,57 @@ def _points_between(center: IVec, lo: int, hi: int) -> Iterator[IVec]:
             yield (center[0] + dx, center[1] + dy, center[2] + dz)
 
 
+# The largest ``hi`` that ``band_sums`` takes.  A z-slice holds at most
+# (2 isqrt(hi) + 1)**2 offsets, each with |d|^2 <= hi, and every row sum is
+# non-negative, so every int64 partial sum of a slice's count and moment is
+# at most hi (2 isqrt(hi) + 1)**2 ~ 4 hi**2.  That stays below 2**63 up to
+# hi ~ 2**30.5; 2**30 is the round value under it (the bound reads
+# 2**62.00004 there).
+BAND_MAX = 1 << 30
+
+
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of a non-negative int64 array: the float
+    root, corrected by one where it is off."""
+    t = np.sqrt(x).astype(np.int64)
+    t -= t * t > x
+    t += (t + 1) * (t + 1) <= x
+    return t
+
+
 def band_sums(lo: int, hi: int) -> tuple[int, int]:
     """Count and sum of |d|^2 over the integer offsets d with
-    lo <= |d|^2 <= hi: the rows of ``_points_between``, each summed in
-    closed form, sum_{x=1..t} x^2 = t(t+1)(2t+1)/6."""
+    lo <= |d|^2 <= hi; ``(0, 0)`` when there are none.
 
-    def squares(t: int) -> int:
+    The rows of ``_band_rows`` with dz, dy >= 0 are summed one z-slice at
+    a time as int64 arrays, each in closed form, sum_{x=1..t} x^2 =
+    t(t+1)(2t+1)/6, and the rows at dy > 0 and the slices at dz > 0 count
+    twice.  A ``hi`` above ``BAND_MAX`` raises ``LatticeError``.
+    """
+    if hi > BAND_MAX:
+        raise LatticeError(
+            f"a ball of |d|^2 up to {hi} exceeds {BAND_MAX}, the largest "
+            "whose sums are exact; shrink kf"
+        )
+    lo = max(lo, 0)
+    if hi < lo:
+        return 0, 0
+
+    def squares(t):
         return t * (t + 1) * (2 * t + 1) // 6  # 0 at t = -1
 
     count = moment = 0
-    for dz, dy, low, top in _band_rows(lo, hi):
+    for dz in range(math.isqrt(hi) + 1):
+        dy = np.arange(math.isqrt(hi - dz * dz) + 1, dtype=np.int64)
+        r2 = dy * dy + dz * dz
+        top = _isqrt(hi - r2)
+        # low: the least x >= 0 with x^2 >= lo - r2
+        low = np.where(lo > r2, _isqrt(np.maximum(lo - r2 - 1, 0)) + 1, 0)
         n = 2 * (top - low + 1) - (low == 0)  # low <= top + 1: never negative
-        count += n
-        moment += n * (dz * dz + dy * dy) + 2 * (squares(top) - squares(low - 1))
+        m2 = n * r2 + 2 * (squares(top) - squares(low - 1))
+        twice = 2 if dz else 1
+        count += twice * (2 * int(n.sum()) - int(n[0]))
+        moment += twice * (2 * int(m2.sum()) - int(m2[0]))
     return count, moment
 
 

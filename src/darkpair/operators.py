@@ -107,12 +107,13 @@ def _exact(coeff) -> Fraction:
 class OperatorExpr:
     """Canonical (normal-ordered) term map with ``Fraction`` coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_wick")
 
     def __init__(self, terms: dict[Term, object] | None = None):
         self.terms: dict[Term, Fraction] = {
             t: _exact(c) for t, c in (terms or {}).items()
         }
+        self._wick = None  # the bitmask form of ``_wick_form``, built on first use
         for factors in self.terms:
             keys = [(kind != CREATE, mode) for kind, mode in factors]
             if keys != sorted(set(keys)):
@@ -127,6 +128,7 @@ class OperatorExpr:
         """Unchecked constructor for term maps this module built canonical."""
         expr = object.__new__(cls)
         expr.terms = terms
+        expr._wick = None
         return expr
 
     @classmethod
@@ -239,28 +241,52 @@ def _modes(mask: int) -> list[int]:
     return modes
 
 
-def _above(mask: int, above: list[int]) -> int:
-    """The bits z with an odd number of ``mask`` bits below z, where
-    ``above[m]`` holds the bits above m: ``(x & _above(y, above))
-    .bit_count()`` is #{(i, j): i in x, j in y, i > j} mod 2."""
+def _above(mask: int) -> int:
+    """The bits z with an odd number of ``mask`` bits below z, a negative
+    int when ``mask`` has an odd number of bits (bit m's bits above it are
+    ``-(2 << m)``, with no width): ``(x & _above(y)).bit_count()`` is
+    #{(i, j): i in x, j in y, i > j} mod 2 for any ``x >= 0``."""
     out = 0
-    for m in _modes(mask):
-        out ^= above[m]
+    while mask:
+        low = mask & -mask
+        out ^= -(low << 1)
+        mask ^= low
     return out
 
 
-def _masks(factors: Term, above: list[int]) -> tuple[int, int, int, int]:
+def _masks(factors: Term) -> tuple[int, int, int, int]:
     """``(C, A, _above(C), _above(A))`` of a canonical term: the masks of its
     created and annihilated modes, bit m for mode m."""
     cm = am = cup = aup = 0
     for kind, mode in factors:
         if kind == CREATE:
             cm |= 1 << mode
-            cup ^= above[mode]
+            cup ^= -(2 << mode)
         else:
             am |= 1 << mode
-            aup ^= above[mode]
+            aup ^= -(2 << mode)
     return cm, am, cup, aup
+
+
+def _wick_form(expr: OperatorExpr) -> tuple:
+    """``(ops, den, width, degrees)``: what ``_products`` reads of an operand,
+    built on the operand's first product and kept in its ``_wick`` slot.
+
+    ``ops[p]`` holds a ``(*_masks(t), numerator)`` tuple for each term t of
+    odd degree ``p``, the numerators over the common denominator ``den``;
+    ``width`` is one more than the highest mode and ``degrees`` the sorted
+    distinct term degrees.  The masks do not depend on a partner's width,
+    so one form serves every product; it stays valid because no code
+    changes ``terms`` after the operator is built.
+    """
+    if expr._wick is None:
+        nums, den = _numerators(list(expr.terms.values()))
+        ops: tuple[list, list] = ([], [])
+        for t, v in zip(expr.terms, nums):
+            ops[len(t) & 1].append((*_masks(t), v))
+        width = 1 + max((m for t in expr.terms for _, m in t), default=0)
+        expr._wick = ops, den, width, sorted(set(map(len, expr.terms)))
+    return expr._wick
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr, cap: int = DEGREE_CAP) -> OperatorExpr:
@@ -272,31 +298,32 @@ def commutator(a: OperatorExpr, b: OperatorExpr, cap: int = DEGREE_CAP) -> Opera
 def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> OperatorExpr:
     """``AB``, or ``AB - BA`` when ``commute``, normal-ordered by Wick's theorem.
 
-    Canonical monomials ``C1 A1`` and ``C2 A2`` (sets of modes) multiply to
-    a sum over contraction sets ``S`` of ``A1 & C2`` (``_wick_sum``).  Both
-    orders are summed as integer numerators over the product of the two
-    common denominators into one map, ``BA`` with the numerators of ``B``
-    negated, and only the terms that survive get factor tuples and
-    ``Fraction``s.
+    Canonical monomials ``X = C1 A1`` and ``Y = C2 A2`` (sets of modes)
+    multiply to a sum over contraction sets ``S`` of ``A1 & C2``
+    (``_wick_sum``).  Both orders are summed as integer numerators over the
+    product of the two common denominators into one map, ``BA`` negated,
+    and only the terms that survive get factor tuples and ``Fraction``s.
+    In ``AB - BA`` the uncontracted term (``S`` empty) of ``XY`` is
+    ``:XY:`` and that of ``YX`` is ``(-1)**(deg X * deg Y) :XY:``, so it
+    is built only for pairs of odd-degree terms: every other pair
+    contributes its contractions alone.
     """
-    sides = [list(x.terms) for x in (a, b)]
-    degree = next((d1 + d2 for d1, d2 in itertools.product(
-        *(sorted(set(map(len, side))) for side in sides)) if d1 + d2 > cap), None)
+    (ops_a, den_a, width_a, deg_a), (ops_b, den_b, width_b, deg_b) = map(
+        _wick_form, (a, b))
+    degree = next((d1 + d2 for d1, d2 in itertools.product(deg_a, deg_b)
+                   if d1 + d2 > cap), None)
     if degree is not None:
         raise DegreeCapError(f"monomial degree {degree} exceeds cap {cap}")
-    (nums_a, den_a), (nums_b, den_b) = (_numerators(list(x.terms.values()))
-                                        for x in (a, b))
     den = den_a * den_b
-    width = 1 + max((m for side in sides for t in side for _, m in t), default=0)
+    width = max(width_a, width_b)
     top = (1 << width) - 1
-    above = [top ^ ((2 << m) - 1) for m in range(width)]
-    ops_a, ops_b = ([(*_masks(t, above), v) for t, v in zip(side, nums)]
-                    for side, nums in zip(sides, (nums_a, nums_b)))
 
     out: dict[int, int] = {}
-    _wick_sum(ops_a, ops_b, width, above, out)
-    if commute:
-        _wick_sum([(*op[:4], -op[4]) for op in ops_b], ops_a, width, above, out)
+    for pa, pb in itertools.product((0, 1), repeat=2):
+        empty = not commute or pa & pb
+        _wick_sum(ops_a[pa], ops_b[pb], width, out, False, empty)
+        if commute:
+            _wick_sum(ops_b[pb], ops_a[pa], width, out, True, empty)
 
     # the factor tuples and Fractions of the result, each built once
     factor = {kind: [(kind, m) for m in range(width)] for kind in (CREATE, ANNIHILATE)}
@@ -313,10 +340,12 @@ def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> Oper
     return OperatorExpr._wrap(terms)
 
 
-def _wick_sum(left: list[tuple], right: list[tuple], width: int, above: list[int],
-              out: dict[int, int]) -> None:
+def _wick_sum(left: list[tuple], right: list[tuple], width: int, out: dict[int, int],
+              negate: bool, empty: bool) -> None:
     """Add the product ``left * right`` of two operands given as ``_masks``
-    tuples with their numerators into ``out``, keyed ``C << width | A``.
+    tuples with their numerators into ``out``, keyed ``C << width | A``;
+    ``negate`` subtracts it, and ``empty=False`` leaves out every
+    uncontracted term.
 
     A pair of terms contributes a term for each contraction set ``S`` of
     ``A1 & C2``.  A term is zero when ``C1`` meets ``C2 - S`` or ``A1 - S``
@@ -333,18 +362,22 @@ def _wick_sum(left: list[tuple], right: list[tuple], width: int, above: list[int
     reaches zero leaves ``out``, as in ``from_monomials``.
     """
     for cm1, am1, _, _, v1 in left:
+        if not (am1 or empty):
+            continue  # nothing to contract: only uncontracted terms
         for cm2, am2, cup2, aup2, v2 in right:
             free = am1 & cm2
             must = (cm1 & cm2) | (am1 & am2)
-            if must & ~free:
+            if must & ~free or not (free or empty):
                 continue
             free ^= must
-            value = v1 * v2
+            value = -v1 * v2 if negate else v1 * v2
             sub = free
             while True:
                 s = must | sub
+                if not (s or empty):
+                    break  # the uncontracted term, enumerated last
                 a1, c2 = am1 ^ s, cm2 ^ s
-                sup = _above(s, above) if s else 0
+                sup = _above(s)
                 p = (((a1 & (sup ^ aup2)) ^ (s & cup2) ^ (cm1 & (cup2 ^ sup)))
                      .bit_count() + a1.bit_count() * c2.bit_count())
                 key = (cm1 | c2) << width | a1 | am2

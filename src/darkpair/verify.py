@@ -7,8 +7,8 @@ rendering only, so the JSON artifact is byte-reproducible.
 
 The continuum section compares the closed-form energy per particle with
 exact lattice counting at growing grid refinements.  The counts and
-second moments are summed one (z, y) row at a time in closed form
-(``lattice.band_sums``), so no array grows with the grid volume.
+second moments of the (z, y) rows are summed in closed form, one z-slice
+at a time (``lattice.band_sums``), so no array grows past one slice.
 """
 
 from __future__ import annotations

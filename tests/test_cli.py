@@ -269,6 +269,18 @@ def test_huge_lattice_exits_2_fast(tmp_path, capsys):
     assert "more than 64 modes" in capsys.readouterr().err
 
 
+def test_core_past_exact_sums_exits_2_fast(tmp_path, capsys):
+    # the kf = 1e5 ball is beyond the int64 sums of lattice.band_sums
+    cfg = write_config(tmp_path, lattice={"kf": 1e5, "shell_points": [
+        [100000, 0, 0], [-100000, 0, 0]]})
+    start = time.perf_counter()
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "the largest whose sums are exact" in err and err.count("\n") == 1
+
+
 def test_over_cap_thawed_twin_exits_2_fast(tmp_path, capsys):
     # 64 frozen modes fit the occupation word, but the core-commutator
     # check needs the thawed twin, which does not; no check may run first

@@ -1,10 +1,12 @@
 """Byte-for-byte artifacts of every bundled config.
 
 Each bundled config goes through ``verify``, ``scan --no-variational``
-and ``spectrum --g=-1``; one ``continuum`` run rounds it off.  The
-``report.json`` and CSV bytes must equal the files under
-``tests/golden/<config>/``, which makes the reproducible-artifact
-contract a test: a refactor that keeps results must keep these bytes.
+and ``spectrum --g=-1``; ``verify`` on a 40-mode shell (the stress lattice
+of the ``battery`` benchmark, ``golden/shell10/config.json``) and one
+``continuum`` run round it off.  The ``report.json`` and CSV bytes must
+equal the files under ``tests/golden/<config>/``, which makes the
+reproducible-artifact contract a test: a refactor that keeps results must
+keep these bytes.
 
 Rerecord after a deliberate output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -31,6 +33,8 @@ RUNS = [
         ("spectrum", ["--g=-1"], "spectrum.csv"),
     )
 ] + [
+    ("shell10", ["verify", "--config", str(GOLDEN / "shell10" / "config.json")],
+     "report.json", EXIT_OK),
     ("continuum", ["continuum", "--kf", "1.0", "--delta", "0.1",
                    "--sizes", "8,16,32"], "continuum.csv", EXIT_OK),
 ]

@@ -6,8 +6,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from band_rows import row_sums
 from darkpair.lattice import (
+    BAND_MAX,
     SPIN_DOWN,
     SPIN_UP,
     EmptyShellError,
@@ -50,15 +54,35 @@ def test_shell_enumeration_against_brute_force():
 
 @pytest.mark.parametrize("lo, hi", [
     (0, 0), (0, 7), (1, 1), (3, 3), (4, 8), (5, 12), (9, 30), (26, 26), (7, 7),
+    (4, 1), (10, 3), (1, 0), (0, -1), (-5, -1),  # empty ranges
 ])
 def test_band_sums_against_brute_force(lo, hi):
-    reach = math.isqrt(hi) + 1
+    reach = math.isqrt(max(hi, 0)) + 1
     norms = [x * x + y * y + z * z
              for x in range(-reach, reach + 1)
              for y in range(-reach, reach + 1)
              for z in range(-reach, reach + 1)]
     band = [n2 for n2 in norms if lo <= n2 <= hi]
     assert band_sums(lo, hi) == (len(band), sum(band))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_band_sums_against_the_row_loop(data):
+    hi = data.draw(st.integers(0, 3000))
+    lo = data.draw(st.integers(0, hi + 1))
+    assert band_sums(lo, hi) == row_sums(lo, hi)
+
+
+def test_band_sums_rejects_a_ball_past_exact_int64_sums():
+    with pytest.raises(LatticeError, match="exceeds 1073741824"):
+        band_sums(0, BAND_MAX + 1)
+    # the kf = 1e5 core, about 4e15 grid points, is refused before any work
+    start = time.perf_counter()
+    with pytest.raises(LatticeError, match="the largest whose sums are exact"):
+        build_mode_table(LatticeConfig(kf=1e5, delta=0.5, frozen_core=True,
+                                       shell_points=((10**5, 0, 0), (-10**5, 0, 0))))
+    assert time.perf_counter() - start < 1.0
 
 
 def check_against_brute_force(config):
@@ -277,6 +301,13 @@ def test_frozen_core_is_not_enumerated():
     assert table.inner_points == ()
     assert table.descriptor().startswith("inner=258135 ")
     assert table.core_particles == 2 * 258135
+    # the kf = 1000 ball, 4.2e9 grid points; the row loop of band_rows.py
+    # takes seconds to give the same record
+    table = build_mode_table(LatticeConfig(kf=1000, delta=0.5, frozen_core=True,
+                                           shell_points=((1000, 0, 0), (-1000, 0, 0))))
+    assert time.perf_counter() - start < 2.0
+    assert table.core_particles == 2 * 4182513051
+    assert table.core_energy == 5014000210392528
 
 
 @pytest.mark.parametrize("frozen", [True, False])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkpair import formfactors
+from darkpair import formfactors, operators
 from darkpair.fock import StateVector, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import (
@@ -255,6 +255,54 @@ def test_commutator_drops_a_term_both_orders_cancel(coeff):
     got = commutator(n0, b)
     assert got.terms == {(C(0), A(1)): coeff * coeff}
     assert got == n0.compose(b) - b.compose(n0)
+
+
+def test_commutator_of_even_terms_with_no_contraction_is_empty():
+    # a+0 a1 and a+2 a3 share no mode: both orders give the same :XY:
+    x = OperatorExpr.from_monomial(1, (C(0), A(1)))
+    y = OperatorExpr.from_monomial(1, (C(2), A(3)))
+    assert commutator(x, y).terms == {}
+
+
+def test_commutator_of_odd_terms_keeps_the_uncontracted_term():
+    # a+0 a+1 - a+1 a+0 = 2 a+0 a+1: the odd x odd term adds, not cancels
+    got = commutator(OperatorExpr.from_monomial(1, (C(0),)),
+                     OperatorExpr.from_monomial(1, (C(1),)))
+    assert got.terms == {(C(0), C(1)): Fraction(2)}
+    # a0 a+0 - a+0 a0 = 1 - 2 a+0 a0: the contraction and the doubled term
+    got = commutator(OperatorExpr.from_monomial(1, (A(0),)),
+                     OperatorExpr.from_monomial(1, (C(0),)))
+    assert got == OperatorExpr.identity() - OperatorExpr.from_monomial(2, (C(0), A(0)))
+
+
+def test_an_operand_is_prepared_once(minimal_table, monkeypatch):
+    calls = []
+    masks = operators._masks
+    monkeypatch.setattr(operators, "_masks", lambda t: calls.append(t) or masks(t))
+    w = build_w(minimal_table, Fraction(-1))
+    k = minimal_table.shell_plus[0]
+    p1, p2 = build_pair(minimal_table, k, 2), build_pair(minimal_table, k, 3)
+    commutator(w, p1)
+    commutator(w, p2)
+    assert len(calls) == len(w) + len(p1) + len(p2)
+    # a derived operator is a new object with no form of its own
+    for derived in (w + p1, -w, w.scaled(2)):
+        assert derived._wick is None
+    assert w._wick is not None
+
+
+def test_commutator_checks_the_degree_cap_before_any_product(monkeypatch):
+    def no_products(*args):
+        raise AssertionError("a Wick sum ran before the degree-cap check")
+
+    a = OperatorExpr.from_monomials([(1, (C(0), A(1))), (1, (C(0), C(1), A(2)))])
+    b = OperatorExpr.from_monomials([(1, (C(3), A(4), A(5)))])
+    with pytest.raises(DegreeCapError) as want:
+        a.compose(b, 5)
+    monkeypatch.setattr(operators, "_wick_sum", no_products)
+    with pytest.raises(DegreeCapError) as got:
+        commutator(a, b, 5)
+    assert str(got.value) == str(want.value) == "monomial degree 6 exceeds cap 5"
 
 
 def test_pair_commutator_on_the_40_mode_shell():
