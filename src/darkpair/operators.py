@@ -551,8 +551,7 @@ def matrix_in_sector(
     Every term goes through ``_fire`` over all columns at once, and the
     coefficients are summed as integer numerators over their common
     denominator (``_values`` with a unit amplitude) and divided once, so
-    each entry is the exact rational entry correctly rounded, with a +0.0
-    imaginary part.
+    each entry is the exact rational entry correctly rounded, as ``float64``.
     Sparse matrices are canonical CSR and keep entries whose terms cancel
     as explicit zeros.
     """
@@ -581,14 +580,11 @@ def matrix_in_sector(
         # COO -> CSR sums the int64 duplicates: exact, in any order
         mat = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
         del rows, cols, vals
-        data = np.zeros(mat.nnz, dtype=np.complex128)
-        np.divide(mat.data, den, out=data.real)
-        mat.data = data
+        mat.data = mat.data / den
         return mat
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    real = mat.real
-    np.add.at(real, (rows, cols), vals)  # integer sums below 2**53: exact
-    real[rows, cols] /= den  # the set entries only: untouched pages stay unmapped
+    mat = np.zeros((dim, dim))
+    np.add.at(mat, (rows, cols), vals)  # integer sums below 2**53: exact
+    mat[rows, cols] /= den  # the set entries only: untouched pages stay unmapped
     return mat
 
 

@@ -106,6 +106,9 @@ def diagonalize_sector(
 
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+    # random:<s> makes H non-Hermitian, so Krylov stays on scipy's complex route;
+    # cast in place so no real copy of the matrix lives through the solve
+    mat.data = mat.data.astype(np.complex128)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     try:
@@ -215,8 +218,8 @@ def rayleigh_quotient(h: OperatorExpr, state: StateVector) -> float:
     kernel."""
     occs = sorted(state.amp)
     mat = matrix_in_sector(h, occs, state.n_modes, sparse=True)
-    psi = np.array([state.amp[occ] for occ in occs], dtype=np.complex128)
-    return float((np.vdot(psi, mat @ psi) / np.vdot(psi, psi)).real)
+    psi = np.array([state.amp[occ] for occ in occs], dtype=np.float64)
+    return float(psi @ (mat @ psi) / (psi @ psi))
 
 
 def pair_energy_form(

@@ -506,7 +506,7 @@ def test_matrix_columns_equal_apply_operator(twopair_table, sparse):
     for col, occ in enumerate(basis):
         image = apply_operator(h, StateVector(8, {occ: 1}))
         column = {basis[r]: mat[r, col] for r in np.flatnonzero(mat[:, col])}
-        assert column == {k: complex(v) for k, v in image.amp.items()}
+        assert column == {k: float(v) for k, v in image.amp.items()}
 
 
 @pytest.mark.parametrize("factors", [(C(1), C(0)), (A(0), C(0)), (A(2), A(1)),
@@ -653,7 +653,7 @@ def test_matrix_h0_diagonal(minimal_table):
 
 def test_matrix_w_pairing_block(minimal_table):
     basis = sector_basis(4, 2)
-    mat = matrix_in_sector(build_w(minimal_table, 1), basis, 4).real
+    mat = matrix_in_sector(build_w(minimal_table, 1), basis, 4)
     expected = np.zeros((6, 6))
     i_1001 = basis.index(0b1001)
     i_0110 = basis.index(0b0110)
@@ -695,7 +695,7 @@ def test_matrix_rejects_number_breaking_operator():
 
 def column_reference(expr, basis, n_modes, sparse):
     """Sector matrix built one column at a time with ``_apply_compiled``:
-    each entry an exact sum in term order, rounded once by ``complex``."""
+    each entry an exact sum in term order, rounded once by ``float``."""
     from scipy.sparse import csr_matrix
 
     compiled = _compile(expr, n_modes)
@@ -708,11 +708,11 @@ def column_reference(expr, basis, n_modes, sparse):
             if res in index:
                 rows.append(index[res])
                 cols.append(col)
-                data.append(complex(acc[res]))
+                data.append(float(acc[res]))
     dim = len(basis)
     if sparse:
-        return csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.complex128)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+        return csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.float64)
+    mat = np.zeros((dim, dim))
     mat[rows, cols] = data
     return mat
 

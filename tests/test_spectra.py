@@ -134,11 +134,15 @@ def test_an_explicit_zero_joins_its_rows_into_one_component():
     assert labels[0] == labels[1] != labels[2]
 
 
-def test_block_ground_equals_krylov_on_the_16_mode_shell():
+def _shell16():
     # the 16-mode |n|^2 = 3 shell: sector 8 (dim 12,870) has blocks of at
     # most 70 states
-    table = build_mode_table(LatticeConfig(kf=math.sqrt(3), delta=0.05,
-                                           frozen_core=True, volume=1))
+    return build_mode_table(LatticeConfig(kf=math.sqrt(3), delta=0.05,
+                                          frozen_core=True, volume=1))
+
+
+def test_block_ground_equals_krylov_on_the_16_mode_shell():
+    table = _shell16()
     h = build_hamiltonian(table, Fraction(-1, 2), "random:106", seed=5)
     blocks = diagonalize_sector(h, table, 8, n_lowest=1, seed=5)
     krylov = diagonalize_sector(h, table, 8, seed=5)
@@ -165,6 +169,86 @@ def test_over_cap_sector_raises_inside_diagonalize_sector(threepair_table):
     with pytest.raises(BasisSizeError) as err:
         nc_in_spectrum(threepair_table, Fraction(-1), basis_cap=923)
     assert "diagonalize_sector" in [entry.name for entry in err.traceback]
+
+
+# ---------------------------------------------------------------------------
+# the real float64 routes against the complex ones they replaced
+# ---------------------------------------------------------------------------
+
+BUNDLED = ("minimal", "twopair", "threepair_core", "boosted", "broken_formfactor")
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_sector_matrix_is_real(threepair_table, sparse):
+    h = build_hamiltonian(threepair_table, Fraction(-1, 3), "random:13", seed=13)
+    mat = matrix_in_sector(h, sector_basis(12, 6), 12, sparse=sparse)
+    assert mat.dtype == np.float64
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_dense_spectrum_equals_complex_eigvalsh(name):
+    cfg = load_config(bundled_config_path(name))
+    table = cfg["table"]
+    core = float(table.core_energy)
+    for g in cfg["couplings"]:
+        h = build_hamiltonian(table, g, cfg["formfactor"], cfg["seed"])
+        for n in range(table.n_modes + 1):
+            spec = diagonalize_sector(h, table, n)
+            assert spec.method == "dense"
+            mat = matrix_in_sector(h, sector_basis(table.n_modes, n), table.n_modes)
+            want = np.linalg.eigvalsh(mat.astype(np.complex128)) + core
+            scale = np.maximum(1.0, np.abs(want))
+            assert np.all(np.abs(spec.eigenvalues - want) <= 1e-12 * scale), (g, n)
+
+
+@pytest.mark.parametrize("lattice, sector, cutoff, formfactor", [
+    ("threepair", 6, 20, "unit"),
+    ("threepair", 6, 20, "random:13"),
+    ("threepair", 6, 20, "asymmetric:2"),
+    ("shell16", 8, 70, "random:106"),
+])
+def test_block_ground_equals_complex_stacks(threepair_table, lattice, sector, cutoff,
+                                            formfactor):
+    from darkpair.spectra import _block_ground
+
+    table = threepair_table if lattice == "threepair" else _shell16()
+    h = build_hamiltonian(table, Fraction(-1, 2), formfactor, seed=5)
+    mat = matrix_in_sector(h, sector_basis(table.n_modes, sector), table.n_modes,
+                           sparse=True)
+    got = _block_ground(mat, cutoff)
+    want = _block_ground(mat.astype(np.complex128), cutoff)
+    assert got is not None and abs(got - want) <= 1e-10
+
+
+@pytest.mark.parametrize("formfactor", ["unit", "random:13"])
+def test_krylov_equals_complex_eigsh_bit_for_bit(threepair_table, formfactor):
+    from scipy.sparse.linalg import eigsh
+
+    h = build_hamiltonian(threepair_table, Fraction(-1), formfactor, seed=13)
+    spec = diagonalize_sector(h, threepair_table, 6, dense_cutoff=1, n_lowest=4,
+                              seed=5)
+    assert spec.method == "krylov"
+    mat = matrix_in_sector(h, sector_basis(12, 6), 12, sparse=True)
+    v0 = np.random.default_rng(5).standard_normal(mat.shape[0])
+    vals, _ = eigsh(mat.astype(np.complex128), k=4, which="SA", v0=v0)
+    want = np.sort(vals).real + float(threepair_table.core_energy)
+    assert spec.eigenvalues.tobytes() == want.tobytes()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: random:<s> is not Hermitian")
+@pytest.mark.parametrize("name", ["twopair", "threepair_core"])
+def test_ground_energy_does_not_depend_on_the_dense_cutoff(name):
+    """Dense eigvalsh reads one triangle of the sector matrix; the block
+    route takes the least real part of H's eigenvalues.  The two agree
+    only when H is Hermitian."""
+    cfg = load_config(bundled_config_path(name))
+    table, couplings = cfg["table"], cfg["couplings"]
+    dense = scan_g(table, couplings, cfg["formfactor"], cfg["seed"],
+                   with_variational=False)
+    blocks = scan_g(table, couplings, cfg["formfactor"], cfg["seed"],
+                    with_variational=False, dense_cutoff=20)
+    for d, b in zip(dense, blocks, strict=True):
+        assert abs(d["E_ground"] - b["E_ground"]) <= 1e-9, d["g"]
 
 
 def test_nc_in_spectrum_minimal(minimal_table):
@@ -203,8 +287,7 @@ def test_rayleigh_quotient_of_fermi_state(minimal_table):
     assert math.isclose(value, 4.0 - 2.0, abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["minimal", "twopair", "threepair_core", "boosted",
-                                  "broken_formfactor"])
+@pytest.mark.parametrize("name", BUNDLED)
 def test_rayleigh_quotient_equals_exact_expectation(name):
     """The sector-matrix quotient against <psi|H|psi> / <psi|psi> summed
     exactly by the operator kernel, on the paired and Fermi states."""
