@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -535,11 +537,49 @@ def _sector_entries(compiled: list[tuple], signed: np.ndarray, occs):
     return [where, *rows], [where, *cols], [diag[where], *vals]
 
 
+@dataclass(frozen=True)
+class SectorCOO:
+    """A sector matrix as its unsummed entries: ``nums[i] / den`` adds to
+    entry ``(rows[i], cols[i])`` of the ``dim`` x ``dim`` matrix.
+
+    The numerators are int64 (float64 over ``den = 1`` when ``_values``
+    needs Python ints), so every summed entry is exact before its one
+    division; ``toarray`` and ``tocsr`` give ``matrix_in_sector``'s dense
+    and CSR matrices.  Holding it imports no scipy.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    nums: np.ndarray
+    den: int
+    dim: int
+
+    @cached_property
+    def nnz(self) -> int:
+        """Stored entries once duplicates are summed, explicit zeros
+        included, as CSR counts them."""
+        return len(np.unique(self.rows.astype(np.int64) * self.dim + self.cols))
+
+    def toarray(self) -> np.ndarray:
+        mat = np.zeros((self.dim, self.dim))
+        np.add.at(mat, (self.rows, self.cols), self.nums)  # integer sums below 2**53: exact
+        mat[self.rows, self.cols] /= self.den  # the set entries only: untouched pages stay unmapped
+        return mat
+
+    def tocsr(self):
+        from scipy.sparse import csr_matrix
+
+        # COO -> CSR sums the int64 duplicates: exact, in any order
+        mat = csr_matrix((self.nums, (self.rows, self.cols)), shape=(self.dim, self.dim))
+        mat.data = mat.data / self.den
+        return mat
+
+
 def matrix_in_sector(
     expr: OperatorExpr,
     basis: list[int],
     n_modes: int,
-    sparse: bool = False,
+    sparse: bool | str = False,
 ):
     """Matrix entries <basis_r | expr | basis_c> on a strictly ascending
     basis, such as ``sector_basis`` output; any other raises ``ValueError``.
@@ -552,8 +592,9 @@ def matrix_in_sector(
     coefficients are summed as integer numerators over their common
     denominator (``_values`` with a unit amplitude) and divided once, so
     each entry is the exact rational entry correctly rounded, as ``float64``.
-    Sparse matrices are canonical CSR and keep entries whose terms cancel
-    as explicit zeros.
+    ``sparse=False`` gives a dense array, ``True`` canonical CSR, which
+    keeps entries whose terms cancel as explicit zeros, and ``"coo"`` the
+    unsummed entries as a ``SectorCOO``, which builds no matrix.
     """
     if n_modes > MAX_MODES:
         raise ValueError(f"n_modes {n_modes} exceeds {MAX_MODES}")
@@ -574,18 +615,10 @@ def matrix_in_sector(
         np.add.at(sums, slot, vals)
         rows, cols = keys // dim, keys % dim
         vals, den = np.array([x / den for x in sums], dtype=np.float64), 1
-    if sparse:
-        from scipy.sparse import csr_matrix
-
-        # COO -> CSR sums the int64 duplicates: exact, in any order
-        mat = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-        del rows, cols, vals
-        mat.data = mat.data / den
-        return mat
-    mat = np.zeros((dim, dim))
-    np.add.at(mat, (rows, cols), vals)  # integer sums below 2**53: exact
-    mat[rows, cols] /= den  # the set entries only: untouched pages stay unmapped
-    return mat
+    coo = SectorCOO(rows, cols, vals, den, dim)
+    if sparse == "coo":
+        return coo
+    return coo.tocsr() if sparse else coo.toarray()
 
 
 # ---------------------------------------------------------------------------

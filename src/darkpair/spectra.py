@@ -20,6 +20,7 @@ from .fock import BASIS_CAP, StateVector, sector_basis
 from .lattice import ModeTable
 from .operators import (
     OperatorExpr,
+    SectorCOO,
     build_h0,
     build_w,
     eigen_residual,
@@ -44,7 +45,8 @@ class SectorSpectrum:
     sector: int
     dim: int
     method: str
-    # ascending, absolute (core energy included); the ground alone for "blocks"
+    # ascending, absolute (core energy included): every eigenvalue for "dense",
+    # the ground alone for "blocks", the lowest n_lowest for "krylov"
     eigenvalues: np.ndarray
 
     @property
@@ -71,19 +73,24 @@ def diagonalize_sector(
 ) -> SectorSpectrum:
     """Eigenvalues of the Hamiltonian restricted to one number sector.
 
-    Dense full spectrum up to ``dense_cutoff``.  Above that:
+    The pairing term moves only time-reversed pairs, so the sector matrix
+    splits into many small connected components (``_components``), which
+    are solved as stacks of dense blocks (``_component_stacks``):
 
-    - ``n_lowest == 1`` (the ground energy alone, as ``nc_in_spectrum``
-      asks): when every connected component of the sector matrix fits
-      ``dense_cutoff``, method ``"blocks"`` gives the least real part of
-      the components' eigenvalues, the quantity the Krylov route reports.
-      The pairing term moves only time-reversed pairs, so the sector
-      splits into many small components.
+    - Up to ``dense_cutoff`` (method ``"dense"``): ``eigvalsh`` on every
+      block, whatever ``n_lowest``; the sorted union is the full spectrum,
+      equal to ``eigvalsh`` of the whole matrix up to rounding (each block
+      keeps basis order, so it reads the same lower triangle when H is not
+      Hermitian), and no dim x dim array is built.
+    - Above it, with ``n_lowest == 1`` (the ground energy alone, as
+      ``nc_in_spectrum`` asks) and every component within ``dense_cutoff``
+      (method ``"blocks"``): the least real part of the blocks'
+      eigenvalues, the quantity the Krylov route reports.
     - Otherwise the lowest ``n_lowest`` eigenvalues from a Krylov solver
-      with a seeded start vector (so repeated runs agree bit for bit).
-      Krylov can return fewer copies of a degenerate eigenvalue than it
-      has and then a higher one, so its i-th value need not be the i-th
-      eigenvalue.
+      on the CSR matrix, with a seeded start vector (so repeated runs
+      agree bit for bit).  Krylov can return fewer copies of a degenerate
+      eigenvalue than it has and then a higher one, so its i-th value need
+      not be the i-th eigenvalue.
 
     A sector too small for the Krylov solver (which needs
     dim > n_lowest + 1) is dense too.
@@ -93,16 +100,21 @@ def diagonalize_sector(
     shift = float(table.core_energy)
     if dim == 0:
         return SectorSpectrum(n_particles, 0, "empty", np.empty(0))
-    if dim <= max(dense_cutoff, n_lowest + 1):
-        mat = matrix_in_sector(hamiltonian, basis, table.n_modes)
-        vals = np.linalg.eigvalsh(mat)
-        return SectorSpectrum(n_particles, dim, "dense", vals + shift)
-
-    mat = matrix_in_sector(hamiltonian, basis, table.n_modes, sparse=True)
-    if n_lowest == 1:
-        ground = _block_ground(mat, dense_cutoff)
-        if ground is not None:
+    dense = dim <= max(dense_cutoff, n_lowest + 1)
+    if dense or n_lowest == 1:
+        coo = matrix_in_sector(hamiltonian, basis, table.n_modes, sparse="coo")
+        labels = _components(coo.rows, coo.cols, dim)
+        if dense:
+            vals = np.concatenate([np.linalg.eigvalsh(stack).ravel()
+                                   for stack in _component_stacks(coo, labels)])
+            return SectorSpectrum(n_particles, dim, "dense", np.sort(vals) + shift)
+        if np.bincount(labels).max() <= dense_cutoff:
+            ground = min(float(np.linalg.eigvals(stack).real.min())
+                         for stack in _component_stacks(coo, labels))
             return SectorSpectrum(n_particles, dim, "blocks", np.array([ground + shift]))
+        mat = coo.tocsr()
+    else:
+        mat = matrix_in_sector(hamiltonian, basis, table.n_modes, sparse=True)
 
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -130,44 +142,58 @@ def diagonalize_sector(
     return SectorSpectrum(n_particles, dim, "krylov", np.sort(vals).real + shift)
 
 
-def _components(mat) -> np.ndarray:
-    """Connected-component label of each row of the square CSR ``mat``.
+def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
+    """Connected-component label of each of ``dim`` states joined by the
+    entries at ``(rows, cols)``: the least state index in its component.
 
-    Labelled on the sparsity pattern, explicit zeros included, so no
-    stored entry joins two components."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    Labelled on the entries' positions, so an entry whose terms cancel
+    still joins its states.  Min-label propagation: every root hooks onto
+    the least root it shares an entry with, then pointer jumping points
+    every state at its root; each round with an entry across two roots
+    removes a root, so the loop ends.
+    """
+    parent = np.arange(dim)
+    while True:
+        head, tail = parent[rows], parent[cols]
+        if np.array_equal(head, tail):
+            return parent
+        np.minimum.at(parent, np.maximum(head, tail), np.minimum(head, tail))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
-    pattern = csr_matrix((np.ones(mat.nnz, dtype=np.int8), mat.indices, mat.indptr),
-                         shape=mat.shape)
-    return connected_components(pattern, directed=False)[1]
 
+def _component_stacks(coo: SectorCOO, labels: np.ndarray) -> list[np.ndarray]:
+    """The sector matrix's connected components as dense blocks stacked by
+    size: one ``(count, d, d)`` float64 array per block size d, ascending,
+    its blocks in the order of their least state.
 
-def _block_ground(mat, cutoff: int) -> float | None:
-    """Least real part of the eigenvalues of the CSR matrix ``mat``, from
-    dense solves of its connected components stacked by size; ``None``
-    when a component is larger than ``cutoff``."""
-    labels = _components(mat)
-    sizes = np.bincount(labels)
-    if sizes.max() > cutoff:
-        return None
-    # each state's place in its component, each component's in its size class
+    Each block keeps its states in basis order (a stable sort by label), so
+    it is the principal submatrix of the dense ``matrix_in_sector`` on
+    those states, lower triangle included.  Each block entry sums its
+    integer numerators with ``np.add.at`` and is divided by ``den`` once,
+    so it equals that matrix's entry bit for bit.
+    """
+    dim = coo.dim
+    sizes = np.bincount(labels, minlength=dim)  # at each root; 0 elsewhere
+    roots = np.flatnonzero(sizes)
+    roots = roots[np.argsort(sizes[roots], kind="stable")]
+    area = sizes[roots] ** 2
+    offset = np.zeros(dim, dtype=np.int64)  # of each root's block in ``flat``
+    offset[roots] = np.cumsum(area) - area
     order = np.argsort(labels, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    pos = np.empty_like(labels)
-    pos[order] = np.arange(len(labels)) - starts[labels[order]]
-    slot = np.empty_like(sizes)
-    coo = mat.tocoo()
-    comp = labels[coo.row]
-    ground = np.inf
-    for d in np.unique(sizes):
-        members = sizes == d
-        slot[members] = np.arange(np.count_nonzero(members))
-        take = members[comp]
-        stack = np.zeros((np.count_nonzero(members), d, d), dtype=mat.dtype)
-        stack[slot[comp[take]], pos[coo.row[take]], pos[coo.col[take]]] = coo.data[take]
-        ground = min(ground, float(np.linalg.eigvals(stack).real.min()))
-    return ground
+    pos = np.empty(dim, dtype=np.int64)  # each state's place in its block
+    pos[order] = np.arange(dim) - (np.cumsum(sizes) - sizes)[labels[order]]
+    lab = labels[coo.rows]
+    flat = np.zeros(int(area.sum()))
+    np.add.at(flat, offset[lab] + pos[coo.rows] * sizes[lab] + pos[coo.cols], coo.nums)
+    flat /= coo.den
+    widths, counts = np.unique(sizes[roots], return_counts=True)
+    ends = np.cumsum(counts * widths**2)
+    return [flat[end - k * d * d:end].reshape(k, d, d)
+            for d, k, end in zip(widths.tolist(), counts.tolist(), ends.tolist())]
 
 
 def nc_in_spectrum(
@@ -182,10 +208,11 @@ def nc_in_spectrum(
 
     Returns the eigen-residual of H on the paired state, the exact sector
     ground energy, and the (signed) gap ground - E_paired.  The ground
-    energy is the least eigenvalue of the dense sector matrix up to
-    ``dense_cutoff``; above it, of the matrix's connected components
-    (``method`` "blocks") when each fits ``dense_cutoff``, else of a
-    Krylov solve (see ``diagonalize_sector``).
+    energy is the least eigenvalue of the sector matrix's components,
+    solved with ``eigvalsh`` up to ``dense_cutoff`` (``method`` "dense")
+    and as the least real part of their eigenvalues above it ("blocks")
+    when each fits ``dense_cutoff``, else of a Krylov solve (see
+    ``diagonalize_sector``).
     """
     h = build_hamiltonian(table, g, formfactor, seed)
     state = nc_state(table)

@@ -459,3 +459,57 @@ def test_seed_flag_overrides_config(tmp_path):
     r1 = json.loads((out1 / "report.json").read_text())
     r2 = json.loads((out2 / "report.json").read_text())
     assert r1["seed"] == 7 and r2["seed"] == 21
+
+
+def test_dense_scan_imports_no_scipy(tmp_path):
+    """A scan whose sectors are all dense-size (here with E_var) runs on
+    numpy alone: importing scipy.sparse and csgraph costs about 33 MB of
+    peak memory."""
+    import os
+    import subprocess
+    import sys
+
+    import darkpair
+
+    code = (
+        "import sys\n"
+        "from darkpair.cli import main\n"
+        f"assert main(['scan', '--config', 'threepair_core', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(darkpair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "scan.csv").exists()
+
+
+def test_scan_with_a_dense_cutoff_above_the_sector_solves_its_components(tmp_path):
+    """The 16-mode |n|^2 = 3 shell's sector 8 (dim 12,870) under a dense
+    cutoff of 20,000 goes through the dense route, component by component,
+    and agrees with the default block route; a dim x dim matrix would be
+    1.33 GB."""
+    import tracemalloc
+
+    lattice = {"kf": 3 ** 0.5, "delta": 0.05, "frozen_core": True, "volume": 1}
+    grounds = []
+    for name, caps in (("dense", {"dense": 20000}), ("blocks", {})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"lattice": lattice, "couplings": [-1, "1/2"],
+                                   "formfactor": "unit", "caps": caps}))
+        out = tmp_path / name
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--config", str(cfg), "--no-variational",
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 200e6, (name, peak)
+        rows = (out / "scan.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["12870", "12870"]
+        grounds.append([float(row.split(",")[3]) for row in rows])
+    assert np.allclose(grounds[0], grounds[1], rtol=0, atol=1e-10)

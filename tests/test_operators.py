@@ -677,6 +677,20 @@ def test_matrix_sparse_agrees_with_dense(twopair_table):
     assert np.allclose(dense, dense.conj().T)
 
 
+def test_matrix_coo_holds_the_dense_and_csr_entries(twopair_table):
+    """``sparse="coo"`` keeps the unsummed entries: summed, they are the
+    dense matrix bit for bit, and their positions are CSR's."""
+    from darkpair.formfactors import random_symmetric
+
+    basis = sector_basis(8, 4)
+    g_fun, _ = random_symmetric(twopair_table, 13)
+    h = build_h0(twopair_table) + build_w(twopair_table, Fraction(-1, 3), g_fun)
+    coo = matrix_in_sector(h, basis, 8, sparse="coo")
+    assert coo.dim == len(basis) and coo.nums.dtype == np.int64
+    assert coo.toarray().tobytes() == matrix_in_sector(h, basis, 8).tobytes()
+    assert coo.nnz == matrix_in_sector(h, basis, 8, sparse=True).nnz
+
+
 def test_matrix_rejects_more_than_64_modes():
     expr = OperatorExpr.from_monomial(Fraction(1), (C(64), A(64)))
     with pytest.raises(ValueError, match="exceeds 64"):

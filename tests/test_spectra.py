@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkpair.cli import bundled_config_path, load_config, write_csv
 from darkpair.fock import BasisSizeError, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
-from darkpair.operators import apply_operator, matrix_in_sector
+from darkpair.operators import SectorCOO, apply_operator, matrix_in_sector
 from darkpair.spectra import (
     SCAN_FIELDS,
+    _component_stacks,
+    _components,
     bcs_variational_energy,
     build_hamiltonian,
     diagonalize_sector,
@@ -110,28 +114,57 @@ def test_block_ground_equals_the_dense_ground(threepair_table, formfactor):
 
 
 def test_components_are_the_seniority_blocks(threepair_table):
-    from darkpair.spectra import _components
-
     h = build_hamiltonian(threepair_table, Fraction(-1), "random:13")
-    mat = matrix_in_sector(h, sector_basis(12, 6), 12, sparse=True)
-    labels = _components(mat)
-    coo = mat.tocoo()
-    assert np.array_equal(labels[coo.row], labels[coo.col])
-    sizes, counts = np.unique(np.bincount(labels), return_counts=True)
+    coo = matrix_in_sector(h, sector_basis(12, 6), 12, sparse="coo")
+    labels = _components(coo.rows, coo.cols, coo.dim)
+    assert np.array_equal(labels[coo.rows], labels[coo.cols])
+    sizes, counts = np.unique(np.unique(labels, return_counts=True)[1],
+                              return_counts=True)
     assert dict(zip(sizes.tolist(), counts.tolist())) == THREEPAIR_BLOCK_SIZES
 
 
 def test_an_explicit_zero_joins_its_rows_into_one_component():
-    from scipy.sparse import csr_matrix
-
-    from darkpair.spectra import _components
-
-    # rows 0 and 1 share only a stored zero; row 2 stands alone
-    mat = csr_matrix((np.array([1.0, 0.0, 2.0, 3.0]), np.array([0, 1, 1, 2]),
-                      np.array([0, 2, 3, 4])), shape=(3, 3))
-    assert mat.nnz == 4
-    labels = _components(mat)
+    # rows 0 and 1 share only an entry whose two terms cancel; row 2 stands alone
+    coo = SectorCOO(np.array([0, 0, 0, 1, 2]), np.array([0, 1, 1, 1, 2]),
+                    np.array([1, 1, -1, 2, 3]), 1, 3)
+    assert coo.nnz == 4 and coo.toarray()[0, 1] == 0.0
+    labels = _components(coo.rows, coo.cols, coo.dim)
     assert labels[0] == labels[1] != labels[2]
+
+
+@st.composite
+def entry_patterns(draw):
+    """A state count and the rows, columns and numerators of entries on it:
+    few enough that some rows stay isolated, each entry stored twice with
+    opposite numerators when ``cancel`` is drawn, and optionally a chain
+    through every state in shuffled order, its links listed shuffled too."""
+    dim = draw(st.integers(1, 40))
+    state = st.integers(0, dim - 1)
+    pairs = draw(st.lists(st.tuples(state, state), max_size=dim))
+    if draw(st.booleans()):
+        path = draw(st.permutations(range(dim)))
+        pairs += list(zip(path, path[1:]))
+    pairs = draw(st.permutations(pairs))
+    nums = [1] * len(pairs)
+    if draw(st.booleans()):  # cancel
+        pairs, nums = pairs + pairs, nums + [-1] * len(pairs)
+    rows = np.array([r for r, _ in pairs], dtype=np.int32)
+    cols = np.array([c for _, c in pairs], dtype=np.int32)
+    return SectorCOO(rows, cols, np.array(nums, dtype=np.int64), 1, dim)
+
+
+@given(entry_patterns())
+@settings(max_examples=300, deadline=None)
+def test_components_equal_scipy_connected_components(coo):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    labels = _components(coo.rows, coo.cols, coo.dim)
+    pattern = coo_matrix((np.ones(len(coo.rows)), (coo.rows, coo.cols)),
+                         shape=(coo.dim, coo.dim))
+    want = connected_components(pattern, directed=False)[1]
+    least = np.array([np.flatnonzero(want == w).min() for w in want])
+    assert np.array_equal(labels, least)
 
 
 def _shell16():
@@ -209,15 +242,45 @@ def test_dense_spectrum_equals_complex_eigvalsh(name):
 ])
 def test_block_ground_equals_complex_stacks(threepair_table, lattice, sector, cutoff,
                                             formfactor):
-    from darkpair.spectra import _block_ground
-
     table = threepair_table if lattice == "threepair" else _shell16()
     h = build_hamiltonian(table, Fraction(-1, 2), formfactor, seed=5)
-    mat = matrix_in_sector(h, sector_basis(table.n_modes, sector), table.n_modes,
-                           sparse=True)
-    got = _block_ground(mat, cutoff)
-    want = _block_ground(mat.astype(np.complex128), cutoff)
-    assert got is not None and abs(got - want) <= 1e-10
+    spec = diagonalize_sector(h, table, sector, n_lowest=1, dense_cutoff=cutoff)
+    assert spec.method == "blocks"
+    coo = matrix_in_sector(h, sector_basis(table.n_modes, sector), table.n_modes,
+                           sparse="coo")
+    stacks = _component_stacks(coo, _components(coo.rows, coo.cols, coo.dim))
+    want = min(np.linalg.eigvals(s.astype(np.complex128)).real.min() for s in stacks)
+    assert abs(spec.ground_energy - float(table.core_energy) - want) <= 1e-10
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_dense_ground_equals_the_full_eigvalsh_minimum(name):
+    """The ground-only dense route, solved component by component, against
+    ``eigvalsh`` of the whole sector matrix."""
+    cfg = load_config(bundled_config_path(name))
+    table = cfg["table"]
+    for g in cfg["couplings"]:
+        h = build_hamiltonian(table, g, cfg["formfactor"], cfg["seed"])
+        for n in range(table.n_modes + 1):
+            spec = diagonalize_sector(h, table, n, n_lowest=1)
+            assert spec.method == "dense"
+            mat = matrix_in_sector(h, sector_basis(table.n_modes, n), table.n_modes)
+            want = np.linalg.eigvalsh(mat).min() + float(table.core_energy)
+            assert abs(spec.ground_energy - want) <= 1e-12 * max(1.0, abs(want)), (g, n)
+
+
+def test_component_stacks_are_the_dense_blocks_bit_for_bit(threepair_table):
+    h = build_hamiltonian(threepair_table, Fraction(-1, 3), "random:13", seed=13)
+    coo = matrix_in_sector(h, sector_basis(12, 6), 12, sparse="coo")
+    labels = _components(coo.rows, coo.cols, coo.dim)
+    dense = coo.toarray()
+    sizes = np.bincount(labels, minlength=coo.dim)
+    roots = np.flatnonzero(sizes)
+    roots = roots[np.argsort(sizes[roots], kind="stable")]
+    blocks = [dense[np.ix_(labels == r, labels == r)] for r in roots]
+    got = np.concatenate([s.ravel() for s in _component_stacks(coo, labels)])
+    want = np.concatenate([b.ravel() for b in blocks])
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("formfactor", ["unit", "random:13"])
