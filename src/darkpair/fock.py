@@ -1,10 +1,11 @@
 """Occupation-number states over a fixed mode ordering.
 
-A Fock state is an M-bit occupation pattern packed into a Python int,
-with mode 0 at the most significant bit.  That convention makes the
-integer order of packed states coincide with the lexicographic order of
-their printed bitstrings (mode 0 leftmost), which is the iteration order
-used for every deterministic reduction in this package.
+A Fock state is an M-bit occupation pattern packed into an integer (a
+Python int in a ``StateVector``, a ``np.uint64`` in a ``sector_basis``
+array), with mode 0 at the most significant bit.  That convention makes
+the integer order of packed states coincide with the lexicographic order
+of their printed bitstrings (mode 0 leftmost), which is the iteration
+order used for every deterministic reduction in this package.
 
 Operators act on these states through ``operators._compile`` and
 ``operators._fire``, which carry the usual fermionic sign
@@ -33,16 +34,19 @@ def mode_bit(n_modes: int, i: int) -> int:
     return 1 << (n_modes - 1 - i)
 
 
-def sector_basis(n_modes: int, n_particles: int, cap: int = BASIS_CAP) -> list[int]:
-    """All C(M, N) occupations with N particles, ascending.
+def sector_basis(n_modes: int, n_particles: int, cap: int = BASIS_CAP) -> np.ndarray:
+    """All C(M, N) occupations with N particles, as a strictly ascending
+    ``np.uint64`` array (empty when N is outside ``0..M``).
 
     Built bit by bit from the least significant: the states of the low
     ``m`` bits holding ``n`` particles are those of the low ``m - 1`` bits
     holding ``n``, then those holding ``n - 1`` with bit ``m - 1`` set, so
     every level is ascending by construction.
     """
+    if n_modes > MAX_MODES:
+        raise ValueError(f"n_modes {n_modes} exceeds {MAX_MODES}")
     if not 0 <= n_particles <= n_modes:
-        return []
+        return np.empty(0, dtype=np.uint64)
     size = math.comb(n_modes, n_particles)
     if size > cap:
         raise BasisSizeError(
@@ -59,7 +63,7 @@ def sector_basis(n_modes: int, n_particles: int, cap: int = BASIS_CAP) -> list[i
             n: np.concatenate((level.get(n, empty), level.get(n - 1, empty) | top))
             for n in range(low, min(m, n_particles) + 1)
         }
-    return level[n_particles].tolist()
+    return level[n_particles]
 
 
 class StateVector:

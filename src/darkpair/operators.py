@@ -19,6 +19,8 @@ is a ``Fraction`` (the constructors convert ints and reject floats and
 complex values), and every kernel (``compose``, ``commutator``,
 ``apply_operator``, ``matrix_in_sector``) sums integer numerators over a
 common denominator: int64 while the sums are small, Python ints beyond.
+A sector matrix has one form, the ``SectorCOO`` of its unsummed integer
+numerators, which callers turn into a dense array or CSR as they need.
 """
 
 from __future__ import annotations
@@ -542,10 +544,11 @@ class SectorCOO:
     """A sector matrix as its unsummed entries: ``nums[i] / den`` adds to
     entry ``(rows[i], cols[i])`` of the ``dim`` x ``dim`` matrix.
 
-    The numerators are int64 (float64 over ``den = 1`` when ``_values``
-    needs Python ints), so every summed entry is exact before its one
-    division; ``toarray`` and ``tocsr`` give ``matrix_in_sector``'s dense
-    and CSR matrices.  Holding it imports no scipy.
+    It is the one form ``matrix_in_sector`` returns.  The numerators are
+    int64 (float64 over ``den = 1`` when ``_values`` needs Python ints), so
+    every summed entry is exact before its one division.  ``toarray`` gives
+    the dense matrix and ``tocsr`` canonical CSR, which keeps entries whose
+    terms cancel as explicit zeros; holding it imports no scipy.
     """
 
     rows: np.ndarray
@@ -575,14 +578,10 @@ class SectorCOO:
         return mat
 
 
-def matrix_in_sector(
-    expr: OperatorExpr,
-    basis: list[int],
-    n_modes: int,
-    sparse: bool | str = False,
-):
-    """Matrix entries <basis_r | expr | basis_c> on a strictly ascending
-    basis, such as ``sector_basis`` output; any other raises ``ValueError``.
+def matrix_in_sector(expr: OperatorExpr, basis, n_modes: int) -> SectorCOO:
+    """The entries <basis_r | expr | basis_c> as a ``SectorCOO``, on a
+    strictly ascending basis: ``sector_basis``'s uint64 array or a sorted
+    list of ints; any other order raises ``ValueError``.
 
     When the basis is a fixed particle-number sector the operator must
     conserve particle number, otherwise weight would leak out of the
@@ -592,33 +591,27 @@ def matrix_in_sector(
     coefficients are summed as integer numerators over their common
     denominator (``_values`` with a unit amplitude) and divided once, so
     each entry is the exact rational entry correctly rounded, as ``float64``.
-    ``sparse=False`` gives a dense array, ``True`` canonical CSR, which
-    keeps entries whose terms cancel as explicit zeros, and ``"coo"`` the
-    unsummed entries as a ``SectorCOO``, which builds no matrix.
     """
     if n_modes > MAX_MODES:
         raise ValueError(f"n_modes {n_modes} exceeds {MAX_MODES}")
+    occs = np.asarray(basis, dtype=np.uint64)
     if not expr.conserves_particle_number() and (
-        len({occ.bit_count() for occ in basis}) == 1
+        len({occ.bit_count() for occ in occs.tolist()}) == 1
     ):
         raise ValueError(
             "operator does not conserve particle number on a number-sector basis"
         )
     compiled = _compile(expr, n_modes)
-    dim = len(basis)
+    dim = len(occs)
     signed, _, den = _values([term[-1] for term in compiled], [1])
-    rows, cols, vals = _sector_entries(compiled, signed, np.array(basis, dtype=np.uint64))
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    rows, cols, vals = map(np.concatenate, _sector_entries(compiled, signed, occs))
     if signed.dtype == object:  # each distinct entry's Python-int sum, divided here
         keys, slot = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
         sums = np.zeros(len(keys), dtype=object)
         np.add.at(sums, slot, vals)
         rows, cols = keys // dim, keys % dim
         vals, den = np.array([x / den for x in sums], dtype=np.float64), 1
-    coo = SectorCOO(rows, cols, vals, den, dim)
-    if sparse == "coo":
-        return coo
-    return coo.tocsr() if sparse else coo.toarray()
+    return SectorCOO(rows, cols, vals, den, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,10 @@ def diagonalize_sector(
       (method ``"blocks"``): the least real part of the blocks'
       eigenvalues, the quantity the Krylov route reports.
     - Otherwise the lowest ``n_lowest`` eigenvalues from a Krylov solver
-      on the CSR matrix, with a seeded start vector (so repeated runs
-      agree bit for bit).  Krylov can return fewer copies of a degenerate
-      eigenvalue than it has and then a higher one, so its i-th value need
-      not be the i-th eigenvalue.
+      on the sector matrix converted to CSR, with a seeded start vector
+      (so repeated runs agree bit for bit).  Krylov can return fewer
+      copies of a degenerate eigenvalue than it has and then a higher one,
+      so its i-th value need not be the i-th eigenvalue.
 
     A sector too small for the Krylov solver (which needs
     dim > n_lowest + 1) is dense too.
@@ -100,9 +100,9 @@ def diagonalize_sector(
     shift = float(table.core_energy)
     if dim == 0:
         return SectorSpectrum(n_particles, 0, "empty", np.empty(0))
+    coo = matrix_in_sector(hamiltonian, basis, table.n_modes)
     dense = dim <= max(dense_cutoff, n_lowest + 1)
     if dense or n_lowest == 1:
-        coo = matrix_in_sector(hamiltonian, basis, table.n_modes, sparse="coo")
         labels = _components(coo.rows, coo.cols, dim)
         if dense:
             vals = np.concatenate([np.linalg.eigvalsh(stack).ravel()
@@ -112,9 +112,8 @@ def diagonalize_sector(
             ground = min(float(np.linalg.eigvals(stack).real.min())
                          for stack in _component_stacks(coo, labels))
             return SectorSpectrum(n_particles, dim, "blocks", np.array([ground + shift]))
-        mat = coo.tocsr()
-    else:
-        mat = matrix_in_sector(hamiltonian, basis, table.n_modes, sparse=True)
+    mat = coo.tocsr()
+    del coo  # the unsummed entries do not live through the solve
 
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -171,10 +170,10 @@ def _component_stacks(coo: SectorCOO, labels: np.ndarray) -> list[np.ndarray]:
     its blocks in the order of their least state.
 
     Each block keeps its states in basis order (a stable sort by label), so
-    it is the principal submatrix of the dense ``matrix_in_sector`` on
-    those states, lower triangle included.  Each block entry sums its
-    integer numerators with ``np.add.at`` and is divided by ``den`` once,
-    so it equals that matrix's entry bit for bit.
+    it is the principal submatrix of ``coo.toarray()`` on those states,
+    lower triangle included.  Each block entry sums its integer numerators
+    with ``np.add.at`` and is divided by ``den`` once, so it equals that
+    matrix's entry bit for bit.
     """
     dim = coo.dim
     sizes = np.bincount(labels, minlength=dim)  # at each root; 0 elsewhere
@@ -244,7 +243,7 @@ def rayleigh_quotient(h: OperatorExpr, state: StateVector) -> float:
     the state holds, so float amplitudes (``bcs_state``) need no exact
     kernel."""
     occs = sorted(state.amp)
-    mat = matrix_in_sector(h, occs, state.n_modes, sparse=True)
+    mat = matrix_in_sector(h, occs, state.n_modes).tocsr()
     psi = np.array([state.amp[occ] for occ in occs], dtype=np.float64)
     return float(psi @ (mat @ psi) / (psi @ psi))
 

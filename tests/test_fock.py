@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,28 +88,41 @@ def test_anticommutation_property(n_modes, i, j, occ):
 
 
 def test_sector_basis_enumeration():
-    assert sector_basis(4, 2) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-    assert sector_basis(4, 0) == [0]
+    for n_modes, n, want in ((4, 2, [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]),
+                             (4, 0, [0]), (4, 5, []), (4, -1, [])):
+        basis = sector_basis(n_modes, n)
+        assert basis.dtype == np.uint64 and basis.tolist() == want
     assert len(sector_basis(16, 8)) == 12870
-    assert sector_basis(4, 5) == []
 
 
 def test_sector_basis_sorted_and_correct_popcount():
     basis = sector_basis(6, 3)
-    assert basis == sorted(basis)
-    assert all(occ.bit_count() == 3 for occ in basis)
-    assert len(basis) == math.comb(6, 3)
+    assert basis.dtype == np.uint64
+    occs = basis.tolist()
+    assert occs == sorted(occs)
+    assert all(occ.bit_count() == 3 for occ in occs)
+    assert len(occs) == math.comb(6, 3)
 
 
 def test_sector_basis_equals_brute_force():
     for m in range(9):
         for n in range(-1, m + 2):
             basis = sector_basis(m, n)
-            assert basis == [occ for occ in range(1 << m) if occ.bit_count() == n]
-            assert all(type(occ) is int for occ in basis)
+            assert basis.dtype == np.uint64
+            assert basis.tolist() == [occ for occ in range(1 << m) if occ.bit_count() == n]
     top = sector_basis(64, 2)  # the highest bit of the uint64 word
+    assert top.dtype == np.uint64
+    top = top.tolist()
     assert len(top) == math.comb(64, 2) and top == sorted(set(top))
     assert top[-1] == 3 << 62
+
+
+def test_sector_basis_rejects_more_than_64_modes():
+    # past the uint64 word the top bits would wrap: (65, 1) ended in the
+    # vacuum and (66, 2) repeated states
+    for n_modes, n in ((65, 1), (66, 2), (65, 70)):
+        with pytest.raises(ValueError, match="exceeds 64"):
+            sector_basis(n_modes, n, cap=10**6)
 
 
 def test_sector_basis_cap():

@@ -496,13 +496,14 @@ def test_apply_operator_routes_numerators_at_2_53(coeff, amp, dtype):
     assert apply_operator(expr, half).amp == {0b10: coeff * amp}
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_matrix_columns_equal_apply_operator(twopair_table, sparse):
+@pytest.mark.parametrize("csr", [False, True])
+def test_matrix_columns_equal_apply_operator(twopair_table, csr):
     basis = sector_basis(8, 4)
     h = build_h0(twopair_table) + build_w(twopair_table, Fraction(-3, 7))
     h = h + commutator(h, build_number_op(twopair_table).scaled(Fraction(1, 2)))
-    mat = matrix_in_sector(h, basis, 8, sparse=sparse)
-    mat = mat.toarray() if sparse else mat
+    coo = matrix_in_sector(h, basis, 8)
+    mat = coo.tocsr().toarray() if csr else coo.toarray()
+    basis = basis.tolist()
     for col, occ in enumerate(basis):
         image = apply_operator(h, StateVector(8, {occ: 1}))
         column = {basis[r]: mat[r, col] for r in np.flatnonzero(mat[:, col])}
@@ -647,13 +648,13 @@ def test_apply_w_examples(minimal_table):
 
 def test_matrix_h0_diagonal(minimal_table):
     basis = sector_basis(4, 2)
-    mat = matrix_in_sector(build_h0(minimal_table), basis, 4)
+    mat = matrix_in_sector(build_h0(minimal_table), basis, 4).toarray()
     assert np.allclose(mat, 2 * np.eye(6))
 
 
 def test_matrix_w_pairing_block(minimal_table):
-    basis = sector_basis(4, 2)
-    mat = matrix_in_sector(build_w(minimal_table, 1), basis, 4)
+    basis = sector_basis(4, 2).tolist()
+    mat = matrix_in_sector(build_w(minimal_table, 1), basis, 4).toarray()
     expected = np.zeros((6, 6))
     i_1001 = basis.index(0b1001)
     i_0110 = basis.index(0b0110)
@@ -664,31 +665,32 @@ def test_matrix_w_pairing_block(minimal_table):
 
 def test_matrix_number_operator_is_scalar(minimal_table):
     basis = sector_basis(4, 2)
-    mat = matrix_in_sector(build_number_op(minimal_table), basis, 4)
+    mat = matrix_in_sector(build_number_op(minimal_table), basis, 4).toarray()
     assert np.allclose(mat, 2 * np.eye(6))
 
 
 def test_matrix_sparse_agrees_with_dense(twopair_table):
     basis = sector_basis(8, 4)
     h = build_h0(twopair_table) + build_w(twopair_table, Fraction(-1))
-    dense = matrix_in_sector(h, basis, 8)
-    sparse = matrix_in_sector(h, basis, 8, sparse=True)
-    assert np.allclose(dense, sparse.toarray())
+    coo = matrix_in_sector(h, basis, 8)
+    dense = coo.toarray()
+    assert np.allclose(dense, coo.tocsr().toarray())
     assert np.allclose(dense, dense.conj().T)
 
 
 def test_matrix_coo_holds_the_dense_and_csr_entries(twopair_table):
-    """``sparse="coo"`` keeps the unsummed entries: summed, they are the
-    dense matrix bit for bit, and their positions are CSR's."""
+    """The ``SectorCOO`` keeps the unsummed entries: summed, they are the
+    dense matrix, which CSR holds bit for bit at the same positions."""
     from darkpair.formfactors import random_symmetric
 
     basis = sector_basis(8, 4)
     g_fun, _ = random_symmetric(twopair_table, 13)
     h = build_h0(twopair_table) + build_w(twopair_table, Fraction(-1, 3), g_fun)
-    coo = matrix_in_sector(h, basis, 8, sparse="coo")
+    coo = matrix_in_sector(h, basis, 8)
     assert coo.dim == len(basis) and coo.nums.dtype == np.int64
-    assert coo.toarray().tobytes() == matrix_in_sector(h, basis, 8).tobytes()
-    assert coo.nnz == matrix_in_sector(h, basis, 8, sparse=True).nnz
+    dense, csr = coo.toarray(), coo.tocsr()
+    assert csr.toarray().tobytes() == dense.tobytes()
+    assert coo.nnz == csr.nnz == len(set(zip(coo.rows.tolist(), coo.cols.tolist())))
 
 
 def test_matrix_rejects_more_than_64_modes():
@@ -699,19 +701,22 @@ def test_matrix_rejects_more_than_64_modes():
 
 def test_matrix_rejects_number_breaking_operator():
     expr = OperatorExpr.from_monomial(Fraction(1), (C(0),))
-    with pytest.raises(ValueError):
-        matrix_in_sector(expr, sector_basis(4, 2), 4)
+    for basis in (sector_basis(4, 2), sector_basis(4, 2).tolist()):
+        with pytest.raises(ValueError, match="conserve particle number"):
+            matrix_in_sector(expr, basis, 4)
 
 
 # ---------------------------------------------------------------------------
 # the vectorized sector kernel against the per-column reference
 # ---------------------------------------------------------------------------
 
-def column_reference(expr, basis, n_modes, sparse):
-    """Sector matrix built one column at a time with ``_apply_compiled``:
-    each entry an exact sum in term order, rounded once by ``float``."""
+def column_reference(expr, basis, n_modes):
+    """Sector matrix built one column at a time with ``_apply_compiled``,
+    dense and as CSR: each entry an exact sum in term order, rounded once
+    by ``float``."""
     from scipy.sparse import csr_matrix
 
+    basis = np.asarray(basis, dtype=np.uint64).tolist()
     compiled = _compile(expr, n_modes)
     index = {occ: i for i, occ in enumerate(basis)}
     rows, cols, data = [], [], []
@@ -724,24 +729,22 @@ def column_reference(expr, basis, n_modes, sparse):
                 cols.append(col)
                 data.append(float(acc[res]))
     dim = len(basis)
-    if sparse:
-        return csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.float64)
     mat = np.zeros((dim, dim))
     mat[rows, cols] = data
-    return mat
+    return mat, csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.float64)
 
 
 def assert_same_bits(expr, basis, n_modes):
-    """Dense and CSR output equal the reference bit for bit, stored zeros
-    included."""
-    dense = matrix_in_sector(expr, basis, n_modes)
-    want = column_reference(expr, basis, n_modes, sparse=False)
-    assert dense.dtype == want.dtype and dense.tobytes() == want.tobytes()
-    csr = matrix_in_sector(expr, basis, n_modes, sparse=True)
-    want = column_reference(expr, basis, n_modes, sparse=True)
-    assert csr.shape == want.shape and csr.nnz == want.nnz
+    """The ``SectorCOO``'s dense and CSR forms equal the reference bit for
+    bit, stored zeros included."""
+    coo = matrix_in_sector(expr, basis, n_modes)
+    want_dense, want_csr = column_reference(expr, basis, n_modes)
+    dense = coo.toarray()
+    assert dense.dtype == want_dense.dtype and dense.tobytes() == want_dense.tobytes()
+    csr = coo.tocsr()
+    assert csr.shape == want_csr.shape and csr.nnz == want_csr.nnz == coo.nnz
     for name in ("indptr", "indices", "data"):
-        got, ref = getattr(csr, name), getattr(want, name)
+        got, ref = getattr(csr, name), getattr(want_csr, name)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
     return csr
 
@@ -835,6 +838,13 @@ def test_sector_kernel_uses_the_top_bit_of_64_modes():
     assert basis[-1] >= 1 << 63
     csr = assert_same_bits(expr, basis, 64)
     assert csr.nnz == 3
+    # the same states as a uint64 array, as sector_basis gives them
+    words = np.array(basis, dtype=np.uint64)
+    got, want = matrix_in_sector(expr, words, 64), matrix_in_sector(expr, basis, 64)
+    for name in ("rows", "cols", "nums"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (got.den, got.dim) == (want.den, want.dim)
 
 
 def test_sector_kernel_on_one_state_and_on_no_reachable_state(minimal_table):
@@ -850,11 +860,11 @@ def test_sector_kernel_on_one_state_and_on_no_reachable_state(minimal_table):
 def test_unsorted_basis_takes_the_column_fallback(twopair_table):
     # a basis that is not strictly ascending is rejected, not ranked
     h = build_h0(twopair_table) + build_w(twopair_table, Fraction(-3, 7))
-    basis = sector_basis(8, 4)
+    basis = sector_basis(8, 4).tolist()
     for bad in (basis[::-1], basis[:3] + basis[2:]):
-        for sparse in (False, True):
+        for form in (bad, np.array(bad, dtype=np.uint64)):
             with pytest.raises(ValueError, match="strictly ascending"):
-                matrix_in_sector(h, bad, 8, sparse=sparse)
+                matrix_in_sector(h, form, 8)
 
 
 def test_huge_denominator_takes_the_column_fallback():

@@ -48,7 +48,7 @@ def test_pairing_block_splitting(minimal_table):
 def test_dense_eigenpair_residuals(minimal_table):
     h = build_hamiltonian(minimal_table, Fraction(-1))
     spec = diagonalize_sector(h, minimal_table, 2)
-    mat = matrix_in_sector(h, sector_basis(4, 2), 4)
+    mat = matrix_in_sector(h, sector_basis(4, 2), 4).toarray()
     vals, vecs = np.linalg.eigh(mat)
     assert np.allclose(vals + float(minimal_table.core_energy), spec.eigenvalues,
                        atol=1e-12)
@@ -101,7 +101,7 @@ def test_block_ground_equals_the_dense_ground(threepair_table, formfactor):
     blocks = diagonalize_sector(h, threepair_table, 6, n_lowest=1, dense_cutoff=20)
     assert blocks.method == "blocks" and blocks.dim == 924
     assert len(blocks.eigenvalues) == 1
-    mat = matrix_in_sector(h, sector_basis(12, 6), 12)
+    mat = matrix_in_sector(h, sector_basis(12, 6), 12).toarray()
     core = float(threepair_table.core_energy)
     # random and asymmetric weights make H non-Hermitian; the ground energy
     # is then the least real part of its eigenvalues, as Krylov reports it
@@ -115,7 +115,7 @@ def test_block_ground_equals_the_dense_ground(threepair_table, formfactor):
 
 def test_components_are_the_seniority_blocks(threepair_table):
     h = build_hamiltonian(threepair_table, Fraction(-1), "random:13")
-    coo = matrix_in_sector(h, sector_basis(12, 6), 12, sparse="coo")
+    coo = matrix_in_sector(h, sector_basis(12, 6), 12)
     labels = _components(coo.rows, coo.cols, coo.dim)
     assert np.array_equal(labels[coo.rows], labels[coo.cols])
     sizes, counts = np.unique(np.unique(labels, return_counts=True)[1],
@@ -193,7 +193,7 @@ def test_block_route_falls_back_to_krylov_above_the_cutoff(threepair_table, form
     spec = diagonalize_sector(h, threepair_table, 6, n_lowest=1, dense_cutoff=19,
                               seed=5)
     assert spec.method == "krylov" and len(spec.eigenvalues) == 1
-    mat = matrix_in_sector(h, sector_basis(12, 6), 12)
+    mat = matrix_in_sector(h, sector_basis(12, 6), 12).toarray()
     want = np.linalg.eigvals(mat).real.min() + float(threepair_table.core_energy)
     assert abs(spec.ground_energy - want) <= 1e-9
 
@@ -211,10 +211,11 @@ def test_over_cap_sector_raises_inside_diagonalize_sector(threepair_table):
 BUNDLED = ("minimal", "twopair", "threepair_core", "boosted", "broken_formfactor")
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_sector_matrix_is_real(threepair_table, sparse):
+@pytest.mark.parametrize("csr", [False, True])
+def test_sector_matrix_is_real(threepair_table, csr):
     h = build_hamiltonian(threepair_table, Fraction(-1, 3), "random:13", seed=13)
-    mat = matrix_in_sector(h, sector_basis(12, 6), 12, sparse=sparse)
+    coo = matrix_in_sector(h, sector_basis(12, 6), 12)
+    mat = coo.tocsr() if csr else coo.toarray()
     assert mat.dtype == np.float64
 
 
@@ -228,7 +229,8 @@ def test_dense_spectrum_equals_complex_eigvalsh(name):
         for n in range(table.n_modes + 1):
             spec = diagonalize_sector(h, table, n)
             assert spec.method == "dense"
-            mat = matrix_in_sector(h, sector_basis(table.n_modes, n), table.n_modes)
+            mat = matrix_in_sector(h, sector_basis(table.n_modes, n),
+                                   table.n_modes).toarray()
             want = np.linalg.eigvalsh(mat.astype(np.complex128)) + core
             scale = np.maximum(1.0, np.abs(want))
             assert np.all(np.abs(spec.eigenvalues - want) <= 1e-12 * scale), (g, n)
@@ -246,8 +248,7 @@ def test_block_ground_equals_complex_stacks(threepair_table, lattice, sector, cu
     h = build_hamiltonian(table, Fraction(-1, 2), formfactor, seed=5)
     spec = diagonalize_sector(h, table, sector, n_lowest=1, dense_cutoff=cutoff)
     assert spec.method == "blocks"
-    coo = matrix_in_sector(h, sector_basis(table.n_modes, sector), table.n_modes,
-                           sparse="coo")
+    coo = matrix_in_sector(h, sector_basis(table.n_modes, sector), table.n_modes)
     stacks = _component_stacks(coo, _components(coo.rows, coo.cols, coo.dim))
     want = min(np.linalg.eigvals(s.astype(np.complex128)).real.min() for s in stacks)
     assert abs(spec.ground_energy - float(table.core_energy) - want) <= 1e-10
@@ -264,14 +265,15 @@ def test_dense_ground_equals_the_full_eigvalsh_minimum(name):
         for n in range(table.n_modes + 1):
             spec = diagonalize_sector(h, table, n, n_lowest=1)
             assert spec.method == "dense"
-            mat = matrix_in_sector(h, sector_basis(table.n_modes, n), table.n_modes)
+            mat = matrix_in_sector(h, sector_basis(table.n_modes, n),
+                                   table.n_modes).toarray()
             want = np.linalg.eigvalsh(mat).min() + float(table.core_energy)
             assert abs(spec.ground_energy - want) <= 1e-12 * max(1.0, abs(want)), (g, n)
 
 
 def test_component_stacks_are_the_dense_blocks_bit_for_bit(threepair_table):
     h = build_hamiltonian(threepair_table, Fraction(-1, 3), "random:13", seed=13)
-    coo = matrix_in_sector(h, sector_basis(12, 6), 12, sparse="coo")
+    coo = matrix_in_sector(h, sector_basis(12, 6), 12)
     labels = _components(coo.rows, coo.cols, coo.dim)
     dense = coo.toarray()
     sizes = np.bincount(labels, minlength=coo.dim)
@@ -291,7 +293,7 @@ def test_krylov_equals_complex_eigsh_bit_for_bit(threepair_table, formfactor):
     spec = diagonalize_sector(h, threepair_table, 6, dense_cutoff=1, n_lowest=4,
                               seed=5)
     assert spec.method == "krylov"
-    mat = matrix_in_sector(h, sector_basis(12, 6), 12, sparse=True)
+    mat = matrix_in_sector(h, sector_basis(12, 6), 12).tocsr()
     v0 = np.random.default_rng(5).standard_normal(mat.shape[0])
     vals, _ = eigsh(mat.astype(np.complex128), k=4, which="SA", v0=v0)
     want = np.sort(vals).real + float(threepair_table.core_energy)
