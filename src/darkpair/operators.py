@@ -545,10 +545,11 @@ class SectorCOO:
     entry ``(rows[i], cols[i])`` of the ``dim`` x ``dim`` matrix.
 
     It is the one form ``matrix_in_sector`` returns.  The numerators are
-    int64 (float64 over ``den = 1`` when ``_values`` needs Python ints), so
-    every summed entry is exact before its one division.  ``toarray`` gives
-    the dense matrix and ``tocsr`` canonical CSR, which keeps entries whose
-    terms cancel as explicit zeros; holding it imports no scipy.
+    exact: int64 while ``den`` and every entry's partial sums stay below
+    2**53, Python ints (object dtype) beyond, which ``rounded`` sums per
+    entry before its one division.  ``toarray`` gives the dense matrix and
+    ``tocsr`` canonical CSR, which keeps entries whose terms cancel as
+    explicit zeros; holding it imports no scipy.
     """
 
     rows: np.ndarray
@@ -563,18 +564,34 @@ class SectorCOO:
         included, as CSR counts them."""
         return len(np.unique(self.rows.astype(np.int64) * self.dim + self.cols))
 
+    def rounded(self) -> "SectorCOO":
+        """The same matrix with numerators that float64 sums exactly: itself
+        when they are int64, else each distinct entry's Python-int sum
+        divided once (float64 over ``den = 1``), so every entry is the
+        exact rational correctly rounded."""
+        if self.nums.dtype != object:
+            return self
+        keys, slot = np.unique(self.rows.astype(np.int64) * self.dim + self.cols,
+                               return_inverse=True)
+        sums = np.zeros(len(keys), dtype=object)
+        np.add.at(sums, slot, self.nums)
+        vals = np.array([x / self.den for x in sums], dtype=np.float64)
+        return SectorCOO(keys // self.dim, keys % self.dim, vals, 1, self.dim)
+
     def toarray(self) -> np.ndarray:
+        coo = self.rounded()
         mat = np.zeros((self.dim, self.dim))
-        np.add.at(mat, (self.rows, self.cols), self.nums)  # integer sums below 2**53: exact
-        mat[self.rows, self.cols] /= self.den  # the set entries only: untouched pages stay unmapped
+        np.add.at(mat, (coo.rows, coo.cols), coo.nums)  # integer sums below 2**53: exact
+        mat[coo.rows, coo.cols] /= coo.den  # the set entries only: untouched pages stay unmapped
         return mat
 
     def tocsr(self):
         from scipy.sparse import csr_matrix
 
+        coo = self.rounded()
         # COO -> CSR sums the int64 duplicates: exact, in any order
-        mat = csr_matrix((self.nums, (self.rows, self.cols)), shape=(self.dim, self.dim))
-        mat.data = mat.data / self.den
+        mat = csr_matrix((coo.nums, (coo.rows, coo.cols)), shape=(self.dim, self.dim))
+        mat.data = mat.data / coo.den
         return mat
 
 
@@ -587,9 +604,10 @@ def matrix_in_sector(expr: OperatorExpr, basis, n_modes: int) -> SectorCOO:
     conserve particle number, otherwise weight would leak out of the
     block and the matrix would misrepresent the operator.
 
-    Every term goes through ``_fire`` over all columns at once, and the
-    coefficients are summed as integer numerators over their common
-    denominator (``_values`` with a unit amplitude) and divided once, so
+    Every term goes through ``_fire`` over all columns at once.  The
+    coefficients become integer numerators over their common denominator
+    (``_values`` with a unit amplitude), which the ``SectorCOO`` keeps
+    unsummed; each of its forms sums them exactly and divides once, so
     each entry is the exact rational entry correctly rounded, as ``float64``.
     """
     if n_modes > MAX_MODES:
@@ -605,12 +623,6 @@ def matrix_in_sector(expr: OperatorExpr, basis, n_modes: int) -> SectorCOO:
     dim = len(occs)
     signed, _, den = _values([term[-1] for term in compiled], [1])
     rows, cols, vals = map(np.concatenate, _sector_entries(compiled, signed, occs))
-    if signed.dtype == object:  # each distinct entry's Python-int sum, divided here
-        keys, slot = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
-        sums = np.zeros(len(keys), dtype=object)
-        np.add.at(sums, slot, vals)
-        rows, cols = keys // dim, keys % dim
-        vals, den = np.array([x / den for x in sums], dtype=np.float64), 1
     return SectorCOO(rows, cols, vals, den, dim)
 
 

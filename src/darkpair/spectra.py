@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,11 +19,12 @@ from . import formfactors
 from .fock import BASIS_CAP, StateVector, sector_basis
 from .lattice import ModeTable
 from .operators import (
+    Formfactor,
     OperatorExpr,
     SectorCOO,
+    apply_operator,
     build_h0,
     build_w,
-    eigen_residual,
     matrix_in_sector,
 )
 from .states import nc_energy, nc_state, phi_core_energy
@@ -62,7 +63,7 @@ def build_hamiltonian(
 
 
 def diagonalize_sector(
-    hamiltonian: OperatorExpr,
+    hamiltonian: OperatorExpr | SectorCOO,
     table: ModeTable,
     n_particles: int,
     n_lowest: int = 6,
@@ -70,8 +71,17 @@ def diagonalize_sector(
     basis_cap: int = BASIS_CAP,
     seed: int = 0,
     maxiter: int | None = None,
+    labels: np.ndarray | None = None,
 ) -> SectorSpectrum:
     """Eigenvalues of the Hamiltonian restricted to one number sector.
+
+    ``hamiltonian`` is an ``OperatorExpr``, assembled here on
+    ``sector_basis`` (``spectrum``), or its matrix on that basis, a
+    ``SectorCOO`` assembled by the caller (``scan``, which forms each
+    coupling's matrix from entries it assembled once, and passes the
+    ``_components`` labels of their positions as ``labels``, since every
+    coupling but 0 has the same ones); either way the route below is
+    chosen here alone.
 
     The pairing term moves only time-reversed pairs, so the sector matrix
     splits into many small connected components (``_components``), which
@@ -95,15 +105,18 @@ def diagonalize_sector(
     A sector too small for the Krylov solver (which needs
     dim > n_lowest + 1) is dense too.
     """
-    basis = sector_basis(table.n_modes, n_particles, basis_cap)
-    dim = len(basis)
     shift = float(table.core_energy)
-    if dim == 0:
-        return SectorSpectrum(n_particles, 0, "empty", np.empty(0))
-    coo = matrix_in_sector(hamiltonian, basis, table.n_modes)
+    coo = hamiltonian
+    if isinstance(hamiltonian, OperatorExpr):
+        basis = sector_basis(table.n_modes, n_particles, basis_cap)
+        if not len(basis):
+            return SectorSpectrum(n_particles, 0, "empty", np.empty(0))
+        coo = matrix_in_sector(hamiltonian, basis, table.n_modes)
+    dim = coo.dim
     dense = dim <= max(dense_cutoff, n_lowest + 1)
     if dense or n_lowest == 1:
-        labels = _components(coo.rows, coo.cols, dim)
+        if labels is None:
+            labels = _components(coo.rows, coo.cols, dim)
         if dense:
             vals = np.concatenate([np.linalg.eigvalsh(stack).ravel()
                                    for stack in _component_stacks(coo, labels)])
@@ -113,7 +126,7 @@ def diagonalize_sector(
                          for stack in _component_stacks(coo, labels))
             return SectorSpectrum(n_particles, dim, "blocks", np.array([ground + shift]))
     mat = coo.tocsr()
-    del coo  # the unsummed entries do not live through the solve
+    del coo  # unless the caller holds them, the unsummed entries die before the solve
 
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -172,9 +185,10 @@ def _component_stacks(coo: SectorCOO, labels: np.ndarray) -> list[np.ndarray]:
     Each block keeps its states in basis order (a stable sort by label), so
     it is the principal submatrix of ``coo.toarray()`` on those states,
     lower triangle included.  Each block entry sums its integer numerators
-    with ``np.add.at`` and is divided by ``den`` once, so it equals that
-    matrix's entry bit for bit.
+    (``SectorCOO.rounded``'s) with ``np.add.at`` and is divided by ``den``
+    once, so it equals that matrix's entry bit for bit.
     """
+    coo = coo.rounded()
     dim = coo.dim
     sizes = np.bincount(labels, minlength=dim)  # at each root; 0 elsewhere
     roots = np.flatnonzero(sizes)
@@ -195,6 +209,97 @@ def _component_stacks(coo: SectorCOO, labels: np.ndarray) -> list[np.ndarray]:
             for d, k, end in zip(widths.tolist(), counts.tolist(), ends.tolist())]
 
 
+class _ScanSetup(NamedTuple):
+    """What every coupling of a scan shares, built once by ``_scan_setup``.
+
+    On a fixed basis ``H(g) = H0 + g W1`` is affine in the coupling, with
+    ``W1 = W(g = 1)``.  The setup holds the weight, the paired state
+    ``|NC>`` and its energy, the exact residual halves ``(H0 - E)|NC>`` and
+    ``W1|NC>``, and the sector matrices of ``H0`` and ``W1`` on the paired
+    state's basis.  ``sums`` is each operator's sum of |coefficients|,
+    which bounds every partial sum of an entry.  ``labels`` are the
+    connected components of ``H(g)``'s entries, the same for every ``g``
+    but 0.
+    """
+
+    g_fun: Formfactor
+    sector: int  # table particles: the frozen core's are not in the basis
+    e_nc: Fraction  # absolute
+    state: StateVector  # |NC>
+    h0_half: StateVector
+    w_half: StateVector
+    h0: SectorCOO
+    w1: SectorCOO
+    sums: tuple[Fraction, Fraction]
+    labels: np.ndarray
+
+
+def _scan_setup(table: ModeTable, formfactor: str, seed: int,
+                basis_cap: int) -> _ScanSetup:
+    g_fun, _ = formfactors.from_spec(table, formfactor, seed)
+    h0, w1 = build_h0(table), build_w(table, 1, g_fun)
+    state = nc_state(table)
+    e_nc = nc_energy(table)
+    sector = table.total_particles_nc() - table.core_particles
+    basis = sector_basis(table.n_modes, sector, basis_cap)
+    h0_coo = matrix_in_sector(h0, basis, table.n_modes)
+    w1_coo = matrix_in_sector(w1, basis, table.n_modes)
+    return _ScanSetup(
+        g_fun, sector, e_nc, state,
+        apply_operator(h0, state) - state.scaled(e_nc - table.core_energy),
+        apply_operator(w1, state),
+        h0_coo, w1_coo,
+        tuple(sum(map(abs, op.terms.values()), Fraction(0)) for op in (h0, w1)),
+        _components(np.concatenate((h0_coo.rows, w1_coo.rows)),
+                    np.concatenate((h0_coo.cols, w1_coo.cols)), len(basis)),
+    )
+
+
+def _matrix_at(setup: _ScanSetup, g: Fraction) -> SectorCOO:
+    """The sector matrix of ``H0 + g W1``: the two unit matrices' numerators
+    concatenated over one common denominator, int64 below 2**53 and Python
+    ints past it, as ``matrix_in_sector`` keeps them, so every entry is
+    the exact rational correctly rounded, as from ``build_hamiltonian(g)``.
+    ``W(0)`` has no terms, so ``g = 0`` gives ``H0``'s entries alone.  New
+    arrays each time: the unit matrices are shared by every coupling.
+    """
+    h0, w1 = setup.h0, setup.w1
+    if g == 0:
+        return h0
+    den = math.lcm(h0.den, g.denominator * w1.den)
+    f0, f1 = den // h0.den, g.numerator * den // (g.denominator * w1.den)
+    s0, s1 = setup.sums
+    # never below a unit matrix's own bound: one with Python ints stays on them
+    wide = max(den, den * (s0 + abs(g) * s1)) >= 1 << 53
+    n0, n1 = (n.astype(object) if wide else n for n in (h0.nums, w1.nums))
+    return SectorCOO(np.concatenate((h0.rows, w1.rows)),
+                     np.concatenate((h0.cols, w1.cols)),
+                     np.concatenate((n0 * f0, n1 * f1)), den, h0.dim)
+
+
+def _place(table: ModeTable, setup: _ScanSetup, g, dense_cutoff: int, seed: int) -> dict:
+    """``nc_in_spectrum``'s record for one coupling of a scan's setup."""
+    g = Fraction(g)
+    diff = setup.h0_half + setup.w_half.scaled(g)  # (H(g) - E)|NC>, exactly
+    spec = diagonalize_sector(
+        _matrix_at(setup, g), table, setup.sector, n_lowest=1, dense_cutoff=dense_cutoff,
+        seed=seed, labels=None if g == 0 else setup.labels,
+    )
+    ground = spec.ground_energy
+    gap = ground - float(setup.e_nc)
+    return {
+        "g": float(g),
+        "sector": setup.sector + table.core_particles,
+        "dim": spec.dim,
+        "E_nc": float(setup.e_nc),
+        "E_ground": ground,
+        "gap": gap,
+        "gap_sign": int(np.sign(gap)) if abs(gap) > 1e-12 else 0,
+        "residual": diff.norm() / setup.state.norm() if diff.amp else 0.0,
+        "method": spec.method,
+    }
+
+
 def nc_in_spectrum(
     table: ModeTable,
     g,
@@ -212,30 +317,13 @@ def nc_in_spectrum(
     and as the least real part of their eigenvalues above it ("blocks")
     when each fits ``dense_cutoff``, else of a Krylov solve (see
     ``diagonalize_sector``).
-    """
-    h = build_hamiltonian(table, g, formfactor, seed)
-    state = nc_state(table)
-    e_total = nc_energy(table)
-    residual = eigen_residual(h, state, e_total - table.core_energy)
 
-    sector = table.total_particles_nc() - table.core_particles
-    spec = diagonalize_sector(
-        h, table, sector, n_lowest=1, dense_cutoff=dense_cutoff, basis_cap=basis_cap,
-        seed=seed,
-    )
-    ground = spec.ground_energy
-    gap = ground - float(e_total)
-    return {
-        "g": float(g),
-        "sector": sector + table.core_particles,
-        "dim": spec.dim,
-        "E_nc": float(e_total),
-        "E_ground": ground,
-        "gap": gap,
-        "gap_sign": int(np.sign(gap)) if abs(gap) > 1e-12 else 0,
-        "residual": residual,
-        "method": spec.method,
-    }
+    It is the one-coupling case of ``scan_g``: the same setup, built for
+    one coupling.  An over-cap sector raises ``BasisSizeError`` there,
+    before any solve.
+    """
+    return _place(table, _scan_setup(table, formfactor, seed, basis_cap), g,
+                  dense_cutoff, seed)
 
 
 def rayleigh_quotient(h: OperatorExpr, state: StateVector) -> float:
@@ -246,6 +334,35 @@ def rayleigh_quotient(h: OperatorExpr, state: StateVector) -> float:
     mat = matrix_in_sector(h, occs, state.n_modes).tocsr()
     psi = np.array([state.amp[occ] for occ in occs], dtype=np.float64)
     return float(psi @ (mat @ psi) / (psi @ psi))
+
+
+class UnitPairForm(NamedTuple):
+    """``pair_energy_form``'s coefficients at unit coupling: ``weights`` is
+    W1 = G / volume over ``table.shell_all``, exact, so that ``at(g)``
+    rounds each g W1 entry once, as the form built at g does."""
+
+    weights: list[list[Fraction]]
+    pair_eps: np.ndarray
+    const: float
+
+    def at(self, g) -> tuple[np.ndarray, np.ndarray, float]:
+        g = Fraction(g)
+        w = np.array([[float(g * x) for x in row] for row in self.weights])
+        sym = (w + w.T) / 2
+        np.fill_diagonal(sym, 0.0)
+        return self.pair_eps + np.diag(w), sym, self.const
+
+
+def unit_pair_form(table: ModeTable, g_fun: Formfactor) -> UnitPairForm:
+    """``pair_energy_form``'s coefficients at g = 1 for the weight ``g_fun``."""
+    points = table.shell_all
+    volume = table.config.volume_fraction
+    return UnitPairForm(
+        [[g_fun(k1, k2) / volume for k2 in points] for k1 in points],
+        np.array([float(table.epsilon(k) + table.epsilon(table.partner(k)))
+                  for k in points]),
+        float(phi_core_energy(table)),
+    )
 
 
 def pair_energy_form(
@@ -263,13 +380,7 @@ def pair_energy_form(
     diagonal zeroed, and C is the absolute core energy.
     """
     g_fun, _ = formfactors.from_spec(table, formfactor, seed)
-    points = table.shell_all
-    pref = Fraction(g) / table.config.volume_fraction
-    w = np.array([[float(pref * g_fun(k1, k2)) for k2 in points] for k1 in points])
-    pair_eps = [float(table.epsilon(k) + table.epsilon(table.partner(k))) for k in points]
-    sym = (w + w.T) / 2
-    np.fill_diagonal(sym, 0.0)
-    return np.array(pair_eps) + np.diag(w), sym, float(phi_core_energy(table))
+    return unit_pair_form(table, g_fun).at(g)
 
 
 def pair_energy(form: tuple[np.ndarray, np.ndarray, float], theta: np.ndarray) -> float:
@@ -280,7 +391,7 @@ def pair_energy(form: tuple[np.ndarray, np.ndarray, float], theta: np.ndarray) -
 
 
 def bcs_variational_energy(
-    table: ModeTable, g, formfactor: str = "unit", seed: int = 0
+    table: ModeTable, g, formfactor: str | UnitPairForm = "unit", seed: int = 0
 ) -> tuple[float, dict]:
     """Minimum of the pair-product energy, with no number constraint.
 
@@ -290,9 +401,13 @@ def bcs_variational_energy(
     from t = 0 and seven seeded uniform draws and keeps the best: t = 0 is
     stationary, and gradient descent from the same starts stops in local
     minima that the rotations leave.  Returns the absolute energy and the
-    coefficient map.
+    coefficient map.  ``formfactor`` is a spec, or the ``UnitPairForm`` a
+    scan built once from one.
     """
-    form = pair_energy_form(table, g, formfactor, seed)
+    if isinstance(formfactor, UnitPairForm):
+        form = formfactor.at(g)
+    else:
+        form = pair_energy_form(table, g, formfactor, seed)
     lin, sym, _ = form
     points = table.shell_all
     rng = np.random.default_rng(seed)
@@ -329,18 +444,28 @@ def scan_g(
     dense_cutoff: int = DENSE_CUTOFF,
     basis_cap: int = BASIS_CAP,
 ) -> list[dict]:
-    """One row per coupling, sorted by g; E_NC must come out constant."""
+    """One row per coupling, sorted by g; E_NC must come out constant.
+
+    Everything but the coupling's own combination and solve is built once
+    per scan (``_scan_setup``): ``H0``, ``W1``, ``|NC>`` and its residual
+    halves, the sector basis, the sector matrices of ``H0`` and ``W1``,
+    and with ``E_var`` the unit-coupling pair-energy coefficients.  Each
+    coupling then forms the matrix of ``H0 + g W1`` from those entries,
+    solves it with ``diagonalize_sector``, and sums the residual halves
+    exactly, so every row equals ``nc_in_spectrum``'s for that coupling
+    bit for bit.
+    """
+    setup = _scan_setup(table, formfactor, seed, basis_cap)
+    pair = unit_pair_form(table, setup.g_fun) if with_variational else None
 
     def one(g) -> dict:
-        rec = nc_in_spectrum(
-            table, g, formfactor, seed, dense_cutoff=dense_cutoff, basis_cap=basis_cap
-        )
-        if with_variational:
-            e_var, _ = bcs_variational_energy(table, g, formfactor, seed)
-        else:
+        rec = _place(table, setup, g, dense_cutoff, seed)
+        if pair is None:
             e_var = math.nan
+        else:
+            e_var, _ = bcs_variational_energy(table, g, pair, seed)
         return {
-            "g": float(g),
+            "g": rec["g"],
             "sector": rec["sector"],
             "dim": rec["dim"],
             "E_ground": rec["E_ground"],

@@ -9,13 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkpair.cli import bundled_config_path, load_config, write_csv
-from darkpair.fock import BasisSizeError, sector_basis
+from darkpair.fock import BASIS_CAP, BasisSizeError, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
-from darkpair.operators import SectorCOO, apply_operator, matrix_in_sector
+from darkpair.operators import (SectorCOO, apply_operator, eigen_residual,
+                                matrix_in_sector)
 from darkpair.spectra import (
+    DENSE_CUTOFF,
     SCAN_FIELDS,
     _component_stacks,
     _components,
+    _matrix_at,
+    _scan_setup,
     bcs_variational_energy,
     build_hamiltonian,
     diagonalize_sector,
@@ -198,10 +202,24 @@ def test_block_route_falls_back_to_krylov_above_the_cutoff(threepair_table, form
     assert abs(spec.ground_energy - want) <= 1e-9
 
 
-def test_over_cap_sector_raises_inside_diagonalize_sector(threepair_table):
+def test_over_cap_spectrum_raises_inside_diagonalize_sector(threepair_table):
+    # spectrum assembles its one matrix inside diagonalize_sector, so an
+    # over-cap sector fails there, where the benchmark tracer counts it
     with pytest.raises(BasisSizeError) as err:
-        nc_in_spectrum(threepair_table, Fraction(-1), basis_cap=923)
+        spectrum_rows(threepair_table, Fraction(-1), basis_cap=923)
     assert "diagonalize_sector" in [entry.name for entry in err.traceback]
+
+
+def test_over_cap_scan_raises_in_its_setup_before_any_solve(threepair_table,
+                                                            monkeypatch):
+    # a scan builds its sector basis once, before its first coupling
+    solves = count_calls(monkeypatch, "diagonalize_sector")
+    for place in (lambda: nc_in_spectrum(threepair_table, Fraction(-1), basis_cap=923),
+                  lambda: scan_g(threepair_table, [-1, 1], basis_cap=923)):
+        with pytest.raises(BasisSizeError) as err:
+            place()
+        assert "_scan_setup" in [entry.name for entry in err.traceback]
+    assert solves == []
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +526,97 @@ def test_scan_g_constant_nc_column(minimal_table):
         assert row["residual_NC"] <= 1e-12
     g0 = next(row for row in rows if row["g"] == 0.0)
     assert math.isclose(g0["E_ground"], 2.0, abs_tol=1e-12)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Replace ``darkpair.spectra.<name>`` by a wrapper that records each
+    call's positional arguments in the returned list."""
+    import darkpair.spectra as spectra
+
+    calls, original = [], getattr(spectra, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, name, counted)
+    return calls
+
+
+# past 2**53 once over a common denominator with any unit matrix
+WIDE_G = Fraction(3**34 + 1, 3**34)
+ORACLE_COUPLINGS = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
+                    Fraction(1), WIDE_G]
+
+
+def default_volume_twopair() -> dict:
+    """The twopair geometry in the default box: the volume (2 pi)**3 is a
+    float cubed as a Fraction, so even the unit-coupling matrices take the
+    Python-int route."""
+    table = build_mode_table(LatticeConfig(
+        kf=1.2, delta=0.5, frozen_core=True,
+        shell_points=((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0))))
+    return {"table": table, "formfactor": "random:11", "seed": 11,
+            "dense_cutoff": DENSE_CUTOFF}
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "default_volume_twopair"])
+def test_scan_rows_equal_the_from_scratch_route_bit_for_bit(name):
+    """Each scan row against ``build_hamiltonian(g)`` assembled and solved
+    on its own, and each coupling's matrix against its dense form."""
+    if name == "default_volume_twopair":
+        cfg = default_volume_twopair()
+    else:
+        cfg = load_config(bundled_config_path(name))
+    table, formfactor, seed = cfg["table"], cfg["formfactor"], cfg["seed"]
+    setup = _scan_setup(table, formfactor, seed, BASIS_CAP)
+    sector = table.total_particles_nc() - table.core_particles
+    basis = sector_basis(table.n_modes, sector)
+    state, e_nc = nc_state(table), nc_energy(table)
+    rows = scan_g(table, ORACLE_COUPLINGS, formfactor, seed)
+    assert [row["g"] for row in rows] == [float(g) for g in ORACLE_COUPLINGS]
+    wide = []
+    for g, row in zip(ORACLE_COUPLINGS, rows):
+        h = build_hamiltonian(table, g, formfactor, seed)
+        coo = _matrix_at(setup, g)
+        wide.append(coo.nums.dtype == object)
+        got, want = coo.toarray(), matrix_in_sector(h, basis, table.n_modes).toarray()
+        assert got.tobytes() == want.tobytes(), g
+        if g != 0:  # the scan's shared labels are this coupling's own
+            assert np.array_equal(setup.labels, _components(coo.rows, coo.cols, coo.dim))
+        spec = diagonalize_sector(h, table, sector, n_lowest=1,
+                                  dense_cutoff=cfg["dense_cutoff"], seed=seed)
+        assert row["E_ground"].hex() == spec.ground_energy.hex(), g
+        residual = eigen_residual(h, state, e_nc - table.core_energy)
+        assert row["residual_NC"].hex() == residual.hex(), g
+        e_var, _ = bcs_variational_energy(table, g, formfactor, seed)
+        assert row["E_var"].hex() == e_var.hex(), g
+        assert row["E_NC"] == float(e_nc) and row["dim"] == len(basis)
+        if name == "broken_formfactor":  # W does not leave |NC> dark
+            assert row["residual_NC"] == pytest.approx(float(abs(g)) / 3, rel=1e-15)
+        else:
+            assert row["residual_NC"] == 0.0
+    # the wide coupling, and with a float volume W1 itself, take the Python-int route
+    assert wide[-1] and wide[0] == (setup.w1.nums.dtype == object)
+    assert (setup.w1.nums.dtype == object) == (name == "default_volume_twopair")
+
+
+def test_scan_reuses_no_coupling_s_arrays(threepair_table):
+    # g = -1 flips the sign of W1's numerators; an in-place scaling of the
+    # shared unit matrices would carry into both g = 1 rows
+    rows = scan_g(threepair_table, [1, -1, 1], "random:13", 13)
+    assert [row["g"] for row in rows] == [-1.0, 1.0, 1.0]
+    assert rows[1] == rows[2] == scan_g(threepair_table, [1], "random:13", 13)[0]
+
+
+def test_scan_assembles_twice_and_solves_once_per_coupling(threepair_table,
+                                                            monkeypatch):
+    solves = count_calls(monkeypatch, "diagonalize_sector")
+    assemblies = count_calls(monkeypatch, "matrix_in_sector")
+    couplings = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
+    scan_g(threepair_table, couplings, "random:13", 13, with_variational=False)
+    assert len(solves) == len(couplings) and len(assemblies) == 2
+    assert all(isinstance(args[0], SectorCOO) for args in solves)
 
 
 def test_scan_csv_shape(minimal_table):
