@@ -1,15 +1,15 @@
-"""Interaction weights on shell pairs.
+"""Interaction weights on shell pairs: one exact matrix per lattice.
 
-Weights are exact rationals keyed by partner-pair classes so that the
-symbolic layer stays exact, and ``operators.build_w`` uses the weight
-``from_spec`` returns verbatim.  ``unit`` and ``random:<seed>`` are
-invariant under the partner flip k -> 2K - k in each argument by
-construction, so the paired states are dark for them; ``random`` draws
-one value per ordered pair of hemisphere representatives, so it is not
-exchange-symmetric, G(k1, k2) != G(k2, k1) in general, and the
-Hamiltonian it gives is not Hermitian: sector "eigenvalues" reported for
-it are not eigenvalues of H.  ``asymmetric:<seed>`` deliberately breaks
-the flip invariance and is used as a negative control.
+``from_spec`` returns G with ``G[i][j]`` weighing the pair
+``table.shell_all[i], table.shell_all[j]``, and ``operators.build_w``
+uses it verbatim.  The paired states are dark when each row is constant
+on partner columns: ``G[i][j] == G[i][p(j)]``, with ``p(j)`` the position
+of 2K - ``shell_all[j]``.  ``unit`` and ``random:<seed>`` are invariant
+under the partner flip in each argument by construction, but ``random``
+is not exchange-symmetric, G != G^T in general, so the Hamiltonian it
+gives is not Hermitian: sector "eigenvalues" reported for it are not
+eigenvalues of H.  ``asymmetric:<seed>`` breaks the flip invariance on
+purpose and is used as a negative control.
 """
 
 from __future__ import annotations
@@ -18,64 +18,40 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import IVec, ModeTable
-from .operators import Formfactor, ShellDomainError, unit_formfactor
+from .lattice import ModeTable
 
-FormfactorSpec = tuple[Formfactor, str]
-
-
-def random_symmetric(table: ModeTable, seed: int) -> FormfactorSpec:
-    """Uniform rationals in [1/2, 2] per (rep1, rep2) hemisphere class."""
-    rng = np.random.default_rng(seed)
-    values: dict[tuple[IVec, IVec], Fraction] = {}
-    for r1 in table.shell_plus:
-        for r2 in table.shell_plus:
-            values[(r1, r2)] = Fraction(int(rng.integers(32, 129)), 64)
-    # hemisphere representative: the point itself on the plus side, its
-    # partner on the minus side
-    reps = {k: k for k in table.shell_plus}
-    reps.update((k, table.partner(k)) for k in table.shell_minus)
-
-    def g_fun(k1: IVec, k2: IVec) -> Fraction:
-        try:
-            return values[(reps[tuple(k1)], reps[tuple(k2)])]
-        except KeyError as exc:
-            raise ShellDomainError(
-                f"{exc.args[0]} is not a shell point of this lattice"
-            ) from None
-
-    return g_fun, f"random:{seed}"
+Weights = tuple[tuple[Fraction, ...], ...]
 
 
-def asymmetric(table: ModeTable, seed: int) -> FormfactorSpec:
-    """Partner-asymmetric weight: breaks the sign-flip symmetry on purpose.
+def from_spec(table: ModeTable, spec: str, master_seed: int = 0) -> tuple[Weights, str]:
+    """Parse "unit" | "random:<seed>" | "asymmetric:<seed>" into ``(G, name)``.
 
-    The bump sits on the second argument, the one whose symmetry the
-    pair-annihilation identity actually relies on, so the interaction
-    built with this weight does not leave the paired state dark.
-    """
-    base, _ = random_symmetric(table, seed)
-    minus = set(table.shell_minus)
-
-    def g_fun(k1: IVec, k2: IVec) -> Fraction:
-        bump = Fraction(1, 3) if tuple(k2) in minus else Fraction(0)
-        return base(k1, k2) + bump
-
-    return g_fun, f"asymmetric:{seed}"
-
-
-def from_spec(table: ModeTable, spec: str, master_seed: int = 0) -> FormfactorSpec:
-    """Parse "unit" | "random:<seed>" | "asymmetric:<seed>".
-
-    A missing seed falls back to the master seed so one recorded seed
-    reproduces the whole run.
+    ``random`` draws uniform rationals in [1/2, 2], one per ordered pair of
+    ``shell_plus`` points, row-major; every shell point takes the row and
+    column of its hemisphere representative (itself on the plus side, its
+    partner on the minus side).  ``asymmetric`` adds 1/3 on the columns of
+    the ``shell_minus`` points: the bump sits on the second argument, the
+    one whose flip invariance the pair annihilation relies on, so the
+    interaction it gives does not leave the paired state dark.  A missing
+    seed falls back to the master seed so one recorded seed reproduces the
+    whole run.
     """
     if spec == "unit":
-        return unit_formfactor, "unit"
+        row = (Fraction(1),) * len(table.shell_all)
+        return (row,) * len(row), "unit"
     name, _, seed_text = str(spec).partition(":")
     seed = int(seed_text) if seed_text else master_seed
-    if name == "random":
-        return random_symmetric(table, seed)
+    if name not in ("random", "asymmetric"):
+        raise ValueError(f"unknown formfactor spec {spec!r}")
+    rng = np.random.default_rng(seed)
+    plus = table.shell_plus
+    drawn = [[Fraction(v, 64) for v in row]
+             for row in rng.integers(32, 129, size=(len(plus),) * 2).tolist()]
+    position = {k: i for i, k in enumerate(plus)}
+    reps = [*range(len(plus)),
+            *(position[table.partner(k)] for k in table.shell_minus)]
+    rows = [tuple(row[r] for r in reps) for row in drawn]
     if name == "asymmetric":
-        return asymmetric(table, seed)
-    raise ValueError(f"unknown formfactor spec {spec!r}")
+        n, bump = len(plus), Fraction(1, 3)
+        rows = [row[:n] + tuple(x + bump for x in row[n:]) for row in rows]
+    return tuple(rows[r] for r in reps), f"{name}:{seed}"

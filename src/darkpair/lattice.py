@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -119,13 +120,14 @@ class LatticeConfig:
             raise LatticeError("box size L must be positive")
 
     # Exact rational views of the float fields.  Fraction(float) is the
-    # exact binary value, so comparisons below are reproducible.
-    @property
+    # exact binary value, so comparisons below are reproducible.  The two
+    # that every energy and every W read are cached: the config is frozen.
+    @cached_property
     def kunit2(self) -> Fraction:
         """(2*pi/L)^2 as an exact rational (1 for the default box)."""
         return (Fraction(TAU) / Fraction(self.L)) ** 2
 
-    @property
+    @cached_property
     def volume_fraction(self) -> Fraction:
         if self.volume is not None:
             return Fraction(self.volume)

@@ -30,11 +30,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .fock import MAX_MODES, StateVector, mode_bit
+from .formfactors import Weights, from_spec
 from .lattice import IVec, ModeTable
 
 CREATE = "c"
@@ -630,13 +631,6 @@ def matrix_in_sector(expr: OperatorExpr, basis, n_modes: int) -> SectorCOO:
 # model operator builders
 # ---------------------------------------------------------------------------
 
-Formfactor = Callable[[IVec, IVec], object]
-
-
-def unit_formfactor(k1: IVec, k2: IVec):
-    return Fraction(1)
-
-
 def build_h0(table: ModeTable) -> OperatorExpr:
     """Kinetic term: sum of eps(k) a+ a over every table mode.
 
@@ -701,27 +695,31 @@ def build_gamma(table: ModeTable, k: IVec) -> OperatorExpr:
 
 
 def build_w(
-    table: ModeTable, g, formfactor: Formfactor = unit_formfactor
+    table: ModeTable, g, weights: Weights | None = None
 ) -> OperatorExpr:
     """Pairing interaction over the full shell (both hemispheres).
 
-    (g / volume) * sum_{k1,k2 in shell} G(k1,k2)
-        a+_{up,k1} a+_{dn,p(k1)} a_{dn,p(k2)} a_{up,k2}
+    (g / volume) * sum_{i,j} G[i][j]
+        a+_{up,k_i} a+_{dn,p(k_i)} a_{dn,p(k_j)} a_{up,k_j}
 
-    The weight G is used verbatim.  The paired states are dark when
-    G(k1, k2) = G(k1, 2K - k2) on every shell pair, the invariance the
-    pair annihilation uses; a weight that breaks it, such as
-    ``formfactors.asymmetric``, gives an interaction they do not nullify.
+    over ``k_i, k_j`` in ``table.shell_all``.  ``weights`` is the matrix G
+    that ``formfactors.from_spec`` builds, used verbatim; ``None`` is the
+    unit weight.  The paired states are dark when G[i][j] equals the entry
+    at the column of 2K - k_j on every row, the invariance the pair
+    annihilation uses; a weight that breaks it, such as
+    ``asymmetric:<seed>``, gives an interaction they do not nullify.
     """
     pref = Fraction(g) / table.config.volume_fraction
+    points = table.shell_all
+    if weights is None:
+        weights = from_spec(table, "unit")[0]
+    pairs = [table.pair_modes(k) for k in points]
     monomials = []
-    for k1 in table.shell_all:
-        c_up, c_dn = table.pair_modes(k1)
-        for k2 in table.shell_all:
-            coeff = pref * formfactor(k1, k2)
+    for (c_up, c_dn), row in zip(pairs, weights):
+        for (a_up, a_dn), weight in zip(pairs, row):
+            coeff = pref * weight
             if coeff == 0:
                 continue
-            a_up, a_dn = table.pair_modes(k2)
             monomials.append(
                 (
                     coeff,
@@ -741,22 +739,30 @@ def pair_commutator_rhs(
     k: IVec,
     lam,
     g,
-    formfactor: Formfactor = unit_formfactor,
+    weights: Weights | None = None,
 ) -> OperatorExpr:
     """Independently constructed closed form of [W, build_pair(k, lam)].
 
-    sum_{k1} G(k1,k) (g/volume) a+_{up,k1} a+_{dn,p(k1)} *
+    sum_i G[i][j] (g/volume) a+_{up,k_i} a+_{dn,p(k_i)} *
         (1 + lam - lam n_{up,pk} - lam n_{dn,k} - n_{up,k} - n_{dn,pk})
+
+    with ``k = table.shell_all[j]``: G's column at k's position, over the
+    rows of ``table.shell_all``.  ``weights`` is G as in ``build_w``;
+    ``None`` is the unit weight.
     """
     k = _require_shell(table, k)
     pref = Fraction(g) / table.config.volume_fraction
     lam = Fraction(lam)
     up_k, dn_pk = table.pair_modes(k)
     up_pk, dn_k = table.pair_modes(table.partner(k))
+    points = table.shell_all
+    if weights is None:
+        weights = from_spec(table, "unit")[0]
+    j = points.index(k)
 
     monomials = []
-    for k1 in table.shell_all:
-        coeff = pref * formfactor(k1, k)
+    for k1, row in zip(points, weights):
+        coeff = pref * row[j]
         if coeff == 0:
             continue
         c_up, c_dn = table.pair_modes(k1)

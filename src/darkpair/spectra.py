@@ -19,7 +19,6 @@ from . import formfactors
 from .fock import BASIS_CAP, StateVector, sector_basis
 from .lattice import ModeTable
 from .operators import (
-    Formfactor,
     OperatorExpr,
     SectorCOO,
     apply_operator,
@@ -58,8 +57,8 @@ class SectorSpectrum:
 def build_hamiltonian(
     table: ModeTable, g, formfactor: str = "unit", seed: int = 0
 ) -> OperatorExpr:
-    g_fun, _ = formfactors.from_spec(table, formfactor, seed)
-    return build_h0(table) + build_w(table, g, g_fun)
+    weights, _ = formfactors.from_spec(table, formfactor, seed)
+    return build_h0(table) + build_w(table, g, weights)
 
 
 def diagonalize_sector(
@@ -213,7 +212,7 @@ class _ScanSetup(NamedTuple):
     """What every coupling of a scan shares, built once by ``_scan_setup``.
 
     On a fixed basis ``H(g) = H0 + g W1`` is affine in the coupling, with
-    ``W1 = W(g = 1)``.  The setup holds the weight, the paired state
+    ``W1 = W(g = 1)``.  The setup holds the weight matrix, the paired state
     ``|NC>`` and its energy, the exact residual halves ``(H0 - E)|NC>`` and
     ``W1|NC>``, and the sector matrices of ``H0`` and ``W1`` on the paired
     state's basis.  ``sums`` is each operator's sum of |coefficients|,
@@ -222,7 +221,7 @@ class _ScanSetup(NamedTuple):
     but 0.
     """
 
-    g_fun: Formfactor
+    weights: formfactors.Weights
     sector: int  # table particles: the frozen core's are not in the basis
     e_nc: Fraction  # absolute
     state: StateVector  # |NC>
@@ -236,8 +235,8 @@ class _ScanSetup(NamedTuple):
 
 def _scan_setup(table: ModeTable, formfactor: str, seed: int,
                 basis_cap: int) -> _ScanSetup:
-    g_fun, _ = formfactors.from_spec(table, formfactor, seed)
-    h0, w1 = build_h0(table), build_w(table, 1, g_fun)
+    weights, _ = formfactors.from_spec(table, formfactor, seed)
+    h0, w1 = build_h0(table), build_w(table, 1, weights)
     state = nc_state(table)
     e_nc = nc_energy(table)
     sector = table.total_particles_nc() - table.core_particles
@@ -245,7 +244,7 @@ def _scan_setup(table: ModeTable, formfactor: str, seed: int,
     h0_coo = matrix_in_sector(h0, basis, table.n_modes)
     w1_coo = matrix_in_sector(w1, basis, table.n_modes)
     return _ScanSetup(
-        g_fun, sector, e_nc, state,
+        weights, sector, e_nc, state,
         apply_operator(h0, state) - state.scaled(e_nc - table.core_energy),
         apply_operator(w1, state),
         h0_coo, w1_coo,
@@ -353,12 +352,13 @@ class UnitPairForm(NamedTuple):
         return self.pair_eps + np.diag(w), sym, self.const
 
 
-def unit_pair_form(table: ModeTable, g_fun: Formfactor) -> UnitPairForm:
-    """``pair_energy_form``'s coefficients at g = 1 for the weight ``g_fun``."""
+def unit_pair_form(table: ModeTable, weights: formfactors.Weights) -> UnitPairForm:
+    """``pair_energy_form``'s coefficients at g = 1 for the weight matrix
+    ``weights`` over ``table.shell_all``."""
     points = table.shell_all
     volume = table.config.volume_fraction
     return UnitPairForm(
-        [[g_fun(k1, k2) / volume for k2 in points] for k1 in points],
+        [[x / volume for x in row] for row in weights],
         np.array([float(table.epsilon(k) + table.epsilon(table.partner(k)))
                   for k in points]),
         float(phi_core_energy(table)),
@@ -379,8 +379,8 @@ def pair_energy_form(
     eps(k) + eps(2K-k) + W_kk, S is the symmetric part of W with its
     diagonal zeroed, and C is the absolute core energy.
     """
-    g_fun, _ = formfactors.from_spec(table, formfactor, seed)
-    return unit_pair_form(table, g_fun).at(g)
+    weights, _ = formfactors.from_spec(table, formfactor, seed)
+    return unit_pair_form(table, weights).at(g)
 
 
 def pair_energy(form: tuple[np.ndarray, np.ndarray, float], theta: np.ndarray) -> float:
@@ -456,7 +456,7 @@ def scan_g(
     bit for bit.
     """
     setup = _scan_setup(table, formfactor, seed, basis_cap)
-    pair = unit_pair_form(table, setup.g_fun) if with_variational else None
+    pair = unit_pair_form(table, setup.weights) if with_variational else None
 
     def one(g) -> dict:
         rec = _place(table, setup, g, dense_cutoff, seed)

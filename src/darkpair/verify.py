@@ -198,14 +198,15 @@ def run_battery(
     """
     g_values = [Fraction(g) for g in g_values]
     lambda_values = [Fraction(l) for l in lambda_values]
-    g_fun, ff_name = formfactors.from_spec(table, formfactor, seed)
+    weights, ff_name = formfactors.from_spec(table, formfactor, seed)
     rng = np.random.default_rng(seed)
     # check (5)'s core-filled twin, built first: a twin over the mode cap
-    # stops the battery before any other check has run
+    # stops the battery before any other check has run.  It has the same
+    # shell_all, so the same weight matrix serves it.
     thawed = unfrozen_twin(table)
 
     g_ref = g_values[0] if g_values else Fraction(1)
-    w_ref = build_w(table, g_ref, g_fun)
+    w_ref = build_w(table, g_ref, weights)
     state = nc_state(table)
     dark = 0.0  # check (6)'s residual, which check (10) reports too
 
@@ -220,7 +221,7 @@ def run_battery(
         for lam in lambda_values:
             for k in table.shell_plus:
                 lhs = commutator(w_ref, build_pair(table, k, lam))
-                rhs = pair_commutator_rhs(table, k, lam, g_ref, g_fun)
+                rhs = pair_commutator_rhs(table, k, lam, g_ref, weights)
                 res += _distance(lhs, rhs)
         params = {"lambdas": [str(l) for l in lambda_values], "g": str(g_ref),
                   "formfactor": ff_name}
@@ -233,7 +234,7 @@ def run_battery(
         res = Fraction(0)
         for k in table.shell_plus:
             lhs = commutator(w_ref, build_gamma(table, k))
-            rhs = pair_commutator_rhs(table, k, Fraction(-1), g_ref, g_fun)
+            rhs = pair_commutator_rhs(table, k, Fraction(-1), g_ref, weights)
             res += _distance(lhs, rhs)
             res += sum(
                 (abs(c) for t, c in lhs.terms.items()
@@ -265,8 +266,7 @@ def run_battery(
                 ),
                 cap,
             )
-        g_fun_thawed, _ = formfactors.from_spec(thawed, formfactor, seed)
-        w_thawed = build_w(thawed, g_ref, g_fun_thawed)
+        w_thawed = build_w(thawed, g_ref, weights)
         res = commutator(w_thawed, phi, cap).one_norm()
         for k in thawed.shell_plus:
             inner_comm = commutator(w_thawed, build_gamma(thawed, k), cap)
@@ -276,7 +276,7 @@ def run_battery(
     def dark_state():
         """(6) the paired state is dark for every coupling"""
         nonlocal dark
-        dark = max((relative_dark_residual(build_w(table, g, g_fun), state)
+        dark = max((relative_dark_residual(build_w(table, g, weights), state)
                     for g in g_values), default=0.0)
         return {"g": [str(g) for g in g_values], "formfactor": ff_name}, dark, NUMERIC_TOL
 

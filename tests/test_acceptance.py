@@ -74,9 +74,9 @@ def test_criterion_1_dark_state_identity():
         table = build_mode_table(cfg)
         state = nc_state(table)
         for ff in FORMFACTORS:
-            g_fun, _ = from_spec(table, ff)
+            weights, _ = from_spec(table, ff)
             for g in G_VALUES:
-                w = build_w(table, g, g_fun)
+                w = build_w(table, g, weights)
                 image = apply_operator(w, state)
                 exact_everywhere &= len(image) == 0
                 resid = (
@@ -102,15 +102,15 @@ def test_criterion_2_symbolic_commutators():
     ok = True
     for name in ("one-pair", "two-pair", "three-pair-core"):
         table = build_mode_table(LATTICES[name])
-        g_fun, _ = from_spec(table, "random:5")
-        w = build_w(table, Fraction(-2, 3), g_fun)
+        weights, _ = from_spec(table, "random:5")
+        w = build_w(table, Fraction(-2, 3), weights)
         for k in table.shell_plus:
             for lam in LAMBDA_VALUES:
                 lhs = commutator(w, build_pair(table, k, lam))
-                rhs = pair_commutator_rhs(table, k, lam, Fraction(-2, 3), g_fun)
+                rhs = pair_commutator_rhs(table, k, lam, Fraction(-2, 3), weights)
                 ok &= lhs == rhs
             gamma_form = pair_commutator_rhs(
-                table, k, Fraction(-1), Fraction(-2, 3), g_fun
+                table, k, Fraction(-1), Fraction(-2, 3), weights
             )
             ok &= commutator(w, build_gamma(table, k)) == gamma_form
             ok &= build_gamma(table, table.partner(k)) == -build_gamma(table, k)

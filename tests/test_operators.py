@@ -681,11 +681,9 @@ def test_matrix_sparse_agrees_with_dense(twopair_table):
 def test_matrix_coo_holds_the_dense_and_csr_entries(twopair_table):
     """The ``SectorCOO`` keeps the unsummed entries: summed, they are the
     dense matrix, which CSR holds bit for bit at the same positions."""
-    from darkpair.formfactors import random_symmetric
-
     basis = sector_basis(8, 4)
-    g_fun, _ = random_symmetric(twopair_table, 13)
-    h = build_h0(twopair_table) + build_w(twopair_table, Fraction(-1, 3), g_fun)
+    weights, _ = formfactors.from_spec(twopair_table, "random:13")
+    h = build_h0(twopair_table) + build_w(twopair_table, Fraction(-1, 3), weights)
     coo = matrix_in_sector(h, basis, 8)
     assert coo.dim == len(basis) and coo.nums.dtype == np.int64
     dense, csr = coo.toarray(), coo.tocsr()
@@ -890,13 +888,9 @@ def test_numerator_sum_at_2_53_takes_the_column_fallback():
 def test_w_hermitian_for_unit_and_exchange_symmetric(minimal_table, twopair_table):
     assert build_w(minimal_table, 1).is_hermitian()
 
-    from darkpair.formfactors import random_symmetric
-
-    g_fun, _ = random_symmetric(twopair_table, 5)
-
-    def exchange_symmetric(k1, k2):
-        return g_fun(k1, k2) + g_fun(k2, k1)
-
+    weights, _ = formfactors.from_spec(twopair_table, "random:5")
+    exchange_symmetric = [[x + y for x, y in zip(row, col)]
+                          for row, col in zip(weights, zip(*weights))]  # G + G^T
     assert build_w(twopair_table, Fraction(-2), exchange_symmetric).is_hermitian()
 
 

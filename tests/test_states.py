@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from darkpair.formfactors import random_symmetric
+from darkpair.formfactors import from_spec
 from darkpair.lattice import SPIN_DOWN, SPIN_UP, LatticeConfig, build_mode_table
 from darkpair.operators import (
     CREATE,
@@ -134,9 +134,9 @@ def test_nc_state_partial_shell_is_still_dark(twopair_table):
 def test_nc_dark_for_all_couplings_and_symmetric_weights(threepair_table):
     nc = nc_state(threepair_table)
     for seed in (1, 2, 3):
-        g_fun, _ = random_symmetric(threepair_table, seed)
+        weights, _ = from_spec(threepair_table, f"random:{seed}")
         for g in (Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)):
-            w = build_w(threepair_table, g, g_fun)
+            w = build_w(threepair_table, g, weights)
             image = apply_operator(w, nc)
             assert len(image) == 0
             assert nc.inner(image) == 0  # expectation value vanishes too
