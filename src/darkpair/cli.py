@@ -8,6 +8,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -284,6 +285,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # parsing leaves no state behind, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="darkpair",

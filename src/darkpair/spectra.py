@@ -91,10 +91,10 @@ def diagonalize_sector(
       equal to ``eigvalsh`` of the whole matrix up to rounding (each block
       keeps basis order, so it reads the same lower triangle when H is not
       Hermitian), and no dim x dim array is built.
-    - Above it, with ``n_lowest == 1`` (the ground energy alone, as
-      ``nc_in_spectrum`` asks) and every component within ``dense_cutoff``
-      (method ``"blocks"``): the least real part of the blocks'
-      eigenvalues, the quantity the Krylov route reports.
+    - Above it, with ``n_lowest == 1`` (the ground energy alone, as a
+      scan asks) and every component within ``dense_cutoff`` (method
+      ``"blocks"``): the least real part of the blocks' eigenvalues, the
+      quantity the Krylov route reports.
     - Otherwise the lowest ``n_lowest`` eigenvalues from a Krylov solver
       on the sector matrix converted to CSR, with a seeded start vector
       (so repeated runs agree bit for bit).  Krylov can return fewer
@@ -208,121 +208,27 @@ def _component_stacks(coo: SectorCOO, labels: np.ndarray) -> list[np.ndarray]:
             for d, k, end in zip(widths.tolist(), counts.tolist(), ends.tolist())]
 
 
-class _ScanSetup(NamedTuple):
-    """What every coupling of a scan shares, built once by ``_scan_setup``.
-
-    On a fixed basis ``H(g) = H0 + g W1`` is affine in the coupling, with
-    ``W1 = W(g = 1)``.  The setup holds the weight matrix, the paired state
-    ``|NC>`` and its energy, the exact residual halves ``(H0 - E)|NC>`` and
-    ``W1|NC>``, and the sector matrices of ``H0`` and ``W1`` on the paired
-    state's basis.  ``sums`` is each operator's sum of |coefficients|,
-    which bounds every partial sum of an entry.  ``labels`` are the
-    connected components of ``H(g)``'s entries, the same for every ``g``
-    but 0.
-    """
-
-    weights: formfactors.Weights
-    sector: int  # table particles: the frozen core's are not in the basis
-    e_nc: Fraction  # absolute
-    state: StateVector  # |NC>
-    h0_half: StateVector
-    w_half: StateVector
-    h0: SectorCOO
-    w1: SectorCOO
-    sums: tuple[Fraction, Fraction]
-    labels: np.ndarray
-
-
-def _scan_setup(table: ModeTable, formfactor: str, seed: int,
-                basis_cap: int) -> _ScanSetup:
-    weights, _ = formfactors.from_spec(table, formfactor, seed)
-    h0, w1 = build_h0(table), build_w(table, 1, weights)
-    state = nc_state(table)
-    e_nc = nc_energy(table)
-    sector = table.total_particles_nc() - table.core_particles
-    basis = sector_basis(table.n_modes, sector, basis_cap)
-    h0_coo = matrix_in_sector(h0, basis, table.n_modes)
-    w1_coo = matrix_in_sector(w1, basis, table.n_modes)
-    return _ScanSetup(
-        weights, sector, e_nc, state,
-        apply_operator(h0, state) - state.scaled(e_nc - table.core_energy),
-        apply_operator(w1, state),
-        h0_coo, w1_coo,
-        tuple(sum(map(abs, op.terms.values()), Fraction(0)) for op in (h0, w1)),
-        _components(np.concatenate((h0_coo.rows, w1_coo.rows)),
-                    np.concatenate((h0_coo.cols, w1_coo.cols)), len(basis)),
-    )
-
-
-def _matrix_at(setup: _ScanSetup, g: Fraction) -> SectorCOO:
+def _matrix_at(h0: SectorCOO, w1: SectorCOO, sums: tuple[Fraction, Fraction],
+               g: Fraction) -> SectorCOO:
     """The sector matrix of ``H0 + g W1``: the two unit matrices' numerators
     concatenated over one common denominator, int64 below 2**53 and Python
     ints past it, as ``matrix_in_sector`` keeps them, so every entry is
     the exact rational correctly rounded, as from ``build_hamiltonian(g)``.
+    ``sums`` bound each operator's partial sums (see ``scan_g``).
     ``W(0)`` has no terms, so ``g = 0`` gives ``H0``'s entries alone.  New
     arrays each time: the unit matrices are shared by every coupling.
     """
-    h0, w1 = setup.h0, setup.w1
     if g == 0:
         return h0
     den = math.lcm(h0.den, g.denominator * w1.den)
     f0, f1 = den // h0.den, g.numerator * den // (g.denominator * w1.den)
-    s0, s1 = setup.sums
+    s0, s1 = sums
     # never below a unit matrix's own bound: one with Python ints stays on them
     wide = max(den, den * (s0 + abs(g) * s1)) >= 1 << 53
     n0, n1 = (n.astype(object) if wide else n for n in (h0.nums, w1.nums))
     return SectorCOO(np.concatenate((h0.rows, w1.rows)),
                      np.concatenate((h0.cols, w1.cols)),
                      np.concatenate((n0 * f0, n1 * f1)), den, h0.dim)
-
-
-def _place(table: ModeTable, setup: _ScanSetup, g, dense_cutoff: int, seed: int) -> dict:
-    """``nc_in_spectrum``'s record for one coupling of a scan's setup."""
-    g = Fraction(g)
-    diff = setup.h0_half + setup.w_half.scaled(g)  # (H(g) - E)|NC>, exactly
-    spec = diagonalize_sector(
-        _matrix_at(setup, g), table, setup.sector, n_lowest=1, dense_cutoff=dense_cutoff,
-        seed=seed, labels=None if g == 0 else setup.labels,
-    )
-    ground = spec.ground_energy
-    gap = ground - float(setup.e_nc)
-    return {
-        "g": float(g),
-        "sector": setup.sector + table.core_particles,
-        "dim": spec.dim,
-        "E_nc": float(setup.e_nc),
-        "E_ground": ground,
-        "gap": gap,
-        "gap_sign": int(np.sign(gap)) if abs(gap) > 1e-12 else 0,
-        "residual": diff.norm() / setup.state.norm() if diff.amp else 0.0,
-        "method": spec.method,
-    }
-
-
-def nc_in_spectrum(
-    table: ModeTable,
-    g,
-    formfactor: str = "unit",
-    seed: int = 0,
-    dense_cutoff: int = DENSE_CUTOFF,
-    basis_cap: int = BASIS_CAP,
-) -> dict:
-    """Locate the paired state's energy within its number sector.
-
-    Returns the eigen-residual of H on the paired state, the exact sector
-    ground energy, and the (signed) gap ground - E_paired.  The ground
-    energy is the least eigenvalue of the sector matrix's components,
-    solved with ``eigvalsh`` up to ``dense_cutoff`` (``method`` "dense")
-    and as the least real part of their eigenvalues above it ("blocks")
-    when each fits ``dense_cutoff``, else of a Krylov solve (see
-    ``diagonalize_sector``).
-
-    It is the one-coupling case of ``scan_g``: the same setup, built for
-    one coupling.  An over-cap sector raises ``BasisSizeError`` there,
-    before any solve.
-    """
-    return _place(table, _scan_setup(table, formfactor, seed, basis_cap), g,
-                  dense_cutoff, seed)
 
 
 def rayleigh_quotient(h: OperatorExpr, state: StateVector) -> float:
@@ -338,7 +244,8 @@ def rayleigh_quotient(h: OperatorExpr, state: StateVector) -> float:
 class UnitPairForm(NamedTuple):
     """``pair_energy_form``'s coefficients at unit coupling: ``weights`` is
     W1 = G / volume over ``table.shell_all``, exact, so that ``at(g)``
-    rounds each g W1 entry once, as the form built at g does."""
+    rounds each g W1 entry once, as the form built at g does; a scan
+    builds it once and evaluates it at each coupling."""
 
     weights: list[list[Fraction]]
     pair_eps: np.ndarray
@@ -391,23 +298,19 @@ def pair_energy(form: tuple[np.ndarray, np.ndarray, float], theta: np.ndarray) -
 
 
 def bcs_variational_energy(
-    table: ModeTable, g, formfactor: str | UnitPairForm = "unit", seed: int = 0
+    table: ModeTable, form: tuple[np.ndarray, np.ndarray, float], seed: int = 0
 ) -> tuple[float, dict]:
-    """Minimum of the pair-product energy, with no number constraint.
+    """Minimum of the pair-product energy ``form`` (``pair_energy_form``'s
+    coefficients), with no number constraint.
 
     Coordinate descent sets each angle to its exact one-angle minimum
     2t_i = atan2(-h_i, L_i/2), h_i = S_i . x (see ``pair_energy_form``),
     until a sweep gains less than 1e-10 or 60 sweeps have run.  It starts
-    from t = 0 and seven seeded uniform draws and keeps the best: t = 0 is
-    stationary, and gradient descent from the same starts stops in local
-    minima that the rotations leave.  Returns the absolute energy and the
-    coefficient map.  ``formfactor`` is a spec, or the ``UnitPairForm`` a
-    scan built once from one.
+    from t = 0 and seven draws seeded by ``seed`` and keeps the best: t = 0
+    is stationary, and gradient descent from the same starts stops in
+    local minima that the rotations leave.  Returns the absolute energy
+    and the coefficient map over ``table.shell_all``.
     """
-    if isinstance(formfactor, UnitPairForm):
-        form = formfactor.at(g)
-    else:
-        form = pair_energy_form(table, g, formfactor, seed)
     lin, sym, _ = form
     points = table.shell_all
     rng = np.random.default_rng(seed)
@@ -444,37 +347,75 @@ def scan_g(
     dense_cutoff: int = DENSE_CUTOFF,
     basis_cap: int = BASIS_CAP,
 ) -> list[dict]:
-    """One row per coupling, sorted by g; E_NC must come out constant.
+    """One ``SCAN_FIELDS`` row per coupling, sorted by g; E_NC must come out
+    constant.
 
-    Everything but the coupling's own combination and solve is built once
-    per scan (``_scan_setup``): ``H0``, ``W1``, ``|NC>`` and its residual
-    halves, the sector basis, the sector matrices of ``H0`` and ``W1``,
-    and with ``E_var`` the unit-coupling pair-energy coefficients.  Each
-    coupling then forms the matrix of ``H0 + g W1`` from those entries,
-    solves it with ``diagonalize_sector``, and sums the residual halves
-    exactly, so every row equals ``nc_in_spectrum``'s for that coupling
-    bit for bit.
+    On a fixed basis ``H(g) = H0 + g W1`` is affine in the coupling, with
+    ``W1 = W(g = 1)``, so everything but each coupling's own combination
+    and solve is built once per scan: the weight matrix, ``H0`` and
+    ``W1``, the paired state ``|NC>`` and its energy, the sector basis (an
+    over-cap sector raises ``BasisSizeError`` here, before any solve), the
+    sector matrices of ``H0`` and ``W1`` on it, the exact residual halves
+    ``(H0 - E)|NC>`` and ``W1|NC>``, each operator's sum of |coefficients|
+    (which bounds every partial sum of an entry), the connected components
+    of ``H(g)``'s entries (the same for every ``g`` but 0), and with
+    ``E_var`` the unit-coupling pair-energy coefficients.  Each coupling
+    then forms the matrix of ``H0 + g W1`` (``_matrix_at``), solves it
+    with ``diagonalize_sector`` for the ground energy alone (the least
+    eigenvalue of its components, see there), and sums the residual halves
+    exactly, so every row equals the from-scratch route bit for bit.
     """
-    setup = _scan_setup(table, formfactor, seed, basis_cap)
-    pair = unit_pair_form(table, setup.weights) if with_variational else None
+    weights, _ = formfactors.from_spec(table, formfactor, seed)
+    h0, w1 = build_h0(table), build_w(table, 1, weights)
+    state = nc_state(table)
+    e_nc = nc_energy(table)
+    sector = table.total_particles_nc() - table.core_particles
+    basis = sector_basis(table.n_modes, sector, basis_cap)
+    h0_coo = matrix_in_sector(h0, basis, table.n_modes)
+    w1_coo = matrix_in_sector(w1, basis, table.n_modes)
+    h0_half = apply_operator(h0, state) - state.scaled(e_nc - table.core_energy)
+    w_half = apply_operator(w1, state)
+    sums = tuple(sum(map(abs, op.terms.values()), Fraction(0)) for op in (h0, w1))
+    labels = _components(np.concatenate((h0_coo.rows, w1_coo.rows)),
+                         np.concatenate((h0_coo.cols, w1_coo.cols)), len(basis))
+    pair = unit_pair_form(table, weights) if with_variational else None
+    rows = []
+    # sorted by float value, then exact: equal floats keep their input order
+    for g in map(Fraction, sorted(g_values, key=float)):
+        diff = h0_half + w_half.scaled(g)  # (H(g) - E)|NC>, exactly
+        spec = diagonalize_sector(
+            _matrix_at(h0_coo, w1_coo, sums, g), table, sector, n_lowest=1,
+            dense_cutoff=dense_cutoff, seed=seed, labels=None if g == 0 else labels,
+        )
+        rows.append({
+            "g": float(g),
+            "sector": sector + table.core_particles,
+            "dim": spec.dim,
+            "E_ground": spec.ground_energy,
+            "E_NC": float(e_nc),
+            "E_var": (bcs_variational_energy(table, pair.at(g), seed)[0]
+                      if with_variational else math.nan),
+            "residual_NC": diff.norm() / state.norm() if diff.amp else 0.0,
+        })
+    return rows
 
-    def one(g) -> dict:
-        rec = _place(table, setup, g, dense_cutoff, seed)
-        if pair is None:
-            e_var = math.nan
-        else:
-            e_var, _ = bcs_variational_energy(table, g, pair, seed)
-        return {
-            "g": rec["g"],
-            "sector": rec["sector"],
-            "dim": rec["dim"],
-            "E_ground": rec["E_ground"],
-            "E_NC": rec["E_nc"],
-            "E_var": e_var,
-            "residual_NC": rec["residual"],
-        }
 
-    return [one(g) for g in sorted(g_values, key=float)]
+def nc_in_spectrum(
+    table: ModeTable,
+    g,
+    formfactor: str = "unit",
+    seed: int = 0,
+    dense_cutoff: int = DENSE_CUTOFF,
+    basis_cap: int = BASIS_CAP,
+) -> dict:
+    """Locate the paired state's energy within its number sector: the
+    ``scan_g`` row of the one coupling ``g``, without ``E_var`` (NaN).
+
+    ``E_ground - E_NC`` is the signed gap; ``residual_NC`` is the
+    eigen-residual of H on the paired state.  An over-cap sector raises
+    ``BasisSizeError`` before any solve.
+    """
+    return scan_g(table, [g], formfactor, seed, False, dense_cutoff, basis_cap)[0]
 
 
 SPECTRUM_FIELDS = ("g", "sector", "dim", "index", "eigenvalue")

@@ -72,17 +72,6 @@ def nc_state(table: ModeTable) -> StateVector:
     return state
 
 
-def validate_pair_coefficients(
-    table: ModeTable, coeffs: PairCoefficients, tol: float = 1e-9
-) -> None:
-    for k in table.shell_all:
-        if tuple(k) not in coeffs:
-            raise ValueError(f"missing pair coefficients for shell point {k}")
-        u, v = coeffs[tuple(k)]
-        if abs(abs(u) ** 2 + abs(v) ** 2 - 1.0) > tol:
-            raise ValueError(f"coefficients at {k} are not normalized")
-
-
 def bcs_state(table: ModeTable, coeffs: PairCoefficients) -> StateVector:
     """Variational product state Prod_{k in shell} (u_k + v_k a+_up,k a+_dn,pk).
 
@@ -90,9 +79,15 @@ def bcs_state(table: ModeTable, coeffs: PairCoefficients) -> StateVector:
     particle-number sectors.  The coefficients may be floats, which the
     exact operator kernels do not take: each pair creator is compiled once
     and fired with ``_fire`` over the current occupations, its sign taken
-    from the canonical term's coefficient.
+    from the canonical term's coefficient.  Every shell point needs a
+    pair (u, v) with |u|^2 + |v|^2 = 1 to within 1e-9.
     """
-    validate_pair_coefficients(table, coeffs)
+    for k in table.shell_all:
+        if tuple(k) not in coeffs:
+            raise ValueError(f"missing pair coefficients for shell point {k}")
+        u, v = coeffs[tuple(k)]
+        if abs(abs(u) ** 2 + abs(v) ** 2 - 1.0) > 1e-9:
+            raise ValueError(f"coefficients at {k} are not normalized")
     state = phi_core(table)
     for k in table.shell_all:
         u, v = coeffs[tuple(k)]

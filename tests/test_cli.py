@@ -17,6 +17,7 @@ from darkpair.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
+    build_parser,
     bundled_config_path,
     load_config,
     main,
@@ -219,6 +220,18 @@ def test_bad_command_line_value_exits_2_with_one_line(tmp_path, capsys, argv):
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_leaves_the_shared_parser_usable(tmp_path, capsys):
+    assert main(["scan", "--g-list", "1"]) == EXIT_CONFIG
+    assert main(["scan", "--config", "minimal", "--no-variational",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err.count("\n") == 1
+    assert (tmp_path / "scan.csv").exists()
 
 
 @pytest.mark.parametrize("command", [["scan"], ["spectrum", "--g=-1"]])

@@ -8,18 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darkpair import formfactors
 from darkpair.cli import bundled_config_path, load_config, write_csv
-from darkpair.fock import BASIS_CAP, BasisSizeError, sector_basis
+from darkpair.fock import BasisSizeError, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
-from darkpair.operators import (SectorCOO, apply_operator, eigen_residual,
+from darkpair.operators import (SectorCOO, apply_operator, build_w, eigen_residual,
                                 matrix_in_sector)
 from darkpair.spectra import (
     DENSE_CUTOFF,
     SCAN_FIELDS,
     _component_stacks,
     _components,
-    _matrix_at,
-    _scan_setup,
     bcs_variational_energy,
     build_hamiltonian,
     diagonalize_sector,
@@ -218,7 +217,7 @@ def test_over_cap_scan_raises_in_its_setup_before_any_solve(threepair_table,
                   lambda: scan_g(threepair_table, [-1, 1], basis_cap=923)):
         with pytest.raises(BasisSizeError) as err:
             place()
-        assert "_scan_setup" in [entry.name for entry in err.traceback]
+        assert "scan_g" in [entry.name for entry in err.traceback]
     assert solves == []
 
 
@@ -337,29 +336,30 @@ def test_ground_energy_does_not_depend_on_the_dense_cutoff(name):
 def test_nc_in_spectrum_minimal(minimal_table):
     for g in (Fraction(-1), Fraction(-1, 2)):
         rec = nc_in_spectrum(minimal_table, g)
-        assert rec["residual"] <= 1e-12
-        assert rec["E_nc"] == 2.0
+        assert rec["residual_NC"] <= 1e-12
+        assert rec["E_NC"] == 2.0
         # exact 2x2 block: ground sits 2|g|/volume below the paired level
         assert math.isclose(rec["E_ground"], 2.0 + 2.0 * float(g), abs_tol=1e-10)
-        assert rec["gap"] < 0 and rec["gap_sign"] == -1
+        assert rec["E_ground"] - rec["E_NC"] < -1e-12
     rec = nc_in_spectrum(minimal_table, Fraction(1))
-    assert rec["gap_sign"] == 0  # paired level ties the ground level at g > 0
-    assert rec["residual"] <= 1e-12
+    # paired level ties the ground level at g > 0
+    assert abs(rec["E_ground"] - rec["E_NC"]) <= 1e-12
+    assert rec["residual_NC"] <= 1e-12
 
 
 def test_nc_strictly_above_ground_for_attraction(twopair_table):
     for g in (Fraction(-1), Fraction(-1, 2)):
         rec = nc_in_spectrum(twopair_table, g)
-        assert rec["E_ground"] < rec["E_nc"] - 1e-10
-        assert rec["residual"] <= 1e-12
+        assert rec["E_ground"] < rec["E_NC"] - 1e-10
+        assert rec["residual_NC"] <= 1e-12
 
 
 def test_nc_in_spectrum_reports_sign_without_asserting_for_repulsion(
     twopair_table,
 ):
     rec = nc_in_spectrum(twopair_table, Fraction(1))
-    assert rec["gap_sign"] in (-1, 0, 1)
-    assert rec["residual"] <= 1e-12
+    assert math.isfinite(rec["E_ground"] - rec["E_NC"])
+    assert rec["residual_NC"] <= 1e-12
 
 
 def test_rayleigh_quotient_of_fermi_state(minimal_table):
@@ -384,7 +384,8 @@ def test_rayleigh_quotient_equals_exact_expectation(name):
 
 
 def test_variational_free_limit(minimal_table):
-    energy, coeffs = bcs_variational_energy(minimal_table, 0, seed=1)
+    energy, coeffs = bcs_variational_energy(
+        minimal_table, pair_energy_form(minimal_table, 0), seed=1)
     # with eps > 0 and no chemical potential the family minimum is empty
     assert math.isclose(energy, 0.0, abs_tol=1e-8)
     for u, v in coeffs.values():
@@ -393,7 +394,8 @@ def test_variational_free_limit(minimal_table):
 
 def test_variational_is_feasible_point_bound(minimal_table):
     g = Fraction(-3)
-    energy, _ = bcs_variational_energy(minimal_table, g, seed=2)
+    energy, _ = bcs_variational_energy(
+        minimal_table, pair_energy_form(minimal_table, g), seed=2)
     h = build_hamiltonian(minimal_table, g)
     paired = bcs_state(minimal_table, {k: (0.0, 1.0) for k in minimal_table.shell_all})
     assert energy <= rayleigh_quotient(h, paired) + 1e-9
@@ -401,7 +403,8 @@ def test_variational_is_feasible_point_bound(minimal_table):
 
 def test_variational_above_global_ground(minimal_table):
     g = Fraction(-3)
-    energy, _ = bcs_variational_energy(minimal_table, g, seed=2)
+    energy, _ = bcs_variational_energy(
+        minimal_table, pair_energy_form(minimal_table, g), seed=2)
     h = build_hamiltonian(minimal_table, g)
     global_ground = min(
         diagonalize_sector(h, minimal_table, n).ground_energy
@@ -412,7 +415,8 @@ def test_variational_above_global_ground(minimal_table):
 
 def test_variational_nonincreasing_with_attraction(minimal_table):
     values = [
-        bcs_variational_energy(minimal_table, g, seed=3)[0]
+        bcs_variational_energy(minimal_table, pair_energy_form(minimal_table, g),
+                               seed=3)[0]
         for g in (Fraction(-1), Fraction(-2), Fraction(-4))
     ]
     assert values[0] >= values[1] - 1e-8 >= values[2] - 2e-8
@@ -462,14 +466,15 @@ def test_closed_form_equals_symbolic_rayleigh_quotient():
 def test_variational_coeffs_reproduce_energy():
     for name, table, couplings, formfactor, seed in _variational_cases():
         for g in [*couplings, Fraction(-3)]:
-            energy, coeffs = bcs_variational_energy(table, g, formfactor, seed)
+            energy, coeffs = bcs_variational_energy(
+                table, pair_energy_form(table, g, formfactor, seed), seed)
             expected = _symbolic_energy(table, g, formfactor, seed, coeffs)
             assert energy == pytest.approx(expected, rel=0, abs=1e-12), (name, g)
 
 
-# bcs_variational_energy(table, g, formfactor, seed) as the Brent line
-# search over the symbolic Rayleigh quotient computed it, before the
-# closed form replaced that path.
+# bcs_variational_energy of pair_energy_form(table, g, formfactor, seed) as
+# the Brent line search over the symbolic Rayleigh quotient computed it,
+# before the closed form replaced that path.
 RECORDED_E_VAR = {
     ("minimal", Fraction(-1)): 0.0,
     ("minimal", Fraction(-1, 2)): 0.0,
@@ -504,7 +509,8 @@ def test_variational_energy_matches_recorded_values():
     seen = set()
     for name, table, couplings, formfactor, seed in _variational_cases():
         for g in [*couplings, Fraction(-3)]:
-            energy, _ = bcs_variational_energy(table, g, formfactor, seed)
+            energy, _ = bcs_variational_energy(
+                table, pair_energy_form(table, g, formfactor, seed), seed)
             assert energy == pytest.approx(
                 RECORDED_E_VAR[name, g], rel=0, abs=1e-9), (name, g)
             seen.add((name, g))
@@ -530,13 +536,13 @@ def test_scan_g_constant_nc_column(minimal_table):
 
 def count_calls(monkeypatch, name: str) -> list:
     """Replace ``darkpair.spectra.<name>`` by a wrapper that records each
-    call's positional arguments in the returned list."""
+    call's ``(args, kwargs)`` in the returned list."""
     import darkpair.spectra as spectra
 
     calls, original = [], getattr(spectra, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spectra, name, counted)
@@ -561,44 +567,54 @@ def default_volume_twopair() -> dict:
 
 
 @pytest.mark.parametrize("name", [*BUNDLED, "default_volume_twopair"])
-def test_scan_rows_equal_the_from_scratch_route_bit_for_bit(name):
+def test_scan_rows_equal_the_from_scratch_route_bit_for_bit(name, monkeypatch):
     """Each scan row against ``build_hamiltonian(g)`` assembled and solved
-    on its own, and each coupling's matrix against its dense form."""
+    on its own, each coupling's matrix (as the scan hands it to
+    ``diagonalize_sector``) against its dense form, and each
+    ``nc_in_spectrum`` record against its scan row."""
     if name == "default_volume_twopair":
         cfg = default_volume_twopair()
     else:
         cfg = load_config(bundled_config_path(name))
     table, formfactor, seed = cfg["table"], cfg["formfactor"], cfg["seed"]
-    setup = _scan_setup(table, formfactor, seed, BASIS_CAP)
     sector = table.total_particles_nc() - table.core_particles
     basis = sector_basis(table.n_modes, sector)
     state, e_nc = nc_state(table), nc_energy(table)
+    weights, _ = formfactors.from_spec(table, formfactor, seed)
+    w1 = matrix_in_sector(build_w(table, 1, weights), basis, table.n_modes)
+    solves = count_calls(monkeypatch, "diagonalize_sector")
     rows = scan_g(table, ORACLE_COUPLINGS, formfactor, seed)
     assert [row["g"] for row in rows] == [float(g) for g in ORACLE_COUPLINGS]
     wide = []
-    for g, row in zip(ORACLE_COUPLINGS, rows):
+    for g, row, (args, kwargs) in zip(ORACLE_COUPLINGS, rows, list(solves), strict=True):
         h = build_hamiltonian(table, g, formfactor, seed)
-        coo = _matrix_at(setup, g)
+        coo, labels = args[0], kwargs["labels"]
         wide.append(coo.nums.dtype == object)
         got, want = coo.toarray(), matrix_in_sector(h, basis, table.n_modes).toarray()
         assert got.tobytes() == want.tobytes(), g
         if g != 0:  # the scan's shared labels are this coupling's own
-            assert np.array_equal(setup.labels, _components(coo.rows, coo.cols, coo.dim))
+            assert np.array_equal(labels, _components(coo.rows, coo.cols, coo.dim))
+        else:
+            assert labels is None
         spec = diagonalize_sector(h, table, sector, n_lowest=1,
                                   dense_cutoff=cfg["dense_cutoff"], seed=seed)
         assert row["E_ground"].hex() == spec.ground_energy.hex(), g
         residual = eigen_residual(h, state, e_nc - table.core_energy)
         assert row["residual_NC"].hex() == residual.hex(), g
-        e_var, _ = bcs_variational_energy(table, g, formfactor, seed)
+        e_var, _ = bcs_variational_energy(
+            table, pair_energy_form(table, g, formfactor, seed), seed)
         assert row["E_var"].hex() == e_var.hex(), g
+        rec = nc_in_spectrum(table, g, formfactor, seed)
+        assert math.isnan(rec.pop("E_var"))
+        assert rec == {key: row[key] for key in SCAN_FIELDS if key != "E_var"}, g
         assert row["E_NC"] == float(e_nc) and row["dim"] == len(basis)
         if name == "broken_formfactor":  # W does not leave |NC> dark
             assert row["residual_NC"] == pytest.approx(float(abs(g)) / 3, rel=1e-15)
         else:
             assert row["residual_NC"] == 0.0
     # the wide coupling, and with a float volume W1 itself, take the Python-int route
-    assert wide[-1] and wide[0] == (setup.w1.nums.dtype == object)
-    assert (setup.w1.nums.dtype == object) == (name == "default_volume_twopair")
+    assert wide[-1] and wide[0] == (w1.nums.dtype == object)
+    assert (w1.nums.dtype == object) == (name == "default_volume_twopair")
 
 
 def test_scan_reuses_no_coupling_s_arrays(threepair_table):
@@ -616,7 +632,7 @@ def test_scan_assembles_twice_and_solves_once_per_coupling(threepair_table,
     couplings = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
     scan_g(threepair_table, couplings, "random:13", 13, with_variational=False)
     assert len(solves) == len(couplings) and len(assemblies) == 2
-    assert all(isinstance(args[0], SectorCOO) for args in solves)
+    assert all(isinstance(args[0], SectorCOO) for args, _ in solves)
 
 
 def test_scan_csv_shape(minimal_table):
@@ -643,8 +659,8 @@ def test_frozen_core_energy_shift():
     )
     rec = nc_in_spectrum(table, Fraction(-1))
     # pair energy eps(0,0,2) + eps(0,0,0) = 4, core adds 2
-    assert rec["E_nc"] == float(nc_energy(table)) == 6.0
-    assert rec["residual"] <= 1e-12
+    assert rec["E_NC"] == float(nc_energy(table)) == 6.0
+    assert rec["residual_NC"] <= 1e-12
     spec = diagonalize_sector(build_hamiltonian(table, Fraction(-1)), table, 2)
     # sector ground is both particles parked on the zero-energy drift point
     # (not an interaction pair), shifted by the core energy 2
