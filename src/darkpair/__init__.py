@@ -28,7 +28,7 @@ from .spectra import (
     nc_in_spectrum,
     scan_g,
 )
-from .states import bcs_state, fermi_state, nc_state, phi_core
+from .states import bcs_state, nc_state, phi_core
 from .verify import continuum_energy_check, run_battery
 
 __version__ = "0.1.0"

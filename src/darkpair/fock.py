@@ -7,22 +7,22 @@ the integer order of packed states coincide with the lexicographic order
 of their printed bitstrings (mode 0 leftmost), which is the iteration
 order used for every deterministic reduction in this package.
 
-Operators act on these states through ``operators._compile`` and
-``operators._fire``, which carry the usual fermionic sign
+Operators act on these states through ``operators.apply_operator``, whose
+kernels carry the usual fermionic sign
 ``(-1)**(number of occupied modes with smaller index)``; ``mode_bit`` is
 the one statement of the bit layout they and the state builders use.
+Amplitudes are exact (int or ``Fraction``) throughout.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 MAX_MODES = 64
 BASIS_CAP = 2_000_000
-
-Scalar = complex  # amplitudes may also be int / Fraction / float
 
 
 class BasisSizeError(ValueError):
@@ -69,21 +69,19 @@ def sector_basis(n_modes: int, n_particles: int, cap: int = BASIS_CAP) -> np.nda
 class StateVector:
     """Sparse amplitude map over packed Fock states.
 
-    Amplitudes may be exact (int / Fraction) or floating complex; exact
-    zeros are dropped on insertion so that "the residual vanishes" is a
-    statement about an empty map, not about small numbers.  The operator
-    kernels take exact amplitudes only: float amplitudes, such as those of
-    ``states.bcs_state``, raise ``TypeError`` in
-    ``operators.apply_operator``.
+    Amplitudes are int or ``Fraction``; zeros are dropped on insertion so
+    that "the residual vanishes" is a statement about an empty map, not
+    about small numbers.  ``operators.apply_operator`` raises ``TypeError``
+    on any other amplitude.
     """
 
     __slots__ = ("n_modes", "amp")
 
-    def __init__(self, n_modes: int, amplitudes: dict[int, Scalar] | None = None):
+    def __init__(self, n_modes: int, amplitudes: dict[int, Fraction] | None = None):
         if n_modes > MAX_MODES:
             raise ValueError(f"n_modes {n_modes} exceeds {MAX_MODES}")
         self.n_modes = n_modes
-        self.amp: dict[int, Scalar] = {}
+        self.amp: dict[int, Fraction] = {}
         if amplitudes:
             for occ, a in amplitudes.items():
                 self.add_term(occ, a)
@@ -97,7 +95,7 @@ class StateVector:
         out.amp = dict(self.amp)
         return out
 
-    def add_term(self, occ: int, value: Scalar) -> None:
+    def add_term(self, occ: int, value: Fraction) -> None:
         cur = self.amp.get(occ, 0) + value
         if cur == 0:
             self.amp.pop(occ, None)
@@ -114,7 +112,7 @@ class StateVector:
             and self.amp == other.amp
         )
 
-    def scaled(self, factor: Scalar) -> "StateVector":
+    def scaled(self, factor: Fraction) -> "StateVector":
         out = StateVector(self.n_modes)
         if factor == 0:
             return out
@@ -137,24 +135,23 @@ class StateVector:
                 f"mode table mismatch: {self.n_modes} vs {other.n_modes} modes"
             )
 
-    def inner(self, other: "StateVector") -> Scalar:
-        """<self|other> with the left argument conjugated."""
+    def inner(self, other: "StateVector") -> Fraction:
+        """<self|other>; the amplitudes are real, so nothing is conjugated."""
         self._check_space(other)
         if len(other.amp) < len(self.amp):
             keys = other.amp.keys() & self.amp.keys()
         else:
             keys = self.amp.keys() & other.amp.keys()
-        total: Scalar = 0
+        total = 0
         for occ in sorted(keys):
-            total += self.amp[occ].conjugate() * other.amp[occ]
+            total += self.amp[occ] * other.amp[occ]
         return total
 
-    def norm2(self) -> Scalar:
-        total: Scalar = 0
+    def norm2(self) -> Fraction:
+        total = 0
         for occ in sorted(self.amp):
-            a = self.amp[occ]
-            total += a.conjugate() * a
-        return total.real if isinstance(total, complex) else total
+            total += self.amp[occ] ** 2
+        return total
 
     def norm(self) -> float:
         return math.sqrt(float(self.norm2()))

@@ -228,34 +228,12 @@ class ModeTable:
         )
 
 
-def _band_rows(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
-    """Rows ``(dz, dy, low, top)`` of the offsets d with lo <= |d|^2 <= hi,
-    one (z, y) row at a time: the row holds the dx with low <= |dx| <= top.
-    Each row's x range is solved for, so a thin band costs no more than
-    its rows."""
-    reach = math.isqrt(hi)
-    for dz in range(-reach, reach + 1):
-        ry = math.isqrt(hi - dz * dz)
-        for dy in range(-ry, ry + 1):
-            r2 = dz * dz + dy * dy
-            # low: the least x >= 0 with x^2 >= lo - r2
-            low = math.isqrt(lo - r2 - 1) + 1 if lo > r2 else 0
-            yield dz, dy, low, math.isqrt(hi - r2)
-
-
-def _points_between(center: IVec, lo: int, hi: int) -> Iterator[IVec]:
-    """Grid points n with lo <= |n - center|^2 <= hi, row by row."""
-    for dz, dy, low, top in _band_rows(lo, hi):
-        for dx in (*range(-top, 1 - low), *range(max(low, 1), top + 1)):
-            yield (center[0] + dx, center[1] + dy, center[2] + dz)
-
-
-# The largest ``hi`` that ``band_sums`` takes.  A z-slice holds at most
+# The largest ``hi`` that ``_slices`` takes.  A z-slice holds at most
 # (2 isqrt(hi) + 1)**2 offsets, each with |d|^2 <= hi, and every row sum is
-# non-negative, so every int64 partial sum of a slice's count and moment is
-# at most hi (2 isqrt(hi) + 1)**2 ~ 4 hi**2.  That stays below 2**63 up to
-# hi ~ 2**30.5; 2**30 is the round value under it (the bound reads
-# 2**62.00004 there).
+# non-negative, so every int64 partial sum of a slice's count and moment in
+# ``band_sums`` is at most hi (2 isqrt(hi) + 1)**2 ~ 4 hi**2.  That stays
+# below 2**63 up to hi ~ 2**30.5; 2**30 is the round value under it (the
+# bound reads 2**62.00004 there).
 BAND_MAX = 1 << 30
 
 
@@ -268,14 +246,14 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def band_sums(lo: int, hi: int) -> tuple[int, int]:
-    """Count and sum of |d|^2 over the integer offsets d with
-    lo <= |d|^2 <= hi; ``(0, 0)`` when there are none.
-
-    The rows of ``_band_rows`` with dz, dy >= 0 are summed one z-slice at
-    a time as int64 arrays, each in closed form, sum_{x=1..t} x^2 =
-    t(t+1)(2t+1)/6, and the rows at dy > 0 and the slices at dz > 0 count
-    twice.  A ``hi`` above ``BAND_MAX`` raises ``LatticeError``.
+def _slices(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray,
+                                               np.ndarray, np.ndarray]]:
+    """The offsets d with lo <= |d|^2 <= hi, one z-slice dz >= 0 at a time,
+    as int64 rows ``(dz, dy, r2, low, top)`` over every dy >= 0 of the
+    slice's disc: row dy, at r2 = dy^2 + dz^2, holds the dx with
+    low <= |dx| <= top, and none when low > top.  The other offsets are
+    these mirrored over the signs of dz, dy and dx.  An empty range yields
+    nothing; a ``hi`` above ``BAND_MAX`` raises ``LatticeError``.
     """
     if hi > BAND_MAX:
         raise LatticeError(
@@ -284,18 +262,43 @@ def band_sums(lo: int, hi: int) -> tuple[int, int]:
         )
     lo = max(lo, 0)
     if hi < lo:
-        return 0, 0
+        return
+    for dz in range(math.isqrt(hi) + 1):
+        dy = np.arange(math.isqrt(hi - dz * dz) + 1, dtype=np.int64)
+        r2 = dy * dy + dz * dz
+        # low: the least x >= 0 with x^2 >= lo - r2
+        low = np.where(lo > r2, _isqrt(np.maximum(lo - r2 - 1, 0)) + 1, 0)
+        yield dz, dy, r2, low, _isqrt(hi - r2)
+
+
+def _points_between(center: IVec, lo: int, hi: int) -> Iterator[IVec]:
+    """Grid points n with lo <= |n - center|^2 <= hi: the non-empty rows of
+    ``_slices``, mirrored over the signs of dz, dy and dx."""
+    cx, cy, cz = center
+    for dz, dy, _, low, top in _slices(lo, hi):
+        full = low <= top
+        for y, a, b in zip(dy[full].tolist(), low[full].tolist(), top[full].tolist()):
+            xs = (*range(-b, 1 - a), *range(max(a, 1), b + 1))
+            for z in {dz, -dz}:  # a set: the sign of 0 is taken once
+                for yy in {y, -y}:
+                    for x in xs:
+                        yield (cx + x, cy + yy, cz + z)
+
+
+def band_sums(lo: int, hi: int) -> tuple[int, int]:
+    """Count and sum of |d|^2 over the integer offsets d with
+    lo <= |d|^2 <= hi; ``(0, 0)`` when there are none.
+
+    Each z-slice of ``_slices`` is summed as int64 arrays, each row in
+    closed form, sum_{x=1..t} x^2 = t(t+1)(2t+1)/6, and the rows at dy > 0
+    and the slices at dz > 0 count twice.
+    """
 
     def squares(t):
         return t * (t + 1) * (2 * t + 1) // 6  # 0 at t = -1
 
     count = moment = 0
-    for dz in range(math.isqrt(hi) + 1):
-        dy = np.arange(math.isqrt(hi - dz * dz) + 1, dtype=np.int64)
-        r2 = dy * dy + dz * dz
-        top = _isqrt(hi - r2)
-        # low: the least x >= 0 with x^2 >= lo - r2
-        low = np.where(lo > r2, _isqrt(np.maximum(lo - r2 - 1, 0)) + 1, 0)
+    for dz, _, r2, low, top in _slices(lo, hi):
         n = 2 * (top - low + 1) - (low == 0)  # low <= top + 1: never negative
         m2 = n * r2 + 2 * (squares(top) - squares(low - 1))
         twice = 2 if dz else 1

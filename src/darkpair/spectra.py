@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -232,48 +232,22 @@ def _matrix_at(h0: SectorCOO, w1: SectorCOO, sums: tuple[Fraction, Fraction],
 
 
 def rayleigh_quotient(h: OperatorExpr, state: StateVector) -> float:
-    """<psi|H|psi> / <psi|psi>, with H's exact matrix on the occupations
-    the state holds, so float amplitudes (``bcs_state``) need no exact
-    kernel."""
+    """<psi|H|psi> / <psi|psi> in float64: H's exact matrix on the
+    occupations the state holds, against the amplitudes rounded once.
+
+    A second route to the exact ``state.inner(apply_operator(h, state)) /
+    state.norm2()``: the matrix is assembled on unit amplitudes and the
+    sums run in float64, so it checks that quotient, and stays cheap when
+    the amplitudes of a ``bcs_state`` built from floats carry large
+    denominators."""
     occs = sorted(state.amp)
     mat = matrix_in_sector(h, occs, state.n_modes).tocsr()
     psi = np.array([state.amp[occ] for occ in occs], dtype=np.float64)
     return float(psi @ (mat @ psi) / (psi @ psi))
 
 
-class UnitPairForm(NamedTuple):
-    """``pair_energy_form``'s coefficients at unit coupling: ``weights`` is
-    W1 = G / volume over ``table.shell_all``, exact, so that ``at(g)``
-    rounds each g W1 entry once, as the form built at g does; a scan
-    builds it once and evaluates it at each coupling."""
-
-    weights: list[list[Fraction]]
-    pair_eps: np.ndarray
-    const: float
-
-    def at(self, g) -> tuple[np.ndarray, np.ndarray, float]:
-        g = Fraction(g)
-        w = np.array([[float(g * x) for x in row] for row in self.weights])
-        sym = (w + w.T) / 2
-        np.fill_diagonal(sym, 0.0)
-        return self.pair_eps + np.diag(w), sym, self.const
-
-
-def unit_pair_form(table: ModeTable, weights: formfactors.Weights) -> UnitPairForm:
-    """``pair_energy_form``'s coefficients at g = 1 for the weight matrix
-    ``weights`` over ``table.shell_all``."""
-    points = table.shell_all
-    volume = table.config.volume_fraction
-    return UnitPairForm(
-        [[x / volume for x in row] for row in weights],
-        np.array([float(table.epsilon(k) + table.epsilon(table.partner(k)))
-                  for k in points]),
-        float(phi_core_energy(table)),
-    )
-
-
 def pair_energy_form(
-    table: ModeTable, g, formfactor: str = "unit", seed: int = 0
+    table: ModeTable, g, weights: formfactors.Weights | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Coefficients (L, S, C) of the pair-product energy in closed form.
 
@@ -282,12 +256,21 @@ def pair_energy_form(
 
         E(t) = sum_k L_k sin^2 t_k + sum_{k != k'} S_kk' x_k x_k' + C,
 
-    x = sin(2t)/2, where W = (g/volume) G over ``table.shell_all``, L_k =
-    eps(k) + eps(2K-k) + W_kk, S is the symmetric part of W with its
-    diagonal zeroed, and C is the absolute core energy.
+    x = sin(2t)/2, where W = (g/volume) G over ``table.shell_all``, each
+    entry the exact rational rounded once, L_k = eps(k) + eps(2K-k) + W_kk,
+    S is the symmetric part of W with its diagonal zeroed, and C is the
+    absolute core energy.  ``weights`` is the G of ``formfactors.from_spec``;
+    ``None`` is the unit weight, as in ``operators.build_w``.
     """
-    weights, _ = formfactors.from_spec(table, formfactor, seed)
-    return unit_pair_form(table, weights).at(g)
+    if weights is None:
+        weights = formfactors.from_spec(table, "unit")[0]
+    pref = Fraction(g) / table.config.volume_fraction
+    w = np.array([[float(pref * x) for x in row] for row in weights])
+    sym = (w + w.T) / 2
+    np.fill_diagonal(sym, 0.0)
+    pair_eps = [float(table.epsilon(k) + table.epsilon(table.partner(k)))
+                for k in table.shell_all]
+    return np.array(pair_eps) + np.diag(w), sym, float(phi_core_energy(table))
 
 
 def pair_energy(form: tuple[np.ndarray, np.ndarray, float], theta: np.ndarray) -> float:
@@ -358,12 +341,13 @@ def scan_g(
     sector matrices of ``H0`` and ``W1`` on it, the exact residual halves
     ``(H0 - E)|NC>`` and ``W1|NC>``, each operator's sum of |coefficients|
     (which bounds every partial sum of an entry), the connected components
-    of ``H(g)``'s entries (the same for every ``g`` but 0), and with
-    ``E_var`` the unit-coupling pair-energy coefficients.  Each coupling
+    of ``H(g)``'s entries (the same for every ``g`` but 0).  Each coupling
     then forms the matrix of ``H0 + g W1`` (``_matrix_at``), solves it
     with ``diagonalize_sector`` for the ground energy alone (the least
-    eigenvalue of its components, see there), and sums the residual halves
-    exactly, so every row equals the from-scratch route bit for bit.
+    eigenvalue of its components, see there), sums the residual halves
+    exactly, and with ``E_var`` minimizes ``pair_energy_form`` at ``g`` on
+    the same weight matrix, so every row equals the from-scratch route bit
+    for bit.
     """
     weights, _ = formfactors.from_spec(table, formfactor, seed)
     h0, w1 = build_h0(table), build_w(table, 1, weights)
@@ -378,7 +362,6 @@ def scan_g(
     sums = tuple(sum(map(abs, op.terms.values()), Fraction(0)) for op in (h0, w1))
     labels = _components(np.concatenate((h0_coo.rows, w1_coo.rows)),
                          np.concatenate((h0_coo.cols, w1_coo.cols)), len(basis))
-    pair = unit_pair_form(table, weights) if with_variational else None
     rows = []
     # sorted by float value, then exact: equal floats keep their input order
     for g in map(Fraction, sorted(g_values, key=float)):
@@ -393,8 +376,9 @@ def scan_g(
             "dim": spec.dim,
             "E_ground": spec.ground_energy,
             "E_NC": float(e_nc),
-            "E_var": (bcs_variational_energy(table, pair.at(g), seed)[0]
-                      if with_variational else math.nan),
+            "E_var": (bcs_variational_energy(
+                table, pair_energy_form(table, g, weights), seed)[0]
+                if with_variational else math.nan),
             "residual_NC": diff.norm() / state.norm() if diff.amp else 0.0,
         })
     return rows

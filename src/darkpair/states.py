@@ -11,20 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
 from .fock import StateVector, mode_bit
 from .lattice import SPIN_DOWN, SPIN_UP, EmptyShellError, IVec, ModeTable
-from .operators import (
-    CREATE,
-    OperatorExpr,
-    _compile,
-    _fire,
-    apply_operator,
-    build_gamma,
-)
+from .operators import CREATE, OperatorExpr, apply_operator, build_gamma
 
-PairCoefficients = Mapping[IVec, tuple[complex, complex]]
+PairCoefficients = Mapping[IVec, tuple[float, float]]
 
 
 def phi_core(table: ModeTable) -> StateVector:
@@ -38,22 +29,6 @@ def phi_core(table: ModeTable) -> StateVector:
     for n in table.inner_points:
         occ |= mode_bit(table.n_modes, table.mode_index(SPIN_UP, n))
         occ |= mode_bit(table.n_modes, table.mode_index(SPIN_DOWN, n))
-    return StateVector(table.n_modes, {occ: 1})
-
-
-def fermi_state(table: ModeTable) -> StateVector:
-    """Every mode within the Fermi radius occupied for both spins.
-
-    The radius test |k - K| <= kf is relative to the drift vector, like
-    all shell classification.  Amplitude normalized to +1.
-    """
-    kf2 = table.config.radius2_grid(table.config.kf)
-    K = table.config.boost
-    occ = 0
-    for i, mode in enumerate(table.modes):
-        u = (mode.n[0] - K[0], mode.n[1] - K[1], mode.n[2] - K[2])
-        if u[0] * u[0] + u[1] * u[1] + u[2] * u[2] <= kf2:
-            occ |= mode_bit(table.n_modes, i)
     return StateVector(table.n_modes, {occ: 1})
 
 
@@ -73,37 +48,24 @@ def nc_state(table: ModeTable) -> StateVector:
 
 
 def bcs_state(table: ModeTable, coeffs: PairCoefficients) -> StateVector:
-    """Variational product state Prod_{k in shell} (u_k + v_k a+_up,k a+_dn,pk).
+    """Variational product state Prod_{k in shell} (u_k + v_k a+_up,k a+_dn,pk)
+    on the core, exactly.
 
     The product runs over the full shell (both hemispheres), mixing
-    particle-number sectors.  The coefficients may be floats, which the
-    exact operator kernels do not take: each pair creator is compiled once
-    and fired with ``_fire`` over the current occupations, its sign taken
-    from the canonical term's coefficient.  Every shell point needs a
-    pair (u, v) with |u|^2 + |v|^2 = 1 to within 1e-9.
+    particle-number sectors.  Each coefficient is taken as the exact binary
+    rational it holds (``Fraction(u)``), and each factor is applied with
+    ``apply_operator``, so every amplitude is a ``Fraction``.  Every shell
+    point needs a pair (u, v) with u^2 + v^2 = 1 to within 1e-9.
     """
+    state = phi_core(table)
     for k in table.shell_all:
         if tuple(k) not in coeffs:
             raise ValueError(f"missing pair coefficients for shell point {k}")
-        u, v = coeffs[tuple(k)]
-        if abs(abs(u) ** 2 + abs(v) ** 2 - 1.0) > 1e-9:
+        u, v = map(Fraction, coeffs[tuple(k)])
+        if abs(u * u + v * v - 1) > 1e-9:
             raise ValueError(f"coefficients at {k} are not normalized")
-    state = phi_core(table)
-    for k in table.shell_all:
-        u, v = coeffs[tuple(k)]
-        up, dn = table.pair_modes(k)
-        (term,) = _compile(OperatorExpr.from_monomial(1, ((CREATE, up), (CREATE, dn))),
-                           table.n_modes)
-        occs = sorted(state.amp)
-        amps = [state.amp[occ] for occ in occs]
-        at, res, odd = _fire(term, np.array(occs, dtype=np.uint64))
-        odd ^= term[-1] < 0
-        out = StateVector(table.n_modes)
-        for occ, a in zip(occs, amps):
-            out.add_term(occ, u * a)
-        for i, occ, flip in zip(at.tolist(), res.tolist(), odd.tolist()):
-            out.add_term(occ, -v * amps[i] if flip else v * amps[i])
-        state = out
+        pair = OperatorExpr.from_monomial(v, [(CREATE, m) for m in table.pair_modes(k)])
+        state = apply_operator(OperatorExpr.identity(u) + pair, state)
     return state
 
 

@@ -294,6 +294,18 @@ def test_core_past_exact_sums_exits_2_fast(tmp_path, capsys):
     assert "the largest whose sums are exact" in err and err.count("\n") == 1
 
 
+def test_thin_band_past_exact_sums_exits_2_fast(tmp_path, capsys):
+    # the band |n|^2 ~ 1e10 lies in a ball past BAND_MAX; nothing is walked
+    cfg = write_config(tmp_path, lattice={"kf": 100000.5, "delta": 1e-9,
+                                          "shell_points": None})
+    start = time.perf_counter()
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "the largest whose sums are exact" in err and err.count("\n") == 1
+
+
 def test_over_cap_thawed_twin_exits_2_fast(tmp_path, capsys):
     # 64 frozen modes fit the occupation word, but the core-commutator
     # check needs the thawed twin, which does not; no check may run first

@@ -140,9 +140,9 @@ def test_inner_product_examples():
 
 
 def test_inner_product_conjugate_symmetric():
-    a = StateVector(3, {0b100: 1 + 2j, 0b010: 0.5})
-    b = StateVector(3, {0b100: -1j, 0b001: 3.0})
-    assert a.inner(b) == b.inner(a).conjugate()
+    a = StateVector(3, {0b100: Fraction(1, 2), 0b010: -3})
+    b = StateVector(3, {0b100: Fraction(-2, 7), 0b010: Fraction(5, 3), 0b001: 4})
+    assert a.inner(b) == b.inner(a) == Fraction(-1, 7) - 5
 
 
 def test_inner_product_positive_definite():

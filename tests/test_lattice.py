@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from band_rows import row_sums
+from band_rows import row_points, row_sums
 from darkpair.lattice import (
     BAND_MAX,
     SPIN_DOWN,
@@ -19,6 +19,7 @@ from darkpair.lattice import (
     LatticeError,
     Mode,
     UnpairedModeError,
+    _points_between,
     band_sums,
     boosted_twin,
     build_mode_table,
@@ -83,6 +84,45 @@ def test_band_sums_rejects_a_ball_past_exact_int64_sums():
         build_mode_table(LatticeConfig(kf=1e5, delta=0.5, frozen_core=True,
                                        shell_points=((10**5, 0, 0), (-10**5, 0, 0))))
     assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_points_between_against_the_row_loop(data):
+    hi = data.draw(st.integers(0, 300))
+    lo = data.draw(st.integers(0, hi + 1))
+    center = data.draw(st.tuples(*[st.integers(-3, 3)] * 3))
+    got = list(_points_between(center, lo, hi))
+    assert len(got) == len(set(got))
+    assert sorted(got) == sorted(
+        (center[0] + x, center[1] + y, center[2] + z) for x, y, z in row_points(lo, hi))
+
+
+# Thin bands (delta = 1e-9) far out: the band holds at most one integer
+# |n|^2, and a walk over every row of the ball took seconds to minutes.
+@pytest.mark.parametrize("kf, error, match", [
+    (1000.5, EmptyShellError, "no grid point"),
+    (3000.5, EmptyShellError, "no grid point"),
+    # 9000007 = 8m + 7 is no sum of three squares
+    (math.sqrt(9000007), EmptyShellError, "no grid point"),
+    (100000.5, LatticeError, "the largest whose sums are exact"),
+    (65536, LatticeError, "the largest whose sums are exact"),
+])
+def test_thin_far_band_fails_fast(kf, error, match):
+    start = time.perf_counter()
+    with pytest.raises(error, match=match):
+        build_mode_table(LatticeConfig(kf=kf, delta=1e-9, frozen_core=True))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_thin_far_band_with_points_builds_fast():
+    start = time.perf_counter()
+    table = build_mode_table(LatticeConfig(kf=2048, delta=1e-9, frozen_core=True))
+    assert time.perf_counter() - start < 2.0
+    assert set(table.shell_all) == {
+        tuple(s * 2048 * (i == axis) for i in range(3)) for axis in range(3)
+        for s in (1, -1)}
+    assert table.n_modes == 12
 
 
 def check_against_brute_force(config):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from darkpair import formfactors
 from darkpair.cli import bundled_config_path, load_config, write_csv
-from darkpair.fock import BasisSizeError, sector_basis
+from darkpair.fock import BasisSizeError, StateVector, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import (SectorCOO, apply_operator, build_w, eigen_residual,
                                 matrix_in_sector)
@@ -29,7 +29,7 @@ from darkpair.spectra import (
     scan_g,
     spectrum_rows,
 )
-from darkpair.states import bcs_state, fermi_state, nc_energy, nc_state
+from darkpair.states import bcs_state, nc_energy, nc_state
 
 
 def test_free_spectrum_is_degenerate_diagonal(minimal_table):
@@ -364,7 +364,7 @@ def test_nc_in_spectrum_reports_sign_without_asserting_for_repulsion(
 
 def test_rayleigh_quotient_of_fermi_state(minimal_table):
     h = build_hamiltonian(minimal_table, Fraction(-1))
-    full = fermi_state(minimal_table)
+    full = StateVector(4, {0b1111: 1})  # both shell points inside kf = 1.2
     value = rayleigh_quotient(h, full)
     # 4 particles at eps=1 plus the four diagonal pairing terms at g=-1
     assert math.isclose(value, 4.0 - 2.0, abs_tol=1e-12)
@@ -373,12 +373,16 @@ def test_rayleigh_quotient_of_fermi_state(minimal_table):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_rayleigh_quotient_equals_exact_expectation(name):
     """The sector-matrix quotient against <psi|H|psi> / <psi|psi> summed
-    exactly by the operator kernel, on the paired and Fermi states."""
+    exactly by the operator kernel, on the paired state, the filled shell
+    and a pair product that mixes number sectors."""
     cfg = load_config(bundled_config_path(name))
     table = build_mode_table(cfg["lattice"])
+    filled = StateVector(table.n_modes, {(1 << table.n_modes) - 1: 1})
+    mixed = bcs_state(table, {k: (Fraction(3, 5), Fraction(4, 5))
+                              for k in table.shell_all})
     for g in cfg["couplings"]:
         h = build_hamiltonian(table, g, cfg["formfactor"], cfg["seed"])
-        for state in (nc_state(table), fermi_state(table)):
+        for state in (nc_state(table), filled, mixed):
             want = float(state.inner(apply_operator(h, state)) / state.norm2())
             assert rayleigh_quotient(h, state) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -443,6 +447,11 @@ def _variational_cases():
     return cases
 
 
+def _form(table, g, formfactor, seed):
+    """``pair_energy_form`` on the weight matrix of ``formfactor``."""
+    return pair_energy_form(table, g, formfactors.from_spec(table, formfactor, seed)[0])
+
+
 def _symbolic_energy(table, g, formfactor, seed, coeffs):
     """Absolute energy of the pair product through the symbolic path."""
     h = build_hamiltonian(table, g, formfactor, seed)
@@ -453,7 +462,7 @@ def test_closed_form_equals_symbolic_rayleigh_quotient():
     rng = np.random.default_rng(0)
     for name, table, couplings, formfactor, seed in _variational_cases():
         for g in [*couplings, Fraction(-3)]:
-            form = pair_energy_form(table, g, formfactor, seed)
+            form = _form(table, g, formfactor, seed)
             for _ in range(3):
                 theta = rng.uniform(0.0, math.pi, len(table.shell_all))
                 coeffs = {k: (math.cos(t), math.sin(t))
@@ -467,13 +476,13 @@ def test_variational_coeffs_reproduce_energy():
     for name, table, couplings, formfactor, seed in _variational_cases():
         for g in [*couplings, Fraction(-3)]:
             energy, coeffs = bcs_variational_energy(
-                table, pair_energy_form(table, g, formfactor, seed), seed)
+                table, _form(table, g, formfactor, seed), seed)
             expected = _symbolic_energy(table, g, formfactor, seed, coeffs)
             assert energy == pytest.approx(expected, rel=0, abs=1e-12), (name, g)
 
 
-# bcs_variational_energy of pair_energy_form(table, g, formfactor, seed) as
-# the Brent line search over the symbolic Rayleigh quotient computed it,
+# bcs_variational_energy of _form(table, g, formfactor, seed) as the Brent
+# line search over the symbolic Rayleigh quotient computed it,
 # before the closed form replaced that path.
 RECORDED_E_VAR = {
     ("minimal", Fraction(-1)): 0.0,
@@ -510,7 +519,7 @@ def test_variational_energy_matches_recorded_values():
     for name, table, couplings, formfactor, seed in _variational_cases():
         for g in [*couplings, Fraction(-3)]:
             energy, _ = bcs_variational_energy(
-                table, pair_energy_form(table, g, formfactor, seed), seed)
+                table, _form(table, g, formfactor, seed), seed)
             assert energy == pytest.approx(
                 RECORDED_E_VAR[name, g], rel=0, abs=1e-9), (name, g)
             seen.add((name, g))
@@ -602,7 +611,7 @@ def test_scan_rows_equal_the_from_scratch_route_bit_for_bit(name, monkeypatch):
         residual = eigen_residual(h, state, e_nc - table.core_energy)
         assert row["residual_NC"].hex() == residual.hex(), g
         e_var, _ = bcs_variational_energy(
-            table, pair_energy_form(table, g, formfactor, seed), seed)
+            table, pair_energy_form(table, g, weights), seed)
         assert row["E_var"].hex() == e_var.hex(), g
         rec = nc_in_spectrum(table, g, formfactor, seed)
         assert math.isnan(rec.pop("E_var"))
@@ -615,6 +624,26 @@ def test_scan_rows_equal_the_from_scratch_route_bit_for_bit(name, monkeypatch):
     # the wide coupling, and with a float volume W1 itself, take the Python-int route
     assert wide[-1] and wide[0] == (w1.nums.dtype == object)
     assert (w1.nums.dtype == object) == (name == "default_volume_twopair")
+
+
+# E_var of scan_g on default_volume_twopair, recorded as hex: the volume
+# (2 pi)**3 is a float cubed, so every W entry is rounded from a rational
+# with a large denominator.  The oracle couplings leave the empty product
+# best; the strong ones pair.
+FLOAT_VOLUME_E_VAR = {
+    **{g: "0x0.0p+0" for g in ORACLE_COUPLINGS},
+    Fraction(-250): "-0x1.aee52580c15b4p+0",
+    Fraction(-1000, 3): "-0x1.a229945dc50cep+1",
+    Fraction(-1000): "-0x1.1b0defc221b2fp+4",
+}
+
+
+def test_float_volume_e_var_bytes_are_pinned():
+    cfg = default_volume_twopair()
+    couplings = sorted(FLOAT_VOLUME_E_VAR)
+    rows = scan_g(cfg["table"], couplings, cfg["formfactor"], cfg["seed"])
+    assert [row["E_var"].hex() for row in rows] == [
+        FLOAT_VOLUME_E_VAR[g] for g in couplings]
 
 
 def test_scan_reuses_no_coupling_s_arrays(threepair_table):

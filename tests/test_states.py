@@ -19,7 +19,6 @@ from darkpair.operators import (
 )
 from darkpair.states import (
     bcs_state,
-    fermi_state,
     nc_energy,
     nc_momentum,
     nc_state,
@@ -37,25 +36,6 @@ def test_phi_core_frozen(minimal_table):
     assert phi_core(minimal_table).amp == {0: 1}
     assert minimal_table.core_particles == 2
     assert minimal_table.core_energy == 0
-
-
-def test_fermi_state_fills_everything_inside_kf(minimal_table):
-    # both shell points are inside kf = 1.2
-    assert fermi_state(minimal_table).amp == {0b1111: 1}
-
-
-def test_fermi_state_counts(minimal_unfrozen_table):
-    state = fermi_state(minimal_unfrozen_table)
-    (occ,) = state.amp
-    assert occ.bit_count() == 2 * 3  # three points within kf, two spins each
-
-
-def test_fermi_state_empty_when_shell_outside_kf():
-    table = build_mode_table(
-        LatticeConfig(kf=1.8, delta=0.5, frozen_core=True,
-                      shell_points=((0, 0, 2), (0, 0, -2)), volume=1)
-    )
-    assert fermi_state(table).amp == {0: 1}
 
 
 def test_nc_state_single_pair(minimal_table):
@@ -213,21 +193,22 @@ def test_bcs_equal_mixture_signs(minimal_table):
 
 
 EXACT_PAIR_COEFFS = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)),
-                     (Fraction(5, 13), Fraction(-12, 13))]
+                     (Fraction(5, 13), Fraction(-12, 13)),
+                     (math.cos(0.7), math.sin(0.7))]
 
 
 @pytest.mark.parametrize("table_name", ["minimal_table", "twopair_table"])
 def test_bcs_state_equals_exact_pair_product(request, table_name):
-    """With exact coefficients the pair product is the exact
-    Prod_k (u_k + v_k a+_up,k a+_dn,pk)|core>, built with the operator
-    kernels."""
+    """The pair product is the exact Prod_k (u_k + v_k a+_up,k a+_dn,pk)|core>
+    built with the operator kernels, float coefficients taken as the exact
+    binary rationals they hold."""
     table = request.getfixturevalue(table_name)
     for shift in range(len(EXACT_PAIR_COEFFS)):
         coeffs = {k: EXACT_PAIR_COEFFS[(i + shift) % len(EXACT_PAIR_COEFFS)]
                   for i, k in enumerate(table.shell_all)}
         want = phi_core(table)
         for k in table.shell_all:
-            u, v = coeffs[k]
+            u, v = map(Fraction, coeffs[k])
             pair = OperatorExpr.from_monomial(v, (
                 (CREATE, table.mode_index(SPIN_UP, k)),
                 (CREATE, table.mode_index(SPIN_DOWN, table.partner(k)))))
@@ -235,6 +216,7 @@ def test_bcs_state_equals_exact_pair_product(request, table_name):
         got = bcs_state(table, coeffs)
         assert got == want
         assert len(got) == 2 ** len(table.shell_all)
+        assert all(type(a) is Fraction for a in got.amp.values())
 
 
 def test_bcs_rejects_unnormalized(minimal_table):
