@@ -228,13 +228,12 @@ class ModeTable:
         )
 
 
-# The largest ``hi`` that ``_slices`` takes.  A z-slice holds at most
-# (2 isqrt(hi) + 1)**2 offsets, each with |d|^2 <= hi, and every row sum is
-# non-negative, so every int64 partial sum of a slice's count and moment in
-# ``band_sums`` is at most hi (2 isqrt(hi) + 1)**2 ~ 4 hi**2.  That stays
-# below 2**63 up to hi ~ 2**30.5; 2**30 is the round value under it (the
-# bound reads 2**62.00004 there).
-BAND_MAX = 1 << 30
+# The largest ``hi`` that ``_slices`` takes.  The walk visits every row of
+# the ball, about (pi / 4) hi rows, so its cost grows with ``hi``: on a
+# 2-vCPU host ``band_sums(0, 2**24)`` takes about 0.7 s, where 2**30 took
+# 30 s.  Its int64 sums are exact far beyond: each partial sum of a slice
+# is at most hi (2 isqrt(hi) + 1)**2 ~ 4 hi**2 = 2**50 here.
+BAND_MAX = 1 << 24
 
 
 def _isqrt(x: np.ndarray) -> np.ndarray:
@@ -258,7 +257,7 @@ def _slices(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray,
     if hi > BAND_MAX:
         raise LatticeError(
             f"a ball of |d|^2 up to {hi} exceeds {BAND_MAX}, the largest "
-            "whose sums are exact; shrink kf"
+            "walked in about a second; shrink kf"
         )
     lo = max(lo, 0)
     if hi < lo:

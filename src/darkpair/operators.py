@@ -2,16 +2,16 @@
 
 An operator is a finite sum of monomials ``coeff * f1 f2 ... fd`` where
 each factor is a creation ("c") or annihilation ("a") of one mode.  Every
-stored monomial is kept in canonical normal order: all creations before
-all annihilations, each block sorted by ascending mode index.  Raw
-monomials (``from_monomial(s)``, ``dagger``) reach it by the rewriting
-
-    a_i a+_j = delta_ij - a+_j a_i,      a_i a_j = -a_j a_i (i != j),
-    a_i a_i = 0  (same for creations),
-
-with signs tracked exactly; products of canonical operators (``compose``,
-``commutator``) skip it and expand by Wick's theorem on mode bitmasks, one
-sum over contraction sets per pair of terms.
+stored monomial is in canonical normal order, all creations before all
+annihilations and each block ascending by mode, and is stored as its key
+``(C, A)``: the masks of its created and annihilated modes, bit m for
+mode m, with no width limit.  A monomial given as its creations followed
+by its annihilations (``from_monomial(s)``) reaches that form by sorting
+each block, the sign being the parity of the sort, and is zero when a
+block repeats a mode; products of operators (``compose``, ``commutator``)
+expand by Wick's theorem on the masks, one sum over contraction sets per
+pair of terms, so a product of raw factors in any order is ``compose`` of
+one-factor operators.
 
 Canonical form makes operator equality a dictionary comparison, which is
 what turns commutator identities into decidable checks.  Every coefficient
@@ -42,7 +42,7 @@ CREATE = "c"
 ANNIHILATE = "a"
 
 Factor = tuple[str, int]
-Term = tuple[Factor, ...]
+Term = tuple[int, int]  # (C, A): the created and the annihilated modes, bit m for mode m
 
 DEGREE_CAP = 8
 _NIBBLES = np.uint64(0x1111111111111111)
@@ -54,47 +54,6 @@ class DegreeCapError(ValueError):
 
 class ShellDomainError(ValueError):
     """A pair construction was requested for a point outside the shell."""
-
-
-def _normal_order_term(coeff, factors: Term, cap: int, out: dict) -> None:
-    """Accumulate the normal-ordered expansion of one monomial into ``out``."""
-    if len(factors) > cap:
-        raise DegreeCapError(
-            f"monomial degree {len(factors)} exceeds cap {cap}"
-        )
-    stack: list[tuple[object, Term]] = [(coeff, tuple(factors))]
-    while stack:
-        cf, fac = stack.pop()
-        pos = 0
-        resolved = True
-        while pos < len(fac) - 1:
-            (k1, m1), (k2, m2) = fac[pos], fac[pos + 1]
-            if k1 == ANNIHILATE and k2 == CREATE:
-                # a_m1 a+_m2 = delta - a+_m2 a_m1
-                if m1 == m2:
-                    stack.append((cf, fac[:pos] + fac[pos + 2 :]))
-                stack.append(
-                    (-cf, fac[:pos] + ((k2, m2), (k1, m1)) + fac[pos + 2 :])
-                )
-                resolved = False
-                break
-            if k1 == k2:
-                if m1 == m2:
-                    resolved = False
-                    break  # nilpotent: term vanishes
-                if m1 > m2:
-                    stack.append(
-                        (-cf, fac[:pos] + ((k2, m2), (k1, m1)) + fac[pos + 2 :])
-                    )
-                    resolved = False
-                    break
-            pos += 1
-        if resolved:
-            cur = out.get(fac, 0) + cf
-            if cur == 0:
-                out.pop(fac, None)
-            else:
-                out[fac] = cur
 
 
 def _exact(coeff) -> Fraction:
@@ -110,7 +69,8 @@ def _exact(coeff) -> Fraction:
 
 
 class OperatorExpr:
-    """Canonical (normal-ordered) term map with ``Fraction`` coefficients."""
+    """Canonical term map: each term's ``(C, A)`` key to its ``Fraction``
+    coefficient, the identity at ``(0, 0)``."""
 
     __slots__ = ("terms", "_wick")
 
@@ -119,12 +79,12 @@ class OperatorExpr:
             t: _exact(c) for t, c in (terms or {}).items()
         }
         self._wick = None  # the bitmask form of ``_wick_form``, built on first use
-        for factors in self.terms:
-            keys = [(kind != CREATE, mode) for kind, mode in factors]
-            if keys != sorted(set(keys)):
+        for key in self.terms:
+            if not (type(key) is tuple and len(key) == 2
+                    and all(type(m) is int and m >= 0 for m in key)):
                 raise ValueError(
-                    f"term {factors} is not normal-ordered; build operators "
-                    "with OperatorExpr.from_monomial(s)"
+                    f"term {key!r} is not a (C, A) pair of non-negative int "
+                    "masks; build operators with OperatorExpr.from_monomial(s)"
                 )
 
     # -- constructors -------------------------------------------------
@@ -139,27 +99,49 @@ class OperatorExpr:
     @classmethod
     def identity(cls, coeff=Fraction(1)) -> "OperatorExpr":
         coeff = _exact(coeff)
-        return cls._wrap({(): coeff} if coeff != 0 else {})
+        return cls._wrap({(0, 0): coeff} if coeff != 0 else {})
 
     @classmethod
     def from_monomial(
         cls, coeff, factors: Iterable[Factor], cap: int = DEGREE_CAP
     ) -> "OperatorExpr":
-        out: dict[Term, object] = {}
-        coeff = _exact(coeff)
-        if coeff != 0:
-            _normal_order_term(coeff, tuple(factors), cap, out)
-        return cls._wrap(out)
+        return cls.from_monomials([(coeff, factors)], cap)
 
     @classmethod
     def from_monomials(
         cls, monomials: Iterable[tuple[object, Iterable[Factor]]], cap: int = DEGREE_CAP
     ) -> "OperatorExpr":
-        out: dict[Term, object] = {}
+        """The sum of ``coeff * factors`` over ``monomials``, each factor
+        string its creations followed by its annihilations, each block in
+        any order: it is sorted, with the sign of the sort, and zero when it
+        repeats a mode.  An annihilation before a creation raises
+        ``ValueError`` (``compose`` multiplies such factors), more than
+        ``cap`` factors with a nonzero coefficient ``DegreeCapError``."""
+        out: dict[Term, Fraction] = {}
         for coeff, factors in monomials:
-            coeff = _exact(coeff)
-            if coeff != 0:
-                _normal_order_term(coeff, tuple(factors), cap, out)
+            coeff, factors = _exact(coeff), tuple(factors)
+            if coeff == 0:
+                continue
+            if len(factors) > cap:
+                raise DegreeCapError(f"monomial degree {len(factors)} exceeds cap {cap}")
+            cm = am = odd = 0  # odd: the sort's inversions, earlier modes above each
+            for kind, mode in factors:
+                if kind == ANNIHILATE:
+                    odd += (am >> mode).bit_count()
+                    am |= 1 << mode
+                elif kind == CREATE and not am:
+                    odd += (cm >> mode).bit_count()
+                    cm |= 1 << mode
+                else:
+                    raise ValueError(f"monomial {factors} is not its creations followed "
+                                     "by its annihilations; multiply such factors with compose")
+            if cm.bit_count() + am.bit_count() < len(factors):
+                continue  # a block repeats a mode: the monomial is zero
+            cur = out.get((cm, am), 0) + (-coeff if odd & 1 else coeff)
+            if cur == 0:
+                out.pop((cm, am), None)
+            else:
+                out[cm, am] = cur
         return cls._wrap(out)
 
     # -- linear structure ---------------------------------------------
@@ -190,18 +172,16 @@ class OperatorExpr:
         return _products(self, other, cap, commute=False)
 
     def dagger(self) -> "OperatorExpr":
-        out: dict[Term, object] = {}
-        for t, c in self._sorted_items():
-            flipped = tuple(
-                (CREATE if k == ANNIHILATE else ANNIHILATE, m) for k, m in reversed(t)
-            )
-            _normal_order_term(c, flipped, max(DEGREE_CAP, len(t)), out)
+        """The adjoint: ``(C, A)`` becomes ``(A, C)``, both blocks reversed
+        back into ascending order, a sign of (-1)**(n (n - 1) / 2) for a
+        block of n modes."""
+        out: dict[Term, Fraction] = {}
+        for (cm, am), c in self.terms.items():
+            n, m = cm.bit_count(), am.bit_count()
+            out[am, cm] = -c if (n * (n - 1) + m * (m - 1)) // 2 & 1 else c
         return OperatorExpr._wrap(out)
 
     # -- queries --------------------------------------------------------
-    def _sorted_items(self) -> list[tuple[Term, object]]:
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -216,11 +196,7 @@ class OperatorExpr:
         return sum((abs(c) for c in self.terms.values()), Fraction(0))
 
     def conserves_particle_number(self) -> bool:
-        for t in self.terms:
-            creates = sum(1 for k, _ in t if k == CREATE)
-            if 2 * creates != len(t):
-                return False
-        return True
+        return all(cm.bit_count() == am.bit_count() for cm, am in self.terms)
 
     def is_hermitian(self) -> bool:
         return self == self.dagger()
@@ -229,8 +205,9 @@ class OperatorExpr:
         if not self.terms:
             return "OperatorExpr(0)"
         bits = []
-        for t, c in self._sorted_items()[:8]:
-            fs = " ".join(f"{k}{m}" for k, m in t) or "1"
+        for (cm, am), c in sorted(self.terms.items())[:8]:  # sorted for display
+            fs = " ".join([f"{CREATE}{m}" for m in _modes(cm)]
+                          + [f"{ANNIHILATE}{m}" for m in _modes(am)]) or "1"
             bits.append(f"({c})*{fs}")
         more = "" if len(self.terms) <= 8 else f" ... [{len(self.terms)} terms]"
         return "OperatorExpr(" + " + ".join(bits) + more + ")"
@@ -259,38 +236,26 @@ def _above(mask: int) -> int:
     return out
 
 
-def _masks(factors: Term) -> tuple[int, int, int, int]:
-    """``(C, A, _above(C), _above(A))`` of a canonical term: the masks of its
-    created and annihilated modes, bit m for mode m."""
-    cm = am = cup = aup = 0
-    for kind, mode in factors:
-        if kind == CREATE:
-            cm |= 1 << mode
-            cup ^= -(2 << mode)
-        else:
-            am |= 1 << mode
-            aup ^= -(2 << mode)
-    return cm, am, cup, aup
-
-
 def _wick_form(expr: OperatorExpr) -> tuple:
     """``(ops, den, width, degrees)``: what ``_products`` reads of an operand,
     built on the operand's first product and kept in its ``_wick`` slot.
 
-    ``ops[p]`` holds a ``(*_masks(t), numerator)`` tuple for each term t of
-    odd degree ``p``, the numerators over the common denominator ``den``;
-    ``width`` is one more than the highest mode and ``degrees`` the sorted
-    distinct term degrees.  The masks do not depend on a partner's width,
-    so one form serves every product; it stays valid because no code
-    changes ``terms`` after the operator is built.
+    ``ops[p]`` holds a ``(C, A, _above(C), _above(A), numerator)`` tuple
+    for each term ``(C, A)`` of odd degree ``p``, the numerators over the
+    common denominator ``den``; ``width`` is one more than the highest mode
+    and ``degrees`` the sorted distinct term degrees.  The masks do not
+    depend on a partner's width, so one form serves every product; it
+    stays valid because no code changes ``terms`` after the operator is
+    built.
     """
     if expr._wick is None:
         nums, den = _numerators(list(expr.terms.values()))
+        degrees = [cm.bit_count() + am.bit_count() for cm, am in expr.terms]
         ops: tuple[list, list] = ([], [])
-        for t, v in zip(expr.terms, nums):
-            ops[len(t) & 1].append((*_masks(t), v))
-        width = 1 + max((m for t in expr.terms for _, m in t), default=0)
-        expr._wick = ops, den, width, sorted(set(map(len, expr.terms)))
+        for (cm, am), d, v in zip(expr.terms, degrees, nums):
+            ops[d & 1].append((cm, am, _above(cm), _above(am), v))
+        width = max(((cm | am).bit_length() for cm, am in expr.terms), default=0)
+        expr._wick = ops, den, width, sorted(set(degrees))
     return expr._wick
 
 
@@ -307,7 +272,8 @@ def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> Oper
     multiply to a sum over contraction sets ``S`` of ``A1 & C2``
     (``_wick_sum``).  Both orders are summed as integer numerators over the
     product of the two common denominators into one map, ``BA`` negated,
-    and only the terms that survive get factor tuples and ``Fraction``s.
+    and only the terms that survive get their ``(C, A)`` keys and
+    ``Fraction``s.
     In ``AB - BA`` the uncontracted term (``S`` empty) of ``XY`` is
     ``:XY:`` and that of ``YX`` is ``(-1)**(deg X * deg Y) :XY:``, so it
     is built only for pairs of odd-degree terms: every other pair
@@ -330,25 +296,19 @@ def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> Oper
         if commute:
             _wick_sum(ops_b[pb], ops_a[pa], width, out, True, empty)
 
-    # the factor tuples and Fractions of the result, each built once
-    factor = {kind: [(kind, m) for m in range(width)] for kind in (CREATE, ANNIHILATE)}
-    parts: dict[tuple[str, int], Term] = {}
-    as_fraction: dict[int, Fraction] = {}
+    as_fraction: dict[int, Fraction] = {}  # each value's Fraction, built once
     terms: dict[Term, Fraction] = {}
     for key, value in out.items():
-        for kind, mask in ((CREATE, key >> width), (ANNIHILATE, key & top)):
-            if (kind, mask) not in parts:
-                parts[kind, mask] = tuple(factor[kind][m] for m in _modes(mask))
         if value not in as_fraction:
             as_fraction[value] = Fraction(value, den)
-        terms[parts[CREATE, key >> width] + parts[ANNIHILATE, key & top]] = as_fraction[value]
+        terms[key >> width, key & top] = as_fraction[value]
     return OperatorExpr._wrap(terms)
 
 
 def _wick_sum(left: list[tuple], right: list[tuple], width: int, out: dict[int, int],
               negate: bool, empty: bool) -> None:
-    """Add the product ``left * right`` of two operands given as ``_masks``
-    tuples with their numerators into ``out``, keyed ``C << width | A``;
+    """Add the product ``left * right`` of two operands given as
+    ``_wick_form`` tuples into ``out``, keyed ``C << width | A``;
     ``negate`` subtracts it, and ``empty=False`` leaves out every
     uncontracted term.
 
@@ -401,25 +361,29 @@ def _wick_sum(left: list[tuple], right: list[tuple], width: int, out: dict[int, 
 # ---------------------------------------------------------------------------
 
 def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
-    """Flat bitmask terms ``(cmask, amask, cpar, apar, coeff)`` in canonical order.
+    """Flat bitmask terms ``(cmask, amask, cpar, apar, coeff)``, one per term.
 
-    ``cmask``/``amask`` hold the created/annihilated modes; ``cpar``/``apar``
-    are the XOR of the "modes with smaller index" masks of those modes, so
-    the parity of the occupied modes they select is the term's fermionic
-    sign.  That holds for canonical terms, the only ones an
-    ``OperatorExpr`` holds.
+    ``cmask``/``amask`` hold the created/annihilated modes in ``mode_bit``'s
+    layout; ``cpar``/``apar`` are the XOR of the "modes with smaller index"
+    masks of those modes, so the parity of the occupied modes they select
+    is the term's fermionic sign.  That holds for canonical terms, the only
+    ones an ``OperatorExpr`` holds.  The terms keep ``terms``' order; every
+    kernel sums exact integers, so no order changes a result.
     """
-    compiled = []
-    for factors, coeff in expr._sorted_items():
-        mask = {CREATE: 0, ANNIHILATE: 0}
-        par = {CREATE: 0, ANNIHILATE: 0}
-        for kind, mode in factors:
+    full = 1 << n_modes
+
+    def word(mask: int) -> tuple[int, int]:
+        bits = par = 0
+        for mode in _modes(mask):
             bit = mode_bit(n_modes, mode)
-            mask[kind] |= bit
-            par[kind] ^= (1 << n_modes) - (bit << 1)  # the bits above ``bit``
-        compiled.append(
-            (mask[CREATE], mask[ANNIHILATE], par[CREATE], par[ANNIHILATE], coeff)
-        )
+            bits |= bit
+            par ^= full - (bit << 1)  # the bits above ``bit``
+        return bits, par
+
+    compiled = []
+    for (cm, am), coeff in expr.terms.items():
+        (cbits, cpar), (abits, apar) = word(cm), word(am)
+        compiled.append((cbits, abits, cpar, apar, coeff))
     return compiled
 
 
@@ -641,15 +605,12 @@ def build_h0(table: ModeTable) -> OperatorExpr:
     for i, mode in enumerate(table.modes):
         e = table.epsilon(mode.n)
         if e != 0:
-            terms[((CREATE, i), (ANNIHILATE, i))] = e
+            terms[1 << i, 1 << i] = e
     return OperatorExpr(terms)
 
 
 def build_number_op(table: ModeTable) -> OperatorExpr:
-    terms: dict[Term, object] = {
-        ((CREATE, i), (ANNIHILATE, i)): Fraction(1) for i in range(table.n_modes)
-    }
-    return OperatorExpr(terms)
+    return OperatorExpr({(1 << i, 1 << i): Fraction(1) for i in range(table.n_modes)})
 
 
 def build_momentum_op(table: ModeTable) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
@@ -660,7 +621,7 @@ def build_momentum_op(table: ModeTable) -> tuple[OperatorExpr, OperatorExpr, Ope
         for i, mode in enumerate(table.modes):
             comp = mode.n[axis]
             if comp:
-                terms[((CREATE, i), (ANNIHILATE, i))] = Fraction(comp)
+                terms[1 << i, 1 << i] = Fraction(comp)
         exprs.append(OperatorExpr(terms))
     return tuple(exprs)
 

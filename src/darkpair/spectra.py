@@ -69,7 +69,6 @@ def diagonalize_sector(
     dense_cutoff: int = DENSE_CUTOFF,
     basis_cap: int = BASIS_CAP,
     seed: int = 0,
-    maxiter: int | None = None,
     labels: np.ndarray | None = None,
 ) -> SectorSpectrum:
     """Eigenvalues of the Hamiltonian restricted to one number sector.
@@ -135,7 +134,7 @@ def diagonalize_sector(
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     try:
-        vals, _ = eigsh(mat, k=n_lowest, which="SA", v0=v0, maxiter=maxiter)
+        vals, _ = eigsh(mat, k=n_lowest, which="SA", v0=v0)
     except ArpackNoConvergence as exc:
         if len(exc.eigenvalues):
             vals = np.sort(exc.eigenvalues.real)
@@ -359,7 +358,7 @@ def scan_g(
     w1_coo = matrix_in_sector(w1, basis, table.n_modes)
     h0_half = apply_operator(h0, state) - state.scaled(e_nc - table.core_energy)
     w_half = apply_operator(w1, state)
-    sums = tuple(sum(map(abs, op.terms.values()), Fraction(0)) for op in (h0, w1))
+    sums = (h0.one_norm(), w1.one_norm())
     labels = _components(np.concatenate((h0_coo.rows, w1_coo.rows)),
                          np.concatenate((h0_coo.cols, w1_coo.cols)), len(basis))
     rows = []

@@ -236,11 +236,8 @@ def run_battery(
             lhs = commutator(w_ref, build_gamma(table, k))
             rhs = pair_commutator_rhs(table, k, Fraction(-1), g_ref, weights)
             res += _distance(lhs, rhs)
-            res += sum(
-                (abs(c) for t, c in lhs.terms.items()
-                 if not any(kind == ANNIHILATE for kind, _ in t)),
-                Fraction(0),
-            )
+            res += sum((abs(c) for (_, am), c in lhs.terms.items() if am == 0),
+                       Fraction(0))
         return {"g": str(g_ref), "formfactor": ff_name}, res, 0.0
 
     def gamma_negation():

@@ -5,6 +5,7 @@ unit interaction volume, so every coefficient below is a small exact
 rational and all hand-derived amplitudes apply verbatim.
 """
 
+import numpy as np
 import pytest
 
 from darkpair.lattice import LatticeConfig, build_mode_table
@@ -58,3 +59,24 @@ def boosted_table():
             shell_points=((0, 0, 2), (0, 0, 0)), volume=1,
         )
     )
+
+
+@pytest.fixture
+def arpack_gives_up(monkeypatch):
+    """Install, with ``values``, a ``scipy.sparse.linalg.eigsh`` that raises
+    ``ArpackNoConvergence`` with those partial eigenvalues, each with the
+    uniform unit vector; the list returned gets every matrix it is given."""
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    matrices = []
+
+    def install(values):
+        def eigsh(mat, k, **kwargs):
+            matrices.append(mat)
+            vecs = np.full((mat.shape[0], len(values)), mat.shape[0] ** -0.5)
+            raise linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.array(values, dtype=complex), vecs)
+
+        monkeypatch.setattr(linalg, "eigsh", eigsh)
+        return matrices
+
+    return install

@@ -36,6 +36,7 @@ from darkpair.verify import (
     quadrature_energy_per_particle,
     run_battery,
 )
+from normal_order import normal_ordered
 from scalar_signs import apply_raw_factors
 
 G_VALUES = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
@@ -260,7 +261,11 @@ def test_criterion_6_infrastructure():
              int(rng.integers(0, n_modes)))
             for _ in range(degree)
         )
-        expr = OperatorExpr.from_monomial(Fraction(1), factors)
+        # the raw product is compose of one-factor operators
+        expr = OperatorExpr.identity()
+        for factor in factors:
+            expr = expr.compose(OperatorExpr.from_monomial(1, [factor]))
+        assert expr == normal_ordered([(Fraction(1), factors)])
         for occ in (int(x) for x in rng.integers(0, 1 << n_modes, size=8)):
             raw = apply_raw_factors(n_modes, factors, occ)
             expected = {} if raw is None else {raw[1]: raw[0]}

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 import time
 from pathlib import Path
@@ -283,7 +284,7 @@ def test_huge_lattice_exits_2_fast(tmp_path, capsys):
 
 
 def test_core_past_exact_sums_exits_2_fast(tmp_path, capsys):
-    # the kf = 1e5 ball is beyond the int64 sums of lattice.band_sums
+    # the kf = 1e5 ball is past lattice.BAND_MAX; nothing is walked
     cfg = write_config(tmp_path, lattice={"kf": 1e5, "shell_points": [
         [100000, 0, 0], [-100000, 0, 0]]})
     start = time.perf_counter()
@@ -291,7 +292,7 @@ def test_core_past_exact_sums_exits_2_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "the largest whose sums are exact" in err and err.count("\n") == 1
+    assert "the largest walked in about a second" in err and err.count("\n") == 1
 
 
 def test_thin_band_past_exact_sums_exits_2_fast(tmp_path, capsys):
@@ -303,7 +304,20 @@ def test_thin_band_past_exact_sums_exits_2_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "the largest whose sums are exact" in err and err.count("\n") == 1
+    assert "the largest walked in about a second" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kf", [8192, 32768, math.sqrt(2**30 - 1)])
+def test_thin_band_past_the_walk_cap_exits_2_fast(tmp_path, capsys, kf):
+    # the band lies in a ball past BAND_MAX = 2**24; nothing is walked
+    cfg = write_config(tmp_path, lattice={"kf": kf, "delta": 1e-9,
+                                          "shell_points": None})
+    start = time.perf_counter()
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "exceeds 16777216" in err and err.count("\n") == 1
 
 
 def test_over_cap_thawed_twin_exits_2_fast(tmp_path, capsys):
@@ -439,6 +453,21 @@ def test_spectrum_four_pair_sector(tmp_path):
     lines = (out / "spectrum.csv").read_text().splitlines()
     assert len(lines) == 1821
     assert lines[1].split(",")[2] == "1820"
+
+
+def test_spectrum_without_krylov_convergence_exits_3_with_one_line(
+        tmp_path, capsys, arpack_gives_up):
+    # the two-pair sector of 70 states goes to Krylov under a dense cap of 1
+    cfg = write_config(tmp_path, lattice={"shell_points": [
+        [0, 0, 1], [0, 0, -1], [0, 1, 0], [0, -1, 0]]}, caps={"dense": 1})
+    arpack_gives_up([-1.5])
+    code = main(["spectrum", "--config", str(cfg), "--g", "-1",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CAP
+    assert err.startswith("eigensolver did not converge: Krylov solver hit the "
+                          "iteration limit; best value -1.5")
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
 
 def test_spectrum_cap_exit(tmp_path):

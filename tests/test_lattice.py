@@ -76,11 +76,11 @@ def test_band_sums_against_the_row_loop(data):
 
 
 def test_band_sums_rejects_a_ball_past_exact_int64_sums():
-    with pytest.raises(LatticeError, match="exceeds 1073741824"):
+    with pytest.raises(LatticeError, match="exceeds 16777216"):
         band_sums(0, BAND_MAX + 1)
     # the kf = 1e5 core, about 4e15 grid points, is refused before any work
     start = time.perf_counter()
-    with pytest.raises(LatticeError, match="the largest whose sums are exact"):
+    with pytest.raises(LatticeError, match="the largest walked in about a second"):
         build_mode_table(LatticeConfig(kf=1e5, delta=0.5, frozen_core=True,
                                        shell_points=((10**5, 0, 0), (-10**5, 0, 0))))
     assert time.perf_counter() - start < 1.0
@@ -100,13 +100,17 @@ def test_points_between_against_the_row_loop(data):
 
 # Thin bands (delta = 1e-9) far out: the band holds at most one integer
 # |n|^2, and a walk over every row of the ball took seconds to minutes.
+# Past BAND_MAX = 2**24 (kf 4096) nothing is walked.
 @pytest.mark.parametrize("kf, error, match", [
     (1000.5, EmptyShellError, "no grid point"),
     (3000.5, EmptyShellError, "no grid point"),
     # 9000007 = 8m + 7 is no sum of three squares
     (math.sqrt(9000007), EmptyShellError, "no grid point"),
-    (100000.5, LatticeError, "the largest whose sums are exact"),
-    (65536, LatticeError, "the largest whose sums are exact"),
+    (100000.5, LatticeError, "the largest walked in about a second"),
+    (65536, LatticeError, "the largest walked in about a second"),
+    (8192, LatticeError, "the largest walked in about a second"),
+    (32768, LatticeError, "the largest walked in about a second"),
+    (math.sqrt(2**30 - 1), LatticeError, "the largest walked in about a second"),
 ])
 def test_thin_far_band_fails_fast(kf, error, match):
     start = time.perf_counter()
@@ -116,13 +120,15 @@ def test_thin_far_band_fails_fast(kf, error, match):
 
 
 def test_thin_far_band_with_points_builds_fast():
-    start = time.perf_counter()
-    table = build_mode_table(LatticeConfig(kf=2048, delta=1e-9, frozen_core=True))
-    assert time.perf_counter() - start < 2.0
-    assert set(table.shell_all) == {
-        tuple(s * 2048 * (i == axis) for i in range(3)) for axis in range(3)
-        for s in (1, -1)}
-    assert table.n_modes == 12
+    # kf = 4096 walks the ball of BAND_MAX itself
+    for kf in (2048, 4096):
+        start = time.perf_counter()
+        table = build_mode_table(LatticeConfig(kf=kf, delta=1e-9, frozen_core=True))
+        assert time.perf_counter() - start < 2.0
+        assert set(table.shell_all) == {
+            tuple(s * kf * (i == axis) for i in range(3)) for axis in range(3)
+            for s in (1, -1)}
+        assert table.n_modes == 12
 
 
 def check_against_brute_force(config):

@@ -15,6 +15,7 @@ from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import (
     ANNIHILATE,
     CREATE,
+    DEGREE_CAP,
     DegreeCapError,
     OperatorExpr,
     ShellDomainError,
@@ -32,6 +33,7 @@ from darkpair.operators import (
     pair_commutator_rhs,
 )
 from darkpair.states import phi_core
+from normal_order import factors, key, normal_ordered
 from scalar_signs import apply_raw_factors
 
 
@@ -44,39 +46,51 @@ def A(m):
 
 
 # ---------------------------------------------------------------------------
-# normal ordering
+# normal ordering: the rewriting oracle, and from_monomials against it
 # ---------------------------------------------------------------------------
 
 def test_normal_order_single_contraction():
-    expr = OperatorExpr.from_monomial(Fraction(1), (A(0), C(0)))
-    assert expr.terms == {(): Fraction(1), (C(0), A(0)): Fraction(-1)}
+    expr = normal_ordered([(Fraction(1), (A(0), C(0)))])
+    assert expr.terms == {(0, 0): Fraction(1), key((C(0), A(0))): Fraction(-1)}
 
 
 def test_normal_order_block_sort():
     expr = OperatorExpr.from_monomial(Fraction(1), (C(1), C(0)))
-    assert expr.terms == {(C(0), C(1)): Fraction(-1)}
+    assert expr.terms == {key((C(0), C(1))): Fraction(-1)} == {(0b11, 0): Fraction(-1)}
 
 
 def test_normal_order_nilpotent_chain():
-    expr = OperatorExpr.from_monomial(Fraction(1), (A(3), C(3), C(0), A(3)))
-    assert expr.terms == {(C(0), A(3)): Fraction(1)}
+    expr = normal_ordered([(Fraction(1), (A(3), C(3), C(0), A(3)))])
+    assert expr.terms == {key((C(0), A(3))): Fraction(1)}
 
 
-def states_equal_on_all_occupations(n_modes, factors, expr):
+def test_an_annihilation_before_a_creation_is_rejected():
+    for raw in ((A(0), C(0)), (C(1), A(0), C(2)), (A(3), C(3), C(0), A(3))):
+        with pytest.raises(ValueError, match="compose"):
+            OperatorExpr.from_monomial(Fraction(1), raw)
+    # the raw product is compose of one-factor operators
+    a0, c0 = (OperatorExpr.from_monomial(1, (f,)) for f in (A(0), C(0)))
+    assert a0.compose(c0) == normal_ordered([(1, (A(0), C(0)))])
+
+
+def states_equal_on_all_occupations(n_modes, monomials, expr):
+    """``expr`` acts on every occupation as the sum of the raw factor
+    strings of ``monomials``, ``(coeff, factors)`` pairs."""
     for occ in range(1 << n_modes):
         direct = {}
-        raw = apply_raw_factors(n_modes, factors, occ)
-        if raw is not None:
-            direct[raw[1]] = raw[0]
+        for coeff, raw_factors in monomials:
+            raw = apply_raw_factors(n_modes, raw_factors, occ)
+            if raw is not None:
+                direct[raw[1]] = direct.get(raw[1], 0) + coeff * raw[0]
         via = apply_operator(expr, StateVector(n_modes, {occ: 1}))
         assert via.amp == {k: v for k, v in direct.items() if v != 0}, (
-            factors, occ)
+            monomials, occ)
 
 
 def test_normal_order_nilpotent_chain_action_matches():
-    factors = (A(3), C(3), C(0), A(3))
-    states_equal_on_all_occupations(
-        4, factors, OperatorExpr.from_monomial(Fraction(1), factors))
+    raw = (A(3), C(3), C(0), A(3))
+    monos = [(Fraction(1), raw)]
+    states_equal_on_all_occupations(4, monos, normal_ordered(monos))
 
 
 @st.composite
@@ -89,16 +103,52 @@ def monomials(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(factors=monomials())
-def test_normal_order_preserves_action(factors):
-    expr = OperatorExpr.from_monomial(Fraction(1), factors)
+@given(raw_factors=monomials())
+def test_normal_order_preserves_action(raw_factors):
+    expr = normal_ordered([(Fraction(1), raw_factors)])
     for occ in range(64):
-        raw = apply_raw_factors(6, factors, occ)
+        raw = apply_raw_factors(6, raw_factors, occ)
         expected = {}
         if raw is not None and raw[0] != 0:
             expected[raw[1]] = raw[0]
         via = apply_operator(expr, StateVector(6, {occ: 1}))
         assert via.amp == expected
+
+
+BLOCK_POOLS = [range(6), range(3), (0, 3, 63, 64, 100, 130), range(60, 70)]
+
+
+@st.composite
+def ordered_monomials(draw):
+    """Monomials of creations then annihilations, each block permuted and
+    possibly repeating a mode, with a cap they may exceed by one."""
+    pool = draw(st.sampled_from(BLOCK_POOLS))
+    cap = draw(st.integers(0, DEGREE_CAP + 1))
+    monos = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_c = draw(st.integers(0, cap + 1))
+        n_a = draw(st.integers(0, cap + 1 - n_c))
+        creates, annihilates = (draw(st.lists(st.sampled_from(pool), min_size=n,
+                                              max_size=n)) for n in (n_c, n_a))
+        coeff = draw(st.sampled_from([Fraction(1), Fraction(-2, 3), 0]))
+        monos.append((coeff, tuple(map(C, creates)) + tuple(map(A, annihilates))))
+    return monos, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=ordered_monomials())
+def test_from_monomials_equals_the_rewriter(problem):
+    monos, cap = problem
+    if any(c and len(f) > cap for c, f in monos):
+        for build in (OperatorExpr.from_monomials, normal_ordered):
+            with pytest.raises(DegreeCapError, match=f"exceeds cap {cap}$"):
+                build(monos, cap)
+        return
+    got = OperatorExpr.from_monomials(monos, cap)
+    assert got == normal_ordered(monos, cap)
+    assert all(type(c) is Fraction for c in got.terms.values())
+    if all(m < 6 for _, f in monos for _, m in f):
+        states_equal_on_all_occupations(6, monos, got)
 
 
 def test_degree_cap():
@@ -122,7 +172,7 @@ def small_exprs(draw):
             for _ in range(degree)
         )
         monos.append((coeff, factors))
-    return OperatorExpr.from_monomials(monos)
+    return normal_ordered(monos)
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,7 +236,14 @@ def compose_operands(draw, coeff, pool, max_degree):
     monos = [(draw(coeff), tuple(draw(st.lists(
         st.tuples(st.sampled_from([CREATE, ANNIHILATE]), st.sampled_from(pool)),
         max_size=max_degree)))) for _ in range(draw(st.integers(1, 3)))]
-    return OperatorExpr.from_monomials(monos, cap=max_degree)
+    return normal_ordered(monos, cap=max_degree)
+
+
+def raw_products(a, b):
+    """The monomials of ``a * b`` before normal ordering: each pair of
+    terms' factors side by side."""
+    return [(c1 * c2, factors(t1) + factors(t2))
+            for t1, c1 in a.terms.items() for t2, c2 in b.terms.items()]
 
 
 @settings(max_examples=400, deadline=None)
@@ -199,14 +256,13 @@ def test_compose_equals_normal_ordered_products(data):
     a = data.draw(compose_operands(coeff, pool, degree))
     b = data.draw(compose_operands(coeff, pool, degree))
     cap = data.draw(st.integers(0, 2 * degree))
-    products = [(c1 * c2, t1 + t2) for t1, c1 in a._sorted_items()
-                for t2, c2 in b._sorted_items()]
+    products = raw_products(a, b)
     if any(len(t) > cap for _, t in products):
         with pytest.raises(DegreeCapError):
             a.compose(b, cap)
         return
     got = a.compose(b, cap)
-    assert got == OperatorExpr.from_monomials(products, cap)
+    assert got == normal_ordered(products, cap)
     assert all(type(c) is Fraction for c in got.terms.values())
 
 
@@ -220,10 +276,7 @@ def test_commutator_equals_both_orders_of_products(data):
     a = data.draw(compose_operands(coeff, pool, degree))
     b = data.draw(compose_operands(coeff, pool, degree))
     cap = data.draw(st.integers(0, 2 * degree))
-    ab = [(c1 * c2, t1 + t2) for t1, c1 in a._sorted_items()
-          for t2, c2 in b._sorted_items()]
-    ba = [(c2 * c1, t2 + t1) for t2, c2 in b._sorted_items()
-          for t1, c1 in a._sorted_items()]
+    ab, ba = raw_products(a, b), raw_products(b, a)
     if any(len(t) > cap for _, t in ab):
         with pytest.raises(DegreeCapError) as got:
             commutator(a, b, cap)
@@ -232,8 +285,7 @@ def test_commutator_equals_both_orders_of_products(data):
         assert str(got.value) == str(want.value)
         return
     got = commutator(a, b, cap)
-    assert got == (OperatorExpr.from_monomials(ab, cap)
-                   - OperatorExpr.from_monomials(ba, cap))
+    assert got == normal_ordered(ab, cap) - normal_ordered(ba, cap)
     assert got == a.compose(b, cap) - b.compose(a, cap)
     assert all(type(c) is Fraction for c in got.terms.values())
 
@@ -250,10 +302,10 @@ def test_commutator_drops_a_term_both_orders_cancel(coeff):
     # [n0, a+_0 a_1 + n2] = a+_0 a_1: the n0 n2 term of both products cancels
     n0 = OperatorExpr.from_monomial(coeff, (C(0), A(0)))
     b = OperatorExpr.from_monomials([(coeff, (C(0), A(1))), (coeff, (C(2), A(2)))])
-    both = (C(0), C(2), A(0), A(2))
+    both = key((C(0), C(2), A(0), A(2)))
     assert both in n0.compose(b).terms and both in b.compose(n0).terms
     got = commutator(n0, b)
-    assert got.terms == {(C(0), A(1)): coeff * coeff}
+    assert got.terms == {key((C(0), A(1))): coeff * coeff}
     assert got == n0.compose(b) - b.compose(n0)
 
 
@@ -268,23 +320,21 @@ def test_commutator_of_odd_terms_keeps_the_uncontracted_term():
     # a+0 a+1 - a+1 a+0 = 2 a+0 a+1: the odd x odd term adds, not cancels
     got = commutator(OperatorExpr.from_monomial(1, (C(0),)),
                      OperatorExpr.from_monomial(1, (C(1),)))
-    assert got.terms == {(C(0), C(1)): Fraction(2)}
+    assert got.terms == {key((C(0), C(1))): Fraction(2)}
     # a0 a+0 - a+0 a0 = 1 - 2 a+0 a0: the contraction and the doubled term
     got = commutator(OperatorExpr.from_monomial(1, (A(0),)),
                      OperatorExpr.from_monomial(1, (C(0),)))
     assert got == OperatorExpr.identity() - OperatorExpr.from_monomial(2, (C(0), A(0)))
 
 
-def test_an_operand_is_prepared_once(minimal_table, monkeypatch):
-    calls = []
-    masks = operators._masks
-    monkeypatch.setattr(operators, "_masks", lambda t: calls.append(t) or masks(t))
+def test_an_operand_is_prepared_once(minimal_table):
     w = build_w(minimal_table, Fraction(-1))
     k = minimal_table.shell_plus[0]
     p1, p2 = build_pair(minimal_table, k, 2), build_pair(minimal_table, k, 3)
     commutator(w, p1)
+    form = w._wick
     commutator(w, p2)
-    assert len(calls) == len(w) + len(p1) + len(p2)
+    assert w._wick is form
     # a derived operator is a new object with no form of its own
     for derived in (w + p1, -w, w.scaled(2)):
         assert derived._wick is None
@@ -323,8 +373,9 @@ def test_pair_commutator_on_the_40_mode_shell():
 
 
 def sympy_normal_order(monomials) -> dict:
-    """The term map of ``sum coeff * factors`` normal-ordered by sympy's
-    ``wicks``, each block then sorted here by counting transpositions.
+    """The ``(C, A)``-keyed term map of ``sum coeff * factors`` normal-ordered
+    by sympy's ``wicks``, each block then sorted here by counting
+    transpositions.
 
     Each factor gets its own above-Fermi symbol, so the vacuum is empty and
     the creators ``Fd`` go left; the mode numbers replace the symbols only
@@ -364,25 +415,24 @@ def sympy_normal_order(monomials) -> dict:
                 continue  # a repeated mode: the term vanishes
             for ms in (creates, annihilates):
                 scalar *= (-1) ** sum(x > y for i, x in enumerate(ms) for y in ms[i + 1:])
-            key = tuple(map(C, sorted(creates))) + tuple(map(A, sorted(annihilates)))
-            out[key] = out.get(key, 0) + coeff * scalar
+            term = key(tuple(map(C, creates)) + tuple(map(A, annihilates)))
+            out[term] = out.get(term, 0) + coeff * scalar
     return {t: c for t, c in out.items() if c != 0}
 
 
 @settings(max_examples=150, deadline=None)
-@given(factors=st.lists(st.tuples(st.sampled_from([CREATE, ANNIHILATE]),
-                                  st.integers(0, 4)), max_size=6))
-def test_normal_order_term_equals_sympy_wicks(factors):
-    assert (OperatorExpr.from_monomial(Fraction(1), factors).terms
-            == sympy_normal_order([(Fraction(1), factors)]))
+@given(raw=st.lists(st.tuples(st.sampled_from([CREATE, ANNIHILATE]),
+                              st.integers(0, 4)), max_size=6))
+def test_normal_order_term_equals_sympy_wicks(raw):
+    assert (normal_ordered([(Fraction(1), raw)]).terms
+            == sympy_normal_order([(Fraction(1), raw)]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(a=compose_operands(COMPOSE_COEFFS["fraction"], range(5), 3),
        b=compose_operands(COMPOSE_COEFFS["int"], range(5), 3))
 def test_compose_equals_sympy_wicks(a, b):
-    want = sympy_normal_order([(c1 * c2, t1 + t2) for t1, c1 in a._sorted_items()
-                               for t2, c2 in b._sorted_items()])
+    want = sympy_normal_order(raw_products(a, b))
     assert a.compose(b).terms == want
 
 
@@ -425,7 +475,7 @@ def test_apply_operator_equals_raw_factor_sum(monos, data):
             if raw is not None:
                 sign, res = raw
                 expected[res] = expected.get(res, 0) + coeff * amp * sign
-    got = apply_operator(OperatorExpr.from_monomials(monos), vec).amp
+    got = apply_operator(normal_ordered(monos), vec).amp
     assert got == {k: v for k, v in expected.items() if v != 0}
 
 
@@ -469,7 +519,7 @@ def test_apply_operator_bits_equal_compiled_reference(monos, data):
     amps = data.draw(st.dictionaries(st.integers(0, (1 << n_modes) - 1),
                                      AMPLITUDES, min_size=1, max_size=12))
     vec = StateVector(n_modes, amps)
-    expr = OperatorExpr.from_monomials(monos + [(c, (C(i), A(j))) for c, i, j in hops])
+    expr = normal_ordered(monos + [(c, (C(i), A(j))) for c, i, j in hops])
     got = apply_operator(expr, vec).amp
     assert bits(got) == bits(apply_reference(expr, vec))
     assert all(type(a) is Fraction for a in got.values())
@@ -513,11 +563,26 @@ def test_matrix_columns_equal_apply_operator(twopair_table, csr):
 @pytest.mark.parametrize("factors", [(C(1), C(0)), (A(0), C(0)), (A(2), A(1)),
                                      (C(0), C(0)), (A(1), C(2), A(3))])
 def test_non_canonical_raw_term_is_rejected(factors):
-    with pytest.raises(ValueError, match="normal-ordered"):
+    # a term is its (C, A) key, not a factor string in any order
+    with pytest.raises(ValueError, match=r"not a \(C, A\) pair"):
         OperatorExpr({factors: Fraction(1)})
     # the canonical form of the same monomial is what the builders store
-    canonical = OperatorExpr.from_monomial(Fraction(1), factors)
+    canonical = normal_ordered([(Fraction(1), factors)])
     assert OperatorExpr(dict(canonical.terms)) == canonical
+
+
+@pytest.mark.parametrize("term", [(), (1,), (1, 2, 3), (-1, 0), (0, -2), (1.0, 0),
+                                  (True, 0), (np.int64(1), 0), ("c", 0), 5])
+def test_a_key_that_is_not_two_int_masks_is_rejected(term):
+    with pytest.raises(ValueError, match=r"not a \(C, A\) pair"):
+        OperatorExpr({term: 1})
+
+
+def test_any_two_int_masks_are_a_canonical_term():
+    for term in ((0, 0), (0b101, 0b11), (1 << 130, 1), (5, 5)):
+        assert OperatorExpr({term: 2}).terms == {term: Fraction(2)}
+    assert OperatorExpr({(1 << 130, 1): 1}) == OperatorExpr.from_monomial(
+        1, (C(130), A(0)))
 
 
 def test_dagger_involution_and_hermiticity():
@@ -529,15 +594,26 @@ def test_dagger_involution_and_hermiticity():
     assert expr.dagger().dagger() == expr
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dagger_equals_the_rewritten_reversed_adjoint(data):
+    # (f1 ... fd)+ = fd+ ... f1+: the factors reversed, each kind flipped
+    pool = data.draw(st.sampled_from(MODE_POOLS))
+    expr = data.draw(compose_operands(COMPOSE_COEFFS["fraction"], pool, 9))
+    flip = {CREATE: ANNIHILATE, ANNIHILATE: CREATE}
+    adjoint = [(c, tuple((flip[k], m) for k, m in reversed(factors(t))))
+               for t, c in expr.terms.items()]
+    assert expr.dagger() == normal_ordered(adjoint, 9)
+    assert expr.dagger().dagger() == expr
+
+
 # ---------------------------------------------------------------------------
 # model builders on the minimal lattice
 # ---------------------------------------------------------------------------
 
 def test_build_h0_single_pair(minimal_table):
     h0 = build_h0(minimal_table)
-    assert h0.terms == {
-        ((C(i)) , (A(i))): Fraction(1) for i in range(4)
-    }
+    assert h0.terms == {key((C(i), A(i))): Fraction(1) for i in range(4)}
 
 
 def test_build_h0_half_filling_mu_kills_shell():
@@ -550,7 +626,7 @@ def test_build_h0_half_filling_mu_kills_shell():
 def test_build_w_structure(minimal_table):
     w = build_w(minimal_table, 1)
     assert len(w) == 4
-    assert all(len(t) == 4 for t in w.terms)
+    assert all(len(factors(t)) == 4 for t in w.terms)
     assert w.one_norm() == 4
     assert build_w(minimal_table, 0).is_zero()
 
@@ -564,14 +640,14 @@ def test_build_w_volume_prefactor():
 
 def test_number_and_momentum_operators(minimal_table):
     n_op = build_number_op(minimal_table)
-    assert n_op.terms == {((C(i)), (A(i))): Fraction(1) for i in range(4)}
+    assert n_op.terms == {key((C(i), A(i))): Fraction(1) for i in range(4)}
     px, py, pz = build_momentum_op(minimal_table)
     assert px.is_zero() and py.is_zero()
     assert pz.terms == {
-        (C(0), A(0)): Fraction(1),
-        (C(1), A(1)): Fraction(1),
-        (C(2), A(2)): Fraction(-1),
-        (C(3), A(3)): Fraction(-1),
+        key((C(0), A(0))): Fraction(1),
+        key((C(1), A(1))): Fraction(1),
+        key((C(2), A(2))): Fraction(-1),
+        key((C(3), A(3))): Fraction(-1),
     }
 
 
@@ -620,12 +696,11 @@ def test_pair_commutator_identity_all_lambdas(minimal_table, twopair_table):
 def test_pair_commutator_lambda_zero_has_constant_term(minimal_table):
     w = build_w(minimal_table, 1)
     comm = commutator(w, build_pair(minimal_table, (0, 0, 1), 0))
-    pure_creation = {t: c for t, c in comm.terms.items()
-                     if all(kind == CREATE for kind, _ in t)}
+    pure_creation = {t: c for t, c in comm.terms.items() if t[1] == 0}
     # the (1 + lambda) = 1 piece survives as bare pair creators, one per
     # shell point, with unit weight (sign from the canonical block sort)
     assert pure_creation
-    assert all(len(t) == 2 for t in pure_creation)
+    assert all(len(factors(t)) == 2 for t in pure_creation)
     assert sorted(pure_creation.values()) == [Fraction(-1), Fraction(1)]
 
 
@@ -633,7 +708,7 @@ def test_gamma_commutator_ends_in_annihilators(minimal_table):
     w = build_w(minimal_table, 1)
     comm = commutator(w, build_gamma(minimal_table, (0, 0, 1)))
     assert not comm.is_zero()
-    assert all(any(kind == ANNIHILATE for kind, _ in t) for t in comm.terms)
+    assert all(am != 0 for _, am in comm.terms)
 
 
 def test_apply_w_examples(minimal_table):
@@ -897,7 +972,7 @@ def test_w_hermitian_for_unit_and_exchange_symmetric(minimal_table, twopair_tabl
 @pytest.mark.parametrize("value", [0.5, 1.5 - 0.5j, 2.0])
 def test_inexact_values_are_rejected(value):
     n0 = (C(0), A(0))
-    for build in (lambda: OperatorExpr({n0: value}),
+    for build in (lambda: OperatorExpr({key(n0): value}),
                   lambda: OperatorExpr.identity(value),
                   lambda: OperatorExpr.from_monomial(value, n0),
                   lambda: OperatorExpr.from_monomials([(1, n0), (value, n0)]),
@@ -910,7 +985,7 @@ def test_inexact_values_are_rejected(value):
 
 def test_int_coefficients_are_stored_as_fractions():
     n0 = (C(0), A(0))
-    for expr in (OperatorExpr({n0: 2}), OperatorExpr.identity(2),
+    for expr in (OperatorExpr({key(n0): 2}), OperatorExpr.identity(2),
                  OperatorExpr.from_monomial(2, n0), OperatorExpr.from_monomials([(2, n0)]),
                  OperatorExpr.from_monomial(Fraction(1), n0).scaled(2)):
         assert [type(c) for c in expr.terms.values()] == [Fraction]

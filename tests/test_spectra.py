@@ -81,15 +81,24 @@ def test_sector_too_small_for_krylov_is_dense(minimal_table):
     assert np.allclose(spec.eigenvalues, [0.0, 2.0, 2.0, 2.0, 2.0, 2.0])
 
 
-def test_krylov_nonconvergence_reports_best_value(threepair_table):
+def test_krylov_nonconvergence_reports_best_value(threepair_table, arpack_gives_up):
     from darkpair.spectra import ConvergenceError
 
     h = build_hamiltonian(threepair_table, Fraction(-1))
+    core = float(threepair_table.core_energy)
+    # one partial eigenpair: its value, shifted by the core, and its residual
+    matrices = arpack_gives_up([-1.5])
     with pytest.raises(ConvergenceError) as err:
-        diagonalize_sector(h, threepair_table, 6, dense_cutoff=1, n_lowest=4,
-                           seed=5, maxiter=1)
-    assert math.isfinite(err.value.best_value)
-    assert err.value.residual >= 0.0
+        diagonalize_sector(h, threepair_table, 6, dense_cutoff=1, n_lowest=4, seed=5)
+    (mat,) = matrices
+    vec = np.full(mat.shape[0], mat.shape[0] ** -0.5)
+    assert err.value.best_value == -1.5 + core
+    assert err.value.residual == np.linalg.norm(mat @ vec + 1.5 * vec) > 0.0
+    # none: no best value, an infinite residual
+    arpack_gives_up([])
+    with pytest.raises(ConvergenceError, match="no converged eigenvalues") as err:
+        diagonalize_sector(h, threepair_table, 6, dense_cutoff=1, n_lowest=4, seed=5)
+    assert math.isnan(err.value.best_value) and err.value.residual == math.inf
 
 
 # The threepair sector 6 (dim 924) splits into its seniority blocks: the

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from darkpair.cli import write_csv
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair import verify
-from darkpair.operators import ANNIHILATE, CREATE, OperatorExpr
+from darkpair.operators import ANNIHILATE, CREATE
 from darkpair.verify import (
     CHECK_IDS,
     CONTINUUM_FIELDS,
@@ -26,6 +26,7 @@ from darkpair.verify import (
     relative_dark_residual,
     run_battery,
 )
+from normal_order import normal_ordered
 
 G_LIST = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
 LAMBDAS = [Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(7, 3)]
@@ -41,7 +42,7 @@ def test_battery_minimal_all_pass(minimal_table):
 @st.composite
 def term_maps(draw):
     factor = st.tuples(st.sampled_from([CREATE, ANNIHILATE]), st.integers(0, 2))
-    return OperatorExpr.from_monomials(draw(st.lists(st.tuples(
+    return normal_ordered(draw(st.lists(st.tuples(
         st.fractions(-2, 2, max_denominator=3), st.lists(factor, max_size=3)),
         max_size=5)))
 
