@@ -3,8 +3,9 @@
 Each bundled config goes through ``verify``, ``scan --no-variational``,
 ``scan`` (with ``E_var``, pinned as ``scan_var.csv``) and
 ``spectrum --g=-1``; ``verify`` on a 40-mode shell (the stress lattice of
-the ``battery`` benchmark, ``golden/shell10/config.json``) and one
-``continuum`` run round it off.  The ``report.json`` and CSV bytes must
+the ``battery`` benchmark, ``golden/shell10/config.json``) and two
+``continuum`` runs, the second at the ``battery`` benchmark's sizes up to
+96, round it off.  The ``report.json`` and CSV bytes must
 equal the files under ``tests/golden/<config>/``, which makes the
 reproducible-artifact contract a test: a refactor that keeps results must
 keep these bytes.
@@ -42,6 +43,8 @@ RUNS = [
      "report.json", "report.json", EXIT_OK),
     ("continuum", ["continuum", "--kf", "1.0", "--delta", "0.1",
                    "--sizes", "8,16,32"], "continuum.csv", "continuum.csv", EXIT_OK),
+    ("continuum_wide", ["continuum", "--kf", "1.0", "--delta", "0.1",
+                        "--sizes", "8,16,32,64,96"], "continuum.csv", "continuum.csv", EXIT_OK),
 ]
 IDS = [f"{name}-{argv[0]}" if golden == artifact else f"{name}-{Path(golden).stem}"
        for name, argv, artifact, golden, _ in RUNS]
