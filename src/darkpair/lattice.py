@@ -231,9 +231,13 @@ class ModeTable:
 # The largest ``hi`` that ``_slices`` takes.  The walk visits every row of
 # the ball, about (pi / 4) hi rows, so its cost grows with ``hi``: on a
 # 2-vCPU host ``band_sums(0, 2**24)`` takes about 0.7 s, where 2**30 took
-# 30 s.  Its int64 sums are exact far beyond: each partial sum of a slice
-# is at most hi (2 isqrt(hi) + 1)**2 ~ 4 hi**2 = 2**50 here.
+# 30 s.
 BAND_MAX = 1 << 24
+# The most rows in one batch of ``_slices``; a z-slice has at most
+# isqrt(BAND_MAX) + 1 = 4097.  It bounds the int64 sums of ``band_sums``:
+# a row's weighted second moment is below 12 hi**1.5 < 2**40 at BAND_MAX,
+# so a batch's sum stays below 2**56.
+ROW_BUDGET = 1 << 16
 
 
 def _isqrt(x: np.ndarray) -> np.ndarray:
@@ -245,11 +249,12 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def _slices(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray,
+def _slices(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray,
                                                np.ndarray, np.ndarray]]:
-    """The offsets d with lo <= |d|^2 <= hi, one z-slice dz >= 0 at a time,
-    as int64 rows ``(dz, dy, r2, low, top)`` over every dy >= 0 of the
-    slice's disc: row dy, at r2 = dy^2 + dz^2, holds the dx with
+    """The offsets d with lo <= |d|^2 <= hi as batches of rows: int64
+    arrays ``(dz, dy, r2, low, top)``, one entry per (dz, dy) row with
+    dz, dy >= 0, z-slice after z-slice and dy ascending within a slice,
+    each batch whole z-slices of at most ``ROW_BUDGET`` rows in all.  Row (dz, dy), at r2 = dy^2 + dz^2, holds the dx with
     low <= |dx| <= top, and none when low > top.  The other offsets are
     these mirrored over the signs of dz, dy and dx.  An empty range yields
     nothing; a ``hi`` above ``BAND_MAX`` raises ``LatticeError``.
@@ -262,12 +267,21 @@ def _slices(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray,
     lo = max(lo, 0)
     if hi < lo:
         return
-    for dz in range(math.isqrt(hi) + 1):
-        dy = np.arange(math.isqrt(hi - dz * dz) + 1, dtype=np.int64)
+    z = np.arange(math.isqrt(hi) + 1, dtype=np.int64)
+    width = _isqrt(hi - z * z) + 1  # the rows dy = 0 .. isqrt(hi - dz^2) of each slice
+    ends = np.cumsum(width)
+    first = 0
+    while first < len(z):
+        last = max(int(np.searchsorted(ends, ends[first] - width[first] + ROW_BUDGET,
+                                       side="right")), first + 1)
+        span = width[first:last]
+        dz = np.repeat(z[first:last], span)
+        dy = np.arange(len(dz), dtype=np.int64) - np.repeat(np.cumsum(span) - span, span)
         r2 = dy * dy + dz * dz
         # low: the least x >= 0 with x^2 >= lo - r2
         low = np.where(lo > r2, _isqrt(np.maximum(lo - r2 - 1, 0)) + 1, 0)
         yield dz, dy, r2, low, _isqrt(hi - r2)
+        first = last
 
 
 def _points_between(center: IVec, lo: int, hi: int) -> Iterator[IVec]:
@@ -276,33 +290,34 @@ def _points_between(center: IVec, lo: int, hi: int) -> Iterator[IVec]:
     cx, cy, cz = center
     for dz, dy, _, low, top in _slices(lo, hi):
         full = low <= top
-        for y, a, b in zip(dy[full].tolist(), low[full].tolist(), top[full].tolist()):
+        for z, y, a, b in zip(dz[full].tolist(), dy[full].tolist(),
+                              low[full].tolist(), top[full].tolist()):
             xs = (*range(-b, 1 - a), *range(max(a, 1), b + 1))
-            for z in {dz, -dz}:  # a set: the sign of 0 is taken once
+            for zz in {z, -z}:  # a set: the sign of 0 is taken once
                 for yy in {y, -y}:
                     for x in xs:
-                        yield (cx + x, cy + yy, cz + z)
+                        yield (cx + x, cy + yy, cz + zz)
 
 
 def band_sums(lo: int, hi: int) -> tuple[int, int]:
     """Count and sum of |d|^2 over the integer offsets d with
     lo <= |d|^2 <= hi; ``(0, 0)`` when there are none.
 
-    Each z-slice of ``_slices`` is summed as int64 arrays, each row in
-    closed form, sum_{x=1..t} x^2 = t(t+1)(2t+1)/6, and the rows at dy > 0
-    and the slices at dz > 0 count twice.
+    Each batch of ``_slices`` rows is summed as int64 arrays, each row in
+    closed form, sum_{x=1..t} x^2 = t(t+1)(2t+1)/6, and weighted by the
+    signs it stands for: twice at dy > 0, twice again at dz > 0.
     """
 
     def squares(t):
         return t * (t + 1) * (2 * t + 1) // 6  # 0 at t = -1
 
     count = moment = 0
-    for dz, _, r2, low, top in _slices(lo, hi):
+    for dz, dy, r2, low, top in _slices(lo, hi):
         n = 2 * (top - low + 1) - (low == 0)  # low <= top + 1: never negative
         m2 = n * r2 + 2 * (squares(top) - squares(low - 1))
-        twice = 2 if dz else 1
-        count += twice * (2 * int(n.sum()) - int(n[0]))
-        moment += twice * (2 * int(m2.sum()) - int(m2[0]))
+        twice = (1 + (dy > 0)) * (1 + (dz > 0))
+        count += int((twice * n).sum())
+        moment += int((twice * m2).sum())
     return count, moment
 
 

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,6 +45,7 @@ Factor = tuple[str, int]
 Term = tuple[int, int]  # (C, A): the created and the annihilated modes, bit m for mode m
 
 DEGREE_CAP = 8
+FIRE_BUDGET = 1 << 16  # (term, state) pairs that one ``_fire`` block tests
 _NIBBLES = np.uint64(0x1111111111111111)
 
 
@@ -69,17 +70,17 @@ def _exact(coeff) -> Fraction:
 
 
 class OperatorExpr:
-    """Canonical term map: each term's ``(C, A)`` key to its ``Fraction``
-    coefficient, the identity at ``(0, 0)``."""
+    """Canonical term map: each term's ``(C, A)`` key to its nonzero
+    ``Fraction`` coefficient, the identity at ``(0, 0)``; the constructor
+    drops zero coefficients, so equal operators have equal maps."""
 
     __slots__ = ("terms", "_wick")
 
     def __init__(self, terms: dict[Term, object] | None = None):
-        self.terms: dict[Term, Fraction] = {
-            t: _exact(c) for t, c in (terms or {}).items()
-        }
+        exact = {t: _exact(c) for t, c in (terms or {}).items()}
+        self.terms: dict[Term, Fraction] = {t: c for t, c in exact.items() if c != 0}
         self._wick = None  # the bitmask form of ``_wick_form``, built on first use
-        for key in self.terms:
+        for key in exact:
             if not (type(key) is tuple and len(key) == 2
                     and all(type(m) is int and m >= 0 for m in key)):
                 raise ValueError(
@@ -387,23 +388,37 @@ def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
     return compiled
 
 
-def _fire(term: tuple, occs):
-    """Positions in the uint64 array ``occs`` where one compiled term fires,
-    the occupations it yields there, and True where its sign is negative.
+def _blocks(compiled: list[tuple], n_states: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The compiled terms in blocks of at most ``FIRE_BUDGET`` (term, state)
+    pairs on ``n_states`` states, one term at least: each block's first
+    term index and its terms' ``(cmask, amask, cpar, apar)`` rows as a
+    uint64 array."""
+    step = max(1, FIRE_BUDGET // max(n_states, 1))
+    for first in range(0, len(compiled), step):
+        yield first, np.array([term[:4] for term in compiled[first:first + step]],
+                              dtype=np.uint64)
 
-    Annihilators act first, right to left: the term fires where its
-    annihilated modes are occupied and its created modes are empty after
-    the annihilation.
+
+def _fire(block: np.ndarray, occs):
+    """Where the terms of a ``_blocks`` block fire on the uint64 array
+    ``occs``: for each firing its term's row in the block, its state's
+    position, the occupation it yields and True where its sign is
+    negative, term by term and, within a term, in state order.
+
+    Every term is tested against every state at once.  Annihilators act
+    first, right to left: a term fires where its annihilated modes are
+    occupied and its created modes are empty after the annihilation.
     """
-    cmask, amask, cpar, apar, both = map(np.uint64, (*term[:4], term[0] | term[1]))
-    at = np.flatnonzero(occs & both == amask)
+    cmask, amask, cpar, apar = block.T
+    hit = occs & (cmask | amask)[:, None] == amask[:, None]
+    term, at = np.divmod(np.flatnonzero(hit), len(occs))
     occ = occs[at]
-    mid = occ ^ amask
-    odd = (occ & apar) ^ (mid & cpar)
+    mid = occ ^ amask[term]
+    odd = (occ & apar[term]) ^ (mid & cpar[term])
     odd ^= odd >> np.uint64(1)  # parity: each nibble's, summed into the top one
     odd ^= odd >> np.uint64(2)
     odd = (odd & _NIBBLES) * _NIBBLES >> np.uint64(60)
-    return at, mid | cmask, (odd & np.uint64(1)).astype(bool)
+    return term, at, mid | cmask[term], (odd & np.uint64(1)).astype(bool)
 
 
 def _numerators(values: list) -> tuple[list[int], int]:
@@ -432,55 +447,79 @@ def _values(coeffs: list, amps: list) -> tuple[np.ndarray, np.ndarray, int]:
     return signed, np.array(amps, dtype=dtype), den
 
 
-def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
-    """Exact linear action; factors applied right-to-left.
+def _image(expr: OperatorExpr, vec: StateVector, shift=0) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(expr - shift)|vec>`` as ``(occs, nums, den)``: the occupations of
+    its nonzero entries, ascending, as uint64, their integer numerators and
+    the one denominator they are over.
 
-    Every term goes through ``_fire`` over all input states at once, and
-    the contributions are grouped by the state they yield.  Amplitudes must
-    be int or ``Fraction`` (``TypeError`` otherwise); contributions are
-    summed as integer numerators (``_values``) and divided once, so
-    every entry is a ``Fraction``.
+    The terms, with ``-shift`` as one more identity term, go through
+    ``_fire`` over all input states in a few ``_blocks``, and the
+    contributions are grouped by the state they yield and summed as
+    integer numerators (``_values``).  Amplitudes and ``shift`` must be int
+    or ``Fraction`` (``TypeError`` otherwise).
     """
     compiled = _compile(expr, vec.n_modes)
+    if shift:
+        compiled.append((0, 0, 0, 0, -_exact(shift)))
     occs = sorted(vec.amp)
     signed, amp, den = _values([term[-1] for term in compiled],
                                [vec.amp[occ] for occ in occs])
     packed = np.array(occs, dtype=np.uint64)
-    fired = [_fire(term, packed) for term in compiled]
-    counts = [len(f[0]) for f in fired]
-    if not sum(counts):
-        return StateVector(vec.n_modes)
-    at, res, odd = map(np.concatenate, zip(*fired))
+    fired = []
+    for first, block in _blocks(compiled, len(occs)):
+        term, at, res, odd = _fire(block, packed)
+        fired.append((2 * (first + term) + odd, at, res))
+    if not sum(len(at) for _, at, _ in fired):
+        return np.empty(0, dtype=np.uint64), signed[:0], den
+    which, at, res = map(np.concatenate, zip(*fired))
     del fired  # the contributions are held once, not twice
-    which = np.repeat(np.arange(0, 2 * len(compiled), 2), counts) + odd
     order = np.argsort(res)  # by image: integer sums are exact in any order
     at, res, which = at[order], res[order], which[order]
     del order
-    first = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
-    sums = np.add.reduceat(signed[which] * amp[at], first)
+    start = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
+    sums = np.add.reduceat(signed[which] * amp[at], start)
     keep = np.flatnonzero(sums != 0)
+    return res[start[keep]], sums[keep], den
+
+
+def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
+    """Exact linear action; factors applied right-to-left.
+
+    The entries of ``_image``, each numerator divided once, so every
+    amplitude is a ``Fraction``.
+    """
+    occs, nums, den = _image(expr, vec)
     out = StateVector(vec.n_modes)
-    out.amp = {occ: Fraction(n, den) for occ, n in
-               zip(res[first[keep]].tolist(), sums[keep].tolist())}
+    out.amp = {occ: Fraction(n, den) for occ, n in zip(occs.tolist(), nums.tolist())}
     return out
 
 
+def image_norm(expr: OperatorExpr, vec: StateVector, shift=0) -> float:
+    """``|| (expr - shift)|vec> ||``: the squared norm is summed from the
+    ``_image`` numerators as one exact ``Fraction`` and rooted as
+    ``StateVector.norm`` roots it, so the float is the same as that of the
+    image built as a ``StateVector``."""
+    _, nums, den = _image(expr, vec, shift)
+    return math.sqrt(float(Fraction(sum(n * n for n in nums.tolist()), den * den)))
+
+
 def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
-    """|| A|psi> - lambda|psi> || / ||psi|| with exact arithmetic inside."""
-    diff = apply_operator(op, state) - state.scaled(eigenvalue)
-    if not diff.amp:
-        return 0.0
-    return diff.norm() / state.norm()
+    """|| A|psi> - lambda|psi> || / ||psi||, with exact arithmetic inside
+    (``image_norm``); 0.0 when the residual vanishes."""
+    norm = image_norm(op, state, eigenvalue)
+    return norm / state.norm() if norm else 0.0
 
 
 def _sector_entries(compiled: list[tuple], signed: np.ndarray, occs):
-    """Rows, columns and signed values of every term's entries, per term.
+    """Rows, columns and signed values of every term's entries, per block.
 
     ``occs`` is the basis as uint64, strictly ascending: a basis that is
     not is rejected with ``ValueError``, not ranked, because each image's
     row is found by binary search.  Number-type terms (``cmask == amask``)
-    only touch the diagonal, so they are summed into it first; every other
-    entry appears once per term that reaches it.
+    only touch the diagonal, so they fire in blocks of their own and are
+    summed into it first; every other entry appears once per term that
+    reaches it.  On a sector of ``FIRE_BUDGET`` states or more each block
+    is one term.
     """
     if np.any(occs[1:] <= occs[:-1]):
         raise ValueError("sector basis must be strictly ascending")
@@ -488,18 +527,21 @@ def _sector_entries(compiled: list[tuple], signed: np.ndarray, occs):
     diag = np.zeros(len(occs), dtype=signed.dtype)
     on_diag = np.zeros(len(occs), dtype=bool)
     rows, cols, vals = [], [], []
-    for t, term in enumerate(compiled):
-        signs = signed[2 * t:2 * t + 2]  # the term's (c, -c), indexed by odd
-        col, res, odd = _fire(term, occs)
-        if term[0] == term[1]:
-            diag[col] += signs.take(odd.view(np.uint8))
-            on_diag[col] = True
-            continue
-        row = np.searchsorted(occs, res)
-        found = occs.take(row, mode="clip") == res
-        rows.append(row[found].astype(index))
-        cols.append(col[found].astype(index))
-        vals.append(signs.take(odd[found].view(np.uint8)))
+    for number in (True, False):
+        ids = np.array([t for t, term in enumerate(compiled)
+                        if (term[0] == term[1]) == number], dtype=np.int64)
+        for first, block in _blocks([compiled[t] for t in ids], len(occs)):
+            term, col, res, odd = _fire(block, occs)
+            val = signed.take(2 * ids[first + term] + odd)
+            if number:
+                np.add.at(diag, col, val)
+                on_diag[col] = True
+                continue
+            row = np.searchsorted(occs, res)
+            found = occs.take(row, mode="clip") == res
+            rows.append(row[found].astype(index))
+            cols.append(col[found].astype(index))
+            vals.append(val[found])
     where = np.flatnonzero(on_diag).astype(index)
     return [where, *rows], [where, *cols], [diag[where], *vals]
 
@@ -569,7 +611,7 @@ def matrix_in_sector(expr: OperatorExpr, basis, n_modes: int) -> SectorCOO:
     conserve particle number, otherwise weight would leak out of the
     block and the matrix would misrepresent the operator.
 
-    Every term goes through ``_fire`` over all columns at once.  The
+    The terms go through ``_fire`` over all columns in blocks.  The
     coefficients become integer numerators over their common denominator
     (``_values`` with a unit amplitude), which the ``SectorCOO`` keeps
     unsummed; each of its forms sums them exactly and divides once, so
@@ -710,6 +752,12 @@ def pair_commutator_rhs(
     with ``k = table.shell_all[j]``: G's column at k's position, over the
     rows of ``table.shell_all``.  ``weights`` is G as in ``build_w``;
     ``None`` is the unit weight.
+
+    Each term's ``(C, A)`` key is written from the pair modes, its sign
+    the parity of sorting its created modes, and a term whose number
+    factor repeats a created mode is zero.  Every coefficient is an
+    integer numerator over one denominator, and each distinct numerator
+    becomes its ``Fraction`` once.
     """
     k = _require_shell(table, k)
     pref = Fraction(g) / table.config.volume_fraction
@@ -721,21 +769,30 @@ def pair_commutator_rhs(
         weights = from_spec(table, "unit")[0]
     j = points.index(k)
 
-    monomials = []
-    for k1, row in zip(points, weights):
-        coeff = pref * row[j]
-        if coeff == 0:
-            continue
+    # with G[i][j] = column[i] / d, pref = a / b and lam = p / q, the term of
+    # weight w (1 + lam, -lam or -1) is column[i] * a (w q) over d b q
+    column, den = _numerators([row[j] for row in weights])
+    a, b = pref.numerator, pref.denominator
+    p, q = lam.numerator, lam.denominator
+    den *= b * q
+    parts = ((a * (p + q), None), (-a * p, up_pk), (-a * p, dn_k),
+             (-a * q, up_k), (-a * q, dn_pk))
+    as_fraction: dict[int, Fraction] = {}  # each value's Fraction, built once
+    terms: dict[Term, Fraction] = {}
+    for k1, weight in zip(points, column):
         c_up, c_dn = table.pair_modes(k1)
-        head = ((CREATE, c_up), (CREATE, c_dn))
-        monomials.append((coeff * (1 + lam), head))
-        for weight, idx in (
-            (-lam, up_pk),
-            (-lam, dn_k),
-            (Fraction(-1), up_k),
-            (Fraction(-1), dn_pk),
-        ):
-            monomials.append(
-                (coeff * weight, head + ((CREATE, idx), (ANNIHILATE, idx)))
-            )
-    return OperatorExpr.from_monomials(monomials)
+        head = 1 << c_up | 1 << c_dn
+        for part, mode in parts:
+            if mode is None:
+                key, odd = (head, 0), c_up > c_dn
+            elif mode in (c_up, c_dn):
+                continue  # the number factor repeats a created mode: zero
+            else:
+                key = (head | 1 << mode, 1 << mode)
+                odd = (c_up > c_dn) ^ (c_up > mode) ^ (c_dn > mode)
+            value = -weight * part if odd else weight * part
+            if value:
+                if value not in as_fraction:
+                    as_fraction[value] = Fraction(value, den)
+                terms[key] = as_fraction[value]
+    return OperatorExpr._wrap(terms)

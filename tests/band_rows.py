@@ -1,9 +1,10 @@
 """Row-by-row band walks: the first-principles reference that
 ``lattice.band_sums`` and ``lattice._points_between`` are tested against.
 
-The engine itself never runs this code; it walks the same rows one z-slice
-at a time as int64 arrays (``lattice._slices``).  These loops visit every
-(z, y) row of the ball in Python ints and are only right for
+The engine itself never runs this code; it walks the same rows as int64
+arrays, several z-slices to a batch (``lattice._slices``), and weighs each
+row by the signs it stands for.  These loops visit every (z, y) row of the
+ball, both signs of each, in Python ints and are only right for
 ``0 <= lo <= hi + 1``.
 """
 

@@ -4,14 +4,17 @@ import math
 import time
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from band_rows import row_points, row_sums
+from darkpair import lattice
 from darkpair.lattice import (
     BAND_MAX,
+    ROW_BUDGET,
     SPIN_DOWN,
     SPIN_UP,
     EmptyShellError,
@@ -20,6 +23,7 @@ from darkpair.lattice import (
     Mode,
     UnpairedModeError,
     _points_between,
+    _slices,
     band_sums,
     boosted_twin,
     build_mode_table,
@@ -363,3 +367,29 @@ def test_huge_band_rejected_before_enumeration(frozen):
     with pytest.raises(LatticeError, match="more than 64 modes"):
         build_mode_table(LatticeConfig(kf=400, delta=0.5, frozen_core=frozen))
     assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_band_walk_in_small_row_batches(data):
+    # a budget below one z-slice's rows puts each slice in a batch of its own
+    hi = data.draw(st.integers(0, 300))
+    lo = data.draw(st.integers(0, hi + 1))
+    center = data.draw(st.tuples(*[st.integers(-3, 3)] * 3))
+    with mock.patch.object(lattice, "ROW_BUDGET", data.draw(st.integers(1, 60))):
+        assert band_sums(lo, hi) == row_sums(lo, hi)
+        got = list(_points_between(center, lo, hi))
+    assert sorted(got) == sorted(
+        (center[0] + x, center[1] + y, center[2] + z) for x, y, z in row_points(lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2**18), (2**18 - 2, 2**18 + 1)])
+def test_band_walk_across_row_batches(lo, hi):
+    # the whole ball, and a thin band far out, span several ROW_BUDGET batches
+    batches = [len(dz) for dz, *_ in _slices(lo, hi)]
+    assert len(batches) > 3 and max(batches) <= ROW_BUDGET
+    assert sum(batches) == sum(math.isqrt(hi - z * z) + 1 for z in range(math.isqrt(hi) + 1))
+    assert band_sums(lo, hi) == row_sums(lo, hi)
+    if lo:
+        got = list(_points_between((1, -2, 3), lo, hi))
+        assert sorted(got) == sorted((1 + x, y - 2, z + 3) for x, y, z in row_points(lo, hi))

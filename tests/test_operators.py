@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +30,15 @@ from darkpair.operators import (
     build_pair,
     build_w,
     commutator,
+    eigen_residual,
     matrix_in_sector,
     pair_commutator_rhs,
 )
-from darkpair.states import phi_core
+from darkpair.cli import bundled_config_path, load_config
+from darkpair.states import nc_state, phi_core
+from darkpair.verify import relative_dark_residual
 from normal_order import factors, key, normal_ordered
+from pair_closed_form import pair_commutator_monomials
 from scalar_signs import apply_raw_factors
 
 
@@ -372,6 +377,26 @@ def test_pair_commutator_on_the_40_mode_shell():
         assert got == pair_commutator_rhs(table, k, lam, g, weight)
 
 
+PAIR_TABLES = {name: bundled_config_path(name) for name in (
+    "minimal", "twopair", "threepair_core", "boosted", "broken_formfactor")}
+PAIR_TABLES["shell10"] = Path(__file__).parent / "golden" / "shell10" / "config.json"
+
+
+@pytest.mark.parametrize("name", PAIR_TABLES)
+def test_pair_commutator_rhs_equals_the_monomial_closed_form(name):
+    # the closed form written from the pair modes against the one built
+    # monomial by monomial, at every shell point
+    cfg = load_config(PAIR_TABLES[name])
+    table = build_mode_table(cfg["lattice"])
+    g = cfg["couplings"][0]
+    for weights in (None, formfactors.from_spec(table, "random:7")[0]):
+        for lam in map(Fraction, (-1, 0, 1, "7/3", "-5/2")):
+            for k in table.shell_all:
+                got = pair_commutator_rhs(table, k, lam, g, weights)
+                assert got == pair_commutator_monomials(table, k, lam, g, weights)
+                assert all(type(c) is Fraction for c in got.terms.values())
+
+
 def sympy_normal_order(monomials) -> dict:
     """The ``(C, A)``-keyed term map of ``sum coeff * factors`` normal-ordered
     by sympy's ``wicks``, each block then sorted here by counting
@@ -546,6 +571,83 @@ def test_apply_operator_routes_numerators_at_2_53(coeff, amp, dtype):
     assert apply_operator(expr, half).amp == {0b10: coeff * amp}
 
 
+def fraction_eigen_residual(op, state, eigenvalue) -> float:
+    """The eigen residual with the image, the shifted state and their
+    difference built as ``StateVector``s of ``Fraction``s."""
+    diff = apply_operator(op, state) - state.scaled(eigenvalue)
+    return diff.norm() / state.norm() if diff.amp else 0.0
+
+
+def fraction_dark_residual(w, state) -> float:
+    """The relative dark residual from the image built as a ``StateVector``."""
+    image = apply_operator(w, state)
+    if not image.amp:
+        return 0.0
+    denom = float(w.one_norm()) * state.norm()
+    return image.norm() / denom if denom else float(image.norm())
+
+
+MIXED = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monos=cancelling_monomials(), data=st.data())
+def test_residuals_equal_the_fraction_routes(monos, data):
+    # the norms summed from the kernel's numerators against the StateVector
+    # route, bit for bit, int64 and object dtype alike
+    n_modes = 5
+    amps = data.draw(st.dictionaries(st.integers(0, (1 << n_modes) - 1), MIXED,
+                                     min_size=1, max_size=12))
+    expr = normal_ordered(monos)
+    if data.draw(st.booleans()):  # the number operator: some shifts are exact eigenvalues
+        expr = expr + OperatorExpr({(1 << m, 1 << m): 1 for m in range(n_modes)})
+    # a numerator or a denominator past 2**53 takes the object dtype
+    wide = data.draw(st.sampled_from([1, 2**53 + 1, Fraction(1, 3**34)]))
+    expr = expr.scaled(wide)
+    vec = StateVector(n_modes, amps)
+    shift = data.draw(st.one_of(MIXED, st.integers(0, n_modes))) * wide
+    if vec.amp and (expr.terms or shift):
+        signed = _values([*expr.terms.values(), shift], list(vec.amp.values()))[0]
+        assert signed.dtype == (np.int64 if wide == 1 else object)
+    got = eigen_residual(expr, vec, shift)
+    assert type(got) is float and got.hex() == fraction_eigen_residual(expr, vec, shift).hex()
+    got = relative_dark_residual(expr, vec)
+    assert type(got) is float and got.hex() == fraction_dark_residual(expr, vec).hex()
+
+
+def test_residuals_reject_an_inexact_shift():
+    with pytest.raises(TypeError):
+        eigen_residual(build_number_op(build_mode_table(LatticeConfig(
+            kf=1.2, delta=0.5, frozen_core=True,
+            shell_points=((0, 0, 1), (0, 0, -1))))), StateVector(4, {0b11: 1}), 2.0)
+
+
+def test_firing_blocks_give_the_same_image_and_matrix(monkeypatch):
+    # W on the 40-mode shell's paired state (400 terms x 1,024 states) and
+    # H on a sector of the 16-mode shell (80 terms x 12,870 columns) each
+    # take several FIRE_BUDGET blocks; a budget of 1 fires one term a block
+    shell10 = build_mode_table(LatticeConfig(kf=1.575, delta=0.17, frozen_core=True,
+                                             volume=1))
+    w = build_w(shell10, Fraction(-2, 3), formfactors.from_spec(shell10, "asymmetric:3")[0])
+    state = nc_state(shell10)
+    shell4 = build_mode_table(LatticeConfig(kf=1.7320508075688772, delta=0.05,
+                                            frozen_core=True, volume=1))
+    h = build_h0(shell4) + build_w(shell4, Fraction(1, 3),
+                                   formfactors.from_spec(shell4, "random:9")[0])
+    basis = sector_basis(16, 8)
+    assert len(w) * len(state) > 4 * operators.FIRE_BUDGET > len(w) * 8
+    assert len(h) * len(basis) > 4 * operators.FIRE_BUDGET > len(basis)
+    blocked = (apply_operator(w, state), matrix_in_sector(h, basis, 16))
+    assert blocked[0].amp  # the asymmetric weight does not leave the state dark
+    monkeypatch.setattr(operators, "FIRE_BUDGET", 1)
+    image, coo = apply_operator(w, state), matrix_in_sector(h, basis, 16)
+    assert bits(image.amp) == bits(blocked[0].amp)
+    for name in ("rows", "cols", "nums"):
+        a, b = getattr(coo, name), getattr(blocked[1], name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (coo.den, coo.dim) == (blocked[1].den, blocked[1].dim)
+
+
 @pytest.mark.parametrize("csr", [False, True])
 def test_matrix_columns_equal_apply_operator(twopair_table, csr):
     basis = sector_basis(8, 4)
@@ -583,6 +685,19 @@ def test_any_two_int_masks_are_a_canonical_term():
         assert OperatorExpr({term: 2}).terms == {term: Fraction(2)}
     assert OperatorExpr({(1 << 130, 1): 1}) == OperatorExpr.from_monomial(
         1, (C(130), A(0)))
+
+
+def test_zero_coefficients_are_dropped_on_construction():
+    # equal operators have equal maps, which _distance's shortcut relies on
+    zero = OperatorExpr({(1, 1): 0})
+    assert zero == OperatorExpr() and zero.is_zero() and len(zero) == 0
+    assert zero + OperatorExpr() == OperatorExpr()
+    mixed = OperatorExpr({(1, 1): Fraction(0), (0b10, 0): 3})
+    assert mixed.terms == {(0b10, 0): Fraction(3)}
+    assert mixed + OperatorExpr() == mixed == OperatorExpr({(0b10, 0): 3})
+    # a zero coefficient does not excuse a malformed key
+    with pytest.raises(ValueError, match=r"not a \(C, A\) pair"):
+        OperatorExpr({(-1, 0): 0})
 
 
 def test_dagger_involution_and_hermiticity():

@@ -158,9 +158,9 @@ def test_anticommutation_sweep_fires_the_operator_kernel(monkeypatch):
     # a+_j a_i then add up to 2 instead of cancelling
     fire = verify._fire
 
-    def unsigned(term, occs):
-        at, res, odd = fire(term, occs)
-        return at, res, np.zeros_like(odd)
+    def unsigned(block, occs):
+        term, at, res, odd = fire(block, occs)
+        return term, at, res, np.zeros_like(odd)
 
     monkeypatch.setattr(verify, "_fire", unsigned)
     assert _anticommutation_residual(8, 200, np.random.default_rng(0)) == 2
@@ -173,6 +173,22 @@ def test_battery_json_is_deterministic(minimal_table):
     payload = json.loads(a)
     assert payload["all_passed"] is True
     assert "seconds" not in json.dumps(payload)
+
+
+def test_dark_state_reuses_the_reference_interaction(twopair_table, monkeypatch):
+    # W at the first coupling is built once, for checks (2), (3) and (6);
+    # check (6) builds the other couplings', check (5) the thawed twin's
+    built = []
+    build_w = verify.build_w
+
+    def counted(table, g, weights=None):
+        built.append((table is twopair_table, g))
+        return build_w(table, g, weights)
+
+    monkeypatch.setattr(verify, "build_w", counted)
+    report = run_battery(twopair_table, [Fraction(-1), Fraction(1, 2)], LAMBDAS, seed=7)
+    assert report.all_passed
+    assert built == [(True, -1), (False, -1), (True, Fraction(1, 2))]
 
 
 def test_residual_helpers(minimal_table):
