@@ -230,7 +230,7 @@ class ModeTable:
 
 # The largest ``hi`` that ``_slices`` takes.  The walk visits every row of
 # the ball, about (pi / 4) hi rows, so its cost grows with ``hi``: on a
-# 2-vCPU host ``band_sums(0, 2**24)`` takes about 0.7 s, where 2**30 took
+# 2-vCPU host ``band_sums(0, 2**24)`` takes about 0.5 s, where 2**30 took
 # 30 s.
 BAND_MAX = 1 << 24
 # The most rows in one batch of ``_slices``; a z-slice has at most
@@ -254,8 +254,10 @@ def _slices(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
     """The offsets d with lo <= |d|^2 <= hi as batches of rows: int64
     arrays ``(dz, dy, r2, low, top)``, one entry per (dz, dy) row with
     dz, dy >= 0, z-slice after z-slice and dy ascending within a slice,
-    each batch whole z-slices of at most ``ROW_BUDGET`` rows in all.  Row (dz, dy), at r2 = dy^2 + dz^2, holds the dx with
-    low <= |dx| <= top, and none when low > top.  The other offsets are
+    each batch whole z-slices of at most ``ROW_BUDGET`` rows in all (one
+    slice when a slice alone has more).  Row (dz, dy), at
+    r2 = dy^2 + dz^2, holds the dx with low <= |dx| <= top, and none when
+    low > top.  The other offsets are
     these mirrored over the signs of dz, dy and dx.  An empty range yields
     nothing; a ``hi`` above ``BAND_MAX`` raises ``LatticeError``.
     """

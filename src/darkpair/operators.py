@@ -45,7 +45,7 @@ Factor = tuple[str, int]
 Term = tuple[int, int]  # (C, A): the created and the annihilated modes, bit m for mode m
 
 DEGREE_CAP = 8
-FIRE_BUDGET = 1 << 16  # (term, state) pairs that one ``_fire`` block tests
+FIRE_BUDGET = 1 << 14  # (term, state) pairs one ``_fire`` block tests: 128 KB of uint64
 _NIBBLES = np.uint64(0x1111111111111111)
 
 
@@ -447,7 +447,8 @@ def _values(coeffs: list, amps: list) -> tuple[np.ndarray, np.ndarray, int]:
     return signed, np.array(amps, dtype=dtype), den
 
 
-def _image(expr: OperatorExpr, vec: StateVector, shift=0) -> tuple[np.ndarray, np.ndarray, int]:
+def _image(expr: OperatorExpr, vec: StateVector,
+           shift=0) -> tuple[np.ndarray, np.ndarray, int]:
     """``(expr - shift)|vec>`` as ``(occs, nums, den)``: the occupations of
     its nonzero entries, ascending, as uint64, their integer numerators and
     the one denominator they are over.

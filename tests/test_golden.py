@@ -44,7 +44,8 @@ RUNS = [
     ("continuum", ["continuum", "--kf", "1.0", "--delta", "0.1",
                    "--sizes", "8,16,32"], "continuum.csv", "continuum.csv", EXIT_OK),
     ("continuum_wide", ["continuum", "--kf", "1.0", "--delta", "0.1",
-                        "--sizes", "8,16,32,64,96"], "continuum.csv", "continuum.csv", EXIT_OK),
+                        "--sizes", "8,16,32,64,96"],
+     "continuum.csv", "continuum.csv", EXIT_OK),
 ]
 IDS = [f"{name}-{argv[0]}" if golden == artifact else f"{name}-{Path(golden).stem}"
        for name, argv, artifact, golden, _ in RUNS]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkpair import formfactors, operators
+from darkpair.cli import bundled_config_path, load_config
 from darkpair.fock import StateVector, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import (
@@ -34,7 +35,6 @@ from darkpair.operators import (
     matrix_in_sector,
     pair_commutator_rhs,
 )
-from darkpair.cli import bundled_config_path, load_config
 from darkpair.states import nc_state, phi_core
 from darkpair.verify import relative_dark_residual
 from normal_order import factors, key, normal_ordered
@@ -609,43 +609,43 @@ def test_residuals_equal_the_fraction_routes(monos, data):
     if vec.amp and (expr.terms or shift):
         signed = _values([*expr.terms.values(), shift], list(vec.amp.values()))[0]
         assert signed.dtype == (np.int64 if wide == 1 else object)
-    got = eigen_residual(expr, vec, shift)
-    assert type(got) is float and got.hex() == fraction_eigen_residual(expr, vec, shift).hex()
-    got = relative_dark_residual(expr, vec)
-    assert type(got) is float and got.hex() == fraction_dark_residual(expr, vec).hex()
+    for got, want in ((eigen_residual(expr, vec, shift),
+                       fraction_eigen_residual(expr, vec, shift)),
+                      (relative_dark_residual(expr, vec), fraction_dark_residual(expr, vec))):
+        assert type(got) is float and got.hex() == want.hex()
 
 
 def test_residuals_reject_an_inexact_shift():
     with pytest.raises(TypeError):
-        eigen_residual(build_number_op(build_mode_table(LatticeConfig(
-            kf=1.2, delta=0.5, frozen_core=True,
-            shell_points=((0, 0, 1), (0, 0, -1))))), StateVector(4, {0b11: 1}), 2.0)
+        eigen_residual(OperatorExpr({(1, 1): 1}), StateVector(1, {1: 1}), 2.0)
 
 
-def test_firing_blocks_give_the_same_image_and_matrix(monkeypatch):
+def test_firing_blocks_give_the_same_image_and_matrix(monkeypatch, threepair_table):
     # W on the 40-mode shell's paired state (400 terms x 1,024 states) and
-    # H on a sector of the 16-mode shell (80 terms x 12,870 columns) each
-    # take several FIRE_BUDGET blocks; a budget of 1 fires one term a block
+    # H on the threepair sector (48 terms x 924 columns) each fire in
+    # several blocks of many terms; both equal the term-by-term references,
+    # and a budget of 1, one term a block, gives the same arrays
     shell10 = build_mode_table(LatticeConfig(kf=1.575, delta=0.17, frozen_core=True,
                                              volume=1))
     w = build_w(shell10, Fraction(-2, 3), formfactors.from_spec(shell10, "asymmetric:3")[0])
     state = nc_state(shell10)
-    shell4 = build_mode_table(LatticeConfig(kf=1.7320508075688772, delta=0.05,
-                                            frozen_core=True, volume=1))
-    h = build_h0(shell4) + build_w(shell4, Fraction(1, 3),
-                                   formfactors.from_spec(shell4, "random:9")[0])
-    basis = sector_basis(16, 8)
-    assert len(w) * len(state) > 4 * operators.FIRE_BUDGET > len(w) * 8
-    assert len(h) * len(basis) > 4 * operators.FIRE_BUDGET > len(basis)
-    blocked = (apply_operator(w, state), matrix_in_sector(h, basis, 16))
-    assert blocked[0].amp  # the asymmetric weight does not leave the state dark
+    h = build_h0(threepair_table) + build_w(threepair_table, Fraction(1, 3),
+                                            formfactors.from_spec(threepair_table,
+                                                                  "random:9")[0])
+    basis = sector_basis(12, 6)
+    for terms, states in ((len(w), len(state)), (len(h), len(basis))):
+        assert terms * states > 2 * operators.FIRE_BUDGET > 4 * states
+    image, coo = apply_operator(w, state), matrix_in_sector(h, basis, 12)
+    assert image.amp  # the asymmetric weight does not leave the state dark
+    assert bits(image.amp) == bits(apply_reference(w, state))
+    assert_same_bits(h, basis, 12)
     monkeypatch.setattr(operators, "FIRE_BUDGET", 1)
-    image, coo = apply_operator(w, state), matrix_in_sector(h, basis, 16)
-    assert bits(image.amp) == bits(blocked[0].amp)
+    assert bits(apply_operator(w, state).amp) == bits(image.amp)
+    single = matrix_in_sector(h, basis, 12)
     for name in ("rows", "cols", "nums"):
-        a, b = getattr(coo, name), getattr(blocked[1], name)
+        a, b = getattr(single, name), getattr(coo, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert (coo.den, coo.dim) == (blocked[1].den, blocked[1].dim)
+    assert (single.den, single.dim) == (coo.den, coo.dim)
 
 
 @pytest.mark.parametrize("csr", [False, True])
