@@ -7,8 +7,9 @@ rendering only, so the JSON artifact is byte-reproducible.
 
 The continuum section compares the closed-form energy per particle with
 exact lattice counting at growing grid refinements.  The counts and
-second moments of the (z, y) rows are summed in closed form, one z-slice
-at a time (``lattice.band_sums``), so no array grows past one slice.
+second moments of the (z, y) rows are summed in closed form, in batches
+of whole z-slices (``lattice.band_sums``), so no array grows past one
+batch of ``lattice.ROW_BUDGET`` rows.
 """
 
 from __future__ import annotations
