@@ -238,13 +238,15 @@ def _above(mask: int) -> int:
 
 
 def _wick_form(expr: OperatorExpr) -> tuple:
-    """``(ops, den, width, degrees)``: what ``_products`` reads of an operand,
-    built on the operand's first product and kept in its ``_wick`` slot.
+    """``(ops, creates, den, width, degrees)``: what ``_products`` reads of
+    an operand, built on the operand's first product and kept in its
+    ``_wick`` slot.
 
     ``ops[p]`` holds a ``(C, A, _above(C), _above(A), numerator)`` tuple
     for each term ``(C, A)`` of odd degree ``p``, the numerators over the
-    common denominator ``den``; ``width`` is one more than the highest mode
-    and ``degrees`` the sorted distinct term degrees.  The masks do not
+    common denominator ``den``; ``creates[p]`` is the union of the ``C``
+    masks in ``ops[p]``, ``width`` one more than the highest mode and
+    ``degrees`` the sorted distinct term degrees.  The masks do not
     depend on a partner's width, so one form serves every product; it
     stays valid because no code changes ``terms`` after the operator is
     built.
@@ -253,10 +255,12 @@ def _wick_form(expr: OperatorExpr) -> tuple:
         nums, den = _numerators(list(expr.terms.values()))
         degrees = [cm.bit_count() + am.bit_count() for cm, am in expr.terms]
         ops: tuple[list, list] = ([], [])
+        creates = [0, 0]
         for (cm, am), d, v in zip(expr.terms, degrees, nums):
             ops[d & 1].append((cm, am, _above(cm), _above(am), v))
+            creates[d & 1] |= cm
         width = max(((cm | am).bit_length() for cm, am in expr.terms), default=0)
-        expr._wick = ops, den, width, sorted(set(degrees))
+        expr._wick = ops, creates, den, width, sorted(set(degrees))
     return expr._wick
 
 
@@ -280,7 +284,7 @@ def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> Oper
     is built only for pairs of odd-degree terms: every other pair
     contributes its contractions alone.
     """
-    (ops_a, den_a, width_a, deg_a), (ops_b, den_b, width_b, deg_b) = map(
+    (ops_a, cre_a, den_a, width_a, deg_a), (ops_b, cre_b, den_b, width_b, deg_b) = map(
         _wick_form, (a, b))
     degree = next((d1 + d2 for d1, d2 in itertools.product(deg_a, deg_b)
                    if d1 + d2 > cap), None)
@@ -293,9 +297,9 @@ def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> Oper
     out: dict[int, int] = {}
     for pa, pb in itertools.product((0, 1), repeat=2):
         empty = not commute or pa & pb
-        _wick_sum(ops_a[pa], ops_b[pb], width, out, False, empty)
+        _wick_sum(ops_a[pa], ops_b[pb], cre_b[pb], width, out, False, empty)
         if commute:
-            _wick_sum(ops_b[pb], ops_a[pa], width, out, True, empty)
+            _wick_sum(ops_b[pb], ops_a[pa], cre_a[pa], width, out, True, empty)
 
     as_fraction: dict[int, Fraction] = {}  # each value's Fraction, built once
     terms: dict[Term, Fraction] = {}
@@ -306,12 +310,13 @@ def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> Oper
     return OperatorExpr._wrap(terms)
 
 
-def _wick_sum(left: list[tuple], right: list[tuple], width: int, out: dict[int, int],
-              negate: bool, empty: bool) -> None:
+def _wick_sum(left: list[tuple], right: list[tuple], right_creates: int, width: int,
+              out: dict[int, int], negate: bool, empty: bool) -> None:
     """Add the product ``left * right`` of two operands given as
     ``_wick_form`` tuples into ``out``, keyed ``C << width | A``;
     ``negate`` subtracts it, and ``empty=False`` leaves out every
-    uncontracted term.
+    uncontracted term, and with it every left term whose ``A`` meets none
+    of ``right_creates``, the union of the right terms' ``C``.
 
     A pair of terms contributes a term for each contraction set ``S`` of
     ``A1 & C2``.  A term is zero when ``C1`` meets ``C2 - S`` or ``A1 - S``
@@ -328,7 +333,7 @@ def _wick_sum(left: list[tuple], right: list[tuple], width: int, out: dict[int, 
     reaches zero leaves ``out``, as in ``from_monomials``.
     """
     for cm1, am1, _, _, v1 in left:
-        if not (am1 or empty):
+        if not (am1 & right_creates or empty):
             continue  # nothing to contract: only uncontracted terms
         for cm2, am2, cup2, aup2, v2 in right:
             free = am1 & cm2

@@ -94,11 +94,12 @@ def diagonalize_sector(
       scan asks) and every component within ``dense_cutoff`` (method
       ``"blocks"``): the least real part of the blocks' eigenvalues, the
       quantity the Krylov route reports.
-    - Otherwise the lowest ``n_lowest`` eigenvalues from a Krylov solver
-      on the sector matrix converted to CSR, with a seeded start vector
-      (so repeated runs agree bit for bit).  Krylov can return fewer
-      copies of a degenerate eigenvalue than it has and then a higher one,
-      so its i-th value need not be the i-th eigenvalue.
+    - Otherwise the lowest ``n_lowest`` eigenvalues, without their
+      vectors, from a Krylov solver on the sector matrix converted to CSR,
+      with a seeded start vector (so repeated runs agree bit for bit).
+      Krylov can return fewer copies of a degenerate eigenvalue than it
+      has and then a higher one, so its i-th value need not be the i-th
+      eigenvalue.
 
     A sector too small for the Krylov solver (which needs
     dim > n_lowest + 1) is dense too.
@@ -134,7 +135,7 @@ def diagonalize_sector(
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     try:
-        vals, _ = eigsh(mat, k=n_lowest, which="SA", v0=v0)
+        vals = eigsh(mat, k=n_lowest, which="SA", v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         if len(exc.eigenvalues):
             vals = np.sort(exc.eigenvalues.real)

@@ -515,29 +515,46 @@ def test_seed_flag_overrides_config(tmp_path):
     assert r1["seed"] == 7 and r2["seed"] == 21
 
 
-def test_dense_scan_imports_no_scipy(tmp_path):
-    """A scan whose sectors are all dense-size (here with E_var) runs on
-    numpy alone: importing scipy.sparse and csgraph costs about 33 MB of
-    peak memory."""
+def _scipy_modules_after(*argvs) -> str:
+    """The scipy modules in ``sys.modules``, as a printed sorted list, after
+    one fresh interpreter has run each of ``argvs`` through ``main``, each
+    exiting 0."""
     import os
     import subprocess
     import sys
 
     import darkpair
 
-    code = (
-        "import sys\n"
-        "from darkpair.cli import main\n"
-        f"assert main(['scan', '--config', 'threepair_core', '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-    )
+    code = "import sys\nfrom darkpair.cli import main\n"
+    code += "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
+    code += "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     src = str(Path(darkpair.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert run.stdout.splitlines()[-1] == "[]"
+    return run.stdout.splitlines()[-1]
+
+
+def test_dense_scan_imports_no_scipy(tmp_path):
+    """A scan whose sectors are all dense-size (here with E_var) runs on
+    numpy alone: importing scipy.sparse and csgraph costs about 33 MB of
+    peak memory."""
+    argv = ["scan", "--config", "threepair_core", "--out", str(tmp_path)]
+    assert _scipy_modules_after(argv) == "[]"
     assert (tmp_path / "scan.csv").exists()
+
+
+def test_verify_and_continuum_import_no_scipy(tmp_path):
+    """The battery and the continuum's Gauss-Kronrod oracle run on numpy
+    alone: importing scipy.integrate costs about 49 MB of peak memory."""
+    config = Path(__file__).parent / "golden" / "shell10" / "config.json"
+    verify_argv = ["verify", "--config", str(config), "--out", str(tmp_path / "v")]
+    continuum_argv = ["continuum", "--kf", "1.0", "--delta", "0.1", "--sizes", "8,16",
+                      "--out", str(tmp_path / "c")]
+    assert _scipy_modules_after(verify_argv, continuum_argv) == "[]"
+    assert (tmp_path / "v" / "report.json").exists()
+    assert (tmp_path / "c" / "continuum.csv").exists()
 
 
 def test_scan_with_a_dense_cutoff_above_the_sector_solves_its_components(tmp_path):

@@ -321,7 +321,8 @@ def test_krylov_equals_complex_eigsh_bit_for_bit(threepair_table, formfactor):
     assert spec.method == "krylov"
     mat = matrix_in_sector(h, sector_basis(12, 6), 12).tocsr()
     v0 = np.random.default_rng(5).standard_normal(mat.shape[0])
-    vals, _ = eigsh(mat.astype(np.complex128), k=4, which="SA", v0=v0)
+    vals = eigsh(mat.astype(np.complex128), k=4, which="SA", v0=v0,
+                 return_eigenvectors=False)
     want = np.sort(vals).real + float(threepair_table.core_energy)
     assert spec.eigenvalues.tobytes() == want.tobytes()
 

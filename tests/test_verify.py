@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkpair.cli import write_csv
+from darkpair.cli import bundled_config_path, load_config, write_csv
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair import verify
 from darkpair.operators import ANNIHILATE, CREATE
@@ -95,6 +95,21 @@ def test_battery_randomized_weights_on_every_lattice(seed):
         symbolic = [c for c in report.checks if c.tolerance == 0.0]
         assert len(symbolic) == 5
         assert all(c.residual == 0.0 for c in symbolic)
+
+
+def test_gamma_check_does_not_depend_on_the_pair_check_lambdas():
+    """Check (3) takes check (2)'s lam = -1 commutators when -1 is among
+    the lambdas and builds its own otherwise: the same record either way,
+    on the asymmetric weights whose check (3) residual is 2."""
+    cfg = load_config(bundled_config_path("broken_formfactor"))
+    records = []
+    for lambdas in ([Fraction(-1), Fraction(0)], [Fraction(0)], [Fraction(2), Fraction(-1)]):
+        report = run_battery(cfg["table"], cfg["couplings"], lambdas,
+                             formfactor=cfg["formfactor"], seed=cfg["seed"])
+        gamma = report.checks[CHECK_IDS.index("gamma_commutator")]
+        records.append((gamma.params, gamma.residual, gamma.passed))
+    assert records[0][1] == 2.0
+    assert records[0] == records[1] == records[2]
 
 
 def test_battery_boosted_lattice_passes():
@@ -214,6 +229,40 @@ def test_quadrature_oracle_frozen_value():
     assert math.isclose(
         closed_form_energy_per_particle(1.0, 0.1), 0.6603, rel_tol=0, abs_tol=1e-13
     )
+
+
+def test_gauss_kronrod_oracle_equals_scipy_quad_bit_for_bit():
+    """The oracle's rule is QUADPACK's dqk21, whose first estimate
+    ``scipy.integrate.quad`` (dqagse) returns for these polynomial
+    integrands: every integral and every energy per particle must match
+    quad's, on the goldens' and the bundled configs' (kf, delta, c) and on
+    1,000 seeded random inputs that ``continuum`` accepts."""
+    from scipy.integrate import quad
+
+    def quad_energy_per_particle(kf, delta, c):
+        a, b = kf - delta, kf + delta
+        e = 2.0 * quad(lambda k: c * k**4, 0.0, a)[0] + quad(lambda k: c * k**4, a, b)[0]
+        n = 2.0 * quad(lambda k: k**2, 0.0, a)[0] + quad(lambda k: k**2, a, b)[0]
+        return e / n if n else 0.0
+
+    cases = [(1.0, 0.1, 1.0), (1.0, 0.02, 1.0), (1.575, 0.17, 1.0)]
+    for name in ("minimal", "twopair", "threepair_core", "boosted", "broken_formfactor"):
+        lat = load_config(bundled_config_path(name))["lattice"]
+        cases.append((lat.kf, lat.delta, lat.c))
+    rng = np.random.default_rng(20)
+    for _ in range(1000):
+        kf = 10.0 ** rng.uniform(-3.0, 2.0)
+        delta = kf * rng.uniform(1e-6, 1.0)
+        c = (1.0 if rng.random() < 0.5 else -1.0) * 10.0 ** rng.uniform(-6.0, 6.0)
+        cases.append((kf, delta, c))
+    for kf, delta, c in cases:
+        LatticeConfig(kf=kf, delta=delta, c=c).validate()
+        a, b = kf - delta, kf + delta
+        for f in (lambda k: c * k**4, lambda k: k**2):
+            for lo, hi in ((0.0, a), (a, b)):
+                assert verify._gauss_kronrod21(f, lo, hi) == quad(f, lo, hi)[0], (kf, delta, c)
+        assert (quadrature_energy_per_particle(kf, delta, c)
+                == quad_energy_per_particle(kf, delta, c)), (kf, delta, c)
 
 
 def test_counting_energy_small_grid_by_hand():
