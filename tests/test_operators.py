@@ -601,8 +601,10 @@ def test_residuals_equal_the_fraction_routes(monos, data):
     expr = normal_ordered(monos)
     if data.draw(st.booleans()):  # the number operator: some shifts are exact eigenvalues
         expr = expr + OperatorExpr({(1 << m, 1 << m): 1 for m in range(n_modes)})
-    # a numerator or a denominator past 2**53 takes the object dtype
-    wide = data.draw(st.sampled_from([1, 2**53 + 1, Fraction(1, 3**34)]))
+    # a numerator or a denominator past 2**53 takes the object dtype; the
+    # prime keeps it past 2**53 after any small coefficient is multiplied in
+    prime = 2**53 + 5
+    wide = data.draw(st.sampled_from([1, prime, Fraction(1, prime)]))
     expr = expr.scaled(wide)
     vec = StateVector(n_modes, amps)
     shift = data.draw(st.one_of(MIXED, st.integers(0, n_modes))) * wide
