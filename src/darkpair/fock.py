@@ -1,23 +1,24 @@
 """Occupation-number states over a fixed mode ordering.
 
-A Fock state is an M-bit occupation pattern packed into an integer (a
-Python int in a ``StateVector``, a ``np.uint64`` in a ``sector_basis``
-array), with mode 0 at the most significant bit.  That convention makes
-the integer order of packed states coincide with the lexicographic order
-of their printed bitstrings (mode 0 leftmost), which is the iteration
-order used for every deterministic reduction in this package.
+A Fock state is an M-bit occupation pattern packed into a ``np.uint64``
+(in a ``StateVector`` and a ``sector_basis`` array alike), with mode 0
+at the most significant bit.  That convention makes the integer order of
+packed states coincide with the lexicographic order of their printed
+bitstrings (mode 0 leftmost), which is the iteration order used for
+every deterministic reduction in this package.
 
 Operators act on these states through ``operators.apply_operator``, whose
 kernels carry the usual fermionic sign
 ``(-1)**(number of occupied modes with smaller index)``; ``mode_bit`` is
 the one statement of the bit layout they and the state builders use.
-Amplitudes are exact (int or ``Fraction``) throughout.
+A state is the exact integer record the kernels read and return.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -66,98 +67,99 @@ def sector_basis(n_modes: int, n_particles: int, cap: int = BASIS_CAP) -> np.nda
     return level[n_particles]
 
 
-class StateVector:
-    """Sparse amplitude map over packed Fock states.
+def _numerators(values: list) -> tuple[list[int], int]:
+    """Integer numerators of ``Fraction`` ``values`` over their common
+    denominator, and that denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    Amplitudes are int or ``Fraction``; zeros are dropped on insertion so
-    that "the residual vanishes" is a statement about an empty map, not
-    about small numbers.  ``operators.apply_operator`` raises ``TypeError``
-    on any other amplitude.
+
+def _square_sum(nums: np.ndarray, den: int) -> Fraction:
+    """The squared norm of the amplitudes ``nums / den``, summed on Python
+    ints as one exact ``Fraction``."""
+    return Fraction(sum(n * n for n in nums.tolist()), den * den)
+
+
+class StateVector:
+    """An exact state: the amplitude ``nums[i] / den`` at occupation
+    ``occs[i]``, zero elsewhere; the record every operator kernel reads
+    and ``apply_operator`` returns.
+
+    ``occs`` is strictly ascending ``np.uint64``, ``nums`` the nonzero
+    integer numerators (int64 while all are below 2**53 in magnitude,
+    Python ints past it) and ``den > 0`` with ``gcd(den, *nums) == 1``, so
+    equal states have equal arrays and "the residual vanishes" is a
+    statement about empty arrays, not about small numbers.  The
+    constructor takes an ``{occupation: amplitude}`` map, drops zeros, and
+    raises ``TypeError`` on an amplitude that is not an int or a
+    ``Fraction`` and ``ValueError`` on an occupation outside
+    ``0 .. 2**n_modes - 1``.
     """
 
-    __slots__ = ("n_modes", "amp")
+    __slots__ = ("n_modes", "occs", "nums", "den", "_amp")
 
-    def __init__(self, n_modes: int, amplitudes: dict[int, Fraction] | None = None):
+    def __init__(self, n_modes: int, amplitudes: dict[int, int | Fraction] | None = None):
         if n_modes > MAX_MODES:
             raise ValueError(f"n_modes {n_modes} exceeds {MAX_MODES}")
-        self.n_modes = n_modes
-        self.amp: dict[int, Fraction] = {}
-        if amplitudes:
-            for occ, a in amplitudes.items():
-                self.add_term(occ, a)
+        occs, amps = [], []
+        for occ, a in (amplitudes or {}).items():
+            if not isinstance(a, (int, Fraction)):
+                raise TypeError(f"state amplitudes are exact rationals, not {type(a).__name__}")
+            if not (isinstance(occ, int) and 0 <= occ < 1 << n_modes):
+                raise ValueError(f"occupation {occ!r} is not in 0 .. 2**{n_modes} - 1")
+            if a:
+                occs.append(occ)
+                amps.append(Fraction(a))
+        occs = np.array(occs, dtype=np.uint64)
+        order = np.argsort(occs)
+        nums, den = _numerators(amps)
+        self._set(n_modes, occs[order], np.array(nums, dtype=object)[order], den)
 
     @classmethod
-    def vacuum(cls, n_modes: int) -> "StateVector":
-        return cls(n_modes, {0: 1})
+    def _wrap(cls, n_modes: int, occs: np.ndarray, nums: np.ndarray, den: int) -> "StateVector":
+        """Unchecked constructor for the kernels' images: strictly ascending
+        ``occs`` with nonzero ``nums`` over ``den``."""
+        vec = object.__new__(cls)
+        vec._set(n_modes, occs, nums, den)
+        return vec
 
-    def copy(self) -> "StateVector":
-        out = StateVector(self.n_modes)
-        out.amp = dict(self.amp)
-        return out
+    def _set(self, n_modes: int, occs: np.ndarray, nums: np.ndarray, den: int) -> None:
+        """Store the record in lowest terms, its numerators int64 when they fit."""
+        common = math.gcd(den, *nums.tolist())
+        nums, den = nums // common, den // common
+        if nums.dtype == object and max(map(abs, nums.tolist()), default=0) < 1 << 53:
+            nums = nums.astype(np.int64)
+        self.n_modes, self.occs, self.nums, self.den, self._amp = n_modes, occs, nums, den, None
 
-    def add_term(self, occ: int, value: Fraction) -> None:
-        cur = self.amp.get(occ, 0) + value
-        if cur == 0:
-            self.amp.pop(occ, None)
-        else:
-            self.amp[occ] = cur
+    @property
+    def amp(self) -> MappingProxyType[int, Fraction]:
+        """The amplitudes as a read-only ``{occupation: Fraction}`` view,
+        built on first read; no kernel reads it."""
+        if self._amp is None:
+            self._amp = MappingProxyType({occ: Fraction(n, self.den) for occ, n in
+                                          zip(self.occs.tolist(), self.nums.tolist())})
+        return self._amp
 
     def __len__(self) -> int:
-        return len(self.amp)
+        return len(self.occs)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StateVector)
-            and self.n_modes == other.n_modes
-            and self.amp == other.amp
+            and (self.n_modes, self.den) == (other.n_modes, other.den)
+            and np.array_equal(self.occs, other.occs)
+            and np.array_equal(self.nums, other.nums)
         )
 
-    def scaled(self, factor: Fraction) -> "StateVector":
-        out = StateVector(self.n_modes)
-        if factor == 0:
-            return out
-        out.amp = {occ: a * factor for occ, a in self.amp.items()}
-        return out
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        self._check_space(other)
-        out = self.copy()
-        for occ, a in other.amp.items():
-            out.add_term(occ, a)
-        return out
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + other.scaled(-1)
-
-    def _check_space(self, other: "StateVector") -> None:
-        if self.n_modes != other.n_modes:
-            raise ValueError(
-                f"mode table mismatch: {self.n_modes} vs {other.n_modes} modes"
-            )
-
-    def inner(self, other: "StateVector") -> Fraction:
-        """<self|other>; the amplitudes are real, so nothing is conjugated."""
-        self._check_space(other)
-        if len(other.amp) < len(self.amp):
-            keys = other.amp.keys() & self.amp.keys()
-        else:
-            keys = self.amp.keys() & other.amp.keys()
-        total = 0
-        for occ in sorted(keys):
-            total += self.amp[occ] * other.amp[occ]
-        return total
-
     def norm2(self) -> Fraction:
-        total = 0
-        for occ in sorted(self.amp):
-            total += self.amp[occ] ** 2
-        return total
+        return _square_sum(self.nums, self.den)
 
     def norm(self) -> float:
         return math.sqrt(float(self.norm2()))
 
     def __repr__(self) -> str:
-        parts = [
-            f"{self.amp[occ]!r}|{occ:0{self.n_modes}b}>" for occ in sorted(self.amp)
-        ]
-        return "StateVector(" + " + ".join(parts) + ")" if parts else "StateVector(0)"
+        body = " + ".join(f"{n}|{occ:0{self.n_modes}b}>"
+                          for occ, n in zip(self.occs.tolist(), self.nums.tolist()))
+        if not body:
+            return "StateVector(0)"
+        return f"StateVector({body})" if self.den == 1 else f"StateVector(({body})/{self.den})"

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fock import MAX_MODES, StateVector, mode_bit
+from .fock import MAX_MODES, StateVector, _numerators, _square_sum, mode_bit
 from .formfactors import Weights, from_spec
 from .lattice import IVec, ModeTable
 
@@ -426,30 +426,26 @@ def _fire(block: np.ndarray, occs):
     return term, at, mid | cmask[term], (odd & np.uint64(1)).astype(bool)
 
 
-def _numerators(values: list) -> tuple[list[int], int]:
-    """Integer numerators of int/``Fraction`` ``values`` over their common
-    denominator, and that denominator; ``TypeError`` if a value is neither."""
-    if not all(isinstance(v, (int, Fraction)) for v in values):
-        raise TypeError("operator kernels take int or Fraction values only")
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _values(coeffs: list, amps: list) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(signed, amps, den)``: the integer numerators both kernels multiply.
+def _values(coeffs: list, amps: np.ndarray, aden: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(signed, amps, den)``: the integer numerators both kernels multiply,
+    for the ``Fraction`` coefficients ``coeffs`` and the amplitudes
+    ``amps / aden``.
 
     ``signed[2 * t + odd]`` is term t's coefficient with its sign, and
     products of ``signed`` and ``amps`` are over ``den``.  Both arrays are
     int64 while ``den`` and the sum of ``|coefficient| * |amplitude|``
     numerators stay below 2**53, so that every partial sum of one entry is
     an integer float64 holds exactly, Python ints (object dtype) beyond.
+    The bound is summed on Python ints: numpy's int64 sums would wrap.
+    Amplitudes already held as Python ints stay Python ints.
     """
-    (coeffs, cden), (amps, aden) = _numerators(coeffs), _numerators(amps)
+    coeffs, cden = _numerators(coeffs)
     den = cden * aden
-    wide = max(den, sum(map(abs, coeffs)) * sum(map(abs, amps))) >= 1 << 53
+    wide = amps.dtype == object or max(
+        den, sum(map(abs, coeffs)) * sum(map(abs, amps.tolist()))) >= 1 << 53
     dtype = object if wide else np.int64
     signed = np.array([s for c in coeffs for s in (c, -c)], dtype=dtype)
-    return signed, np.array(amps, dtype=dtype), den
+    return signed, amps.astype(dtype, copy=False), den
 
 
 def _image(expr: OperatorExpr, vec: StateVector,
@@ -459,21 +455,18 @@ def _image(expr: OperatorExpr, vec: StateVector,
     the one denominator they are over.
 
     The terms, with ``-shift`` as one more identity term, go through
-    ``_fire`` over all input states in a few ``_blocks``, and the
+    ``_fire`` over the record's occupations in a few ``_blocks``, and the
     contributions are grouped by the state they yield and summed as
-    integer numerators (``_values``).  Amplitudes and ``shift`` must be int
-    or ``Fraction`` (``TypeError`` otherwise).
+    integer numerators (``_values``).  ``shift`` must be int or
+    ``Fraction`` (``TypeError`` otherwise).
     """
     compiled = _compile(expr, vec.n_modes)
     if shift:
         compiled.append((0, 0, 0, 0, -_exact(shift)))
-    occs = sorted(vec.amp)
-    signed, amp, den = _values([term[-1] for term in compiled],
-                               [vec.amp[occ] for occ in occs])
-    packed = np.array(occs, dtype=np.uint64)
+    signed, amp, den = _values([term[-1] for term in compiled], vec.nums, vec.den)
     fired = []
-    for first, block in _blocks(compiled, len(occs)):
-        term, at, res, odd = _fire(block, packed)
+    for first, block in _blocks(compiled, len(vec)):
+        term, at, res, odd = _fire(block, vec.occs)
         fired.append((2 * (first + term) + odd, at, res))
     if not sum(len(at) for _, at, _ in fired):
         return np.empty(0, dtype=np.uint64), signed[:0], den
@@ -491,22 +484,19 @@ def _image(expr: OperatorExpr, vec: StateVector,
 def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     """Exact linear action; factors applied right-to-left.
 
-    The entries of ``_image``, each numerator divided once, so every
-    amplitude is a ``Fraction``.
+    The ``_image`` record itself, brought to lowest terms: no amplitude is
+    divided out.
     """
-    occs, nums, den = _image(expr, vec)
-    out = StateVector(vec.n_modes)
-    out.amp = {occ: Fraction(n, den) for occ, n in zip(occs.tolist(), nums.tolist())}
-    return out
+    return StateVector._wrap(vec.n_modes, *_image(expr, vec))
 
 
 def image_norm(expr: OperatorExpr, vec: StateVector, shift=0) -> float:
-    """``|| (expr - shift)|vec> ||``: the squared norm is summed from the
-    ``_image`` numerators as one exact ``Fraction`` and rooted as
-    ``StateVector.norm`` roots it, so the float is the same as that of the
-    image built as a ``StateVector``."""
+    """``|| (expr - shift)|vec> ||``: the exact sum of squares of the
+    ``_image`` numerators (the ``_square_sum`` that ``StateVector.norm2``
+    takes), rooted as ``StateVector.norm`` roots it, so the float is that
+    of the image built as a ``StateVector``."""
     _, nums, den = _image(expr, vec, shift)
-    return math.sqrt(float(Fraction(sum(n * n for n in nums.tolist()), den * den)))
+    return math.sqrt(float(_square_sum(nums, den)))
 
 
 def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
@@ -634,7 +624,7 @@ def matrix_in_sector(expr: OperatorExpr, basis, n_modes: int) -> SectorCOO:
         )
     compiled = _compile(expr, n_modes)
     dim = len(occs)
-    signed, _, den = _values([term[-1] for term in compiled], [1])
+    signed, _, den = _values([term[-1] for term in compiled], np.ones(1, dtype=np.int64), 1)
     rows, cols, vals = map(np.concatenate, _sector_entries(compiled, signed, occs))
     return SectorCOO(rows, cols, vals, den, dim)
 

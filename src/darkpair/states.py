@@ -54,7 +54,7 @@ def bcs_state(table: ModeTable, coeffs: PairCoefficients) -> StateVector:
     The product runs over the full shell (both hemispheres), mixing
     particle-number sectors.  Each coefficient is taken as the exact binary
     rational it holds (``Fraction(u)``), and each factor is applied with
-    ``apply_operator``, so every amplitude is a ``Fraction``.  Every shell
+    ``apply_operator``, so every amplitude is exact.  Every shell
     point needs a pair (u, v) with u^2 + v^2 = 1 to within 1e-9.
     """
     state = phi_core(table)

@@ -1,4 +1,4 @@
-"""Fermionic sign bookkeeping and sparse state vectors."""
+"""Fermionic sign bookkeeping, the state record and its dictionary oracle."""
 
 import math
 from fractions import Fraction
@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkpair.fock import BasisSizeError, StateVector, mode_bit, sector_basis
-from darkpair.operators import ANNIHILATE, CREATE, OperatorExpr, apply_operator
+from darkpair.operators import ANNIHILATE, CREATE, OperatorExpr, apply_operator, image_norm
+from state_oracle import DictState
 
 
 def factor(kind, i):
@@ -82,8 +83,8 @@ def test_anticommutation_property(n_modes, i, j, occ):
     occ &= (1 << n_modes) - 1
     s = StateVector(n_modes, {occ: 1})
     a_i, c_j = factor(ANNIHILATE, i), factor(CREATE, j)
-    anti = (apply_operator(a_i, apply_operator(c_j, s))
-            + apply_operator(c_j, apply_operator(a_i, s)))
+    anti = (DictState.of(apply_operator(a_i, apply_operator(c_j, s)))
+            + DictState.of(apply_operator(c_j, apply_operator(a_i, s))))
     assert anti.amp == ({occ: 1} if i == j else {})
 
 
@@ -131,51 +132,95 @@ def test_sector_basis_cap():
 
 
 def test_inner_product_examples():
-    vac = StateVector.vacuum(4)
+    vac = DictState.vacuum(4)
     assert vac.inner(vac) == 1
-    a = StateVector(4, {0b1001: 1, 0b0110: 1})
-    b = StateVector(4, {0b1001: 1, 0b0110: -1})
+    a = DictState(4, {0b1001: 1, 0b0110: 1})
+    b = DictState(4, {0b1001: 1, 0b0110: -1})
     assert a.inner(b) == 0
-    assert a.inner(a) == 2
+    assert a.inner(a) == 2 == a.record().norm2()
 
 
 def test_inner_product_conjugate_symmetric():
-    a = StateVector(3, {0b100: Fraction(1, 2), 0b010: -3})
-    b = StateVector(3, {0b100: Fraction(-2, 7), 0b010: Fraction(5, 3), 0b001: 4})
+    a = DictState(3, {0b100: Fraction(1, 2), 0b010: -3})
+    b = DictState(3, {0b100: Fraction(-2, 7), 0b010: Fraction(5, 3), 0b001: 4})
     assert a.inner(b) == b.inner(a) == Fraction(-1, 7) - 5
 
 
 def test_inner_product_positive_definite():
     a = StateVector(3, {0b101: Fraction(1, 3), 0b010: -2})
-    assert a.norm2() > 0
+    assert a.norm2() == DictState.of(a).norm2() == Fraction(37, 9)
     assert StateVector(3).norm2() == 0
 
 
 def test_mode_count_mismatch_raises():
     with pytest.raises(ValueError):
-        StateVector(3).inner(StateVector(4))
+        DictState(3).inner(DictState(4))
+    with pytest.raises(ValueError, match="exceeds 64"):
+        StateVector(65)
 
 
 def test_exact_zero_amplitudes_are_dropped():
-    v = StateVector(4)
+    v = DictState(4)
     v.add_term(0b1001, Fraction(1))
     v.add_term(0b1001, Fraction(-1))
     assert len(v) == 0
-    assert v == StateVector(4)
+    assert v.record() == StateVector(4) == StateVector(4, {0b1001: 0, 0b0110: Fraction(0)})
+    assert StateVector(4).den == 1 and StateVector(4).nums.dtype == np.int64
     # tiny amplitudes are not zeros: they stay stored
-    assert len(StateVector(4, {0b1000: 1e-16, 0b0001: 1.0})) == 2
+    tiny = StateVector(4, {0b1000: Fraction(1, 10**16), 0b0001: 1})
+    assert len(tiny) == 2 and tiny.amp == {0b1000: Fraction(1, 10**16), 0b0001: 1}
 
 
 def test_norm_independent_of_insertion_order():
-    terms = [(0b1100, 0.1), (0b0011, 0.7), (0b1001, -0.3)]
-    v1 = StateVector(4)
-    v2 = StateVector(4)
-    for occ, a in terms:
-        v1.add_term(occ, a)
-    for occ, a in reversed(terms):
-        v2.add_term(occ, a)
-    assert v1.norm2() == v2.norm2()
+    terms = [(0b1100, Fraction(1, 10)), (0b0011, Fraction(7, 10)), (0b1001, Fraction(-3, 10))]
+    v1 = StateVector(4, dict(terms))
+    v2 = StateVector(4, dict(reversed(terms)))
+    assert v1.norm2() == v2.norm2() == Fraction(59, 100)
     assert v1 == v2
+    assert v1.occs.tolist() == [0b0011, 0b1001, 0b1100] and v1.nums.tolist() == [7, -3, 1]
+    assert v1.den == 10
+
+
+def test_record_is_in_lowest_terms():
+    # gcd(den, *nums) == 1: den is the least common denominator, so equal
+    # states have equal arrays however their amplitudes were written
+    v = StateVector(4, {0b0001: Fraction(2, 4), 0b0010: Fraction(3, 6), 0b0100: 1})
+    assert (v.nums.tolist(), v.den) == ([1, 1, 2], 2)
+    assert v == StateVector(4, {0b0100: 1, 0b0010: Fraction(1, 2), 0b0001: Fraction(1, 2)})
+    assert v != StateVector(5, v.amp) and v != StateVector(4, {0b0100: 1})
+    # an image whose numerators share a factor with the denominator is reduced
+    half = OperatorExpr.from_monomial(Fraction(1, 2), [(CREATE, 0), (ANNIHILATE, 3)])
+    image = apply_operator(half, StateVector(4, {0b0001: 2}))
+    assert (image.occs.tolist(), image.nums.tolist(), image.den) == ([0b1000], [1], 1)
+    assert image == StateVector(4, {0b1000: 1})
+    # numerators past 2**53 are Python ints, below it int64
+    wide = StateVector(2, {0b01: 2**53, 0b10: Fraction(1, 3)})
+    assert wide.nums.dtype == object and wide.nums.tolist() == [3 * 2**53, 1]
+    assert wide.amp[0b01] == 2**53 and type(wide.amp[0b01]) is Fraction
+
+
+def test_amp_is_a_read_only_view():
+    v = StateVector(4, {0b1001: 1, 0b0110: Fraction(-1, 3)})
+    assert v.amp == {0b1001: 1, 0b0110: Fraction(-1, 3)}
+    assert v.amp is v.amp  # built once
+    with pytest.raises(TypeError):
+        v.amp[0b1111] = 1
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, 0.0, 1 + 0j, "1", None])
+def test_inexact_amplitudes_are_rejected_at_once(value):
+    # a float amplitude used to pass the constructor, and norm() read it
+    with pytest.raises(TypeError, match="exact rationals"):
+        StateVector(4, {0b1000: value})
+
+
+@pytest.mark.parametrize("occ", [-1, 0b10000, 1 << 64, 0.0, "1"])
+def test_occupations_outside_the_modes_are_rejected(occ):
+    # 0b10000 on 4 modes used to stay as a phantom state no mode touches,
+    # and -1 failed inside numpy with OverflowError
+    with pytest.raises(ValueError, match="not in 0 .. 2\\*\\*4 - 1"):
+        StateVector(4, {occ: 1, 0b1000: 1})
+    assert image_norm(OperatorExpr({(1, 1): 1}), StateVector(4, {0b1000: 1}), 1) == 0.0
 
 
 def test_bitstring_conventions():

@@ -32,6 +32,7 @@ from darkpair.operators import (
     build_w,
     commutator,
     eigen_residual,
+    image_norm,
     matrix_in_sector,
     pair_commutator_rhs,
 )
@@ -40,6 +41,13 @@ from darkpair.verify import relative_dark_residual
 from normal_order import factors, key, normal_ordered
 from pair_closed_form import pair_commutator_monomials
 from scalar_signs import apply_raw_factors
+from state_oracle import (
+    DictState,
+    apply_compiled,
+    apply_dict,
+    dark_residual_dict,
+    eigen_residual_dict,
+)
 
 
 def C(m):
@@ -210,9 +218,9 @@ def test_compose_action_matches_sequential_application(a, b, occ):
 def test_commutator_action_matches_state_level(a, b, occ):
     v = StateVector(4, {occ: 1})
     lhs = apply_operator(commutator(a, b), v)
-    rhs = apply_operator(a, apply_operator(b, v)) - apply_operator(
-        b, apply_operator(a, v))
-    assert lhs == rhs
+    rhs = (DictState.of(apply_operator(a, apply_operator(b, v)))
+           - DictState.of(apply_operator(b, apply_operator(a, v))))
+    assert lhs == rhs.record()
 
 
 @settings(max_examples=100, deadline=None)
@@ -220,8 +228,9 @@ def test_commutator_action_matches_state_level(a, b, occ):
 def test_apply_operator_is_linear(a, occ1, occ2):
     v1 = StateVector(4, {occ1: Fraction(2, 3)})
     v2 = StateVector(4, {occ2: Fraction(-1, 2)})
-    combined = apply_operator(a, v1 + v2)
-    assert combined == apply_operator(a, v1) + apply_operator(a, v2)
+    combined = apply_operator(a, (DictState.of(v1) + DictState.of(v2)).record())
+    assert DictState.of(combined) == (DictState.of(apply_operator(a, v1))
+                                      + DictState.of(apply_operator(a, v2)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,34 +513,15 @@ def test_apply_operator_equals_raw_factor_sum(monos, data):
     assert got == {k: v for k, v in expected.items() if v != 0}
 
 
-def _apply_compiled(compiled: list[tuple], occ: int, amp, acc: dict) -> None:
-    """Accumulate ``amp * terms|occ>`` into ``acc`` (exact zeros are kept).
-
-    Annihilators act first, right to left: a term fires when its
-    annihilated modes are occupied and its created modes are empty after
-    the annihilation.
-    """
-    for cmask, amask, cpar, apar, coeff in compiled:
-        if occ & amask == amask:
-            mid = occ ^ amask
-            if not mid & cmask:
-                res = mid | cmask
-                sign = -1 if ((occ & apar) ^ (mid & cpar)).bit_count() & 1 else 1
-                acc[res] = acc.get(res, 0) + coeff * amp * sign
-
-
 def bits(amp):
     """Amplitudes by type and ``repr``."""
     return {occ: (type(a), repr(a)) for occ, a in amp.items()}
 
 
 def apply_reference(expr, vec):
-    """``apply_operator`` one state and one term at a time."""
-    compiled = _compile(expr, vec.n_modes)
-    acc = {}
-    for occ, amp in sorted(vec.amp.items()):
-        _apply_compiled(compiled, occ, amp, acc)
-    return {occ: a for occ, a in acc.items() if a != 0}
+    """``apply_operator`` one state and one term at a time, on the
+    dictionary oracle."""
+    return apply_dict(expr, DictState.of(vec)).amp
 
 
 @settings(max_examples=200, deadline=None)
@@ -563,7 +553,7 @@ def test_apply_operator_routes_numerators_at_2_53(coeff, amp, dtype):
     expr = OperatorExpr.from_monomials([(coeff, (C(0), A(0))), (-coeff, (C(0), A(1)))])
     vec = StateVector(2, {0b10: amp, 0b01: amp})
     compiled = _compile(expr, 2)
-    signed, amps, den = _values([t[-1] for t in compiled], list(vec.amp.values()))
+    signed, amps, den = _values([t[-1] for t in compiled], vec.nums, vec.den)
     assert signed.dtype == amps.dtype == np.dtype(dtype)
     assert bits(apply_operator(expr, vec).amp) == bits(apply_reference(expr, vec))
     assert apply_operator(expr, vec).amp == {}  # the hop cancels the number term
@@ -571,20 +561,29 @@ def test_apply_operator_routes_numerators_at_2_53(coeff, amp, dtype):
     assert apply_operator(expr, half).amp == {0b10: coeff * amp}
 
 
-def fraction_eigen_residual(op, state, eigenvalue) -> float:
-    """The eigen residual with the image, the shifted state and their
-    difference built as ``StateVector``s of ``Fraction``s."""
-    diff = apply_operator(op, state) - state.scaled(eigenvalue)
-    return diff.norm() / state.norm() if diff.amp else 0.0
-
-
-def fraction_dark_residual(w, state) -> float:
-    """The relative dark residual from the image built as a ``StateVector``."""
-    image = apply_operator(w, state)
-    if not image.amp:
-        return 0.0
-    denom = float(w.one_norm()) * state.norm()
-    return image.norm() / denom if denom else float(image.norm())
+def test_width_bound_is_summed_on_python_ints():
+    # 2,048 numerators of 2**53 - 1 are int64 in the record, but their sum
+    # of magnitudes passes 2**63, where numpy's int64 sum would wrap to a
+    # negative bound and pick int64 products that overflow
+    n_modes = 11
+    big = StateVector(n_modes, dict.fromkeys(range(1 << n_modes), 2**53 - 1))
+    assert big.nums.dtype == np.int64 and len(big) * (2**53 - 1) >= 2**63
+    assert int(np.abs(big.nums).sum()) < 0  # the wrapped sum
+    number = OperatorExpr({(1 << m, 1 << m): 1 for m in range(n_modes)})
+    # and small amplitudes whose bound with the coefficients passes 2**53
+    hop = OperatorExpr.from_monomials([(2**30, (C(0), A(1))), (2**30, (C(1), A(0)))])
+    small = StateVector(2, {0b01: 2**22, 0b10: -3})
+    for expr, vec in ((number, big), (hop, small)):
+        assert vec.nums.dtype == np.int64
+        signed, amps, _ = _values([t[-1] for t in _compile(expr, vec.n_modes)],
+                                  vec.nums, vec.den)
+        assert signed.dtype == amps.dtype == object
+        image = apply_operator(expr, vec)
+        assert bits(image.amp) == bits(apply_reference(expr, vec))
+        assert image == apply_dict(expr, DictState.of(vec)).record()
+        assert image_norm(expr, vec).hex() == apply_dict(expr, DictState.of(vec)).norm().hex()
+    # numerators past int64 meet no coefficient: the zero operator gives zero
+    assert len(apply_operator(OperatorExpr(), StateVector(1, {1: 2**70}))) == 0
 
 
 MIXED = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -593,8 +592,8 @@ MIXED = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 @settings(max_examples=150, deadline=None)
 @given(monos=cancelling_monomials(), data=st.data())
 def test_residuals_equal_the_fraction_routes(monos, data):
-    # the norms summed from the kernel's numerators against the StateVector
-    # route, bit for bit, int64 and object dtype alike
+    # the image, and the norms summed from the kernel's numerators, against
+    # the dictionary oracle, bit for bit, int64 and object dtype alike
     n_modes = 5
     amps = data.draw(st.dictionaries(st.integers(0, (1 << n_modes) - 1), MIXED,
                                      min_size=1, max_size=12))
@@ -604,16 +603,25 @@ def test_residuals_equal_the_fraction_routes(monos, data):
     # a numerator or a denominator past 2**53 takes the object dtype; the
     # prime keeps it past 2**53 after any small coefficient is multiplied in
     prime = 2**53 + 5
-    wide = data.draw(st.sampled_from([1, prime, Fraction(1, prime)]))
+    wide, amp_wide = (data.draw(st.sampled_from([1, prime, Fraction(1, prime)]))
+                      for _ in range(2))
     expr = expr.scaled(wide)
-    vec = StateVector(n_modes, amps)
+    vec = StateVector(n_modes, {occ: a * amp_wide for occ, a in amps.items()})
+    # the record holds numerators past 2**53 as Python ints
+    assert vec.nums.dtype == (object if amp_wide == prime and len(vec) else np.int64)
     shift = data.draw(st.one_of(MIXED, st.integers(0, n_modes))) * wide
-    if vec.amp and (expr.terms or shift):
-        signed = _values([*expr.terms.values(), shift], list(vec.amp.values()))[0]
-        assert signed.dtype == (np.int64 if wide == 1 else object)
-    for got, want in ((eigen_residual(expr, vec, shift),
-                       fraction_eigen_residual(expr, vec, shift)),
-                      (relative_dark_residual(expr, vec), fraction_dark_residual(expr, vec))):
+    if len(vec) and (expr.terms or shift):
+        signed = _values([*expr.terms.values(), Fraction(shift)], vec.nums, vec.den)[0]
+        assert signed.dtype == (np.int64 if wide == amp_wide == 1 else object)
+    oracle = DictState.of(vec)
+    image = apply_operator(expr, vec)
+    assert bits(image.amp) == bits(apply_dict(expr, oracle).amp)
+    assert image == apply_dict(expr, oracle).record()
+    shifted = apply_dict(expr, oracle) - oracle.scaled(shift)
+    for got, want in ((image_norm(expr, vec, shift), shifted.norm()),
+                      (eigen_residual(expr, vec, shift),
+                       eigen_residual_dict(expr, oracle, shift)),
+                      (relative_dark_residual(expr, vec), dark_residual_dict(expr, oracle))):
         assert type(got) is float and got.hex() == want.hex()
 
 
@@ -831,7 +839,7 @@ def test_gamma_commutator_ends_in_annihilators(minimal_table):
 def test_apply_w_examples(minimal_table):
     t = minimal_table
     w = build_w(t, 1)
-    assert len(apply_operator(w, StateVector.vacuum(4))) == 0
+    assert len(apply_operator(w, StateVector(4, {0: 1}))) == 0
     dark = StateVector(4, {0b1001: 1, 0b0110: 1})
     assert len(apply_operator(w, dark)) == 0
     bright = StateVector(4, {0b1001: 1, 0b0110: -1})
@@ -901,7 +909,7 @@ def test_matrix_rejects_number_breaking_operator():
 # ---------------------------------------------------------------------------
 
 def column_reference(expr, basis, n_modes):
-    """Sector matrix built one column at a time with ``_apply_compiled``,
+    """Sector matrix built one column at a time with ``apply_compiled``,
     dense and as CSR: each entry an exact sum in term order, rounded once
     by ``float``."""
     from scipy.sparse import csr_matrix
@@ -912,7 +920,7 @@ def column_reference(expr, basis, n_modes):
     rows, cols, data = [], [], []
     for col, occ in enumerate(basis):
         acc = {}
-        _apply_compiled(compiled, occ, 1, acc)
+        apply_compiled(compiled, occ, 1, acc)
         for res in sorted(acc):
             if res in index:
                 rows.append(index[res])
@@ -997,7 +1005,7 @@ def sector_problems(draw):
 def sector_values(expr, n_modes):
     """The numerators ``matrix_in_sector`` sums: ``_values`` with a unit
     amplitude."""
-    return _values([t[-1] for t in _compile(expr, n_modes)], [1])
+    return _values([t[-1] for t in _compile(expr, n_modes)], np.ones(1, dtype=np.int64), 1)
 
 
 @settings(max_examples=150, deadline=None)

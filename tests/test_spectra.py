@@ -30,6 +30,7 @@ from darkpair.spectra import (
     spectrum_rows,
 )
 from darkpair.states import bcs_state, nc_energy, nc_state
+from state_oracle import DictState, eigen_residual_dict
 
 
 def test_free_spectrum_is_degenerate_diagonal(minimal_table):
@@ -393,7 +394,8 @@ def test_rayleigh_quotient_equals_exact_expectation(name):
     for g in cfg["couplings"]:
         h = build_hamiltonian(table, g, cfg["formfactor"], cfg["seed"])
         for state in (nc_state(table), filled, mixed):
-            want = float(state.inner(apply_operator(h, state)) / state.norm2())
+            psi = DictState.of(state)
+            want = float(psi.inner(DictState.of(apply_operator(h, state))) / state.norm2())
             assert rayleigh_quotient(h, state) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -620,6 +622,8 @@ def test_scan_rows_equal_the_from_scratch_route_bit_for_bit(name, monkeypatch):
         assert row["E_ground"].hex() == spec.ground_energy.hex(), g
         residual = eigen_residual(h, state, e_nc - table.core_energy)
         assert row["residual_NC"].hex() == residual.hex(), g
+        oracle = eigen_residual_dict(h, DictState.of(state), e_nc - table.core_energy)
+        assert residual.hex() == oracle.hex(), g
         e_var, _ = bcs_variational_energy(
             table, pair_energy_form(table, g, weights), seed)
         assert row["E_var"].hex() == e_var.hex(), g

@@ -2,20 +2,47 @@
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-from darkpair.operators import OperatorExpr
+import pytest
+
+from darkpair import formfactors
+from darkpair.operators import OperatorExpr, apply_operator, build_h0, build_w
+from darkpair.states import nc_state
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_name_resolves():
+@pytest.fixture(scope="module")
+def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(tracing):
     assert tracing.TARGETS
     for module, attr, _ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (
             f"{module}.{attr}"
         )
     assert callable(OperatorExpr.compose)
+
+
+def test_apply_counters_read_the_state_amplitudes(tracing, threepair_table):
+    # the traced benchmark passes count apply_operator's input and output
+    # states through ``len(vec.amp)``, on the paired state as built
+    state = nc_state(threepair_table)
+    weights, _ = formfactors.from_spec(threepair_table, "asymmetric:3")
+    counts = Counter()
+    for expr in (build_h0(threepair_table), build_w(threepair_table, -1, weights)):
+        image = apply_operator(expr, state)
+        tracing._count(counts, "apply_operator", (expr, state), image)
+        assert len(image) and len(image.amp) == len(image)
+    assert counts["apply_calls"] == 2
+    assert counts["apply_term_visits"] == len(state) * (
+        len(build_h0(threepair_table)) + len(build_w(threepair_table, -1, weights)))
+    assert counts["apply_out"] == len(state) + len(
+        apply_operator(build_w(threepair_table, -1, weights), state))
