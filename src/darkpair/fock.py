@@ -68,8 +68,8 @@ def sector_basis(n_modes: int, n_particles: int, cap: int = BASIS_CAP) -> np.nda
 
 
 def _numerators(values: list) -> tuple[list[int], int]:
-    """Integer numerators of ``Fraction`` ``values`` over their common
-    denominator, and that denominator."""
+    """Integer numerators of int or ``Fraction`` ``values`` over their
+    common denominator, and that denominator."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -109,7 +109,7 @@ class StateVector:
                 raise ValueError(f"occupation {occ!r} is not in 0 .. 2**{n_modes} - 1")
             if a:
                 occs.append(occ)
-                amps.append(Fraction(a))
+                amps.append(a)
         occs = np.array(occs, dtype=np.uint64)
         order = np.argsort(occs)
         nums, den = _numerators(amps)

@@ -578,10 +578,9 @@ def test_width_bound_is_summed_on_python_ints():
         signed, amps, _ = _values([t[-1] for t in _compile(expr, vec.n_modes)],
                                   vec.nums, vec.den)
         assert signed.dtype == amps.dtype == object
-        image = apply_operator(expr, vec)
-        assert bits(image.amp) == bits(apply_reference(expr, vec))
-        assert image == apply_dict(expr, DictState.of(vec)).record()
-        assert image_norm(expr, vec).hex() == apply_dict(expr, DictState.of(vec)).norm().hex()
+        image, want = apply_operator(expr, vec), apply_dict(expr, DictState.of(vec))
+        assert bits(image.amp) == bits(want.amp) and image == want.record()
+        assert image_norm(expr, vec).hex() == want.norm().hex()
     # numerators past int64 meet no coefficient: the zero operator gives zero
     assert len(apply_operator(OperatorExpr(), StateVector(1, {1: 2**70}))) == 0
 
@@ -614,11 +613,9 @@ def test_residuals_equal_the_fraction_routes(monos, data):
         signed = _values([*expr.terms.values(), Fraction(shift)], vec.nums, vec.den)[0]
         assert signed.dtype == (np.int64 if wide == amp_wide == 1 else object)
     oracle = DictState.of(vec)
-    image = apply_operator(expr, vec)
-    assert bits(image.amp) == bits(apply_dict(expr, oracle).amp)
-    assert image == apply_dict(expr, oracle).record()
-    shifted = apply_dict(expr, oracle) - oracle.scaled(shift)
-    for got, want in ((image_norm(expr, vec, shift), shifted.norm()),
+    image, image_dict = apply_operator(expr, vec), apply_dict(expr, oracle)
+    assert bits(image.amp) == bits(image_dict.amp) and image == image_dict.record()
+    for got, want in ((image_norm(expr, vec, shift), (image_dict - oracle.scaled(shift)).norm()),
                       (eigen_residual(expr, vec, shift),
                        eigen_residual_dict(expr, oracle, shift)),
                       (relative_dark_residual(expr, vec), dark_residual_dict(expr, oracle))):
