@@ -17,6 +17,7 @@ A state is the exact integer record the kernels read and return.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -92,7 +93,8 @@ class StateVector:
     statement about empty arrays, not about small numbers.  The
     constructor takes an ``{occupation: amplitude}`` map, drops zeros, and
     raises ``TypeError`` on an amplitude that is not an int or a
-    ``Fraction`` and ``ValueError`` on an occupation outside
+    ``Fraction`` or an occupation that is not an integer (Python or
+    numpy), and ``ValueError`` on an occupation outside
     ``0 .. 2**n_modes - 1``.
     """
 
@@ -105,7 +107,8 @@ class StateVector:
         for occ, a in (amplitudes or {}).items():
             if not isinstance(a, (int, Fraction)):
                 raise TypeError(f"state amplitudes are exact rationals, not {type(a).__name__}")
-            if not (isinstance(occ, int) and 0 <= occ < 1 << n_modes):
+            occ = operator.index(occ)
+            if not 0 <= occ < 1 << n_modes:
                 raise ValueError(f"occupation {occ!r} is not in 0 .. 2**{n_modes} - 1")
             if a:
                 occs.append(occ)

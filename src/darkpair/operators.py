@@ -377,14 +377,17 @@ def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
     kernel sums exact integers, so no order changes a result.
     """
     full = 1 << n_modes
+    words: dict[int, tuple[int, int]] = {}  # terms share their blocks' masks
 
     def word(mask: int) -> tuple[int, int]:
-        bits = par = 0
-        for mode in _modes(mask):
-            bit = mode_bit(n_modes, mode)
-            bits |= bit
-            par ^= full - (bit << 1)  # the bits above ``bit``
-        return bits, par
+        if mask not in words:
+            bits = par = 0
+            for mode in _modes(mask):
+                bit = mode_bit(n_modes, mode)
+                bits |= bit
+                par ^= full - (bit << 1)  # the bits above ``bit``
+            words[mask] = bits, par
+        return words[mask]
 
     compiled = []
     for (cm, am), coeff in expr.terms.items():

@@ -16,14 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from . import formfactors
-from .fock import BASIS_CAP, StateVector, _square_sum, sector_basis
+from .fock import BASIS_CAP, StateVector, sector_basis
 from .lattice import ModeTable
 from .operators import (
     OperatorExpr,
     SectorCOO,
-    _image,
     build_h0,
     build_w,
+    eigen_residual,
     matrix_in_sector,
 )
 from .states import nc_energy, nc_state, phi_core_energy
@@ -338,16 +338,14 @@ def scan_g(
     and solve is built once per scan: the weight matrix, ``H0`` and
     ``W1``, the paired state ``|NC>`` and its energy, the sector basis (an
     over-cap sector raises ``BasisSizeError`` here, before any solve), the
-    sector matrices of ``H0`` and ``W1`` on it, ``|a|^2``, ``<a|b>`` and
-    ``|b|^2`` for the exact residual halves ``a = (H0 - E)|NC>`` and
-    ``b = W1|NC>``, each operator's sum of |coefficients| (which bounds
-    every partial sum of an entry), the connected components of
-    ``H(g)``'s entries (the same for every ``g`` but 0).  Each coupling
-    then forms the matrix of ``H0 + g W1`` (``_matrix_at``), solves it
-    with ``diagonalize_sector`` for the ground energy alone (the least
-    eigenvalue of its components, see there), sums the residual's squared
-    norm ``|a|^2 + 2 g <a|b> + g^2 |b|^2`` exactly, the ``Fraction`` that
-    ``image_norm`` roots, and with ``E_var`` minimizes
+    sector matrices of ``H0`` and ``W1`` on it, each operator's sum of
+    |coefficients| (which bounds every partial sum of an entry), the
+    connected components of ``H(g)``'s entries (the same for every ``g``
+    but 0).  Each coupling then forms the matrix of ``H0 + g W1``
+    (``_matrix_at``), solves it with ``diagonalize_sector`` for the ground
+    energy alone (the least eigenvalue of its components, see there),
+    takes ``residual_NC`` from ``eigen_residual`` of ``H0 + g W1`` on the
+    state record ``|NC>``, and with ``E_var`` minimizes
     ``pair_energy_form`` at ``g`` on the same weight matrix, so every row
     equals the from-scratch route bit for bit.
     """
@@ -359,18 +357,12 @@ def scan_g(
     basis = sector_basis(table.n_modes, sector, basis_cap)
     h0_coo = matrix_in_sector(h0, basis, table.n_modes)
     w1_coo = matrix_in_sector(w1, basis, table.n_modes)
-    a_occs, a, a_den = _image(h0, state, e_nc - table.core_energy)
-    b_occs, b, b_den = _image(w1, state)
-    _, i, j = np.intersect1d(a_occs, b_occs, assume_unique=True, return_indices=True)
-    aa, bb = _square_sum(a, a_den), _square_sum(b, b_den)
-    ab = Fraction(sum(x * y for x, y in zip(a[i].tolist(), b[j].tolist())), a_den * b_den)
     sums = (h0.one_norm(), w1.one_norm())
     labels = _components(np.concatenate((h0_coo.rows, w1_coo.rows)),
                          np.concatenate((h0_coo.cols, w1_coo.cols)), len(basis))
     rows = []
     # sorted by float value, then exact: equal floats keep their input order
     for g in map(Fraction, sorted(g_values, key=float)):
-        square = aa + 2 * g * ab + g * g * bb  # |(H(g) - E)|NC>|^2, exactly
         spec = diagonalize_sector(
             _matrix_at(h0_coo, w1_coo, sums, g), table, sector, n_lowest=1,
             dense_cutoff=dense_cutoff, seed=seed, labels=None if g == 0 else labels,
@@ -384,7 +376,7 @@ def scan_g(
             "E_var": (bcs_variational_energy(
                 table, pair_energy_form(table, g, weights), seed)[0]
                 if with_variational else math.nan),
-            "residual_NC": math.sqrt(float(square)) / state.norm() if square else 0.0,
+            "residual_NC": eigen_residual(h0 + w1.scaled(g), state, e_nc - table.core_energy),
         })
     return rows
 

@@ -214,12 +214,26 @@ def test_inexact_amplitudes_are_rejected_at_once(value):
         StateVector(4, {0b1000: value})
 
 
-@pytest.mark.parametrize("occ", [-1, 0b10000, 1 << 64, 0.0, "1"])
+@pytest.mark.parametrize("occ", [-1, 0b10000, 1 << 64, np.int64(-1), np.uint64(0b10000)])
 def test_occupations_outside_the_modes_are_rejected(occ):
     # 0b10000 on 4 modes would be a phantom state that no mode touches, and
     # -1 does not fit the uint64 record
     with pytest.raises(ValueError, match="not in 0 .. 2\\*\\*4 - 1"):
         StateVector(4, {occ: 1, 0b1000: 1})
+
+
+@pytest.mark.parametrize("occ", [0.0, 1.0, "1", None])
+def test_non_integer_occupations_are_rejected(occ):
+    with pytest.raises(TypeError):
+        StateVector(4, {occ: 1})
+
+
+def test_numpy_integer_occupations_are_taken():
+    # an element of a sector_basis array is an occupation like any int
+    basis = sector_basis(4, 2)
+    v = StateVector(4, {basis[0]: 1, np.int64(0b1100): Fraction(1, 2)})
+    assert v == StateVector(4, {int(basis[0]): 1, 0b1100: Fraction(1, 2)})
+    assert v.occs.dtype == np.uint64
 
 
 def test_bitstring_conventions():
