@@ -194,9 +194,15 @@ def _resolve_config_arg(value: str) -> Path:
     raise ConfigError(f"config file not found: {value}")
 
 
-def _outdir(args, cfg) -> Path:
-    out = Path(args.out) if args.out else Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+def _outdir(path: str) -> Path:
+    """The output directory ``path``, made with its parents if missing,
+    once a command's work has succeeded; a path that is a file or lies
+    under one is a config error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -210,7 +216,7 @@ def cmd_verify(args) -> int:
         formfactor=cfg["formfactor"],
         seed=seed,
     )
-    out = _outdir(args, cfg)
+    out = _outdir(args.out or cfg["output_dir"])
     (out / "report.json").write_text(report.to_json())
     (out / "report.txt").write_text(report.to_text())
     sys.stdout.write(report.to_text())
@@ -234,7 +240,7 @@ def cmd_spectrum(args) -> int:
         dense_cutoff=cfg["dense_cutoff"],
         basis_cap=cfg["basis_cap"],
     )
-    out = _outdir(args, cfg)
+    out = _outdir(args.out or cfg["output_dir"])
     (out / "spectrum.csv").write_text(write_csv(SPECTRUM_FIELDS, rows))
     sys.stdout.write(f"wrote {len(rows)} eigenvalues to {out / 'spectrum.csv'}\n")
     return EXIT_OK
@@ -258,7 +264,7 @@ def cmd_scan(args) -> int:
         dense_cutoff=cfg["dense_cutoff"],
         basis_cap=cfg["basis_cap"],
     )
-    out = _outdir(args, cfg)
+    out = _outdir(args.out or cfg["output_dir"])
     (out / "scan.csv").write_text(write_csv(SCAN_FIELDS, rows))
     sys.stdout.write(f"wrote {len(rows)} rows to {out / 'scan.csv'}\n")
     return EXIT_OK
@@ -270,8 +276,7 @@ def cmd_continuum(args) -> int:
     if min(sizes) <= 0:
         raise ConfigError(f"sizes must be positive, got {args.sizes!r}")
     rows = continuum_energy_check(args.kf, args.delta, sizes, c=args.c)
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(args.out or "out")
     (out / "continuum.csv").write_text(write_csv(CONTINUUM_FIELDS, rows))
     sys.stdout.write(f"wrote {len(rows)} rows to {out / 'continuum.csv'}\n")
     return EXIT_OK

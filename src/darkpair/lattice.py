@@ -27,6 +27,8 @@ import numpy as np
 from .fock import MAX_MODES
 
 TAU = 2.0 * math.pi
+TOO_MANY_MODES = (f"more than {MAX_MODES} modes, the width of the occupation word; "
+                  "shrink the shell or freeze the core")
 
 SPIN_UP = 0
 SPIN_DOWN = 1
@@ -330,10 +332,7 @@ def _capped(points: Iterable[IVec], limit: int) -> list[IVec]:
     for n in points:
         out.append(n)
         if len(out) > limit:
-            raise LatticeError(
-                f"more than {MAX_MODES} modes, the width of the occupation "
-                "word; shrink the shell or freeze the core"
-            )
+            raise LatticeError(TOO_MANY_MODES)
     return out
 
 
@@ -403,13 +402,6 @@ def build_mode_table(config: LatticeConfig) -> ModeTable:
         core_energy=2 * config.energy_sum(count, moment + count * norm2(K)),
         core_momentum=(2 * count * K[0], 2 * count * K[1], 2 * count * K[2]),
     )
-
-
-def unfrozen_twin(table: ModeTable) -> ModeTable:
-    """Same lattice with the core thawed back into explicit modes."""
-    if not table.config.frozen_core:
-        return table
-    return build_mode_table(replace(table.config, frozen_core=False))
 
 
 def boosted_twin(table: ModeTable, K: IVec) -> ModeTable:

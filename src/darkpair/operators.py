@@ -168,6 +168,13 @@ class OperatorExpr:
             return OperatorExpr()
         return OperatorExpr._wrap({t: c * factor for t, c in self.terms.items()})
 
+    def shifted(self, places: int) -> "OperatorExpr":
+        """The same operator with every mode m moved to m + ``places``: both
+        masks of each term shifted, which keeps each block's order and so
+        every coefficient."""
+        return OperatorExpr._wrap({(cm << places, am << places): c
+                                   for (cm, am), c in self.terms.items()})
+
     def compose(self, other: "OperatorExpr", cap: int = DEGREE_CAP) -> "OperatorExpr":
         """Operator product, normal-ordered by Wick's theorem (``_products``)."""
         return _products(self, other, cap, commute=False)

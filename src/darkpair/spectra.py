@@ -69,17 +69,14 @@ def diagonalize_sector(
     dense_cutoff: int = DENSE_CUTOFF,
     basis_cap: int = BASIS_CAP,
     seed: int = 0,
-    labels: np.ndarray | None = None,
 ) -> SectorSpectrum:
     """Eigenvalues of the Hamiltonian restricted to one number sector.
 
     ``hamiltonian`` is an ``OperatorExpr``, assembled here on
     ``sector_basis`` (``spectrum``), or its matrix on that basis, a
     ``SectorCOO`` assembled by the caller (``scan``, which forms each
-    coupling's matrix from entries it assembled once, and passes the
-    ``_components`` labels of their positions as ``labels``, since every
-    coupling but 0 has the same ones); either way the route below is
-    chosen here alone.
+    coupling's matrix from entries it assembled once); either way the
+    route below is chosen here alone.
 
     The pairing term moves only time-reversed pairs, so the sector matrix
     splits into many small connected components (``_components``), which
@@ -114,8 +111,7 @@ def diagonalize_sector(
     dim = coo.dim
     dense = dim <= max(dense_cutoff, n_lowest + 1)
     if dense or n_lowest == 1:
-        if labels is None:
-            labels = _components(coo.rows, coo.cols, dim)
+        labels = _components(coo.rows, coo.cols, dim)
         if dense:
             vals = np.concatenate([np.linalg.eigvalsh(stack).ravel()
                                    for stack in _component_stacks(coo, labels)])
@@ -338,12 +334,11 @@ def scan_g(
     and solve is built once per scan: the weight matrix, ``H0`` and
     ``W1``, the paired state ``|NC>`` and its energy, the sector basis (an
     over-cap sector raises ``BasisSizeError`` here, before any solve), the
-    sector matrices of ``H0`` and ``W1`` on it, each operator's sum of
-    |coefficients| (which bounds every partial sum of an entry), the
-    connected components of ``H(g)``'s entries (the same for every ``g``
-    but 0).  Each coupling then forms the matrix of ``H0 + g W1``
-    (``_matrix_at``), solves it with ``diagonalize_sector`` for the ground
-    energy alone (the least eigenvalue of its components, see there),
+    sector matrices of ``H0`` and ``W1`` on it and each operator's sum of
+    |coefficients| (which bounds every partial sum of an entry).  Each
+    coupling then forms the matrix of ``H0 + g W1`` (``_matrix_at``),
+    solves it with ``diagonalize_sector`` for the ground energy alone
+    (the least eigenvalue of its connected components, see there),
     takes ``residual_NC`` from ``eigen_residual`` of ``H0 + g W1`` on the
     state record ``|NC>``, and with ``E_var`` minimizes
     ``pair_energy_form`` at ``g`` on the same weight matrix, so every row
@@ -358,15 +353,12 @@ def scan_g(
     h0_coo = matrix_in_sector(h0, basis, table.n_modes)
     w1_coo = matrix_in_sector(w1, basis, table.n_modes)
     sums = (h0.one_norm(), w1.one_norm())
-    labels = _components(np.concatenate((h0_coo.rows, w1_coo.rows)),
-                         np.concatenate((h0_coo.cols, w1_coo.cols)), len(basis))
     rows = []
     # sorted by float value, then exact: equal floats keep their input order
     for g in map(Fraction, sorted(g_values, key=float)):
         spec = diagonalize_sector(
             _matrix_at(h0_coo, w1_coo, sums, g), table, sector, n_lowest=1,
-            dense_cutoff=dense_cutoff, seed=seed, labels=None if g == 0 else labels,
-        )
+            dense_cutoff=dense_cutoff, seed=seed)
         rows.append({
             "g": float(g),
             "sector": sector + table.core_particles,

@@ -8,13 +8,14 @@ are 1e-12 relative, the hand-derived two-level splitting is 1e-10.
 
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from darkpair.fock import StateVector
 from darkpair.formfactors import from_spec
-from darkpair.lattice import LatticeConfig, build_mode_table, unfrozen_twin
+from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import (
     ANNIHILATE,
     CREATE,
@@ -122,7 +123,7 @@ def test_criterion_2_symbolic_commutators():
                 ).is_zero()
 
     # core commutators on the thawed one-pair lattice
-    table = unfrozen_twin(build_mode_table(LATTICES["one-pair"]))
+    table = build_mode_table(replace(LATTICES["one-pair"], frozen_core=False))
     phi = OperatorExpr.from_monomial(
         Fraction(1),
         ((CREATE, table.mode_index(0, (0, 0, 0))),

@@ -333,6 +333,30 @@ def test_over_cap_thawed_twin_exits_2_fast(tmp_path, capsys):
     assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
 
+OUTPUT_COMMANDS = {
+    "verify": ["verify", "--config", "minimal"],
+    "scan": ["scan", "--config", "minimal", "--no-variational"],
+    "spectrum": ["spectrum", "--config", "minimal", "--g=-1"],
+    "continuum": ["continuum", "--kf", "1.0", "--delta", "0.1", "--sizes", "8"],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS.values(), ids=OUTPUT_COMMANDS.keys())
+def test_output_path_that_is_not_a_directory_exits_2_with_one_line(
+        tmp_path, capsys, command, under):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if under else taken
+    code = main([*command, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot make output directory {out}: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text() == "kept\n"
+
+
 # Valid lattices: radial threepair, one pair, a live core with a chemical
 # potential, a drifting pair.  A radial band around a live core is left
 # out: its paired sector of 3003 states costs seconds per coupling.

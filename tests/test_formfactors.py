@@ -4,8 +4,7 @@
 because ``unit`` and ``random:<seed>`` are invariant under k -> 2K - k in
 each argument by construction; ``asymmetric:<seed>`` must break it.  Each
 matrix equals, entry by entry, the callable it replaced
-(``formfactor_closures``), and the thawed twin that check (5) builds has
-the same ``shell_all``, so one matrix serves both tables.
+(``formfactor_closures``).
 """
 
 from fractions import Fraction
@@ -16,7 +15,7 @@ import pytest
 import formfactor_closures
 from darkpair.cli import bundled_config_path, load_config
 from darkpair.formfactors import from_spec
-from darkpair.lattice import build_mode_table, unfrozen_twin
+from darkpair.lattice import build_mode_table
 
 BUNDLED = ("minimal", "twopair", "threepair_core", "boosted", "broken_formfactor")
 SHELL10 = Path(__file__).parent / "golden" / "shell10" / "config.json"
@@ -72,9 +71,3 @@ def test_matrix_equals_the_closure_at_every_shell_pair(name, spec, master_seed):
     assert ff_name == old_name
     assert all(type(x) is Fraction for row in weights for x in row)
     assert weights == tuple(tuple(g_fun(k1, k2) for k2 in points) for k1 in points)
-
-
-@pytest.mark.parametrize("name", (*BUNDLED, "shell10"))
-def test_thawed_twin_has_the_same_shell(name):
-    table = bundled_table(name)
-    assert unfrozen_twin(table).shell_all == table.shell_all

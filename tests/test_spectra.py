@@ -607,16 +607,12 @@ def test_scan_rows_equal_the_from_scratch_route_bit_for_bit(name, monkeypatch):
     rows = scan_g(table, ORACLE_COUPLINGS, formfactor, seed)
     assert [row["g"] for row in rows] == [float(g) for g in ORACLE_COUPLINGS]
     wide = []
-    for g, row, (args, kwargs) in zip(ORACLE_COUPLINGS, rows, list(solves), strict=True):
+    for g, row, (args, _) in zip(ORACLE_COUPLINGS, rows, list(solves), strict=True):
         h = build_hamiltonian(table, g, formfactor, seed)
-        coo, labels = args[0], kwargs["labels"]
+        coo = args[0]
         wide.append(coo.nums.dtype == object)
         got, want = coo.toarray(), matrix_in_sector(h, basis, table.n_modes).toarray()
         assert got.tobytes() == want.tobytes(), g
-        if g != 0:  # the scan's shared labels are this coupling's own
-            assert np.array_equal(labels, _components(coo.rows, coo.cols, coo.dim))
-        else:
-            assert labels is None
         spec = diagonalize_sector(h, table, sector, n_lowest=1,
                                   dense_cutoff=cfg["dense_cutoff"], seed=seed)
         assert row["E_ground"].hex() == spec.ground_energy.hex(), g

@@ -3,7 +3,9 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkpair.cli import bundled_config_path, load_config, write_csv
-from darkpair.lattice import LatticeConfig, build_mode_table
-from darkpair import verify
-from darkpair.operators import ANNIHILATE, CREATE
+from darkpair.formfactors import from_spec
+from darkpair.lattice import SPIN_DOWN, SPIN_UP, LatticeConfig, build_mode_table
+from darkpair import lattice, verify
+from darkpair.operators import (
+    ANNIHILATE,
+    CREATE,
+    DEGREE_CAP,
+    OperatorExpr,
+    build_gamma,
+    build_w,
+    commutator,
+)
 from darkpair.verify import (
     CHECK_IDS,
+    core_product,
     CONTINUUM_FIELDS,
     closed_form_energy_per_particle,
     continuum_energy_check,
@@ -190,20 +202,106 @@ def test_battery_json_is_deterministic(minimal_table):
     assert "seconds" not in json.dumps(payload)
 
 
-def test_dark_state_reuses_the_reference_interaction(twopair_table, monkeypatch):
-    # W at the first coupling is built once, for checks (2), (3) and (6);
-    # check (6) builds the other couplings', check (5) the thawed twin's
-    built = []
-    build_w = verify.build_w
+def test_dark_state_reuses_the_reference_interaction(twopair_table, boosted_table,
+                                                     monkeypatch):
+    # each operator is built once: W at unit coupling, scaled to every
+    # coupling; gamma_k at every shell point, shared by checks (2) to (5);
+    # [W, gamma_k] at every hemisphere point; and no lattice but check
+    # (9)'s boosted twin, which a boosted table does not need
+    built_w, gammas, brackets, tables = [], [], [], []
+    build_w, build_gamma = verify.build_w, verify.build_gamma
+    commutator, build_table = verify.commutator, lattice.build_mode_table
 
-    def counted(table, g, weights=None):
-        built.append((table is twopair_table, g))
+    def counted_w(table, g, weights=None):
+        built_w.append((table, g))
         return build_w(table, g, weights)
 
-    monkeypatch.setattr(verify, "build_w", counted)
-    report = run_battery(twopair_table, [Fraction(-1), Fraction(1, 2)], LAMBDAS, seed=7)
-    assert report.all_passed
-    assert built == [(True, -1), (False, -1), (True, Fraction(1, 2))]
+    def counted_gamma(table, k):
+        gammas.append((k, build_gamma(table, k)))
+        return gammas[-1][1]
+
+    def counted_commutator(a, b, cap=DEGREE_CAP):
+        made = [gamma for _, gamma in gammas]
+        if any(b is gamma for gamma in made) and not any(a is gamma for gamma in made):
+            brackets.append(next(k for k, gamma in gammas if gamma is b))
+        return commutator(a, b, cap)
+
+    def counted_table(config):
+        tables.append(config)
+        return build_table(config)
+
+    monkeypatch.setattr(verify, "build_w", counted_w)
+    monkeypatch.setattr(verify, "build_gamma", counted_gamma)
+    monkeypatch.setattr(verify, "commutator", counted_commutator)
+    monkeypatch.setattr(lattice, "build_mode_table", counted_table)
+    for table, boosts in ((twopair_table, [(0, 0, 1)]), (boosted_table, [])):
+        weights, _ = from_spec(table, "random:5")
+        for g in (Fraction(-1), Fraction(0), Fraction(1, 2)):
+            assert build_w(table, 1, weights).scaled(g) == build_w(table, g, weights)
+        for lambdas in (LAMBDAS, [Fraction(0), Fraction(2)]):
+            built_w.clear(), gammas.clear(), brackets.clear(), tables.clear()
+            report = run_battery(table, [Fraction(-1), Fraction(1, 2)], lambdas, seed=7)
+            assert report.all_passed
+            assert built_w == [(table, 1)]
+            assert sorted(k for k, _ in gammas) == sorted(table.shell_all)
+            assert sorted(brackets) == sorted(table.shell_plus)
+            assert [config.boost for config in tables] == boosts
+
+
+# the bundled configs, the 40-mode battery shell, a live core with a
+# chemical potential and a boosted live core
+THAWED_CASES = {
+    **{name: bundled_config_path(name) for name in
+       ("minimal", "twopair", "threepair_core", "boosted", "broken_formfactor")},
+    "shell10": Path(__file__).parent / "golden" / "shell10" / "config.json",
+    "unfrozen": {"kf": 1.2, "delta": 0.5, "mu": 1.5, "volume": "1/2",
+                 "shell_points": [[0, 0, 1], [0, 0, -1], [0, 1, 0], [0, -1, 0]]},
+    "boosted_unfrozen": {"kf": 1.2, "delta": 0.5, "boost": [0, 0, 1], "volume": 1,
+                         "shell_points": [[0, 0, 2], [0, 0, 0]]},
+}
+
+
+@pytest.mark.parametrize("name", THAWED_CASES)
+def test_shifted_operators_equal_the_thawed_lattice(name, tmp_path, monkeypatch):
+    """The operators check (5) reads, W and each [W, gamma_k] of the table
+    moved up by ``core_particles`` modes and ``core_product`` for the core,
+    must equal those built on the lattice with the core thawed, Phi the
+    ``compose`` product of its core pair creators; so must each gamma_k,
+    moved up the same way."""
+    path = THAWED_CASES[name]
+    if isinstance(path, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"lattice": THAWED_CASES[name],
+                                    "formfactor": "random:5"}))
+    cfg = load_config(path)
+    table = cfg["table"]
+    twin = build_mode_table(replace(cfg["lattice"], frozen_core=False))
+    shift = table.core_particles
+    assert twin.n_modes == table.n_modes + shift
+    weights, _ = from_spec(table, cfg["formfactor"], cfg["seed"])
+    assert from_spec(twin, cfg["formfactor"], cfg["seed"])[0] == weights
+    for k in table.shell_all:
+        assert build_gamma(table, k).shifted(shift) == build_gamma(twin, k)
+    phi = OperatorExpr.identity()
+    for n in twin.inner_points:
+        pair = OperatorExpr.from_monomial(1, [(CREATE, twin.mode_index(SPIN_UP, n)),
+                                              (CREATE, twin.mode_index(SPIN_DOWN, n))])
+        phi = phi.compose(pair, cap=twin.n_modes)
+    assert core_product(table) == phi
+
+    reads = []
+
+    def recorded(a, b, cap=DEGREE_CAP):
+        reads.append((a, b))
+        return commutator(a, b, cap)
+
+    monkeypatch.setattr(verify, "commutator", recorded)
+    report = run_battery(table, cfg["couplings"], cfg["lambda_values"],
+                         cfg["formfactor"], cfg["seed"])
+    assert report.checks[CHECK_IDS.index("core_commutators")].residual == 0.0
+    w_twin = build_w(twin, cfg["couplings"][0], weights)
+    assert [a for a, b in reads if b == phi] == [
+        w_twin, *(commutator(w_twin, build_gamma(twin, k)) for k in twin.shell_plus)]
 
 
 def test_residual_helpers(minimal_table):
