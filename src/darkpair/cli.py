@@ -1,8 +1,8 @@
 """Config-driven command line: verify / spectrum / scan / continuum.
 
 Exit codes: 0 success, 1 failed verification check, 2 config error
-(including a value that passes float range), 3 dimension or degree cap
-exceeded.
+(including a value that passes float range), 3 size cap exceeded (sector
+dimension or continuum grid) or eigensolver convergence failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 from . import formfactors
 from .fock import BASIS_CAP, BasisSizeError
 from .lattice import LatticeConfig, LatticeError, build_mode_table
-from .operators import DegreeCapError
 from .spectra import (
     DENSE_CUTOFF,
     SCAN_FIELDS,
@@ -346,7 +345,7 @@ def main(argv=None) -> int:
     except LatticeError as exc:
         sys.stderr.write(f"lattice error: {exc}\n")
         return EXIT_CONFIG
-    except (BasisSizeError, DegreeCapError, GridSizeError) as exc:
+    except (BasisSizeError, GridSizeError) as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return EXIT_CAP
     except ConvergenceError as exc:

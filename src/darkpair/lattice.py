@@ -27,8 +27,6 @@ import numpy as np
 from .fock import MAX_MODES
 
 TAU = 2.0 * math.pi
-TOO_MANY_MODES = (f"more than {MAX_MODES} modes, the width of the occupation word; "
-                  "shrink the shell or freeze the core")
 
 SPIN_UP = 0
 SPIN_DOWN = 1
@@ -332,7 +330,8 @@ def _capped(points: Iterable[IVec], limit: int) -> list[IVec]:
     for n in points:
         out.append(n)
         if len(out) > limit:
-            raise LatticeError(TOO_MANY_MODES)
+            raise LatticeError(f"more than {MAX_MODES} modes, the width of the "
+                               "occupation word; shrink the shell or freeze the core")
     return out
 
 

@@ -44,13 +44,8 @@ ANNIHILATE = "a"
 Factor = tuple[str, int]
 Term = tuple[int, int]  # (C, A): the created and the annihilated modes, bit m for mode m
 
-DEGREE_CAP = 8
 FIRE_BUDGET = 1 << 14  # (term, state) pairs one ``_fire`` block tests: 128 KB of uint64
 _NIBBLES = np.uint64(0x1111111111111111)
-
-
-class DegreeCapError(ValueError):
-    """A monomial exceeded the configured factor-count cap."""
 
 
 class ShellDomainError(ValueError):
@@ -103,28 +98,23 @@ class OperatorExpr:
         return cls._wrap({(0, 0): coeff} if coeff != 0 else {})
 
     @classmethod
-    def from_monomial(
-        cls, coeff, factors: Iterable[Factor], cap: int = DEGREE_CAP
-    ) -> "OperatorExpr":
-        return cls.from_monomials([(coeff, factors)], cap)
+    def from_monomial(cls, coeff, factors: Iterable[Factor]) -> "OperatorExpr":
+        return cls.from_monomials([(coeff, factors)])
 
     @classmethod
     def from_monomials(
-        cls, monomials: Iterable[tuple[object, Iterable[Factor]]], cap: int = DEGREE_CAP
+        cls, monomials: Iterable[tuple[object, Iterable[Factor]]]
     ) -> "OperatorExpr":
         """The sum of ``coeff * factors`` over ``monomials``, each factor
         string its creations followed by its annihilations, each block in
         any order: it is sorted, with the sign of the sort, and zero when it
         repeats a mode.  An annihilation before a creation raises
-        ``ValueError`` (``compose`` multiplies such factors), more than
-        ``cap`` factors with a nonzero coefficient ``DegreeCapError``."""
+        ``ValueError`` (``compose`` multiplies such factors)."""
         out: dict[Term, Fraction] = {}
         for coeff, factors in monomials:
             coeff, factors = _exact(coeff), tuple(factors)
             if coeff == 0:
                 continue
-            if len(factors) > cap:
-                raise DegreeCapError(f"monomial degree {len(factors)} exceeds cap {cap}")
             cm = am = odd = 0  # odd: the sort's inversions, earlier modes above each
             for kind, mode in factors:
                 if kind == ANNIHILATE:
@@ -175,9 +165,9 @@ class OperatorExpr:
         return OperatorExpr._wrap({(cm << places, am << places): c
                                    for (cm, am), c in self.terms.items()})
 
-    def compose(self, other: "OperatorExpr", cap: int = DEGREE_CAP) -> "OperatorExpr":
+    def compose(self, other: "OperatorExpr") -> "OperatorExpr":
         """Operator product, normal-ordered by Wick's theorem (``_products``)."""
-        return _products(self, other, cap, commute=False)
+        return _products(self, other, commute=False)
 
     def dagger(self) -> "OperatorExpr":
         """The adjoint: ``(C, A)`` becomes ``(A, C)``, both blocks reversed
@@ -245,39 +235,38 @@ def _above(mask: int) -> int:
 
 
 def _wick_form(expr: OperatorExpr) -> tuple:
-    """``(ops, creates, den, width, degrees)``: what ``_products`` reads of
+    """``(ops, creates, den, width)``: what ``_products`` reads of
     an operand, built on the operand's first product and kept in its
     ``_wick`` slot.
 
     ``ops[p]`` holds a ``(C, A, _above(C), _above(A), numerator)`` tuple
     for each term ``(C, A)`` of odd degree ``p``, the numerators over the
     common denominator ``den``; ``creates[p]`` is the union of the ``C``
-    masks in ``ops[p]``, ``width`` one more than the highest mode and
-    ``degrees`` the sorted distinct term degrees.  The masks do not
-    depend on a partner's width, so one form serves every product; it
-    stays valid because no code changes ``terms`` after the operator is
-    built.
+    masks in ``ops[p]`` and ``width`` one more than the highest mode.
+    The masks do not depend on a partner's width, so one form serves
+    every product; it stays valid because no code changes ``terms``
+    after the operator is built.
     """
     if expr._wick is None:
         nums, den = _numerators(list(expr.terms.values()))
-        degrees = [cm.bit_count() + am.bit_count() for cm, am in expr.terms]
         ops: tuple[list, list] = ([], [])
         creates = [0, 0]
-        for (cm, am), d, v in zip(expr.terms, degrees, nums):
-            ops[d & 1].append((cm, am, _above(cm), _above(am), v))
-            creates[d & 1] |= cm
+        for (cm, am), v in zip(expr.terms, nums):
+            odd = (cm.bit_count() + am.bit_count()) & 1
+            ops[odd].append((cm, am, _above(cm), _above(am), v))
+            creates[odd] |= cm
         width = max(((cm | am).bit_length() for cm, am in expr.terms), default=0)
-        expr._wick = ops, creates, den, width, sorted(set(degrees))
+        expr._wick = ops, creates, den, width
     return expr._wick
 
 
-def commutator(a: OperatorExpr, b: OperatorExpr, cap: int = DEGREE_CAP) -> OperatorExpr:
-    """Normal-ordered AB - BA, equal to ``a.compose(b, cap) - b.compose(a, cap)``,
+def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
+    """Normal-ordered AB - BA, equal to ``a.compose(b) - b.compose(a)``,
     summed in one pass of ``_products``."""
-    return _products(a, b, cap, commute=True)
+    return _products(a, b, commute=True)
 
 
-def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> OperatorExpr:
+def _products(a: OperatorExpr, b: OperatorExpr, commute: bool) -> OperatorExpr:
     """``AB``, or ``AB - BA`` when ``commute``, normal-ordered by Wick's theorem.
 
     Canonical monomials ``X = C1 A1`` and ``Y = C2 A2`` (sets of modes)
@@ -291,12 +280,7 @@ def _products(a: OperatorExpr, b: OperatorExpr, cap: int, commute: bool) -> Oper
     is built only for pairs of odd-degree terms: every other pair
     contributes its contractions alone.
     """
-    (ops_a, cre_a, den_a, width_a, deg_a), (ops_b, cre_b, den_b, width_b, deg_b) = map(
-        _wick_form, (a, b))
-    degree = next((d1 + d2 for d1, d2 in itertools.product(deg_a, deg_b)
-                   if d1 + d2 > cap), None)
-    if degree is not None:
-        raise DegreeCapError(f"monomial degree {degree} exceeds cap {cap}")
+    (ops_a, cre_a, den_a, width_a), (ops_b, cre_b, den_b, width_b) = map(_wick_form, (a, b))
     den = den_a * den_b
     width = max(width_a, width_b)
     top = (1 << width) - 1

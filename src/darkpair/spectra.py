@@ -121,7 +121,7 @@ def diagonalize_sector(
                          for stack in _component_stacks(coo, labels))
             return SectorSpectrum(n_particles, dim, "blocks", np.array([ground + shift]))
     mat = coo.tocsr()
-    del coo  # unless the caller holds them, the unsummed entries die before the solve
+    del coo, hamiltonian  # unless the caller holds them, the unsummed entries die here
 
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 

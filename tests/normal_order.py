@@ -15,8 +15,6 @@ code; it reads the same canonical terms off mode bitmasks.
 from darkpair.operators import (
     ANNIHILATE,
     CREATE,
-    DEGREE_CAP,
-    DegreeCapError,
     OperatorExpr,
     _exact,
 )
@@ -25,12 +23,8 @@ Factor = tuple[str, int]
 Term = tuple[Factor, ...]
 
 
-def _normal_order_term(coeff, factors: Term, cap: int, out: dict) -> None:
+def _normal_order_term(coeff, factors: Term, out: dict) -> None:
     """Accumulate the normal-ordered expansion of one monomial into ``out``."""
-    if len(factors) > cap:
-        raise DegreeCapError(
-            f"monomial degree {len(factors)} exceeds cap {cap}"
-        )
     stack: list[tuple[object, Term]] = [(coeff, tuple(factors))]
     while stack:
         cf, fac = stack.pop()
@@ -78,12 +72,12 @@ def factors(term: tuple[int, int]) -> Term:
                  for m in range(mask.bit_length()) if mask >> m & 1)
 
 
-def normal_ordered(monomials, cap: int = DEGREE_CAP) -> OperatorExpr:
+def normal_ordered(monomials) -> OperatorExpr:
     """The sum of ``coeff * factors`` over ``monomials``, factors in any
     order, normal-ordered by the rewriter."""
     out: dict[Term, object] = {}
     for coeff, fs in monomials:
         coeff = _exact(coeff)
         if coeff != 0:
-            _normal_order_term(coeff, tuple(fs), cap, out)
+            _normal_order_term(coeff, tuple(fs), out)
     return OperatorExpr({key(t): c for t, c in out.items()})

@@ -320,17 +320,27 @@ def test_thin_band_past_the_walk_cap_exits_2_fast(tmp_path, capsys, kf):
     assert "exceeds 16777216" in err and err.count("\n") == 1
 
 
-def test_over_cap_thawed_twin_exits_2_fast(tmp_path, capsys):
-    # 64 frozen modes fit the occupation word, but the core-commutator
-    # check needs the thawed twin, which does not; no check may run first
-    cfg = write_config(tmp_path, lattice={"kf": 1.5, "delta": 0.5, "shell_points": None})
+THAWED_PAST_THE_WORD = {
+    "64 table modes": ({"kf": 1.5, "delta": 0.5, "shell_points": None}, 64, 2),
+    "4 table modes": ({"kf": 2.5, "delta": 0.3, "shell_points": [[1, 2, 0], [-1, -2, 0]]},
+                      4, 66),
+}
+
+
+@pytest.mark.parametrize("lattice, modes, core", THAWED_PAST_THE_WORD.values(),
+                         ids=THAWED_PAST_THE_WORD.keys())
+def test_thawed_core_past_64_modes_exits_2_fast(tmp_path, capsys, lattice, modes, core):
+    # the frozen table fits the occupation word, but check (5) thaws the
+    # core past it; the refusal names both counts, and no check runs first
+    cfg = write_config(tmp_path, lattice=lattice)
     start = time.perf_counter()
     code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("lattice error: more than 64 modes")
-    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+    assert capsys.readouterr().err == (
+        "lattice error: more than 64 modes once check (5) thaws the core: "
+        f"{modes} table modes plus {core} core modes\n")
+    assert not (tmp_path / "o").exists()
 
 
 OUTPUT_COMMANDS = {

@@ -17,8 +17,6 @@ from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import (
     ANNIHILATE,
     CREATE,
-    DEGREE_CAP,
-    DegreeCapError,
     OperatorExpr,
     ShellDomainError,
     _compile,
@@ -134,43 +132,28 @@ BLOCK_POOLS = [range(6), range(3), (0, 3, 63, 64, 100, 130), range(60, 70)]
 @st.composite
 def ordered_monomials(draw):
     """Monomials of creations then annihilations, each block permuted and
-    possibly repeating a mode, with a cap they may exceed by one."""
+    possibly repeating a mode, of at most ``degree`` factors."""
     pool = draw(st.sampled_from(BLOCK_POOLS))
-    cap = draw(st.integers(0, DEGREE_CAP + 1))
+    degree = draw(st.integers(1, 10))
     monos = []
     for _ in range(draw(st.integers(1, 4))):
-        n_c = draw(st.integers(0, cap + 1))
-        n_a = draw(st.integers(0, cap + 1 - n_c))
+        n_c = draw(st.integers(0, degree))
+        n_a = draw(st.integers(0, degree - n_c))
         creates, annihilates = (draw(st.lists(st.sampled_from(pool), min_size=n,
                                               max_size=n)) for n in (n_c, n_a))
         coeff = draw(st.sampled_from([Fraction(1), Fraction(-2, 3), 0]))
         monos.append((coeff, tuple(map(C, creates)) + tuple(map(A, annihilates))))
-    return monos, cap
+    return monos
 
 
 @settings(max_examples=300, deadline=None)
-@given(problem=ordered_monomials())
-def test_from_monomials_equals_the_rewriter(problem):
-    monos, cap = problem
-    if any(c and len(f) > cap for c, f in monos):
-        for build in (OperatorExpr.from_monomials, normal_ordered):
-            with pytest.raises(DegreeCapError, match=f"exceeds cap {cap}$"):
-                build(monos, cap)
-        return
-    got = OperatorExpr.from_monomials(monos, cap)
-    assert got == normal_ordered(monos, cap)
+@given(monos=ordered_monomials())
+def test_from_monomials_equals_the_rewriter(monos):
+    got = OperatorExpr.from_monomials(monos)
+    assert got == normal_ordered(monos)
     assert all(type(c) is Fraction for c in got.terms.values())
     if all(m < 6 for _, f in monos for _, m in f):
         states_equal_on_all_occupations(6, monos, got)
-
-
-def test_degree_cap():
-    with pytest.raises(DegreeCapError):
-        OperatorExpr.from_monomial(Fraction(1), tuple(C(i) for i in range(9)))
-    with pytest.raises(DegreeCapError):
-        a = OperatorExpr.from_monomial(Fraction(1), tuple(C(i) for i in range(5)))
-        b = OperatorExpr.from_monomial(Fraction(1), tuple(C(i) for i in range(5, 10)))
-        a.compose(b)
 
 
 @st.composite
@@ -250,7 +233,7 @@ def compose_operands(draw, coeff, pool, max_degree):
     monos = [(draw(coeff), tuple(draw(st.lists(
         st.tuples(st.sampled_from([CREATE, ANNIHILATE]), st.sampled_from(pool)),
         max_size=max_degree)))) for _ in range(draw(st.integers(1, 3)))]
-    return normal_ordered(monos, cap=max_degree)
+    return normal_ordered(monos)
 
 
 def raw_products(a, b):
@@ -269,14 +252,8 @@ def test_compose_equals_normal_ordered_products(data):
     degree = data.draw(st.sampled_from([2, 4, 9]))  # 9 + 9 = 18 factors
     a = data.draw(compose_operands(coeff, pool, degree))
     b = data.draw(compose_operands(coeff, pool, degree))
-    cap = data.draw(st.integers(0, 2 * degree))
-    products = raw_products(a, b)
-    if any(len(t) > cap for _, t in products):
-        with pytest.raises(DegreeCapError):
-            a.compose(b, cap)
-        return
-    got = a.compose(b, cap)
-    assert got == normal_ordered(products, cap)
+    got = a.compose(b)
+    assert got == normal_ordered(raw_products(a, b))
     assert all(type(c) is Fraction for c in got.terms.values())
 
 
@@ -289,18 +266,9 @@ def test_commutator_equals_both_orders_of_products(data):
     degree = data.draw(st.sampled_from([2, 4, 9]))
     a = data.draw(compose_operands(coeff, pool, degree))
     b = data.draw(compose_operands(coeff, pool, degree))
-    cap = data.draw(st.integers(0, 2 * degree))
-    ab, ba = raw_products(a, b), raw_products(b, a)
-    if any(len(t) > cap for _, t in ab):
-        with pytest.raises(DegreeCapError) as got:
-            commutator(a, b, cap)
-        with pytest.raises(DegreeCapError) as want:
-            a.compose(b, cap)
-        assert str(got.value) == str(want.value)
-        return
-    got = commutator(a, b, cap)
-    assert got == normal_ordered(ab, cap) - normal_ordered(ba, cap)
-    assert got == a.compose(b, cap) - b.compose(a, cap)
+    got = commutator(a, b)
+    assert got == normal_ordered(raw_products(a, b)) - normal_ordered(raw_products(b, a))
+    assert got == a.compose(b) - b.compose(a)
     assert all(type(c) is Fraction for c in got.terms.values())
 
 
@@ -353,20 +321,6 @@ def test_an_operand_is_prepared_once(minimal_table):
     for derived in (w + p1, -w, w.scaled(2)):
         assert derived._wick is None
     assert w._wick is not None
-
-
-def test_commutator_checks_the_degree_cap_before_any_product(monkeypatch):
-    def no_products(*args):
-        raise AssertionError("a Wick sum ran before the degree-cap check")
-
-    a = OperatorExpr.from_monomials([(1, (C(0), A(1))), (1, (C(0), C(1), A(2)))])
-    b = OperatorExpr.from_monomials([(1, (C(3), A(4), A(5)))])
-    with pytest.raises(DegreeCapError) as want:
-        a.compose(b, 5)
-    monkeypatch.setattr(operators, "_wick_sum", no_products)
-    with pytest.raises(DegreeCapError) as got:
-        commutator(a, b, 5)
-    assert str(got.value) == str(want.value) == "monomial degree 6 exceeds cap 5"
 
 
 def test_pair_commutator_on_the_40_mode_shell():
@@ -725,7 +679,7 @@ def test_dagger_equals_the_rewritten_reversed_adjoint(data):
     flip = {CREATE: ANNIHILATE, ANNIHILATE: CREATE}
     adjoint = [(c, tuple((flip[k], m) for k, m in reversed(factors(t))))
                for t, c in expr.terms.items()]
-    assert expr.dagger() == normal_ordered(adjoint, 9)
+    assert expr.dagger() == normal_ordered(adjoint)
     assert expr.dagger().dagger() == expr
 
 

@@ -1,6 +1,8 @@
 """Sector diagonalization, spectral placement, variational ansatz, scans."""
 
 import math
+import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +328,29 @@ def test_krylov_equals_complex_eigsh_bit_for_bit(threepair_table, formfactor):
                  return_eigenvectors=False)
     want = np.sort(vals).real + float(threepair_table.core_energy)
     assert spec.eigenvalues.tobytes() == want.tobytes()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="Python 3.10 keeps call arguments on the caller's stack")
+def test_krylov_route_frees_a_passed_matrix_before_the_solve(threepair_table, monkeypatch):
+    import scipy.sparse.linalg
+
+    h = build_hamiltonian(threepair_table, Fraction(-1))
+    eigsh, made, alive = scipy.sparse.linalg.eigsh, [], []
+
+    def matrix():
+        coo = matrix_in_sector(h, sector_basis(12, 6), 12)
+        made.append(weakref.ref(coo))
+        return coo
+
+    def solve(*args, **kwargs):
+        alive.append(made[0]() is not None)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", solve)
+    spec = diagonalize_sector(matrix(), threepair_table, 6, dense_cutoff=1, n_lowest=4,
+                              seed=5)
+    assert spec.method == "krylov" and alive == [False]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: random:<s> is not Hermitian")

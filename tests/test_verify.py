@@ -19,7 +19,6 @@ from darkpair import lattice, verify
 from darkpair.operators import (
     ANNIHILATE,
     CREATE,
-    DEGREE_CAP,
     OperatorExpr,
     build_gamma,
     build_w,
@@ -220,11 +219,11 @@ def test_dark_state_reuses_the_reference_interaction(twopair_table, boosted_tabl
         gammas.append((k, build_gamma(table, k)))
         return gammas[-1][1]
 
-    def counted_commutator(a, b, cap=DEGREE_CAP):
+    def counted_commutator(a, b):
         made = [gamma for _, gamma in gammas]
         if any(b is gamma for gamma in made) and not any(a is gamma for gamma in made):
             brackets.append(next(k for k, gamma in gammas if gamma is b))
-        return commutator(a, b, cap)
+        return commutator(a, b)
 
     def counted_table(config):
         tables.append(config)
@@ -286,14 +285,14 @@ def test_shifted_operators_equal_the_thawed_lattice(name, tmp_path, monkeypatch)
     for n in twin.inner_points:
         pair = OperatorExpr.from_monomial(1, [(CREATE, twin.mode_index(SPIN_UP, n)),
                                               (CREATE, twin.mode_index(SPIN_DOWN, n))])
-        phi = phi.compose(pair, cap=twin.n_modes)
+        phi = phi.compose(pair)
     assert core_product(table) == phi
 
     reads = []
 
-    def recorded(a, b, cap=DEGREE_CAP):
+    def recorded(a, b):
         reads.append((a, b))
-        return commutator(a, b, cap)
+        return commutator(a, b)
 
     monkeypatch.setattr(verify, "commutator", recorded)
     report = run_battery(table, cfg["couplings"], cfg["lambda_values"],
