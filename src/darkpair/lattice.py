@@ -182,6 +182,7 @@ class ModeTable:
     core_momentum: IVec
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     _shell: set = field(default_factory=set, repr=False, compare=False)
+    _pairs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._index.update({m: i for i, m in enumerate(self.modes)})
@@ -199,9 +200,13 @@ class ModeTable:
         return self._index[Mode(spin, tuple(n))]
 
     def pair_modes(self, k: IVec) -> tuple[int, int]:
-        """Modes (up at k, down at the partner 2K - k) of the pair at k."""
-        return (self.mode_index(SPIN_UP, k),
-                self.mode_index(SPIN_DOWN, self.partner(k)))
+        """Modes (up at k, down at the partner 2K - k) of the pair at k,
+        looked up once per point."""
+        k = tuple(k)
+        if k not in self._pairs:
+            self._pairs[k] = (self.mode_index(SPIN_UP, k),
+                              self.mode_index(SPIN_DOWN, self.partner(k)))
+        return self._pairs[k]
 
     def partner(self, n: IVec) -> IVec:
         """Pairing partner 2K - n (plain negation for an unboosted lattice)."""

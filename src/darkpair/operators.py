@@ -11,7 +11,9 @@ each block, the sign being the parity of the sort, and is zero when a
 block repeats a mode; products of operators (``compose``, ``commutator``)
 expand by Wick's theorem on the masks, one sum over contraction sets per
 pair of terms, so a product of raw factors in any order is ``compose`` of
-one-factor operators.
+one-factor operators.  Each operand's terms are grouped by their
+annihilated modes (``_wick_form``), so a group that no contraction can
+reach is passed over in one test.
 
 Canonical form makes operator equality a dictionary comparison, which is
 what turns commutator identities into decidable checks.  Every coefficient
@@ -19,8 +21,11 @@ is a ``Fraction`` (the constructors convert ints and reject floats and
 complex values), and every kernel (``compose``, ``commutator``,
 ``apply_operator``, ``matrix_in_sector``) sums integer numerators over a
 common denominator: int64 while the sums are small, Python ints beyond.
-A sector matrix has one form, the ``SectorCOO`` of its unsummed integer
-numerators, which callers turn into a dense array or CSR as they need.
+``apply_operator`` and ``matrix_in_sector`` fire terms on states through
+one loop (``_firings``) that sums the number-type terms, which map each
+state to itself, per state onto the diagonal.  A sector matrix has one
+form, the ``SectorCOO`` of its unsummed integer numerators, which callers
+turn into a dense array or CSR as they need.
 """
 
 from __future__ import annotations
@@ -235,28 +240,31 @@ def _above(mask: int) -> int:
 
 
 def _wick_form(expr: OperatorExpr) -> tuple:
-    """``(ops, creates, den, width)``: what ``_products`` reads of
-    an operand, built on the operand's first product and kept in its
+    """``(groups, creates, den, width)``: what ``_products`` reads of an
+    operand, built on the operand's first product and kept in its
     ``_wick`` slot.
 
-    ``ops[p]`` holds a ``(C, A, _above(C), _above(A), numerator)`` tuple
-    for each term ``(C, A)`` of odd degree ``p``, the numerators over the
-    common denominator ``den``; ``creates[p]`` is the union of the ``C``
-    masks in ``ops[p]`` and ``width`` one more than the highest mode.
-    The masks do not depend on a partner's width, so one form serves
-    every product; it stays valid because no code changes ``terms``
-    after the operator is built.
+    ``groups[p]`` holds the terms ``(C, A)`` of odd degree ``p`` grouped
+    by their annihilated modes: one ``(A, _above(A), terms)`` tuple per
+    distinct ``A``, ``terms`` a list of ``(C, _above(C), numerator)``, the
+    numerators over the common denominator ``den``.  ``creates[p]`` is the
+    union of the ``C`` masks in ``groups[p]`` and ``width`` one more than
+    the highest mode.  The masks do not depend on a partner's width, so
+    one form serves every product; it stays valid because no code changes
+    ``terms`` after the operator is built.
     """
     if expr._wick is None:
         nums, den = _numerators(list(expr.terms.values()))
-        ops: tuple[list, list] = ([], [])
+        by_a: tuple[dict, dict] = ({}, {})
         creates = [0, 0]
         for (cm, am), v in zip(expr.terms, nums):
             odd = (cm.bit_count() + am.bit_count()) & 1
-            ops[odd].append((cm, am, _above(cm), _above(am), v))
+            by_a[odd].setdefault(am, []).append((cm, _above(cm), v))
             creates[odd] |= cm
+        groups = tuple([(am, _above(am), terms) for am, terms in parity.items()]
+                       for parity in by_a)
         width = max(((cm | am).bit_length() for cm, am in expr.terms), default=0)
-        expr._wick = ops, creates, den, width
+        expr._wick = groups, creates, den, width
     return expr._wick
 
 
@@ -280,7 +288,7 @@ def _products(a: OperatorExpr, b: OperatorExpr, commute: bool) -> OperatorExpr:
     is built only for pairs of odd-degree terms: every other pair
     contributes its contractions alone.
     """
-    (ops_a, cre_a, den_a, width_a), (ops_b, cre_b, den_b, width_b) = map(_wick_form, (a, b))
+    (groups_a, cre_a, den_a, width_a), (groups_b, cre_b, den_b, width_b) = map(_wick_form, (a, b))
     den = den_a * den_b
     width = max(width_a, width_b)
     top = (1 << width) - 1
@@ -288,9 +296,9 @@ def _products(a: OperatorExpr, b: OperatorExpr, commute: bool) -> OperatorExpr:
     out: dict[int, int] = {}
     for pa, pb in itertools.product((0, 1), repeat=2):
         empty = not commute or pa & pb
-        _wick_sum(ops_a[pa], ops_b[pb], cre_b[pb], width, out, False, empty)
+        _wick_sum(groups_a[pa], groups_b[pb], cre_b[pb], width, out, False, empty)
         if commute:
-            _wick_sum(ops_b[pb], ops_a[pa], cre_a[pa], width, out, True, empty)
+            _wick_sum(groups_b[pb], groups_a[pa], cre_a[pa], width, out, True, empty)
 
     as_fraction: dict[int, Fraction] = {}  # each value's Fraction, built once
     terms: dict[Term, Fraction] = {}
@@ -304,10 +312,11 @@ def _products(a: OperatorExpr, b: OperatorExpr, commute: bool) -> OperatorExpr:
 def _wick_sum(left: list[tuple], right: list[tuple], right_creates: int, width: int,
               out: dict[int, int], negate: bool, empty: bool) -> None:
     """Add the product ``left * right`` of two operands given as
-    ``_wick_form`` tuples into ``out``, keyed ``C << width | A``;
+    ``_wick_form`` groups into ``out``, keyed ``C << width | A``;
     ``negate`` subtracts it, and ``empty=False`` leaves out every
-    uncontracted term, and with it every left term whose ``A`` meets none
-    of ``right_creates``, the union of the right terms' ``C``.
+    uncontracted term, and with it every left group whose ``A`` meets none
+    of ``right_creates``, the union of the right terms' ``C``, tested once
+    per group.  An empty ``right`` adds nothing.
 
     A pair of terms contributes a term for each contraction set ``S`` of
     ``A1 & C2``.  A term is zero when ``C1`` meets ``C2 - S`` or ``A1 - S``
@@ -323,34 +332,39 @@ def _wick_sum(left: list[tuple], right: list[tuple], right_creates: int, width: 
     each a count of pairs that ``_above`` turns into a parity.  A sum that
     reaches zero leaves ``out``, as in ``from_monomials``.
     """
-    for cm1, am1, _, _, v1 in left:
+    if not right:
+        return
+    for am1, _, terms1 in left:
         if not (am1 & right_creates or empty):
             continue  # nothing to contract: only uncontracted terms
-        for cm2, am2, cup2, aup2, v2 in right:
-            free = am1 & cm2
-            must = (cm1 & cm2) | (am1 & am2)
-            if must & ~free or not (free or empty):
-                continue
-            free ^= must
-            value = -v1 * v2 if negate else v1 * v2
-            sub = free
-            while True:
-                s = must | sub
-                if not (s or empty):
-                    break  # the uncontracted term, enumerated last
-                a1, c2 = am1 ^ s, cm2 ^ s
-                sup = _above(s)
-                p = (((a1 & (sup ^ aup2)) ^ (s & cup2) ^ (cm1 & (cup2 ^ sup)))
-                     .bit_count() + a1.bit_count() * c2.bit_count())
-                key = (cm1 | c2) << width | a1 | am2
-                cur = out.get(key, 0) + (-value if p & 1 else value)
-                if cur == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = cur
-                if not sub:
-                    break
-                sub = (sub - 1) & free
+        for am2, aup2, terms2 in right:
+            shared = am1 & am2
+            for cm1, _, v1 in terms1:
+                for cm2, cup2, v2 in terms2:
+                    free = am1 & cm2
+                    must = (cm1 & cm2) | shared
+                    if must & ~free or not (free or empty):
+                        continue
+                    free ^= must
+                    value = -v1 * v2 if negate else v1 * v2
+                    sub = free
+                    while True:
+                        s = must | sub
+                        if not (s or empty):
+                            break  # the uncontracted term, enumerated last
+                        a1, c2 = am1 ^ s, cm2 ^ s
+                        sup = _above(s)
+                        p = (((a1 & (sup ^ aup2)) ^ (s & cup2) ^ (cm1 & (cup2 ^ sup)))
+                             .bit_count() + a1.bit_count() * c2.bit_count())
+                        key = (cm1 | c2) << width | a1 | am2
+                        cur = out.get(key, 0) + (-value if p & 1 else value)
+                        if cur == 0:
+                            out.pop(key, None)
+                        else:
+                            out[key] = cur
+                        if not sub:
+                            break
+                        sub = (sub - 1) & free
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +456,43 @@ def _values(coeffs: list, amps: np.ndarray, aden: int) -> tuple[np.ndarray, np.n
     return signed, amps.astype(dtype, copy=False), den
 
 
+def _firings(compiled: list[tuple], signed: np.ndarray,
+             occs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The one loop ``_image`` and ``_sector_entries`` fire terms through:
+    ``(vals, at, res)`` items of each firing's value in ``signed`` (over a
+    unit amplitude), the position in ``occs`` of the state it fires on and
+    the occupation it yields.  Number-type terms (``cmask == amask``, the
+    identity among them) yield the state they fire on: they fire first,
+    so their firings are a prefix of a block's, and are summed per state
+    into the first item, each state any of them fires on, in order.  The
+    other terms follow, one item per block."""
+    moves = [term[0] != term[1] for term in compiled]
+    numbers = moves.count(False)
+    ids = np.array(sorted(range(len(compiled)), key=moves.__getitem__), dtype=np.int64)
+    diag = np.zeros(len(occs), dtype=signed.dtype)
+    on_diag = np.zeros(len(occs), dtype=bool)
+
+    def diagonal():
+        where = np.flatnonzero(on_diag)
+        return diag[where], where, occs[where]
+
+    pending = True  # the diagonal is yielded once every number-type term has fired
+    for first, block in _blocks([compiled[t] for t in ids], len(occs)):
+        term, at, res, odd = _fire(block, occs)
+        vals = signed.take(2 * ids[first + term] + odd)
+        split = np.searchsorted(term, numbers - first)
+        if split:
+            np.add.at(diag, at[:split], vals[:split])
+            on_diag[at[:split]] = True
+        if pending and first + len(block) >= numbers:
+            pending = False
+            yield diagonal()
+        if split < len(term):
+            yield vals[split:], at[split:], res[split:]
+    if pending:  # no terms
+        yield diagonal()
+
+
 def _image(expr: OperatorExpr, vec: StateVector,
            shift=0) -> tuple[np.ndarray, np.ndarray, int]:
     """``(expr - shift)|vec>`` as ``(occs, nums, den)``: the occupations of
@@ -449,30 +500,33 @@ def _image(expr: OperatorExpr, vec: StateVector,
     the one denominator they are over.
 
     The terms, with ``-shift`` as one more identity term, go through
-    ``_fire`` over the record's occupations in a few ``_blocks``, and the
-    contributions are grouped by the state they yield and summed as
-    integer numerators (``_values``).  ``shift`` must be int or
+    ``_firings`` over the record's occupations, each value times the
+    amplitude it fires on (integer numerators, ``_values``).  The
+    number-type terms arrive summed per input state, already in state
+    order, so an operator of number terms alone (``H0``, ``N``, ``P``)
+    needs no sort; the other contributions are grouped by the state they
+    yield, with the diagonal, and summed.  ``shift`` must be int or
     ``Fraction`` (``TypeError`` otherwise).
     """
     compiled = _compile(expr, vec.n_modes)
     if shift:
         compiled.append((0, 0, 0, 0, -_exact(shift)))
     signed, amp, den = _values([term[-1] for term in compiled], vec.nums, vec.den)
-    fired = []
-    for first, block in _blocks(compiled, len(vec)):
-        term, at, res, odd = _fire(block, vec.occs)
-        fired.append((2 * (first + term) + odd, at, res))
-    if not sum(len(at) for _, at, _ in fired):
-        return np.empty(0, dtype=np.uint64), signed[:0], den
-    which, at, res = map(np.concatenate, zip(*fired))
-    del fired  # the contributions are held once, not twice
-    order = np.argsort(res)  # by image: integer sums are exact in any order
-    at, res, which = at[order], res[order], which[order]
-    del order
-    start = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
-    sums = np.add.reduceat(signed[which] * amp[at], start)
+    parts = [(vals * amp[at], res) for vals, at, res in _firings(compiled, signed, vec.occs)]
+    if len(parts) > 1:
+        sums, res = map(np.concatenate, zip(*parts))
+        del parts  # the contributions are held once, not twice
+        # by image; integer sums are exact in any order.  A term's images
+        # ascend with its states, so the stable sort merges a few sorted runs
+        order = np.argsort(res, kind="stable")
+        sums, res = sums[order], res[order]
+        del order
+        start = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
+        sums, res = np.add.reduceat(sums, start), res[start]
+    else:
+        sums, res = parts[0]  # the diagonal alone
     keep = np.flatnonzero(sums != 0)
-    return res[start[keep]], sums[keep], den
+    return res[keep], sums[keep], den
 
 
 def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
@@ -501,39 +555,30 @@ def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
 
 
 def _sector_entries(compiled: list[tuple], signed: np.ndarray, occs):
-    """Rows, columns and signed values of every term's entries, per block.
+    """Rows, columns and signed values of every term's entries, per
+    ``_firings`` item.
 
     ``occs`` is the basis as uint64, strictly ascending: a basis that is
     not is rejected with ``ValueError``, not ranked, because each image's
-    row is found by binary search.  Number-type terms (``cmask == amask``)
-    only touch the diagonal, so they fire in blocks of their own and are
-    summed into it first; every other entry appears once per term that
-    reaches it.  On a sector of ``FIRE_BUDGET`` states or more each block
-    is one term.
+    row is found by binary search.  The number-type terms come summed
+    into the diagonal, its first item; every other entry appears once per
+    term that reaches it.  On a sector of ``FIRE_BUDGET`` states or more
+    each block is one term.
     """
     if np.any(occs[1:] <= occs[:-1]):
         raise ValueError("sector basis must be strictly ascending")
     index = np.int32 if len(occs) < 2**31 else np.int64
-    diag = np.zeros(len(occs), dtype=signed.dtype)
-    on_diag = np.zeros(len(occs), dtype=bool)
-    rows, cols, vals = [], [], []
-    for number in (True, False):
-        ids = np.array([t for t, term in enumerate(compiled)
-                        if (term[0] == term[1]) == number], dtype=np.int64)
-        for first, block in _blocks([compiled[t] for t in ids], len(occs)):
-            term, col, res, odd = _fire(block, occs)
-            val = signed.take(2 * ids[first + term] + odd)
-            if number:
-                np.add.at(diag, col, val)
-                on_diag[col] = True
-                continue
-            row = np.searchsorted(occs, res)
-            found = occs.take(row, mode="clip") == res
-            rows.append(row[found].astype(index))
-            cols.append(col[found].astype(index))
-            vals.append(val[found])
-    where = np.flatnonzero(on_diag).astype(index)
-    return [where, *rows], [where, *cols], [diag[where], *vals]
+    firings = _firings(compiled, signed, occs)
+    diag, where = next(firings)[:2]  # its images, the basis itself, are not kept
+    where = where.astype(index)
+    rows, cols, vals = [where], [where], [diag]
+    for val, col, res in firings:
+        row = np.searchsorted(occs, res)
+        found = occs.take(row, mode="clip") == res
+        rows.append(row[found].astype(index))
+        cols.append(col[found].astype(index))
+        vals.append(val[found])
+    return rows, cols, vals
 
 
 @dataclass(frozen=True)

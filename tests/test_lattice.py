@@ -265,6 +265,22 @@ def test_build_is_pure():
     assert a == b
 
 
+def test_pair_modes_are_looked_up_once_and_leave_equality_alone():
+    cfg = LatticeConfig(kf=1.0, delta=0.25, boost=(0, 0, 1), frozen_core=True, volume=1)
+    a, b = build_mode_table(cfg), build_mode_table(cfg)
+    for k in a.shell_all:
+        want = (a.mode_index(SPIN_UP, k), a.mode_index(SPIN_DOWN, a.partner(k)))
+        assert a.pair_modes(k) == a.pair_modes(list(k)) == want
+    assert a._pairs and not b._pairs
+    assert a == b and hash(a) == hash(b)
+    want = [b.pair_modes(k) for k in b.shell_all]
+    with mock.patch.object(type(a), "mode_index", side_effect=AssertionError):
+        assert [a.pair_modes(k) for k in a.shell_all] == want
+    with pytest.raises(KeyError):
+        a.pair_modes((5, 5, 5))
+    assert (5, 5, 5) not in a._pairs
+
+
 def test_delta_reaching_origin_rejected():
     with pytest.raises(LatticeError):
         build_mode_table(LatticeConfig(kf=0.5, delta=0.5))

@@ -323,6 +323,78 @@ def test_an_operand_is_prepared_once(minimal_table):
     assert w._wick is not None
 
 
+def assert_products_equal_the_rewriter(a, b):
+    """``compose`` both ways and ``commutator`` against the rewriter."""
+    ab, ba = normal_ordered(raw_products(a, b)), normal_ordered(raw_products(b, a))
+    assert a.compose(b) == ab and b.compose(a) == ba
+    assert commutator(a, b) == ab - ba and commutator(b, a) == ba - ab
+
+
+@pytest.mark.parametrize("operand", ["gamma", "annihilator", "creator"])
+def test_w_times_an_operand_with_an_empty_parity_class(twopair_table, operand):
+    # gamma_k has even terms alone, a one-factor operator odd terms alone:
+    # every product pairs W's groups with an empty class as well
+    table = twopair_table
+    w = build_w(table, Fraction(-2, 3), formfactors.from_spec(table, "random:5")[0])
+    up_k, _ = table.pair_modes(table.shell_plus[0])
+    other = {"gamma": build_gamma(table, table.shell_plus[0]),
+             "annihilator": OperatorExpr.from_monomial(Fraction(3, 2), [A(up_k)]),
+             "creator": OperatorExpr.from_monomial(-2, [C(up_k)])}[operand]
+    assert_products_equal_the_rewriter(w, other)
+    groups = operators._wick_form(other)[0]
+    assert [bool(parity) for parity in groups] == [operand == "gamma", operand != "gamma"]
+    # W's 16 terms fall in 4 groups, one per annihilated pair
+    assert [len(parity) for parity in operators._wick_form(w)[0]] == [4, 0]
+
+
+@st.composite
+def shared_annihilator_operands(draw):
+    """Operators whose terms draw their annihilated modes from a few
+    masks, so that many terms share one."""
+    masks = draw(st.lists(st.sets(st.integers(0, 5), max_size=3), min_size=1,
+                          max_size=3))
+    monos = []
+    for _ in range(draw(st.integers(1, 8))):
+        creates = draw(st.sets(st.integers(0, 5), max_size=3))
+        annihilates = draw(st.sampled_from(masks))
+        monos.append((draw(COMPOSE_COEFFS["fraction"]),
+                      [C(m) for m in sorted(creates)] + [A(m) for m in sorted(annihilates)]))
+    return OperatorExpr.from_monomials(monos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=shared_annihilator_operands(), b=shared_annihilator_operands())
+def test_products_of_terms_that_share_annihilators(a, b):
+    assert_products_equal_the_rewriter(a, b)
+
+
+def test_products_of_hand_written_groups():
+    # in each operand and parity, groups of two terms that share their
+    # annihilated modes, beside a group of one
+    a = OperatorExpr.from_monomials([
+        (1, (C(0), C(4), A(1), A(2))), (Fraction(-2, 3), (C(3), C(4), A(1), A(2))),
+        (5, (C(2), A(3))), (Fraction(1, 2), (C(1), A(3))),
+        (2, (C(0), A(1), A(2))), (-1, (C(3), A(1), A(2))), (3, (C(1), C(4), A(3)))])
+    b = OperatorExpr.from_monomials([
+        (3, (C(1), A(0))), (-1, (C(2), A(0))),
+        (2, (C(3), C(4), A(2), A(4))), (-3, (A(2), A(4))),
+        (Fraction(1, 4), (C(1), C(2), A(0))), (7, (C(3), C(4), A(0))), (1, (A(5),))])
+    for op, sizes in ((a, [[2, 2], [2, 1]]), (b, [[2, 2], [2, 1]])):
+        assert [[len(terms) for _, _, terms in parity]
+                for parity in operators._wick_form(op)[0]] == sizes
+    assert_products_equal_the_rewriter(a, b)
+
+
+def test_an_empty_right_operand_reads_no_left_group():
+    def untouchable():
+        raise AssertionError("a left group was read")
+        yield
+
+    out = {}
+    operators._wick_sum(untouchable(), [], -1, 8, out, False, True)
+    assert out == {}
+
+
 def test_pair_commutator_on_the_40_mode_shell():
     """[W, pair(k, lam)] on the |n|^2 in {2, 3} shell with random weights:
     the one-pass commutator equals the difference of the two products and
@@ -579,6 +651,91 @@ def test_residuals_equal_the_fraction_routes(monos, data):
 def test_residuals_reject_an_inexact_shift():
     with pytest.raises(TypeError):
         eigen_residual(OperatorExpr({(1, 1): 1}), StateVector(1, {1: 1}), 2.0)
+
+
+@st.composite
+def number_mixes(draw, n_modes=5):
+    """Raw monomials that mix number terms of one mode and of several
+    (their annihilators in any order, so either sign), the identity, and
+    with ``hops`` off-diagonal terms too."""
+    kinds = ["number", "numbers", "identity"] + ["hop"] * draw(st.booleans())
+    monos = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        modes = draw(st.lists(st.integers(0, n_modes - 1), unique=True,
+                              min_size={"identity": 0, "number": 1}.get(kind, 2),
+                              max_size={"identity": 0, "number": 1}.get(kind, 3)))
+        if kind == "hop":
+            factors = [C(modes[0]), *map(A, modes[1:])]
+        else:
+            factors = [*map(C, modes), *map(A, draw(st.permutations(modes)))]
+        monos.append((draw(AMPLITUDES.filter(bool)), factors))
+    return monos
+
+
+@settings(max_examples=200, deadline=None)
+@given(monos=number_mixes(), data=st.data())
+def test_number_terms_summed_on_the_diagonal_equal_the_oracle(monos, data):
+    n_modes = 5
+    prime = 2**53 + 5  # past 2**53 after any small coefficient is multiplied in
+    wide, amp_wide = (data.draw(st.sampled_from([1, prime])) for _ in range(2))
+    expr = OperatorExpr.from_monomials(monos).scaled(wide)
+    shift = data.draw(st.one_of(MIXED, st.integers(0, n_modes))) * wide
+    amps = data.draw(st.dictionaries(st.integers(0, (1 << n_modes) - 1), MIXED,
+                                     min_size=1, max_size=12))
+    vec = StateVector(n_modes, {occ: a * amp_wide for occ, a in amps.items()})
+    if len(vec) and (expr.terms or shift):
+        signed = _values([*expr.terms.values(), Fraction(shift)], vec.nums, vec.den)[0]
+        assert signed.dtype == (np.int64 if wide == amp_wide == 1 else object)
+    oracle = DictState.of(vec)
+    image, image_dict = apply_operator(expr, vec), apply_dict(expr, oracle)
+    assert bits(image.amp) == bits(image_dict.amp) and image == image_dict.record()
+    for got, want in ((image_norm(expr, vec, shift), (image_dict - oracle.scaled(shift)).norm()),
+                      (eigen_residual(expr, vec, shift),
+                       eigen_residual_dict(expr, oracle, shift))):
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def test_a_diagonal_operator_drops_exactly_its_zeros(monkeypatch):
+    # N - 2 on one, two and three particles: the two-particle states leave
+    # the image, the others keep (n - 2) times their amplitude, unsorted
+    number = OperatorExpr({(1 << m, 1 << m): 1 for m in range(4)})
+    amps = {0b0001: 1, 0b0011: Fraction(2, 3), 0b0101: -5, 0b0111: 3, 0b1110: 7,
+            0b1000: Fraction(-1, 2)}
+    vec = StateVector(4, amps)
+    want = {occ: (occ.bit_count() - 2) * a for occ, a in amps.items()
+            if occ.bit_count() != 2}
+    monkeypatch.setattr(operators.np, "argsort", None)  # a diagonal image sorts nothing
+    occs, nums, den = operators._image(number, vec, 2)
+    assert occs.tolist() == sorted(want)
+    assert {o: Fraction(n, den) for o, n in zip(occs.tolist(), nums.tolist())} == want
+    assert apply_operator(number - OperatorExpr.identity(2), vec).amp == want
+
+
+@pytest.mark.parametrize("name", list(PAIR_TABLES)[:5])
+def test_sector_matrix_times_the_paired_state_equals_its_image(name):
+    # the two users of the one firing loop: H0 + W on |NC> as a sector
+    # matrix times the state's numerators, and as the state's image
+    cfg = load_config(PAIR_TABLES[name])
+    table = cfg["table"]
+    weights, _ = formfactors.from_spec(table, cfg["formfactor"], cfg["seed"])
+    h = build_h0(table) + build_w(table, cfg["couplings"][0], weights)
+    state = nc_state(table)
+    basis = sector_basis(table.n_modes, table.total_particles_nc() - table.core_particles)
+    coo = matrix_in_sector(h, basis, table.n_modes)
+    amp = dict.fromkeys(range(len(basis)), 0)
+    position = {occ: i for i, occ in enumerate(basis.tolist())}
+    for occ, num in zip(state.occs.tolist(), state.nums.tolist()):
+        amp[position[occ]] = num
+    acc = {}
+    for row, col, num in zip(coo.rows.tolist(), coo.cols.tolist(), coo.nums.tolist()):
+        acc[row] = acc.get(row, 0) + num * amp[col]
+    want = {basis[row].item(): Fraction(v, coo.den * state.den) for row, v in acc.items() if v}
+    occs, nums, den = operators._image(h, state)
+    assert {o: Fraction(n, den) for o, n in zip(occs.tolist(), nums.tolist())} == want
+    # W is dark on |NC> but for the asymmetric control
+    dark = want == apply_operator(build_h0(table), state).amp
+    assert dark == (name != "broken_formfactor")
 
 
 def test_firing_blocks_give_the_same_image_and_matrix(monkeypatch, threepair_table):

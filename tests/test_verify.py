@@ -34,10 +34,13 @@ from darkpair.verify import (
     quadrature_energy_per_particle,
     _anticommutation_residual,
     _distance,
+    dark_residuals,
     relative_dark_residual,
     run_battery,
 )
+from darkpair.states import nc_state
 from normal_order import normal_ordered
+from state_oracle import DictState, dark_residual_dict
 
 G_LIST = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
 LAMBDAS = [Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(7, 3)]
@@ -245,6 +248,42 @@ def test_dark_state_reuses_the_reference_interaction(twopair_table, boosted_tabl
             assert sorted(k for k, _ in gammas) == sorted(table.shell_all)
             assert sorted(brackets) == sorted(table.shell_plus)
             assert [config.boost for config in tables] == boosts
+
+
+ONE_IMAGE_COUPLINGS = [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7),
+                       Fraction(10**6)]
+
+
+@pytest.mark.parametrize("name", ["minimal", "twopair", "threepair_core"])
+def test_dark_state_takes_one_image_for_every_coupling(name, monkeypatch):
+    # asymmetric weights leave the state bright, so each residual is a
+    # nonzero g**2 S1 rooted; it must be the one the image of g W1 gives
+    cfg = load_config(bundled_config_path(name))
+    table, spec = cfg["table"], "asymmetric:4"
+    weights, _ = from_spec(table, spec)
+    state = nc_state(table)
+    got = dark_residuals(build_w(table, 1, weights), state, ONE_IMAGE_COUPLINGS)
+    for g, res in zip(ONE_IMAGE_COUPLINGS, got, strict=True):
+        w = build_w(table, g, weights)
+        want = relative_dark_residual(w, state)
+        assert res.hex() == want.hex() == dark_residual_dict(w, DictState.of(state)).hex()
+        assert (res > 0) == (g != 0)
+
+    images = []
+    image = verify._image
+
+    def counted(expr, vec, shift=0):
+        images.append(len(expr))
+        return image(expr, vec, shift)
+
+    monkeypatch.setattr(verify, "_image", counted)
+    for couplings in (ONE_IMAGE_COUPLINGS[1:2], ONE_IMAGE_COUPLINGS):
+        images.clear()
+        report = run_battery(table, couplings, [Fraction(-1)], spec)
+        assert images == [len(build_w(table, 1, weights))]
+        by_id = {c.check_id: c.residual for c in report.checks}
+        assert by_id["dark_state"] == by_id["coupling_independence"] == max(
+            relative_dark_residual(build_w(table, g, weights), state) for g in couplings)
 
 
 # the bundled configs, the 40-mode battery shell, a live core with a
