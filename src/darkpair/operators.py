@@ -461,22 +461,16 @@ def _firings(compiled: list[tuple], signed: np.ndarray,
     """The one loop ``_image`` and ``_sector_entries`` fire terms through:
     ``(vals, at, res)`` items of each firing's value in ``signed`` (over a
     unit amplitude), the position in ``occs`` of the state it fires on and
-    the occupation it yields.  Number-type terms (``cmask == amask``, the
-    identity among them) yield the state they fire on: they fire first,
-    so their firings are a prefix of a block's, and are summed per state
-    into the first item, each state any of them fires on, in order.  The
-    other terms follow, one item per block."""
+    the occupation it yields, one item per block.  Number-type terms
+    (``cmask == amask``, the identity among them) yield the state they
+    fire on: they fire first, so their firings are a prefix of a block's,
+    and are summed per state into the last item, each state any of them
+    fires on, in order."""
     moves = [term[0] != term[1] for term in compiled]
     numbers = moves.count(False)
     ids = np.array(sorted(range(len(compiled)), key=moves.__getitem__), dtype=np.int64)
     diag = np.zeros(len(occs), dtype=signed.dtype)
     on_diag = np.zeros(len(occs), dtype=bool)
-
-    def diagonal():
-        where = np.flatnonzero(on_diag)
-        return diag[where], where, occs[where]
-
-    pending = True  # the diagonal is yielded once every number-type term has fired
     for first, block in _blocks([compiled[t] for t in ids], len(occs)):
         term, at, res, odd = _fire(block, occs)
         vals = signed.take(2 * ids[first + term] + odd)
@@ -484,13 +478,10 @@ def _firings(compiled: list[tuple], signed: np.ndarray,
         if split:
             np.add.at(diag, at[:split], vals[:split])
             on_diag[at[:split]] = True
-        if pending and first + len(block) >= numbers:
-            pending = False
-            yield diagonal()
         if split < len(term):
             yield vals[split:], at[split:], res[split:]
-    if pending:  # no terms
-        yield diagonal()
+    where = np.flatnonzero(on_diag)
+    yield diag[where], where, occs[where]
 
 
 def _image(expr: OperatorExpr, vec: StateVector,
@@ -503,9 +494,9 @@ def _image(expr: OperatorExpr, vec: StateVector,
     ``_firings`` over the record's occupations, each value times the
     amplitude it fires on (integer numerators, ``_values``).  The
     number-type terms arrive summed per input state, already in state
-    order, so an operator of number terms alone (``H0``, ``N``, ``P``)
-    needs no sort; the other contributions are grouped by the state they
-    yield, with the diagonal, and summed.  ``shift`` must be int or
+    order, as the last item, so an operator of number terms alone
+    (``H0``, ``N``, ``P``) needs no sort; the other contributions are
+    grouped by the state they yield, with the diagonal, and summed.  ``shift`` must be int or
     ``Fraction`` (``TypeError`` otherwise).
     """
     compiled = _compile(expr, vec.n_modes)
@@ -524,7 +515,7 @@ def _image(expr: OperatorExpr, vec: StateVector,
         start = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
         sums, res = np.add.reduceat(sums, start), res[start]
     else:
-        sums, res = parts[0]  # the diagonal alone
+        sums, res = parts[-1]  # the diagonal alone
     keep = np.flatnonzero(sums != 0)
     return res[keep], sums[keep], den
 
@@ -538,13 +529,19 @@ def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     return StateVector._wrap(vec.n_modes, *_image(expr, vec))
 
 
-def image_norm(expr: OperatorExpr, vec: StateVector, shift=0) -> float:
-    """``|| (expr - shift)|vec> ||``: the exact sum of squares of the
-    ``_image`` numerators (the ``_square_sum`` that ``StateVector.norm2``
-    takes), rooted as ``StateVector.norm`` roots it, so the float is that
-    of the image built as a ``StateVector``."""
+def image_norm2(expr: OperatorExpr, vec: StateVector, shift=0) -> Fraction:
+    """``|| (expr - shift)|vec> ||**2`` as one exact ``Fraction``: the
+    sum of squares of the ``_image`` numerators, as ``StateVector.norm2``
+    sums them."""
     _, nums, den = _image(expr, vec, shift)
-    return math.sqrt(float(_square_sum(nums, den)))
+    return _square_sum(nums, den)
+
+
+def image_norm(expr: OperatorExpr, vec: StateVector, shift=0) -> float:
+    """``|| (expr - shift)|vec> ||``: ``image_norm2`` rooted as
+    ``StateVector.norm`` roots it, so the float is that of the image built
+    as a ``StateVector``."""
+    return math.sqrt(float(image_norm2(expr, vec, shift)))
 
 
 def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
@@ -561,18 +558,15 @@ def _sector_entries(compiled: list[tuple], signed: np.ndarray, occs):
     ``occs`` is the basis as uint64, strictly ascending: a basis that is
     not is rejected with ``ValueError``, not ranked, because each image's
     row is found by binary search.  The number-type terms come summed
-    into the diagonal, its first item; every other entry appears once per
+    into the diagonal, the last item; every other entry appears once per
     term that reaches it.  On a sector of ``FIRE_BUDGET`` states or more
     each block is one term.
     """
     if np.any(occs[1:] <= occs[:-1]):
         raise ValueError("sector basis must be strictly ascending")
     index = np.int32 if len(occs) < 2**31 else np.int64
-    firings = _firings(compiled, signed, occs)
-    diag, where = next(firings)[:2]  # its images, the basis itself, are not kept
-    where = where.astype(index)
-    rows, cols, vals = [where], [where], [diag]
-    for val, col, res in firings:
+    rows, cols, vals = [], [], []
+    for val, col, res in _firings(compiled, signed, occs):
         row = np.searchsorted(occs, res)
         found = occs.take(row, mode="clip") == res
         rows.append(row[found].astype(index))

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import formfactors
-from .fock import MAX_MODES, StateVector, _numerators, _square_sum
+from .fock import MAX_MODES, StateVector
 from .lattice import LatticeError, ModeTable, band_sums, boosted_twin
 from .operators import (
     ANNIHILATE,
@@ -34,7 +34,6 @@ from .operators import (
     OperatorExpr,
     _compile,
     _fire,
-    _image,
     build_gamma,
     build_h0,
     build_momentum_op,
@@ -43,6 +42,7 @@ from .operators import (
     build_w,
     commutator,
     eigen_residual,
+    image_norm2,
     pair_commutator_rhs,
 )
 from .states import nc_energy, nc_momentum, nc_state
@@ -115,26 +115,14 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def relative_dark_residual(w: OperatorExpr, state: StateVector) -> float:
-    """|| W|psi> || / (||W||_1 * ||psi||), exactly zero when the image is
-    empty: ``dark_residuals`` at unit coupling, with the image norm that
-    ``image_norm`` gives."""
-    return dark_residuals(w, state, [1])[0]
-
-
 def dark_residuals(w1: OperatorExpr, state: StateVector, couplings) -> list[float]:
-    """``relative_dark_residual(w1.scaled(g), state)`` for each coupling
-    ``g``, bit for bit, from one image: that of ``W~ = W1 / c``, ``c`` the
-    content of ``W1``, whose coprime integer coefficients keep the sums
-    small when the volume is a float's many-digit exact rational.  The
-    image of ``g W1`` has the exact square sum ``(g c)**2 S~`` and ``g W1``
-    the one-norm ``|g| ||W1||_1``, so each float is the same correctly
-    rounded value, ``g = 0`` and the zero operator included."""
-    nums, den = _numerators(list(w1.terms.values()))
-    common = math.gcd(*nums)  # 0 for the zero operator, whose terms are none
-    unit = OperatorExpr._wrap({t: Fraction(n // common) for t, n in zip(w1.terms, nums)})
-    _, image, image_den = _image(unit, state)
-    square = Fraction(common, den) ** 2 * _square_sum(image, image_den)
+    """``|| W|psi> || / (||W||_1 * ||psi||)`` of ``W = g W1`` at each
+    coupling ``g``, exactly zero where the image is empty, from one image
+    of ``W1``: that of ``g W1`` has the exact square sum ``g**2`` times
+    ``W1``'s (``image_norm2``) and ``g W1`` the one-norm ``|g| ||W1||_1``,
+    so each float is the correctly rounded value the image of ``g W1``
+    gives, ``g = 0`` included."""
+    square = image_norm2(w1, state)
     one_norm, norm = w1.one_norm(), state.norm()
     out = []
     for g in couplings:

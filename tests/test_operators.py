@@ -31,11 +31,12 @@ from darkpair.operators import (
     commutator,
     eigen_residual,
     image_norm,
+    image_norm2,
     matrix_in_sector,
     pair_commutator_rhs,
 )
 from darkpair.states import nc_state, phi_core
-from darkpair.verify import relative_dark_residual
+from darkpair.verify import dark_residuals
 from normal_order import factors, key, normal_ordered
 from pair_closed_form import pair_commutator_monomials
 from scalar_signs import apply_raw_factors
@@ -638,13 +639,15 @@ def test_residuals_equal_the_fraction_routes(monos, data):
     if len(vec) and (expr.terms or shift):
         signed = _values([*expr.terms.values(), Fraction(shift)], vec.nums, vec.den)[0]
         assert signed.dtype == (np.int64 if wide == amp_wide == 1 else object)
+    g = data.draw(MIXED)  # the dark residual of g W from the image of W
     oracle = DictState.of(vec)
     image, image_dict = apply_operator(expr, vec), apply_dict(expr, oracle)
     assert bits(image.amp) == bits(image_dict.amp) and image == image_dict.record()
+    assert image_norm2(expr, vec, shift) == (image_dict - oracle.scaled(shift)).norm2()
     for got, want in ((image_norm(expr, vec, shift), (image_dict - oracle.scaled(shift)).norm()),
                       (eigen_residual(expr, vec, shift),
                        eigen_residual_dict(expr, oracle, shift)),
-                      (relative_dark_residual(expr, vec), dark_residual_dict(expr, oracle))):
+                      (dark_residuals(expr, vec, [g])[0], dark_residual_dict(expr.scaled(g), oracle))):
         assert type(got) is float and got.hex() == want.hex()
 
 

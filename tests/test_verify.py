@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from darkpair.cli import bundled_config_path, load_config, write_csv
 from darkpair.formfactors import from_spec
 from darkpair.lattice import SPIN_DOWN, SPIN_UP, LatticeConfig, build_mode_table
-from darkpair import lattice, verify
+from darkpair import lattice, operators, verify
 from darkpair.operators import (
     ANNIHILATE,
     CREATE,
@@ -23,6 +23,7 @@ from darkpair.operators import (
     build_gamma,
     build_w,
     commutator,
+    image_norm,
 )
 from darkpair.verify import (
     CHECK_IDS,
@@ -35,7 +36,6 @@ from darkpair.verify import (
     _anticommutation_residual,
     _distance,
     dark_residuals,
-    relative_dark_residual,
     run_battery,
 )
 from darkpair.states import nc_state
@@ -257,33 +257,39 @@ ONE_IMAGE_COUPLINGS = [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7)
 @pytest.mark.parametrize("name", ["minimal", "twopair", "threepair_core"])
 def test_dark_state_takes_one_image_for_every_coupling(name, monkeypatch):
     # asymmetric weights leave the state bright, so each residual is a
-    # nonzero g**2 S1 rooted; it must be the one the image of g W1 gives
+    # nonzero g**2 S1 rooted; it must be the one the image of g W1 gives,
+    # by the kernel's image_norm and by the dictionary oracle
     cfg = load_config(bundled_config_path(name))
     table, spec = cfg["table"], "asymmetric:4"
     weights, _ = from_spec(table, spec)
     state = nc_state(table)
-    got = dark_residuals(build_w(table, 1, weights), state, ONE_IMAGE_COUPLINGS)
-    for g, res in zip(ONE_IMAGE_COUPLINGS, got, strict=True):
+    w1 = build_w(table, 1, weights)
+    want = []
+    for g in ONE_IMAGE_COUPLINGS:
         w = build_w(table, g, weights)
-        want = relative_dark_residual(w, state)
-        assert res.hex() == want.hex() == dark_residual_dict(w, DictState.of(state)).hex()
-        assert (res > 0) == (g != 0)
+        norm = image_norm(w, state)
+        want.append(norm / (float(w.one_norm()) * state.norm()) if g else norm)
+        assert want[-1].hex() == dark_residual_dict(w, DictState.of(state)).hex()
+        assert (want[-1] > 0) == (g != 0)
+    got = dark_residuals(w1, state, ONE_IMAGE_COUPLINGS)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
     images = []
-    image = verify._image
+    image = operators._image
 
     def counted(expr, vec, shift=0):
-        images.append(len(expr))
+        images.append(expr)
         return image(expr, vec, shift)
 
-    monkeypatch.setattr(verify, "_image", counted)
+    # W at any coupling is the one operator with W's terms
+    monkeypatch.setattr(operators, "_image", counted)
     for couplings in (ONE_IMAGE_COUPLINGS[1:2], ONE_IMAGE_COUPLINGS):
         images.clear()
         report = run_battery(table, couplings, [Fraction(-1)], spec)
-        assert images == [len(build_w(table, 1, weights))]
+        assert [e for e in images if e.terms.keys() == w1.terms.keys()] == [w1]
         by_id = {c.check_id: c.residual for c in report.checks}
         assert by_id["dark_state"] == by_id["coupling_independence"] == max(
-            relative_dark_residual(build_w(table, g, weights), state) for g in couplings)
+            x for g, x in zip(ONE_IMAGE_COUPLINGS, want) if g in couplings)
 
 
 # the bundled configs, the 40-mode battery shell, a live core with a
@@ -347,7 +353,7 @@ def test_residual_helpers(minimal_table):
     from darkpair.states import nc_state
 
     nc = nc_state(minimal_table)
-    assert relative_dark_residual(build_w(minimal_table, 1), nc) == 0.0
+    assert dark_residuals(build_w(minimal_table, 1), nc, [1, Fraction(-3, 2)]) == [0.0, 0.0]
     assert eigen_residual(build_h0(minimal_table), nc, Fraction(2)) == 0.0
     assert eigen_residual(build_h0(minimal_table), nc, Fraction(3)) == 1.0
 
