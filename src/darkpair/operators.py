@@ -378,8 +378,10 @@ def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
     layout; ``cpar``/``apar`` are the XOR of the "modes with smaller index"
     masks of those modes, so the parity of the occupied modes they select
     is the term's fermionic sign.  That holds for canonical terms, the only
-    ones an ``OperatorExpr`` holds.  The terms keep ``terms``' order; every
-    kernel sums exact integers, so no order changes a result.
+    ones an ``OperatorExpr`` holds.  The number-type terms (``cmask ==
+    amask``) come first, for ``_firings``, then the others, each in
+    ``terms``' order; every kernel sums exact integers, so no order
+    changes a result.
     """
     full = 1 << n_modes
     words: dict[int, tuple[int, int]] = {}  # terms share their blocks' masks
@@ -394,11 +396,11 @@ def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
             words[mask] = bits, par
         return words[mask]
 
-    compiled = []
+    numbers, moves = [], []
     for (cm, am), coeff in expr.terms.items():
         (cbits, cpar), (abits, apar) = word(cm), word(am)
-        compiled.append((cbits, abits, cpar, apar, coeff))
-    return compiled
+        (moves if cm != am else numbers).append((cbits, abits, cpar, apar, coeff))
+    return numbers + moves
 
 
 def _blocks(compiled: list[tuple], n_states: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -463,17 +465,15 @@ def _firings(compiled: list[tuple], signed: np.ndarray,
     unit amplitude), the position in ``occs`` of the state it fires on and
     the occupation it yields, one item per block.  Number-type terms
     (``cmask == amask``, the identity among them) yield the state they
-    fire on: they fire first, so their firings are a prefix of a block's,
-    and are summed per state into the last item, each state any of them
-    fires on, in order."""
-    moves = [term[0] != term[1] for term in compiled]
-    numbers = moves.count(False)
-    ids = np.array(sorted(range(len(compiled)), key=moves.__getitem__), dtype=np.int64)
+    fire on: they lead ``compiled``, as ``_compile`` orders it, so their
+    firings are a prefix of a block's, and are summed per state into the
+    last item, each state any of them fires on, in order."""
+    numbers = sum(term[0] == term[1] for term in compiled)
     diag = np.zeros(len(occs), dtype=signed.dtype)
     on_diag = np.zeros(len(occs), dtype=bool)
-    for first, block in _blocks([compiled[t] for t in ids], len(occs)):
+    for first, block in _blocks(compiled, len(occs)):
         term, at, res, odd = _fire(block, occs)
-        vals = signed.take(2 * ids[first + term] + odd)
+        vals = signed.take(2 * (first + term) + odd)
         split = np.searchsorted(term, numbers - first)
         if split:
             np.add.at(diag, at[:split], vals[:split])
@@ -496,12 +496,12 @@ def _image(expr: OperatorExpr, vec: StateVector,
     number-type terms arrive summed per input state, already in state
     order, as the last item, so an operator of number terms alone
     (``H0``, ``N``, ``P``) needs no sort; the other contributions are
-    grouped by the state they yield, with the diagonal, and summed.  ``shift`` must be int or
-    ``Fraction`` (``TypeError`` otherwise).
+    grouped by the state they yield, with the diagonal, and summed.
+    ``shift`` must be int or ``Fraction`` (``TypeError`` otherwise).
     """
     compiled = _compile(expr, vec.n_modes)
     if shift:
-        compiled.append((0, 0, 0, 0, -_exact(shift)))
+        compiled.insert(0, (0, 0, 0, 0, -_exact(shift)))  # a number term: they lead
     signed, amp, den = _values([term[-1] for term in compiled], vec.nums, vec.den)
     parts = [(vals * amp[at], res) for vals, at, res in _firings(compiled, signed, vec.occs)]
     if len(parts) > 1:
