@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
-from types import MappingProxyType
 
 import numpy as np
 
@@ -81,6 +81,23 @@ def _square_sum(nums: np.ndarray, den: int) -> Fraction:
     return Fraction(sum(n * n for n in nums.tolist()), den * den)
 
 
+class _Fractions(Mapping):
+    """A record's ``{key: numerator}`` map over ``den`` read as ``{key:
+    Fraction}``, each built when read: a state's ``amp``, an operator's ``terms``."""
+
+    def __init__(self, nums: dict, den: int):
+        self._nums, self._den = nums, den
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+
 class StateVector:
     """An exact state: the amplitude ``nums[i] / den`` at occupation
     ``occs[i]``, zero elsewhere; the record every operator kernel reads
@@ -135,12 +152,11 @@ class StateVector:
         self.n_modes, self.occs, self.nums, self.den, self._amp = n_modes, occs, nums, den, None
 
     @property
-    def amp(self) -> MappingProxyType[int, Fraction]:
+    def amp(self) -> Mapping[int, Fraction]:
         """The amplitudes as a read-only ``{occupation: Fraction}`` view,
-        built on first read; no kernel reads it."""
+        its numerator map built on first read; no kernel reads it."""
         if self._amp is None:
-            self._amp = MappingProxyType({occ: Fraction(n, self.den) for occ, n in
-                                          zip(self.occs.tolist(), self.nums.tolist())})
+            self._amp = _Fractions(dict(zip(self.occs.tolist(), self.nums.tolist())), self.den)
         return self._amp
 
     def __len__(self) -> int:

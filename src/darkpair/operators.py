@@ -15,12 +15,12 @@ one-factor operators.  Each operand's terms are grouped by their
 annihilated modes (``_wick_form``), so a group that no contraction can
 reach is passed over in one test.
 
-Canonical form makes operator equality a dictionary comparison, which is
-what turns commutator identities into decidable checks.  Every coefficient
-is a ``Fraction`` (the constructors convert ints and reject floats and
-complex values), and every kernel (``compose``, ``commutator``,
-``apply_operator``, ``matrix_in_sector``) sums integer numerators over a
-common denominator: int64 while the sums are small, Python ints beyond.
+An operator is an exact integer record, as a ``StateVector`` is: each
+key's nonzero integer numerator over one denominator in lowest terms, so
+equal operators have equal records, which turns commutator identities
+into decidable checks.  Every producer and kernel (``compose``,
+``commutator``, ``apply_operator``, ``matrix_in_sector``) works on the
+numerators: int64 while the kernels' sums are small, Python ints beyond.
 ``apply_operator`` and ``matrix_in_sector`` fire terms on states through
 one loop (``_firings``) that sums the number-type terms, which map each
 state to itself, per state onto the diagonal.  A sector matrix has one
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,7 +40,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .fock import MAX_MODES, StateVector, _numerators, _square_sum, mode_bit
+from .fock import MAX_MODES, StateVector, _Fractions, _numerators, _square_sum, mode_bit
 from .formfactors import Weights, from_spec
 from .lattice import IVec, ModeTable
 
@@ -57,50 +58,54 @@ class ShellDomainError(ValueError):
     """A pair construction was requested for a point outside the shell."""
 
 
-def _exact(coeff) -> Fraction:
-    """``coeff`` as a ``Fraction``: an int is converted, a float or complex
-    value raises ``TypeError``."""
-    if isinstance(coeff, Fraction):
+def _exact(coeff):
+    """``coeff`` itself when it is an int or a ``Fraction`` (both carry a
+    ``numerator`` and a ``denominator``); any other type raises ``TypeError``."""
+    if isinstance(coeff, (int, Fraction)):
         return coeff
-    if isinstance(coeff, int):
-        return Fraction(coeff)
     raise TypeError(
         f"operator coefficients are exact rationals, not {type(coeff).__name__}"
     )
 
 
 class OperatorExpr:
-    """Canonical term map: each term's ``(C, A)`` key to its nonzero
-    ``Fraction`` coefficient, the identity at ``(0, 0)``; the constructor
-    drops zero coefficients, so equal operators have equal maps."""
+    """The exact record of an operator: ``nums`` maps each canonical
+    term's ``(C, A)`` key, the identity at ``(0, 0)``, to its nonzero
+    integer numerator over ``den > 0``, ``gcd(den, *nums) == 1``, so equal
+    operators have equal records.  The constructor takes a ``{key: int or
+    Fraction}`` map and drops zeros; ``terms`` reads the record back."""
 
-    __slots__ = ("terms", "_wick")
+    __slots__ = ("nums", "den", "_wick")
 
     def __init__(self, terms: dict[Term, object] | None = None):
-        exact = {t: _exact(c) for t, c in (terms or {}).items()}
-        self.terms: dict[Term, Fraction] = {t: c for t, c in exact.items() if c != 0}
-        self._wick = None  # the bitmask form of ``_wick_form``, built on first use
-        for key in exact:
+        terms = terms or {}
+        for key in terms:
             if not (type(key) is tuple and len(key) == 2
                     and all(type(m) is int and m >= 0 for m in key)):
                 raise ValueError(
                     f"term {key!r} is not a (C, A) pair of non-negative int "
                     "masks; build operators with OperatorExpr.from_monomial(s)"
                 )
+        nums, den = _numerators([_exact(c) for c in terms.values()])
+        record = self._wrap({t: n for t, n in zip(terms, nums) if n}, den)
+        self.nums, self.den, self._wick = record.nums, record.den, None
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def _wrap(cls, terms: dict[Term, object]) -> "OperatorExpr":
-        """Unchecked constructor for term maps this module built canonical."""
+    def _wrap(cls, nums: dict[Term, int], den: int = 1) -> "OperatorExpr":
+        """Unchecked constructor for maps of canonical keys to nonzero
+        numerators over ``den > 0``, which it brings to lowest terms."""
+        common = math.gcd(den, *nums.values())
         expr = object.__new__(cls)
-        expr.terms = terms
-        expr._wick = None
+        expr.nums = {t: n // common for t, n in nums.items()} if common > 1 else nums
+        expr.den = den // common
+        expr._wick = None  # the bitmask form of ``_wick_form``, built on first use
         return expr
 
     @classmethod
-    def identity(cls, coeff=Fraction(1)) -> "OperatorExpr":
+    def identity(cls, coeff=1) -> "OperatorExpr":
         coeff = _exact(coeff)
-        return cls._wrap({(0, 0): coeff} if coeff != 0 else {})
+        return cls._wrap({(0, 0): coeff.numerator} if coeff else {}, coeff.denominator)
 
     @classmethod
     def from_monomial(cls, coeff, factors: Iterable[Factor]) -> "OperatorExpr":
@@ -115,7 +120,7 @@ class OperatorExpr:
         any order: it is sorted, with the sign of the sort, and zero when it
         repeats a mode.  An annihilation before a creation raises
         ``ValueError`` (``compose`` multiplies such factors)."""
-        out: dict[Term, Fraction] = {}
+        found = []  # (key, odd, coeff) of each nonzero monomial
         for coeff, factors in monomials:
             coeff, factors = _exact(coeff), tuple(factors)
             if coeff == 0:
@@ -131,88 +136,79 @@ class OperatorExpr:
                 else:
                     raise ValueError(f"monomial {factors} is not its creations followed "
                                      "by its annihilations; multiply such factors with compose")
-            if cm.bit_count() + am.bit_count() < len(factors):
-                continue  # a block repeats a mode: the monomial is zero
-            cur = out.get((cm, am), 0) + (-coeff if odd & 1 else coeff)
-            if cur == 0:
-                out.pop((cm, am), None)
-            else:
-                out[cm, am] = cur
-        return cls._wrap(out)
+            if cm.bit_count() + am.bit_count() == len(factors):  # else a block repeats a mode
+                found.append(((cm, am), odd & 1, coeff))
+        values, den = _numerators([coeff for _, _, coeff in found])
+        nums: dict[Term, int] = {}
+        for (key, odd, _), num in zip(found, values):
+            nums[key] = nums.get(key, 0) + (-num if odd else num)
+        return cls._wrap({t: n for t, n in nums.items() if n}, den)
 
     # -- linear structure ---------------------------------------------
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            cur = out.get(t, 0) + c
-            if cur == 0:
-                out.pop(t, None)
-            else:
-                out[t] = cur
-        return OperatorExpr._wrap(out)
+    def __add__(self, other: "OperatorExpr", sign: int = 1) -> "OperatorExpr":
+        """``self + sign * other``, summed over the lcm of the denominators."""
+        den = math.lcm(self.den, other.den)
+        mine, theirs = den // self.den, sign * (den // other.den)
+        out = {t: n * mine for t, n in self.nums.items()}
+        for t, n in other.nums.items():
+            out[t] = out.get(t, 0) + n * theirs
+        return OperatorExpr._wrap({t: n for t, n in out.items() if n}, den)
 
     def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "OperatorExpr":
-        return OperatorExpr._wrap({t: -c for t, c in self.terms.items()})
+        return OperatorExpr._wrap({t: -n for t, n in self.nums.items()}, self.den)
 
     def scaled(self, factor) -> "OperatorExpr":
         factor = _exact(factor)
-        if factor == 0:
-            return OperatorExpr()
-        return OperatorExpr._wrap({t: c * factor for t, c in self.terms.items()})
+        return OperatorExpr._wrap({t: n * factor.numerator for t, n in self.nums.items()}
+                                  if factor else {}, self.den * factor.denominator)
 
     def shifted(self, places: int) -> "OperatorExpr":
         """The same operator with every mode m moved to m + ``places``: both
         masks of each term shifted, which keeps each block's order and so
         every coefficient."""
-        return OperatorExpr._wrap({(cm << places, am << places): c
-                                   for (cm, am), c in self.terms.items()})
+        return OperatorExpr._wrap({(cm << places, am << places): n
+                                   for (cm, am), n in self.nums.items()}, self.den)
 
     def compose(self, other: "OperatorExpr") -> "OperatorExpr":
         """Operator product, normal-ordered by Wick's theorem (``_products``)."""
         return _products(self, other, commute=False)
 
-    def dagger(self) -> "OperatorExpr":
-        """The adjoint: ``(C, A)`` becomes ``(A, C)``, both blocks reversed
-        back into ascending order, a sign of (-1)**(n (n - 1) / 2) for a
-        block of n modes."""
-        out: dict[Term, Fraction] = {}
-        for (cm, am), c in self.terms.items():
-            n, m = cm.bit_count(), am.bit_count()
-            out[am, cm] = -c if (n * (n - 1) + m * (m - 1)) // 2 & 1 else c
-        return OperatorExpr._wrap(out)
-
     # -- queries --------------------------------------------------------
+    @property
+    def terms(self) -> Mapping[Term, Fraction]:
+        """The coefficients as a read-only ``{key: Fraction}`` view, each
+        ``Fraction`` built when read; no kernel reads it."""
+        return _Fractions(self.nums, self.den)
+
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, OperatorExpr) and self.terms == other.terms
+        return (isinstance(other, OperatorExpr) and self.den == other.den
+                and self.nums == other.nums)
 
-    def one_norm(self):
+    def one_norm(self) -> Fraction:
         """Sum of |coefficients|: a cheap, basis-free operator-size bound."""
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
+        return Fraction(sum(map(abs, self.nums.values())), self.den)
 
     def conserves_particle_number(self) -> bool:
-        return all(cm.bit_count() == am.bit_count() for cm, am in self.terms)
-
-    def is_hermitian(self) -> bool:
-        return self == self.dagger()
+        return all(cm.bit_count() == am.bit_count() for cm, am in self.nums)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "OperatorExpr(0)"
         bits = []
-        for (cm, am), c in sorted(self.terms.items())[:8]:  # sorted for display
+        for (cm, am), n in sorted(self.nums.items())[:8]:  # sorted for display
             fs = " ".join([f"{CREATE}{m}" for m in _modes(cm)]
                           + [f"{ANNIHILATE}{m}" for m in _modes(am)]) or "1"
-            bits.append(f"({c})*{fs}")
-        more = "" if len(self.terms) <= 8 else f" ... [{len(self.terms)} terms]"
+            bits.append(f"({Fraction(n, self.den)})*{fs}")
+        more = "" if len(self.nums) <= 8 else f" ... [{len(self.nums)} terms]"
         return "OperatorExpr(" + " + ".join(bits) + more + ")"
 
 
@@ -247,24 +243,23 @@ def _wick_form(expr: OperatorExpr) -> tuple:
     ``groups[p]`` holds the terms ``(C, A)`` of odd degree ``p`` grouped
     by their annihilated modes: one ``(A, _above(A), terms)`` tuple per
     distinct ``A``, ``terms`` a list of ``(C, _above(C), numerator)``, the
-    numerators over the common denominator ``den``.  ``creates[p]`` is the
+    record's numerators over its ``den``.  ``creates[p]`` is the
     union of the ``C`` masks in ``groups[p]`` and ``width`` one more than
     the highest mode.  The masks do not depend on a partner's width, so
     one form serves every product; it stays valid because no code changes
     ``terms`` after the operator is built.
     """
     if expr._wick is None:
-        nums, den = _numerators(list(expr.terms.values()))
         by_a: tuple[dict, dict] = ({}, {})
         creates = [0, 0]
-        for (cm, am), v in zip(expr.terms, nums):
+        for (cm, am), v in expr.nums.items():
             odd = (cm.bit_count() + am.bit_count()) & 1
             by_a[odd].setdefault(am, []).append((cm, _above(cm), v))
             creates[odd] |= cm
         groups = tuple([(am, _above(am), terms) for am, terms in parity.items()]
                        for parity in by_a)
-        width = max(((cm | am).bit_length() for cm, am in expr.terms), default=0)
-        expr._wick = groups, creates, den, width
+        width = max(((cm | am).bit_length() for cm, am in expr.nums), default=0)
+        expr._wick = groups, creates, expr.den, width
     return expr._wick
 
 
@@ -280,16 +275,15 @@ def _products(a: OperatorExpr, b: OperatorExpr, commute: bool) -> OperatorExpr:
     Canonical monomials ``X = C1 A1`` and ``Y = C2 A2`` (sets of modes)
     multiply to a sum over contraction sets ``S`` of ``A1 & C2``
     (``_wick_sum``).  Both orders are summed as integer numerators over the
-    product of the two common denominators into one map, ``BA`` negated,
-    and only the terms that survive get their ``(C, A)`` keys and
-    ``Fraction``s.
+    product of the two records' denominators into one map, ``BA`` negated,
+    and only the terms that survive get their ``(C, A)`` keys, in a record
+    reduced once.
     In ``AB - BA`` the uncontracted term (``S`` empty) of ``XY`` is
     ``:XY:`` and that of ``YX`` is ``(-1)**(deg X * deg Y) :XY:``, so it
     is built only for pairs of odd-degree terms: every other pair
     contributes its contractions alone.
     """
     (groups_a, cre_a, den_a, width_a), (groups_b, cre_b, den_b, width_b) = map(_wick_form, (a, b))
-    den = den_a * den_b
     width = max(width_a, width_b)
     top = (1 << width) - 1
 
@@ -300,13 +294,8 @@ def _products(a: OperatorExpr, b: OperatorExpr, commute: bool) -> OperatorExpr:
         if commute:
             _wick_sum(groups_b[pb], groups_a[pa], cre_a[pa], width, out, True, empty)
 
-    as_fraction: dict[int, Fraction] = {}  # each value's Fraction, built once
-    terms: dict[Term, Fraction] = {}
-    for key, value in out.items():
-        if value not in as_fraction:
-            as_fraction[value] = Fraction(value, den)
-        terms[key >> width, key & top] = as_fraction[value]
-    return OperatorExpr._wrap(terms)
+    return OperatorExpr._wrap({(key >> width, key & top): value for key, value in out.items()},
+                              den_a * den_b)
 
 
 def _wick_sum(left: list[tuple], right: list[tuple], right_creates: int, width: int,
@@ -372,7 +361,8 @@ def _wick_sum(left: list[tuple], right: list[tuple], right_creates: int, width: 
 # ---------------------------------------------------------------------------
 
 def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
-    """Flat bitmask terms ``(cmask, amask, cpar, apar, coeff)``, one per term.
+    """Flat bitmask terms ``(cmask, amask, cpar, apar, num)``, one per term,
+    ``num`` the record's numerator over ``expr.den``.
 
     ``cmask``/``amask`` hold the created/annihilated modes in ``mode_bit``'s
     layout; ``cpar``/``apar`` are the XOR of the "modes with smaller index"
@@ -397,9 +387,9 @@ def _compile(expr: OperatorExpr, n_modes: int) -> list[tuple]:
         return words[mask]
 
     numbers, moves = [], []
-    for (cm, am), coeff in expr.terms.items():
+    for (cm, am), num in expr.nums.items():
         (cbits, cpar), (abits, apar) = word(cm), word(am)
-        (moves if cm != am else numbers).append((cbits, abits, cpar, apar, coeff))
+        (moves if cm != am else numbers).append((cbits, abits, cpar, apar, num))
     return numbers + moves
 
 
@@ -436,9 +426,10 @@ def _fire(block: np.ndarray, occs):
     return term, at, mid | cmask[term], (odd & np.uint64(1)).astype(bool)
 
 
-def _values(coeffs: list, amps: np.ndarray, aden: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _values(coeffs: list[int], cden: int, amps: np.ndarray,
+            aden: int) -> tuple[np.ndarray, np.ndarray, int]:
     """``(signed, amps, den)``: the integer numerators both kernels multiply,
-    for the ``Fraction`` coefficients ``coeffs`` and the amplitudes
+    for the coefficients ``coeffs / cden`` and the amplitudes
     ``amps / aden``.
 
     ``signed[2 * t + odd]`` is term t's coefficient with its sign, and
@@ -449,7 +440,6 @@ def _values(coeffs: list, amps: np.ndarray, aden: int) -> tuple[np.ndarray, np.n
     The bound is summed on Python ints: numpy's int64 sums would wrap.
     Amplitudes already held as Python ints stay Python ints.
     """
-    coeffs, cden = _numerators(coeffs)
     den = cden * aden
     wide = amps.dtype == object or max(
         den, sum(map(abs, coeffs)) * sum(map(abs, amps.tolist()))) >= 1 << 53
@@ -496,19 +486,19 @@ def _image(expr: OperatorExpr, vec: StateVector,
     its nonzero entries, ascending, as uint64, their integer numerators and
     the one denominator they are over.
 
-    The terms, with ``-shift`` as one more identity term, go through
-    ``_firings`` over the record's occupations, each value times the
-    amplitude it fires on (integer numerators, ``_values``).  The
+    The terms of ``expr - shift`` go through ``_firings`` over the
+    record's occupations, each value times the amplitude it fires on
+    (integer numerators, ``_values``).  The
     number-type terms come back summed per input state, already in state
     order, so an operator of number terms alone (``H0``, ``N``, ``P``)
     needs no sort; the other contributions are grouped by the state they
     yield, with the diagonal, and summed.
     ``shift`` must be int or ``Fraction`` (``TypeError`` otherwise).
     """
-    compiled = _compile(expr, vec.n_modes)
     if shift:
-        compiled.insert(0, (0, 0, 0, 0, -_exact(shift)))  # a number term: they lead
-    signed, amp, den = _values([term[-1] for term in compiled], vec.nums, vec.den)
+        expr = expr - OperatorExpr.identity(shift)
+    compiled = _compile(expr, vec.n_modes)
+    signed, amp, den = _values([term[-1] for term in compiled], expr.den, vec.nums, vec.den)
     parts = []
     diag, where = _firings(compiled, signed, vec.occs,
                            lambda vals, at, res: parts.append((vals * amp[at], res)))
@@ -653,8 +643,8 @@ def matrix_in_sector(expr: OperatorExpr, basis, n_modes: int) -> SectorCOO:
     block and the matrix would misrepresent the operator.
 
     The terms go through ``_fire`` over all columns in blocks.  The
-    coefficients become integer numerators over their common denominator
-    (``_values`` with a unit amplitude), which the ``SectorCOO`` keeps
+    record's integer numerators over its denominator (``_values`` with a
+    unit amplitude) are what the ``SectorCOO`` keeps
     unsummed; each of its forms sums them exactly and divides once, so
     each entry is the exact rational entry correctly rounded, as ``float64``.
     """
@@ -669,7 +659,8 @@ def matrix_in_sector(expr: OperatorExpr, basis, n_modes: int) -> SectorCOO:
         )
     compiled = _compile(expr, n_modes)
     dim = len(occs)
-    signed, _, den = _values([term[-1] for term in compiled], np.ones(1, dtype=np.int64), 1)
+    signed, _, den = _values([term[-1] for term in compiled], expr.den,
+                             np.ones(1, dtype=np.int64), 1)
     rows, cols, vals = map(np.concatenate, _sector_entries(compiled, signed, occs))
     return SectorCOO(rows, cols, vals, den, dim)
 
@@ -693,7 +684,7 @@ def build_h0(table: ModeTable) -> OperatorExpr:
 
 
 def build_number_op(table: ModeTable) -> OperatorExpr:
-    return OperatorExpr({(1 << i, 1 << i): Fraction(1) for i in range(table.n_modes)})
+    return OperatorExpr({(1 << i, 1 << i): 1 for i in range(table.n_modes)})
 
 
 def build_momentum_op(table: ModeTable) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
@@ -704,7 +695,7 @@ def build_momentum_op(table: ModeTable) -> tuple[OperatorExpr, OperatorExpr, Ope
         for i, mode in enumerate(table.modes):
             comp = mode.n[axis]
             if comp:
-                terms[1 << i, 1 << i] = Fraction(comp)
+                terms[1 << i, 1 << i] = comp
         exprs.append(OperatorExpr(terms))
     return tuple(exprs)
 
@@ -727,7 +718,7 @@ def build_pair(table: ModeTable, k: IVec, lam) -> OperatorExpr:
     up_pk, dn_k = table.pair_modes(table.partner(k))
     return OperatorExpr.from_monomials(
         [
-            (Fraction(1), ((CREATE, up_k), (CREATE, dn_pk))),
+            (1, ((CREATE, up_k), (CREATE, dn_pk))),
             (Fraction(lam), ((CREATE, up_pk), (CREATE, dn_k))),
         ]
     )
@@ -736,6 +727,23 @@ def build_pair(table: ModeTable, k: IVec, lam) -> OperatorExpr:
 def build_gamma(table: ModeTable, k: IVec) -> OperatorExpr:
     """The antisymmetric pair creator: the lam = -1 member of build_pair."""
     return build_pair(table, k, Fraction(-1))
+
+
+_weight_form_of: list = []  # the last G read, its rows of numerators and their den
+
+
+def _coupling_form(table: ModeTable, g, weights: Weights | None) -> tuple:
+    """``(a, b, rows, den)``: ``g / volume = a / b`` and G's rows (``None``
+    the unit weight) as integer numerators over ``den``, kept for the last
+    G read: the battery hands its one G (never changed) to every builder."""
+    pref = Fraction(g) / table.config.volume_fraction
+    if weights is None:
+        weights = from_spec(table, "unit")[0]
+    if not _weight_form_of or _weight_form_of[0] is not weights:
+        den = math.lcm(*(_exact(w).denominator for row in weights for w in row))
+        _weight_form_of[:] = weights, [[w.numerator * (den // w.denominator) for w in row]
+                                       for row in weights], den
+    return pref.numerator, pref.denominator, *_weight_form_of[1:]
 
 
 def build_w(
@@ -752,30 +760,17 @@ def build_w(
     at the column of 2K - k_j on every row, the invariance the pair
     annihilation uses; a weight that breaks it, such as
     ``asymmetric:<seed>``, gives an interaction they do not nullify.
+    The annihilators come in the reverse order of the creators, so a term
+    is negative when both pairs sort their up and down modes alike.
     """
-    pref = Fraction(g) / table.config.volume_fraction
-    points = table.shell_all
-    if weights is None:
-        weights = from_spec(table, "unit")[0]
-    pairs = [table.pair_modes(k) for k in points]
-    monomials = []
-    for (c_up, c_dn), row in zip(pairs, weights):
-        for (a_up, a_dn), weight in zip(pairs, row):
-            coeff = pref * weight
-            if coeff == 0:
-                continue
-            monomials.append(
-                (
-                    coeff,
-                    (
-                        (CREATE, c_up),
-                        (CREATE, c_dn),
-                        (ANNIHILATE, a_dn),
-                        (ANNIHILATE, a_up),
-                    ),
-                )
-            )
-    return OperatorExpr.from_monomials(monomials)
+    a, b, rows, den = _coupling_form(table, g, weights)
+    pairs = [(1 << up | 1 << dn, up > dn) for up, dn in map(table.pair_modes, table.shell_all)]
+    nums: dict[Term, int] = {}
+    for (head, odd), row in zip(pairs, rows):
+        for (tail, tail_odd), weight in zip(pairs, row):
+            if weight and a:
+                nums[head, tail] = -a * weight if odd == tail_odd else a * weight
+    return OperatorExpr._wrap(nums, den * b)
 
 
 def pair_commutator_rhs(
@@ -797,43 +792,34 @@ def pair_commutator_rhs(
     Each term's ``(C, A)`` key is written from the pair modes, its sign
     the parity of sorting its created modes, and a term whose number
     factor repeats a created mode is zero.  Every coefficient is an
-    integer numerator over one denominator, and each distinct numerator
-    becomes its ``Fraction`` once.
+    integer numerator over one denominator, G's column read from its
+    numerators (``_coupling_form``).
     """
     k = _require_shell(table, k)
-    pref = Fraction(g) / table.config.volume_fraction
+    a, b, rows, den = _coupling_form(table, g, weights)
     lam = Fraction(lam)
     up_k, dn_pk = table.pair_modes(k)
     up_pk, dn_k = table.pair_modes(table.partner(k))
     points = table.shell_all
-    if weights is None:
-        weights = from_spec(table, "unit")[0]
     j = points.index(k)
 
-    # with G[i][j] = column[i] / d, pref = a / b and lam = p / q, the term of
-    # weight w (1 + lam, -lam or -1) is column[i] * a (w q) over d b q
-    column, den = _numerators([row[j] for row in weights])
-    a, b = pref.numerator, pref.denominator
+    # with G[i][j] = rows[i][j] / den, g / volume = a / b and lam = p / q,
+    # the term of weight w (1 + lam, -lam or -1) is rows[i][j] * a (w q)
+    # over den b q
     p, q = lam.numerator, lam.denominator
-    den *= b * q
-    parts = ((a * (p + q), None), (-a * p, up_pk), (-a * p, dn_k),
-             (-a * q, up_k), (-a * q, dn_pk))
-    as_fraction: dict[int, Fraction] = {}  # each value's Fraction, built once
-    terms: dict[Term, Fraction] = {}
-    for k1, weight in zip(points, column):
-        c_up, c_dn = table.pair_modes(k1)
-        head = 1 << c_up | 1 << c_dn
+    parts = [(part, mode) for part, mode in ((a * (p + q), None), (-a * p, up_pk),
+             (-a * p, dn_k), (-a * q, up_k), (-a * q, dn_pk)) if part]
+    nums: dict[Term, int] = {}
+    for (c_up, c_dn), row in zip(map(table.pair_modes, points), rows):
+        weight = row[j]
+        head, odd = 1 << c_up | 1 << c_dn, c_up > c_dn
         for part, mode in parts:
             if mode is None:
-                key, odd = (head, 0), c_up > c_dn
-            elif mode in (c_up, c_dn):
+                key, flip = (head, 0), odd
+            elif mode == c_up or mode == c_dn:
                 continue  # the number factor repeats a created mode: zero
             else:
-                key = (head | 1 << mode, 1 << mode)
-                odd = (c_up > c_dn) ^ (c_up > mode) ^ (c_dn > mode)
-            value = -weight * part if odd else weight * part
-            if value:
-                if value not in as_fraction:
-                    as_fraction[value] = Fraction(value, den)
-                terms[key] = as_fraction[value]
-    return OperatorExpr._wrap(terms)
+                key, flip = (head | 1 << mode, 1 << mode), odd ^ (c_up > mode) ^ (c_dn > mode)
+            if weight:
+                nums[key] = -weight * part if flip else weight * part
+    return OperatorExpr._wrap(nums, den * b * q)

@@ -134,17 +134,15 @@ def dark_residuals(w1: OperatorExpr, state: StateVector, couplings) -> list[floa
 
 
 def _distance(a: OperatorExpr, b: OperatorExpr) -> Fraction:
-    """``(a - b).one_norm()``, summed over the union of the two term maps
-    without building ``a - b``; zero at once when the maps are equal,
-    which canonical maps are exactly when the operators are."""
-    if a.terms == b.terms:
+    """``(a - b).one_norm()``, summed on the two records' numerators over
+    the union of their keys without building ``a - b``; zero at once when
+    the records are equal, which they are exactly when the operators are."""
+    if a == b:
         return Fraction(0)
-    total = Fraction(0)
-    for t in a.terms.keys() | b.terms.keys():
-        x, y = a.terms.get(t, 0), b.terms.get(t, 0)
-        if x != y:
-            total += abs(x - y)
-    return total
+    den = math.lcm(a.den, b.den)
+    x, y = den // a.den, den // b.den
+    return Fraction(sum(abs(a.nums.get(t, 0) * x - b.nums.get(t, 0) * y)
+                        for t in a.nums.keys() | b.nums.keys()), den)
 
 
 def _anticommutation_residual(n_modes: int, samples: int, rng) -> int:
@@ -273,8 +271,8 @@ def run_battery(
         for k in table.shell_plus:
             lhs, dist = gamma_bracket(k)
             res += dist
-            res += sum((abs(c) for (_, am), c in lhs.terms.items() if am == 0),
-                       Fraction(0))
+            res += Fraction(sum(abs(n) for (_, am), n in lhs.nums.items() if am == 0),
+                            lhs.den)
         return {"g": str(g_ref), "formfactor": ff_name}, res, 0.0
 
     def gamma_negation():

@@ -1,5 +1,6 @@
 """The rewriting normal-orderer: the independent oracle that the tests
-hold ``compose``, ``commutator``, ``from_monomials`` and ``dagger`` to.
+hold ``compose``, ``commutator`` and ``from_monomials`` to, and the
+adjoint read off the masks (``dagger``), which the rewriter checks in turn.
 
 It takes a monomial with its factors in any order and rewrites adjacent
 pairs by
@@ -72,12 +73,29 @@ def factors(term: tuple[int, int]) -> Term:
                  for m in range(mask.bit_length()) if mask >> m & 1)
 
 
-def normal_ordered(monomials) -> OperatorExpr:
+def normal_ordered_terms(monomials) -> dict[tuple[int, int], object]:
     """The sum of ``coeff * factors`` over ``monomials``, factors in any
-    order, normal-ordered by the rewriter."""
+    order, normal-ordered by the rewriter: its ``{(C, A): coefficient}``
+    map, summed on ints and ``Fraction``s without an ``OperatorExpr``."""
     out: dict[Term, object] = {}
     for coeff, fs in monomials:
         coeff = _exact(coeff)
         if coeff != 0:
             _normal_order_term(coeff, tuple(fs), out)
-    return OperatorExpr({key(t): c for t, c in out.items()})
+    return {key(t): c for t, c in out.items()}
+
+
+def normal_ordered(monomials) -> OperatorExpr:
+    """``normal_ordered_terms`` as an operator."""
+    return OperatorExpr(normal_ordered_terms(monomials))
+
+
+def dagger(expr: OperatorExpr) -> OperatorExpr:
+    """The adjoint read off the masks: ``(C, A)`` becomes ``(A, C)``, both
+    blocks reversed back into ascending order, a sign of
+    (-1)**(n (n - 1) / 2) for a block of n modes."""
+    out = {}
+    for (cm, am), c in expr.terms.items():
+        n, m = cm.bit_count(), am.bit_count()
+        out[am, cm] = -c if (n * (n - 1) + m * (m - 1)) // 2 & 1 else c
+    return OperatorExpr(out)

@@ -94,7 +94,8 @@ class DictState:
 
 def apply_compiled(compiled: list[tuple], occ: int, amp, acc: dict) -> None:
     """Accumulate ``amp * terms|occ>`` into ``acc`` for ``_compile``'s
-    terms, exact zeros kept.
+    terms, exact zeros kept; each term's coefficient is its numerator, so
+    ``amp`` carries the record's ``1 / den``.
 
     Annihilators act first, right to left: a term fires when its
     annihilated modes are occupied and its created modes are empty after
@@ -114,7 +115,7 @@ def apply_dict(expr, state: DictState) -> DictState:
     compiled = _compile(expr, state.n_modes)
     acc = {}
     for occ, amp in sorted(state.amp.items()):
-        apply_compiled(compiled, occ, amp, acc)
+        apply_compiled(compiled, occ, Fraction(amp, expr.den), acc)
     return DictState(state.n_modes, acc)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from darkpair import formfactors, operators
 from darkpair.cli import bundled_config_path, load_config
-from darkpair.fock import StateVector, sector_basis
+from darkpair.fock import StateVector, _numerators, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import (
     ANNIHILATE,
@@ -37,7 +37,7 @@ from darkpair.operators import (
 )
 from darkpair.states import nc_state, phi_core
 from darkpair.verify import dark_residuals
-from normal_order import factors, key, normal_ordered
+from normal_order import dagger, factors, key, normal_ordered, normal_ordered_terms
 from pair_closed_form import pair_commutator_monomials
 from scalar_signs import apply_raw_factors
 from state_oracle import (
@@ -155,6 +155,53 @@ def test_from_monomials_equals_the_rewriter(monos):
     assert all(type(c) is Fraction for c in got.terms.values())
     if all(m < 6 for _, f in monos for _, m in f):
         states_equal_on_all_occupations(6, monos, got)
+
+
+# numerators and denominators past 2**40, so that products of two
+# coefficients pass 2**63 and the record holds Python ints past int64
+WIDE_COEFFS = st.one_of(st.sampled_from([0, 1, -2, Fraction(-2, 3)]),
+                        st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**40)))
+
+
+@st.composite
+def wide_monomials(draw, pool):
+    """Monomials of creations then annihilations on ``pool``'s modes, each
+    block permuted and possibly repeating a mode, with ``WIDE_COEFFS``."""
+    return [(draw(WIDE_COEFFS),
+             tuple(map(C, draw(st.lists(st.sampled_from(pool), max_size=2))))
+             + tuple(map(A, draw(st.lists(st.sampled_from(pool), max_size=2)))))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+def scaled_monomials(monos, factor):
+    return [(c * factor, f) for c, f in monos]
+
+
+def monomial_products(left, right):
+    """The raw monomials of ``left * right``: each pair's factors side by side."""
+    return [(c1 * c2, f1 + f2) for c1, f1 in left for c2, f2 in right]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_record_is_canonical_and_equals_the_dictionary_oracle(data):
+    # every producer writes the record: nonzero int numerators over
+    # den > 0 with gcd(den, *nums) == 1, the rewriter's Fraction map read back
+    pool = data.draw(st.sampled_from([range(4), (0, 3, 63, 64, 100, 130)]))
+    left, right = (data.draw(wide_monomials(pool)) for _ in range(2))
+    factor = data.draw(WIDE_COEFFS)
+    a, b = map(OperatorExpr.from_monomials, (left, right))
+    both, back = monomial_products(left, right), monomial_products(right, left)
+    for got, monos in ((a, left),
+                       (a + b, left + right),
+                       (a - b, left + scaled_monomials(right, -1)),
+                       (a.scaled(factor), scaled_monomials(left, factor)),
+                       (a.compose(b), both),
+                       (commutator(a, b), both + scaled_monomials(back, -1))):
+        assert type(got.den) is int and got.den > 0
+        assert all(type(n) is int and n != 0 for n in got.nums.values())
+        assert math.gcd(got.den, *got.nums.values()) == 1
+        assert dict(got.terms) == normal_ordered_terms(monos)
 
 
 @st.composite
@@ -580,7 +627,7 @@ def test_apply_operator_routes_numerators_at_2_53(coeff, amp, dtype):
     expr = OperatorExpr.from_monomials([(coeff, (C(0), A(0))), (-coeff, (C(0), A(1)))])
     vec = StateVector(2, {0b10: amp, 0b01: amp})
     compiled = _compile(expr, 2)
-    signed, amps, den = _values([t[-1] for t in compiled], vec.nums, vec.den)
+    signed, amps, den = _values([t[-1] for t in compiled], expr.den, vec.nums, vec.den)
     assert signed.dtype == amps.dtype == np.dtype(dtype)
     assert bits(apply_operator(expr, vec).amp) == bits(apply_reference(expr, vec))
     assert apply_operator(expr, vec).amp == {}  # the hop cancels the number term
@@ -603,7 +650,7 @@ def test_width_bound_is_summed_on_python_ints():
     for expr, vec in ((number, big), (hop, small)):
         assert vec.nums.dtype == np.int64
         signed, amps, _ = _values([t[-1] for t in _compile(expr, vec.n_modes)],
-                                  vec.nums, vec.den)
+                                  expr.den, vec.nums, vec.den)
         assert signed.dtype == amps.dtype == object
         image, want = apply_operator(expr, vec), apply_dict(expr, DictState.of(vec))
         assert bits(image.amp) == bits(want.amp) and image == want.record()
@@ -637,7 +684,8 @@ def test_residuals_equal_the_fraction_routes(monos, data):
     assert vec.nums.dtype == (object if amp_wide == prime and len(vec) else np.int64)
     shift = data.draw(st.one_of(MIXED, st.integers(0, n_modes))) * wide
     if len(vec) and (expr.terms or shift):
-        signed = _values([*expr.terms.values(), Fraction(shift)], vec.nums, vec.den)[0]
+        signed = _values(*_numerators([*expr.terms.values(), Fraction(shift)]),
+                         vec.nums, vec.den)[0]
         assert signed.dtype == (np.int64 if wide == amp_wide == 1 else object)
     g = data.draw(MIXED)  # the dark residual of g W from the image of W
     oracle = DictState.of(vec)
@@ -688,7 +736,8 @@ def test_number_terms_summed_on_the_diagonal_equal_the_oracle(monos, data):
                                      min_size=1, max_size=12))
     vec = StateVector(n_modes, {occ: a * amp_wide for occ, a in amps.items()})
     if len(vec) and (expr.terms or shift):
-        signed = _values([*expr.terms.values(), Fraction(shift)], vec.nums, vec.den)[0]
+        signed = _values(*_numerators([*expr.terms.values(), Fraction(shift)]),
+                         vec.nums, vec.den)[0]
         assert signed.dtype == (np.int64 if wide == amp_wide == 1 else object)
     oracle = DictState.of(vec)
     image, image_dict = apply_operator(expr, vec), apply_dict(expr, oracle)
@@ -809,7 +858,7 @@ def test_any_two_int_masks_are_a_canonical_term():
 
 
 def test_zero_coefficients_are_dropped_on_construction():
-    # equal operators have equal maps, which _distance's shortcut relies on
+    # equal operators have equal records, which _distance's shortcut relies on
     zero = OperatorExpr({(1, 1): 0})
     assert zero == OperatorExpr() and zero.is_zero() and len(zero) == 0
     assert zero + OperatorExpr() == OperatorExpr()
@@ -825,9 +874,8 @@ def test_dagger_involution_and_hermiticity():
     expr = OperatorExpr.from_monomials(
         [(Fraction(1, 2), (C(0), A(1))), (Fraction(1, 2), (C(1), A(0)))]
     )
-    assert expr.dagger() == expr
-    assert expr.is_hermitian()
-    assert expr.dagger().dagger() == expr
+    assert dagger(expr) == expr  # Hermitian
+    assert dagger(dagger(expr)) == expr
 
 
 @settings(max_examples=200, deadline=None)
@@ -839,8 +887,8 @@ def test_dagger_equals_the_rewritten_reversed_adjoint(data):
     flip = {CREATE: ANNIHILATE, ANNIHILATE: CREATE}
     adjoint = [(c, tuple((flip[k], m) for k, m in reversed(factors(t))))
                for t, c in expr.terms.items()]
-    assert expr.dagger() == normal_ordered(adjoint)
-    assert expr.dagger().dagger() == expr
+    assert dagger(expr) == normal_ordered(adjoint)
+    assert dagger(dagger(expr)) == expr
 
 
 # ---------------------------------------------------------------------------
@@ -1031,7 +1079,7 @@ def column_reference(expr, basis, n_modes):
     rows, cols, data = [], [], []
     for col, occ in enumerate(basis):
         acc = {}
-        apply_compiled(compiled, occ, 1, acc)
+        apply_compiled(compiled, occ, Fraction(1, expr.den), acc)
         for res in sorted(acc):
             if res in index:
                 rows.append(index[res])
@@ -1116,7 +1164,8 @@ def sector_problems(draw):
 def sector_values(expr, n_modes):
     """The numerators ``matrix_in_sector`` sums: ``_values`` with a unit
     amplitude."""
-    return _values([t[-1] for t in _compile(expr, n_modes)], np.ones(1, dtype=np.int64), 1)
+    return _values([t[-1] for t in _compile(expr, n_modes)], expr.den,
+                   np.ones(1, dtype=np.int64), 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1197,12 +1246,14 @@ def test_numerator_sum_at_2_53_takes_the_column_fallback():
 
 
 def test_w_hermitian_for_unit_and_exchange_symmetric(minimal_table, twopair_table):
-    assert build_w(minimal_table, 1).is_hermitian()
+    w = build_w(minimal_table, 1)
+    assert dagger(w) == w
 
     weights, _ = formfactors.from_spec(twopair_table, "random:5")
     exchange_symmetric = [[x + y for x, y in zip(row, col)]
                           for row, col in zip(weights, zip(*weights))]  # G + G^T
-    assert build_w(twopair_table, Fraction(-2), exchange_symmetric).is_hermitian()
+    w = build_w(twopair_table, Fraction(-2), exchange_symmetric)
+    assert dagger(w) == w
 
 
 @pytest.mark.parametrize("value", [0.5, 1.5 - 0.5j, 2.0])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from darkpair import formfactors
+from darkpair import formfactors, operators
 from darkpair.operators import OperatorExpr, apply_operator, build_h0, build_w
 from darkpair.states import nc_state
 
@@ -45,3 +45,15 @@ def test_apply_counters_read_the_state_amplitudes(tracing, threepair_table):
     assert counts == {"apply_calls": 2,
                       "apply_term_visits": len(state) * sum(map(len, exprs)),
                       "apply_out": sum(map(len, images))}
+
+
+def test_term_counters_build_no_fraction(tracing, twopair_table, monkeypatch):
+    # the tracer counts terms through ``len(expr.terms)``: the view's length
+    # is the record's, read without a Fraction
+    weights, _ = formfactors.from_spec(twopair_table, "random:5")
+    w = build_w(twopair_table, -1, weights)
+    monkeypatch.setattr(operators, "Fraction", None)  # building one now raises
+    assert len(w.terms) == len(w) > 0
+    counts = Counter()
+    tracing._count(counts, "build_w", (twopair_table, -1, weights), w)
+    assert counts == {"w_terms": len(w)}
