@@ -3,7 +3,9 @@
 Each bundled config goes through ``verify``, ``scan --no-variational``,
 ``scan`` (with ``E_var``, pinned as ``scan_var.csv``) and
 ``spectrum --g=-1``; ``verify`` on a 40-mode shell (the stress lattice of
-the ``battery`` benchmark, ``golden/shell10/config.json``) and two
+the ``battery`` benchmark, ``golden/shell10/config.json``), on the same
+shell under the asymmetric weight ``asymmetric:5``, whose nonzero
+residuals of checks (2) and (3) pin the closed forms' differences, and two
 ``continuum`` runs, the second at the ``battery`` benchmark's sizes up to
 96, round it off.  The ``report.json`` and CSV bytes must
 equal the files under ``tests/golden/<config>/``, which makes the
@@ -41,6 +43,9 @@ RUNS = [
 ] + [
     ("shell10", ["verify", "--config", str(GOLDEN / "shell10" / "config.json")],
      "report.json", "report.json", EXIT_OK),
+    ("shell10_asymmetric",
+     ["verify", "--config", str(GOLDEN / "shell10_asymmetric" / "config.json")],
+     "report.json", "report.json", EXIT_CHECK_FAILED),
     ("continuum", ["continuum", "--kf", "1.0", "--delta", "0.1",
                    "--sizes", "8,16,32"], "continuum.csv", "continuum.csv", EXIT_OK),
     ("continuum_wide", ["continuum", "--kf", "1.0", "--delta", "0.1",
