@@ -30,6 +30,7 @@ turn into a dense array or CSR as they need.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -222,11 +223,14 @@ def _modes(mask: int) -> list[int]:
     return modes
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _above(mask: int) -> int:
     """The bits z with an odd number of ``mask`` bits below z, a negative
     int when ``mask`` has an odd number of bits (bit m's bits above it are
     ``-(2 << m)``, with no width): ``(x & _above(y)).bit_count()`` is
-    #{(i, j): i in x, j in y, i > j} mod 2 for any ``x >= 0``."""
+    #{(i, j): i in x, j in y, i > j} mod 2 for any ``x >= 0``.  Memoized,
+    a few thousand ints at most: products ask again for the same few
+    contraction sets and term masks."""
     out = 0
     while mask:
         low = mask & -mask
@@ -779,7 +783,7 @@ def pair_commutator_rhs(
     lam,
     g,
     weights: Weights | None = None,
-) -> OperatorExpr:
+) -> OperatorExpr | list[OperatorExpr]:
     """Independently constructed closed form of [W, build_pair(k, lam)].
 
     sum_i G[i][j] (g/volume) a+_{up,k_i} a+_{dn,p(k_i)} *
@@ -787,39 +791,37 @@ def pair_commutator_rhs(
 
     with ``k = table.shell_all[j]``: G's column at k's position, over the
     rows of ``table.shell_all``.  ``weights`` is G as in ``build_w``;
-    ``None`` is the unit weight.
+    ``None`` is the unit weight.  ``lam`` is one exact weight, or a list
+    of them for the list of their closed forms.
 
     Each term's ``(C, A)`` key is written from the pair modes, its sign
     the parity of sorting its created modes, and a term whose number
-    factor repeats a created mode is zero.  Every coefficient is an
-    integer numerator over one denominator, G's column read from its
-    numerators (``_coupling_form``).
+    factor repeats a created mode is zero.  Keys, signs and G's column,
+    read from its numerators (``_coupling_form``), are written once per
+    ``k``; each ``lam`` then multiplies the five part values, every
+    coefficient an integer numerator over one denominator.
     """
     k = _require_shell(table, k)
     a, b, rows, den = _coupling_form(table, g, weights)
-    lam = Fraction(lam)
     up_k, dn_pk = table.pair_modes(k)
     up_pk, dn_k = table.pair_modes(table.partner(k))
-    points = table.shell_all
-    j = points.index(k)
+    j = table.shell_all.index(k)
+    terms = []  # (key, signed G[i][j] numerator, part: 0 is 1 + lam, 1-2 -lam, 3-4 -1)
+    for (c_up, c_dn), row in zip(map(table.pair_modes, table.shell_all), rows):
+        weight, head, odd = row[j], 1 << c_up | 1 << c_dn, c_up > c_dn
+        if weight:
+            terms.append(((head, 0), -weight if odd else weight, 0))
+            for part, mode in enumerate((up_pk, dn_k, up_k, dn_pk), 1):
+                if mode != c_up and mode != c_dn:  # else a repeated created mode: zero
+                    flip = odd ^ (c_up > mode) ^ (c_dn > mode)
+                    terms.append(((head | 1 << mode, 1 << mode), -weight if flip else weight, part))
 
-    # with G[i][j] = rows[i][j] / den, g / volume = a / b and lam = p / q,
-    # the term of weight w (1 + lam, -lam or -1) is rows[i][j] * a (w q)
-    # over den b q
-    p, q = lam.numerator, lam.denominator
-    parts = [(part, mode) for part, mode in ((a * (p + q), None), (-a * p, up_pk),
-             (-a * p, dn_k), (-a * q, up_k), (-a * q, dn_pk)) if part]
-    nums: dict[Term, int] = {}
-    for (c_up, c_dn), row in zip(map(table.pair_modes, points), rows):
-        weight = row[j]
-        head, odd = 1 << c_up | 1 << c_dn, c_up > c_dn
-        for part, mode in parts:
-            if mode is None:
-                key, flip = (head, 0), odd
-            elif mode == c_up or mode == c_dn:
-                continue  # the number factor repeats a created mode: zero
-            else:
-                key, flip = (head | 1 << mode, 1 << mode), odd ^ (c_up > mode) ^ (c_dn > mode)
-            if weight:
-                nums[key] = -weight * part if flip else weight * part
-    return OperatorExpr._wrap(nums, den * b * q)
+    def closed_form(lam):
+        # with g / volume = a / b and lam = p / q, the term of weight w
+        # (1 + lam, -lam or -1) is G[i][j]'s numerator times a (w q), over den b q
+        p, q = Fraction(lam).numerator, Fraction(lam).denominator
+        parts = (a * (p + q), -a * p, -a * p, -a * q, -a * q)
+        return OperatorExpr._wrap({key: weight * parts[part] for key, weight, part in terms
+                                   if parts[part]}, den * b * q)
+
+    return [*map(closed_form, lam)] if isinstance(lam, list) else closed_form(lam)

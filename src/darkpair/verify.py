@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -86,12 +86,9 @@ class VerificationReport:
 
     def to_json(self) -> str:
         # wall times are excluded on purpose: same config + seed must give
-        # byte-identical JSON.
-        checks = []
-        for c in self.checks:
-            record = asdict(c)
-            del record["seconds"]
-            checks.append({**record, "lattice": self.lattice})
+        # byte-identical JSON.  The fields are read as they are, not copied
+        checks = [{f: v for f, v in vars(c).items() if f != "seconds"}
+                  | {"lattice": self.lattice} for c in self.checks]
         payload = {
             "lattice": self.lattice,
             "seed": self.seed,
@@ -143,6 +140,24 @@ def _distance(a: OperatorExpr, b: OperatorExpr) -> Fraction:
     x, y = den // a.den, den // b.den
     return Fraction(sum(abs(a.nums.get(t, 0) * x - b.nums.get(t, 0) * y)
                         for t in a.nums.keys() | b.nums.keys()), den)
+
+
+def monomial_brackets(w: OperatorExpr, table: ModeTable, k) -> dict:
+    """``[w, t]`` for the two monomials t of every ``build_pair(table, k,
+    lam)``, keyed by t's ``(C, A)``: the Wick products ``bracket_sum`` sums."""
+    return {t: commutator(w, OperatorExpr({t: 1})) for t in build_pair(table, k, 1).nums}
+
+
+def bracket_sum(brackets: dict, pair: OperatorExpr) -> OperatorExpr:
+    """``[w, pair]`` by linearity: ``brackets`` of each term's key times its
+    numerator over ``pair.den``, summed on integer numerators."""
+    den = math.lcm(*(brackets[t].den for t in pair.nums))
+    out: dict = {}
+    for t, n in pair.nums.items():
+        scale = n * (den // brackets[t].den)
+        for key, v in brackets[t].nums.items():
+            out[key] = out.get(key, 0) + scale * v
+    return OperatorExpr._wrap({key: v for key, v in out.items() if v}, den * pair.den)
 
 
 def _anticommutation_residual(n_modes: int, samples: int, rng) -> int:
@@ -211,11 +226,13 @@ def run_battery(
     Each check is a function returning ``(params, residual, tolerance)``;
     one loop runs them in ``CHECK_IDS`` order and times each one.  Each
     operator is built once: ``W`` at unit coupling, scaled to the first
-    coupling for checks (2) to (5), and each ``gamma_k`` and each
-    ``[W, gamma_k]`` (with its distance to the closed form) on first use,
-    which checks (2) to (5) share, so a check's ``seconds`` include what
-    it builds first.  Check (6) applies ``W`` to the paired state once, for
-    every coupling (``dark_residuals``), and check (10) reports its maximum.
+    coupling for checks (2) to (5), and each ``gamma_k`` on first use, so
+    a check's ``seconds`` include what it builds first.  Check (2) takes
+    one Wick product with ``W`` per pair monomial at each hemisphere ``k``,
+    sums each ``[W, pair(k, lam)]`` from the two and keeps
+    ``[W, gamma_k]`` for checks (3) and (5).  Check (6) applies ``W``
+    to the paired state once, for every coupling (``dark_residuals``), and
+    check (10) reports its maximum.
 
     A table whose thawed core would take it past ``MAX_MODES`` modes
     raises ``LatticeError`` before any check runs.  Only check (5) sees
@@ -242,13 +259,7 @@ def run_battery(
     dark = 0.0  # check (6)'s residual, which check (10) reports too
 
     gamma = functools.cache(lambda k: build_gamma(table, k))
-
-    def bracket(k, lam):
-        """[W, pair(k, lam)] and its distance to the closed form"""
-        lhs = commutator(w_ref, gamma(k) if lam == -1 else build_pair(table, k, lam))
-        return lhs, _distance(lhs, pair_commutator_rhs(table, k, lam, g_ref, weights))
-
-    gamma_bracket = functools.cache(lambda k: bracket(k, Fraction(-1)))
+    gamma_bracket = {}  # k: [W, gamma_k] and its distance to the closed form
 
     def anticommutation():
         """(1) canonical anticommutation relations on the table's modes"""
@@ -256,9 +267,18 @@ def run_battery(
         return {"samples": ANTICOMMUTATION_SAMPLES}, res, 0.0
 
     def pair_commutator():
-        """(2) [W, pair(k, lam)] against its closed form, every hemisphere k"""
-        res = sum(((gamma_bracket(k) if lam == -1 else bracket(k, lam))[1]
-                   for lam in lambda_values for k in table.shell_plus), Fraction(0))
+        """(2) [W, pair(k, lam)] against its closed form, one hemisphere k
+        at a time: two monomial brackets live beside the kept [W, gamma_k]"""
+        lams = [*dict.fromkeys([*lambda_values, Fraction(-1)])]
+        res = Fraction(0)
+        for k in table.shell_plus:
+            brackets, dist = monomial_brackets(w_ref, table, k), {}
+            for lam, rhs in zip(lams, pair_commutator_rhs(table, k, lams, g_ref, weights)):
+                lhs = bracket_sum(brackets, gamma(k) if lam == -1 else build_pair(table, k, lam))
+                dist[lam] = _distance(lhs, rhs)
+                if lam == -1:
+                    gamma_bracket[k] = lhs, dist[lam]
+            res += sum(dist[lam] for lam in lambda_values)
         params = {"lambdas": [str(l) for l in lambda_values], "g": str(g_ref),
                   "formfactor": ff_name}
         return params, res, 0.0
@@ -269,7 +289,7 @@ def run_battery(
         part)"""
         res = Fraction(0)
         for k in table.shell_plus:
-            lhs, dist = gamma_bracket(k)
+            lhs, dist = gamma_bracket[k]
             res += dist
             res += Fraction(sum(abs(n) for (_, am), n in lhs.nums.items() if am == 0),
                             lhs.den)
@@ -299,7 +319,7 @@ def run_battery(
         phi = core_product(table)
         res = commutator(w_ref.shifted(table.core_particles), phi).one_norm()
         for k in table.shell_plus:
-            inner_comm = gamma_bracket(k)[0].shifted(table.core_particles)
+            inner_comm = gamma_bracket[k][0].shifted(table.core_particles)
             res += commutator(inner_comm, phi).one_norm()
         return {"inner_points": points}, res, 0.0
 

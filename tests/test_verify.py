@@ -1,5 +1,6 @@
 """Battery behavior and the continuum counting comparison."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from darkpair.operators import (
     CREATE,
     OperatorExpr,
     build_gamma,
+    build_pair,
     build_w,
     commutator,
     image_norm,
@@ -35,11 +37,13 @@ from darkpair.verify import (
     quadrature_energy_per_particle,
     _anticommutation_residual,
     _distance,
+    bracket_sum,
     dark_residuals,
+    monomial_brackets,
     run_battery,
 )
 from darkpair.states import nc_state
-from normal_order import normal_ordered
+from normal_order import factors, normal_ordered
 from state_oracle import DictState, dark_residual_dict
 
 G_LIST = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
@@ -208,9 +212,10 @@ def test_dark_state_reuses_the_reference_interaction(twopair_table, boosted_tabl
                                                      monkeypatch):
     # each operator is built once: W at unit coupling, scaled to every
     # coupling; gamma_k at every shell point, shared by checks (2) to (5);
-    # [W, gamma_k] at every hemisphere point; and no lattice but check
-    # (9)'s boosted twin, which a boosted table does not need
-    built_w, gammas, brackets, tables = [], [], [], []
+    # exactly two Wick products with W at every hemisphere point, one per
+    # pair monomial, which every [W, pair(k, lam)] is summed from; and no
+    # lattice but check (9)'s boosted twin, which a boosted table does not need
+    built_w, gammas, products, tables = [], [], [], []
     build_w, build_gamma = verify.build_w, verify.build_gamma
     commutator, build_table = verify.commutator, lattice.build_mode_table
 
@@ -223,9 +228,7 @@ def test_dark_state_reuses_the_reference_interaction(twopair_table, boosted_tabl
         return gammas[-1][1]
 
     def counted_commutator(a, b):
-        made = [gamma for _, gamma in gammas]
-        if any(b is gamma for gamma in made) and not any(a is gamma for gamma in made):
-            brackets.append(next(k for k, gamma in gammas if gamma is b))
+        products.append((a, b))
         return commutator(a, b)
 
     def counted_table(config):
@@ -240,13 +243,17 @@ def test_dark_state_reuses_the_reference_interaction(twopair_table, boosted_tabl
         weights, _ = from_spec(table, "random:5")
         for g in (Fraction(-1), Fraction(0), Fraction(1, 2)):
             assert build_w(table, 1, weights).scaled(g) == build_w(table, g, weights)
+        w_ref, phi = build_w(table, -1), verify.core_product(table)
+        monomials = sorted(t for k in table.shell_plus for t in build_pair(table, k, 1).nums)
         for lambdas in (LAMBDAS, [Fraction(0), Fraction(2)]):
-            built_w.clear(), gammas.clear(), brackets.clear(), tables.clear()
+            built_w.clear(), gammas.clear(), products.clear(), tables.clear()
             report = run_battery(table, [Fraction(-1), Fraction(1, 2)], lambdas, seed=7)
             assert report.all_passed
             assert built_w == [(table, 1)]
             assert sorted(k for k, _ in gammas) == sorted(table.shell_all)
-            assert sorted(brackets) == sorted(table.shell_plus)
+            with_w = [b for a, b in products if a == w_ref and b != phi]
+            assert len(with_w) == 2 * len(table.shell_plus)
+            assert sorted(t for b in with_w for t in b.nums) == monomials
             assert [config.boost for config in tables] == boosts
 
 
@@ -292,12 +299,65 @@ def test_dark_state_takes_one_image_for_every_coupling(name, monkeypatch):
             x for g, x in zip(ONE_IMAGE_COUPLINGS, want) if g in couplings)
 
 
-# the bundled configs, the 40-mode battery shell, a live core with a
-# chemical potential and a boosted live core
-THAWED_CASES = {
+# the bundled configs and the 40-mode battery shell
+BATTERY_CONFIGS = {
     **{name: bundled_config_path(name) for name in
        ("minimal", "twopair", "threepair_core", "boosted", "broken_formfactor")},
     "shell10": Path(__file__).parent / "golden" / "shell10" / "config.json",
+}
+
+
+@functools.cache
+def _battery_operands(name):
+    """The table, check (2)'s W (scaled to the first coupling) and lambdas
+    of a config, as ``run_battery`` builds them."""
+    cfg = load_config(BATTERY_CONFIGS[name])
+    table = cfg["table"]
+    weights, _ = from_spec(table, cfg["formfactor"], cfg["seed"])
+    w_ref = build_w(table, 1, weights).scaled(Fraction(cfg["couplings"][0]))
+    return table, w_ref, [Fraction(lam) for lam in cfg["lambda_values"]]
+
+
+def _rewritten_bracket(w, pair):
+    """[w, pair] normal-ordered by the rewriter from the raw products
+    w_i p_j - p_j w_i of every pair of terms."""
+    return normal_ordered(
+        (sign * cw * cp, factors(tx) + factors(ty))
+        for tw, cw in w.terms.items() for tp, cp in pair.terms.items()
+        for sign, tx, ty in ((1, tw, tp), (-1, tp, tw)))
+
+
+def _assert_battery_bracket(name, k, lam):
+    table, w_ref, _ = _battery_operands(name)
+    pair = build_pair(table, k, lam)
+    got = bracket_sum(monomial_brackets(w_ref, table, k), pair)
+    assert got == commutator(w_ref, pair)
+    assert got == _rewritten_bracket(w_ref, pair)
+
+
+@pytest.mark.parametrize("name", BATTERY_CONFIGS)
+def test_battery_brackets_equal_the_product_and_the_rewriter(name):
+    # check (2) sums each [W, pair(k, lam)] from the brackets of the pair's
+    # two monomials; the sum must be the record of the Wick product and of
+    # the rewriter's normal order, at every hemisphere k and config lambda
+    table, _, lambdas = _battery_operands(name)
+    for k in table.shell_plus:
+        for lam in dict.fromkeys([*lambdas, Fraction(-1), Fraction(0)]):
+            _assert_battery_bracket(name, k, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(BATTERY_CONFIGS)), at=st.integers(0, 9),
+       lam=st.fractions(max_denominator=10**6))
+def test_battery_bracket_at_any_lambda(name, at, lam):
+    shell_plus = _battery_operands(name)[0].shell_plus
+    _assert_battery_bracket(name, shell_plus[at % len(shell_plus)], lam)
+
+
+# the bundled configs, the 40-mode battery shell, a live core with a
+# chemical potential and a boosted live core
+THAWED_CASES = {
+    **BATTERY_CONFIGS,
     "unfrozen": {"kf": 1.2, "delta": 0.5, "mu": 1.5, "volume": "1/2",
                  "shell_points": [[0, 0, 1], [0, 0, -1], [0, 1, 0], [0, -1, 0]]},
     "boosted_unfrozen": {"kf": 1.2, "delta": 0.5, "boost": [0, 0, 1], "volume": 1,
