@@ -30,7 +30,6 @@ turn into a dense array or CSR as they need.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -166,13 +165,6 @@ class OperatorExpr:
         return OperatorExpr._wrap({t: n * factor.numerator for t, n in self.nums.items()}
                                   if factor else {}, self.den * factor.denominator)
 
-    def shifted(self, places: int) -> "OperatorExpr":
-        """The same operator with every mode m moved to m + ``places``: both
-        masks of each term shifted, which keeps each block's order and so
-        every coefficient."""
-        return OperatorExpr._wrap({(cm << places, am << places): n
-                                   for (cm, am), n in self.nums.items()}, self.den)
-
     def compose(self, other: "OperatorExpr") -> "OperatorExpr":
         """Operator product, normal-ordered by Wick's theorem (``_products``)."""
         return _products(self, other, commute=False)
@@ -223,14 +215,11 @@ def _modes(mask: int) -> list[int]:
     return modes
 
 
-@functools.lru_cache(maxsize=1 << 12)
 def _above(mask: int) -> int:
     """The bits z with an odd number of ``mask`` bits below z, a negative
     int when ``mask`` has an odd number of bits (bit m's bits above it are
     ``-(2 << m)``, with no width): ``(x & _above(y)).bit_count()`` is
-    #{(i, j): i in x, j in y, i > j} mod 2 for any ``x >= 0``.  Memoized,
-    a few thousand ints at most: products ask again for the same few
-    contraction sets and term masks."""
+    #{(i, j): i in x, j in y, i > j} mod 2 for any ``x >= 0``."""
     out = 0
     while mask:
         low = mask & -mask

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import formfactors
-from .fock import MAX_MODES, StateVector
+from .fock import StateVector
 from .lattice import LatticeError, ModeTable, band_sums, boosted_twin
 from .operators import (
     ANNIHILATE,
@@ -204,16 +204,6 @@ def _anticommutation_residual(n_modes: int, samples: int, rng) -> int:
     return worst
 
 
-def core_product(table: ModeTable) -> OperatorExpr:
-    """Phi, the product of a+_{up,n} a+_{dn,n} over the core points n, on
-    the lattice with the core thawed into explicit modes.  Those modes come
-    first in the mode order, up before down at each point, so Phi is one
-    canonical term, every core mode created, with coefficient 1; the
-    identity when there is no core."""
-    core_modes = table.core_particles + 2 * len(table.inner_points)
-    return OperatorExpr({((1 << core_modes) - 1, 0): 1})
-
-
 def run_battery(
     table: ModeTable,
     g_values: Sequence,
@@ -233,20 +223,7 @@ def run_battery(
     ``[W, gamma_k]`` for checks (3) and (5).  Check (6) applies ``W``
     to the paired state once, for every coupling (``dark_residuals``), and
     check (10) reports its maximum.
-
-    A table whose thawed core would take it past ``MAX_MODES`` modes
-    raises ``LatticeError`` before any check runs.  Only check (5) sees
-    the thawed core, on Python-int masks of any width, so the bound is not
-    the word's: it keeps check (5) small.  The core product carries two
-    mask bits per core point, which ``_above`` walks one at a time, so
-    without it a far shell over a deep core (about 4.2M core points at
-    ``kf`` 100) would not finish.
     """
-    if table.n_modes + table.core_particles > MAX_MODES:
-        raise LatticeError(
-            f"more than {MAX_MODES} modes once check (5) thaws the core: "
-            f"{table.n_modes} table modes plus {table.core_particles} core modes"
-        )
     g_values = [Fraction(g) for g in g_values]
     lambda_values = [Fraction(l) for l in lambda_values]
     weights, ff_name = formfactors.from_spec(table, formfactor, seed)
@@ -307,20 +284,19 @@ def run_battery(
         return {}, res, 0.0
 
     def core_commutators():
-        """(5) interaction and pair commutators commute with the filled core,
-        on the lattice with the core thawed into explicit modes: those come
-        first, so its W and [W, gamma_k] are the table's moved up by
-        ``core_particles`` modes, and the core is ``core_product``.  It
-        always reads 0: W and each [W, gamma_k] act only on shell modes and
-        Phi only on core modes, and even-degree operators on disjoint modes
-        commute, so the residual cannot see a wrong shift;
-        ``test_shifted_operators_equal_the_thawed_lattice`` pins that"""
+        """(5) W and every [W, gamma_k] commute with the filled core: the
+        one-norm of their terms that touch a mode off the shell, an inner
+        mode (those come first) or one past the table.  The core product
+        Phi creates two modes per core point, so it commutes with any
+        operator on other modes: a shell-supported operator's commutator
+        with it is 0, on a frozen core and on a live one"""
         points = table.core_particles // 2 + len(table.inner_points)
-        phi = core_product(table)
-        res = commutator(w_ref.shifted(table.core_particles), phi).one_norm()
-        for k in table.shell_plus:
-            inner_comm = gamma_bracket[k][0].shifted(table.core_particles)
-            res += commutator(inner_comm, phi).one_norm()
+        # the inner modes and, as a negative int, every mode past the table
+        off = (1 << 2 * len(table.inner_points)) - 1 | -(1 << table.n_modes)
+        res = Fraction(0)
+        for op in (w_ref, *(gamma_bracket[k][0] for k in table.shell_plus)):
+            res += Fraction(sum(abs(n) for (cm, am), n in op.nums.items()
+                                if (cm | am) & off), op.den)
         return {"inner_points": points}, res, 0.0
 
     def dark_state():

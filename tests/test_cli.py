@@ -320,27 +320,28 @@ def test_thin_band_past_the_walk_cap_exits_2_fast(tmp_path, capsys, kf):
     assert "exceeds 16777216" in err and err.count("\n") == 1
 
 
-THAWED_PAST_THE_WORD = {
-    "64 table modes": ({"kf": 1.5, "delta": 0.5, "shell_points": None}, 64, 2),
-    "4 table modes": ({"kf": 2.5, "delta": 0.3, "shell_points": [[1, 2, 0], [-1, -2, 0]]},
-                      4, 66),
+FAR_CORES = {
+    "4 table modes over 66 core modes": {"kf": 2.5, "delta": 0.3,
+                                         "shell_points": [[1, 2, 0], [-1, -2, 0]]},
+    "kf 100": {"kf": 100, "delta": 0.5, "shell_points": [[100, 0, 0], [-100, 0, 0]]},
 }
 
 
-@pytest.mark.parametrize("lattice, modes, core", THAWED_PAST_THE_WORD.values(),
-                         ids=THAWED_PAST_THE_WORD.keys())
-def test_thawed_core_past_64_modes_exits_2_fast(tmp_path, capsys, lattice, modes, core):
-    # the frozen table fits the occupation word, but check (5) thaws the
-    # core past it; the refusal names both counts, and no check runs first
+@pytest.mark.parametrize("lattice", FAR_CORES.values(), ids=FAR_CORES.keys())
+def test_small_shell_over_a_deep_core_verifies_fast(tmp_path, lattice):
+    # check (5) reads the table's own operators, so a frozen core of any
+    # depth adds no modes: every check runs, and the report counts the core
     cfg = write_config(tmp_path, lattice=lattice)
+    table = load_config(cfg)["table"]
+    assert table.n_modes + table.core_particles > 64  # past the word with its core
     start = time.perf_counter()
     code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert time.perf_counter() - start < 1.0
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "lattice error: more than 64 modes once check (5) thaws the core: "
-        f"{modes} table modes plus {core} core modes\n")
-    assert not (tmp_path / "o").exists()
+    assert code == EXIT_OK
+    checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+    core = next(c for c in checks if c["check_id"] == "core_commutators")
+    assert core["residual"] == 0.0
+    assert core["params"]["inner_points"] == table.core_particles // 2
 
 
 OUTPUT_COMMANDS = {

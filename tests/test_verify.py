@@ -29,7 +29,6 @@ from darkpair.operators import (
 )
 from darkpair.verify import (
     CHECK_IDS,
-    core_product,
     CONTINUUM_FIELDS,
     closed_form_energy_per_particle,
     continuum_energy_check,
@@ -186,9 +185,8 @@ def test_anticommutation_sweep_covers_64_modes():
     assert _anticommutation_residual(64, 200, np.random.default_rng(0)) == 0
 
 
-def test_anticommutation_sweep_fires_the_operator_kernel(monkeypatch):
-    # a kernel that loses its signs must fail check (1): a_i a+_j and
-    # a+_j a_i then add up to 2 instead of cancelling
+def _unsigned_kernel(monkeypatch, cfg):
+    """Check (1)'s kernel loses every fermionic sign."""
     fire = verify._fire
 
     def unsigned(block, occs):
@@ -196,6 +194,12 @@ def test_anticommutation_sweep_fires_the_operator_kernel(monkeypatch):
         return term, at, res, np.zeros_like(odd)
 
     monkeypatch.setattr(verify, "_fire", unsigned)
+
+
+def test_anticommutation_sweep_fires_the_operator_kernel(monkeypatch):
+    # a kernel that loses its signs must fail check (1): a_i a+_j and
+    # a+_j a_i then add up to 2 instead of cancelling
+    _unsigned_kernel(monkeypatch, {})
     assert _anticommutation_residual(8, 200, np.random.default_rng(0)) == 2
 
 
@@ -243,7 +247,7 @@ def test_dark_state_reuses_the_reference_interaction(twopair_table, boosted_tabl
         weights, _ = from_spec(table, "random:5")
         for g in (Fraction(-1), Fraction(0), Fraction(1, 2)):
             assert build_w(table, 1, weights).scaled(g) == build_w(table, g, weights)
-        w_ref, phi = build_w(table, -1), verify.core_product(table)
+        w_ref = build_w(table, -1)
         monomials = sorted(t for k in table.shell_plus for t in build_pair(table, k, 1).nums)
         for lambdas in (LAMBDAS, [Fraction(0), Fraction(2)]):
             built_w.clear(), gammas.clear(), products.clear(), tables.clear()
@@ -251,7 +255,7 @@ def test_dark_state_reuses_the_reference_interaction(twopair_table, boosted_tabl
             assert report.all_passed
             assert built_w == [(table, 1)]
             assert sorted(k for k, _ in gammas) == sorted(table.shell_all)
-            with_w = [b for a, b in products if a == w_ref and b != phi]
+            with_w = [b for a, b in products if a == w_ref]
             assert len(with_w) == 2 * len(table.shell_plus)
             assert sorted(t for b in with_w for t in b.nums) == monomials
             assert [config.boost for config in tables] == boosts
@@ -354,58 +358,92 @@ def test_battery_bracket_at_any_lambda(name, at, lam):
     _assert_battery_bracket(name, shell_plus[at % len(shell_plus)], lam)
 
 
-# the bundled configs, the 40-mode battery shell, a live core with a
-# chemical potential and a boosted live core
-THAWED_CASES = {
-    **BATTERY_CONFIGS,
-    "unfrozen": {"kf": 1.2, "delta": 0.5, "mu": 1.5, "volume": "1/2",
-                 "shell_points": [[0, 0, 1], [0, 0, -1], [0, 1, 0], [0, -1, 0]]},
-    "boosted_unfrozen": {"kf": 1.2, "delta": 0.5, "boost": [0, 0, 1], "volume": 1,
-                         "shell_points": [[0, 0, 2], [0, 0, 0]]},
+def _negated_closed_form(monkeypatch, cfg):
+    """Check (2)'s closed forms [W, pair(k, lam)] change sign."""
+    rhs = verify.pair_commutator_rhs
+    monkeypatch.setattr(verify, "pair_commutator_rhs",
+                        lambda *args: [-r for r in rhs(*args)])
+
+
+def _bracket_plus(term):
+    """A mutation adding ``term(table, t)`` to every monomial bracket
+    ``[W, t]``, so to every bracket summed from them."""
+    def mutate(monkeypatch, cfg):
+        brackets = verify.monomial_brackets
+        monkeypatch.setattr(verify, "monomial_brackets", lambda w, table, k: {
+            t: b + OperatorExpr({term(table, t): 1})
+            for t, b in brackets(w, table, k).items()})
+    return mutate
+
+
+def _off_shell(table, t):
+    """A number term on two modes off the shell: the first two inner
+    modes of a live core, else the two modes past the table."""
+    modes = 0b11 if table.inner_points else 0b11 << table.n_modes
+    return modes, modes
+
+
+def _partner_gamma_sign(monkeypatch, cfg):
+    """gamma at a shell_minus point loses its sign."""
+    gamma = verify.build_gamma
+    monkeypatch.setattr(verify, "build_gamma", lambda table, k: (
+        gamma(table, k) if k in table.shell_plus else -gamma(table, k)))
+
+
+def _asymmetric_weights(monkeypatch, cfg):
+    """The asymmetric weight matrix, whose W the paired state is not dark to."""
+    cfg["formfactor"] = "asymmetric:3"
+
+
+def _doubled(name):
+    """A mutation doubling every operator that ``verify.<name>`` builds."""
+    def mutate(monkeypatch, cfg):
+        build = getattr(verify, name)
+
+        def doubled(table):
+            ops = build(table)
+            return ops.scaled(2) if isinstance(ops, OperatorExpr) else [
+                op.scaled(2) for op in ops]
+        monkeypatch.setattr(verify, name, doubled)
+    return mutate
+
+
+# One named mutation per check (1) to (9), each breaking what that check
+# tests.  Check (10) reports check (6)'s residual, so only check (6)'s
+# mutation fails it: giving check (10) a test of its own is the open
+# second half of ROADMAP item 18.
+MUTATIONS = {
+    "unsigned kernel": ("anticommutation", _unsigned_kernel),
+    "negated closed form": ("pair_commutator", _negated_closed_form),
+    "pure-creation term": ("gamma_commutator", _bracket_plus(lambda table, t: t)),
+    "partner gamma sign": ("gamma_negation", _partner_gamma_sign),
+    "off-shell number term": ("core_commutators", _bracket_plus(_off_shell)),
+    "asymmetric weights": ("dark_state", _asymmetric_weights),
+    "doubled kinetic energy": ("h0_eigenstate", _doubled("build_h0")),
+    "doubled number operator": ("number_eigenvalue", _doubled("build_number_op")),
+    "doubled momentum": ("momentum_eigenvalue", _doubled("build_momentum_op")),
 }
 
 
-@pytest.mark.parametrize("name", THAWED_CASES)
-def test_shifted_operators_equal_the_thawed_lattice(name, tmp_path, monkeypatch):
-    """The operators check (5) reads, W and each [W, gamma_k] of the table
-    moved up by ``core_particles`` modes and ``core_product`` for the core,
-    must equal those built on the lattice with the core thawed, Phi the
-    ``compose`` product of its core pair creators; so must each gamma_k,
-    moved up the same way."""
-    path = THAWED_CASES[name]
-    if isinstance(path, dict):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"lattice": THAWED_CASES[name],
-                                    "formfactor": "random:5"}))
-    cfg = load_config(path)
-    table = cfg["table"]
-    twin = build_mode_table(replace(cfg["lattice"], frozen_core=False))
-    shift = table.core_particles
-    assert twin.n_modes == table.n_modes + shift
-    weights, _ = from_spec(table, cfg["formfactor"], cfg["seed"])
-    assert from_spec(twin, cfg["formfactor"], cfg["seed"])[0] == weights
-    for k in table.shell_all:
-        assert build_gamma(table, k).shifted(shift) == build_gamma(twin, k)
-    phi = OperatorExpr.identity()
-    for n in twin.inner_points:
-        pair = OperatorExpr.from_monomial(1, [(CREATE, twin.mode_index(SPIN_UP, n)),
-                                              (CREATE, twin.mode_index(SPIN_DOWN, n))])
-        phi = phi.compose(pair)
-    assert core_product(table) == phi
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "unfrozen"])
+@pytest.mark.parametrize("check_id, mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+def test_each_check_fails_under_its_named_mutation(check_id, mutate, frozen,
+                                                   monkeypatch):
+    # the bundled twopair, with its core frozen and live, passes its check
+    # and fails it once mutated
+    cfg = load_config(bundled_config_path("twopair"))
+    table = cfg["table"] if frozen else build_mode_table(
+        replace(cfg["lattice"], frozen_core=False))
+    assert bool(table.inner_points) is not frozen
 
-    reads = []
+    def check():
+        report = run_battery(table, cfg["couplings"], cfg["lambda_values"],
+                             cfg["formfactor"], cfg["seed"])
+        return report.checks[CHECK_IDS.index(check_id)]
 
-    def recorded(a, b):
-        reads.append((a, b))
-        return commutator(a, b)
-
-    monkeypatch.setattr(verify, "commutator", recorded)
-    report = run_battery(table, cfg["couplings"], cfg["lambda_values"],
-                         cfg["formfactor"], cfg["seed"])
-    assert report.checks[CHECK_IDS.index("core_commutators")].residual == 0.0
-    w_twin = build_w(twin, cfg["couplings"][0], weights)
-    assert [a for a, b in reads if b == phi] == [
-        w_twin, *(commutator(w_twin, build_gamma(twin, k)) for k in twin.shell_plus)]
+    assert check().passed
+    mutate(monkeypatch, cfg)
+    assert not check().passed
 
 
 def test_residual_helpers(minimal_table):
