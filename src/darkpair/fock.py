@@ -75,12 +75,6 @@ def _numerators(values: list) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _square_sum(nums: np.ndarray, den: int) -> Fraction:
-    """The squared norm of the amplitudes ``nums / den``, summed on Python
-    ints as one exact ``Fraction``."""
-    return Fraction(sum(n * n for n in nums.tolist()), den * den)
-
-
 class _Fractions(Mapping):
     """A record's ``{key: numerator}`` map over ``den`` read as ``{key:
     Fraction}``, each built when read: a state's ``amp``, an operator's ``terms``."""
@@ -171,7 +165,8 @@ class StateVector:
         )
 
     def norm2(self) -> Fraction:
-        return _square_sum(self.nums, self.den)
+        """The squared norm, summed on Python ints as one exact ``Fraction``."""
+        return Fraction(sum(n * n for n in self.nums.tolist()), self.den * self.den)
 
     def norm(self) -> float:
         return math.sqrt(float(self.norm2()))

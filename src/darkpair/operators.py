@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .fock import MAX_MODES, StateVector, _Fractions, _numerators, _square_sum, mode_bit
+from .fock import MAX_MODES, StateVector, _Fractions, _numerators, mode_bit
 from .formfactors import Weights, from_spec
 from .lattice import IVec, ModeTable
 
@@ -473,23 +473,21 @@ def _firings(compiled: list[tuple], signed: np.ndarray, occs: np.ndarray,
     return diag[where], where
 
 
-def _image(expr: OperatorExpr, vec: StateVector,
-           shift=0) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(expr - shift)|vec>`` as ``(occs, nums, den)``: the occupations of
-    its nonzero entries, ascending, as uint64, their integer numerators and
+def _image(expr: OperatorExpr, vec: StateVector) -> tuple[np.ndarray, np.ndarray, int]:
+    """``expr|vec>`` as ``(occs, nums, den)``: the occupations of its
+    nonzero entries, ascending, as uint64, their integer numerators and
     the one denominator they are over.
 
-    The terms of ``expr - shift`` go through ``_firings`` over the
-    record's occupations, each value times the amplitude it fires on
-    (integer numerators, ``_values``).  The
-    number-type terms come back summed per input state, already in state
-    order, so an operator of number terms alone (``H0``, ``N``, ``P``)
-    needs no sort; the other contributions are grouped by the state they
-    yield, with the diagonal, and summed.
-    ``shift`` must be int or ``Fraction`` (``TypeError`` otherwise).
+    The terms of ``expr`` go through ``_firings`` over the record's
+    occupations, each value times the amplitude it fires on (integer
+    numerators, ``_values``).  The number-type terms come back summed per
+    input state, already in state order, so an operator of number terms
+    alone (``H0``, ``N``, ``P``, each less an eigenvalue) needs no sort;
+    the other contributions are grouped by the state they yield, with the
+    diagonal, and summed.  An operator with no terms costs nothing.
     """
-    if shift:
-        expr = expr - OperatorExpr.identity(shift)
+    if not expr.nums:
+        return vec.occs[:0], vec.nums[:0], 1
     compiled = _compile(expr, vec.n_modes)
     signed, amp, den = _values([term[-1] for term in compiled], expr.den, vec.nums, vec.den)
     parts = []
@@ -520,26 +518,28 @@ def apply_operator(expr: OperatorExpr, vec: StateVector) -> StateVector:
     return StateVector._wrap(vec.n_modes, *_image(expr, vec))
 
 
-def image_norm2(expr: OperatorExpr, vec: StateVector, shift=0) -> Fraction:
-    """``|| (expr - shift)|vec> ||**2`` as one exact ``Fraction``: the
-    sum of squares of the ``_image`` numerators, as ``StateVector.norm2``
-    sums them."""
-    _, nums, den = _image(expr, vec, shift)
-    return _square_sum(nums, den)
-
-
-def image_norm(expr: OperatorExpr, vec: StateVector, shift=0) -> float:
-    """``|| (expr - shift)|vec> ||``: ``image_norm2`` rooted as
-    ``StateVector.norm`` roots it, so the float is that of the image built
-    as a ``StateVector``."""
-    return math.sqrt(float(image_norm2(expr, vec, shift)))
+def residual_squares(a: OperatorExpr, b: OperatorExpr, vec: StateVector,
+                     couplings) -> list[Fraction]:
+    """``|| (a + g b)|vec> ||**2`` at each exact coupling ``g``, a ``Fraction``:
+    ``|x|**2 + 2 g <x, y> + g**2 |y|**2`` from one image each, ``x = a|vec>``
+    and ``y = b|vec>``, summed as Python ints, ``<x, y>`` on shared occupations."""
+    (xo, xn, xd), (yo, yn, yd) = _image(a, vec), _image(b, vec)
+    xy = 0
+    if len(xo) and len(yo):
+        _, i, j = np.intersect1d(xo, yo, assume_unique=True, return_indices=True)
+        xy = sum(u * v for u, v in zip(xn[i].tolist(), yn[j].tolist()))
+    xx, yy = (sum(n * n for n in nums.tolist()) for nums in (xn, yn))
+    # at g = p / q, one numerator over (xd yd q)**2: one Fraction, one gcd
+    return [Fraction(xx * (yd * q) ** 2 + 2 * xy * xd * yd * p * q + yy * (xd * p) ** 2,
+                     (xd * yd * q) ** 2)
+            for p, q in ((g.numerator, g.denominator) for g in couplings)]
 
 
 def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
-    """|| A|psi> - lambda|psi> || / ||psi||, with exact arithmetic inside
-    (``image_norm``); 0.0 when the residual vanishes."""
-    norm = image_norm(op, state, eigenvalue)
-    return norm / state.norm() if norm else 0.0
+    """|| A|psi> - lambda|psi> || / ||psi|| for an exact ``lambda``: the
+    ``residual_squares`` of ``A - lambda`` alone, rooted; 0.0 when it vanishes."""
+    [square] = residual_squares(op - OperatorExpr.identity(eigenvalue), OperatorExpr(), state, [0])
+    return math.sqrt(float(square)) / state.norm() if square else 0.0
 
 
 def _sector_entries(compiled: list[tuple], signed: np.ndarray, occs):

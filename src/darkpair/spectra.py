@@ -23,8 +23,8 @@ from .operators import (
     SectorCOO,
     build_h0,
     build_w,
-    eigen_residual,
     matrix_in_sector,
+    residual_squares,
 )
 from .states import nc_energy, nc_state, phi_core_energy
 
@@ -335,12 +335,12 @@ def scan_g(
     ``W1``, the paired state ``|NC>`` and its energy, the sector basis (an
     over-cap sector raises ``BasisSizeError`` here, before any solve), the
     sector matrices of ``H0`` and ``W1`` on it and each operator's sum of
-    |coefficients| (which bounds every partial sum of an entry).  Each
-    coupling then forms the matrix of ``H0 + g W1`` (``_matrix_at``),
-    solves it with ``diagonalize_sector`` for the ground energy alone
-    (the least eigenvalue of its connected components, see there),
-    takes ``residual_NC`` from ``eigen_residual`` of ``H0 + g W1`` on the
-    state record ``|NC>``, and with ``E_var`` minimizes
+    |coefficients| (which bounds every partial sum of an entry), and every
+    coupling's ``residual_NC`` from one image each of ``H0 - E_NC`` and
+    ``W1`` (``residual_squares``).  Each coupling then forms the matrix of
+    ``H0 + g W1`` (``_matrix_at``), solves it with ``diagonalize_sector``
+    for the ground energy alone (the least eigenvalue of its connected
+    components, see there), and with ``E_var`` minimizes
     ``pair_energy_form`` at ``g`` on the same weight matrix, so every row
     equals the from-scratch route bit for bit.
     """
@@ -353,9 +353,12 @@ def scan_g(
     h0_coo = matrix_in_sector(h0, basis, table.n_modes)
     w1_coo = matrix_in_sector(w1, basis, table.n_modes)
     sums = (h0.one_norm(), w1.one_norm())
-    rows = []
     # sorted by float value, then exact: equal floats keep their input order
-    for g in map(Fraction, sorted(g_values, key=float)):
+    couplings = [Fraction(g) for g in sorted(g_values, key=float)]
+    a = h0 - OperatorExpr.identity(e_nc - table.core_energy)
+    squares = residual_squares(a, w1, state, couplings)
+    rows = []
+    for g, square in zip(couplings, squares):
         spec = diagonalize_sector(
             _matrix_at(h0_coo, w1_coo, sums, g), table, sector, n_lowest=1,
             dense_cutoff=dense_cutoff, seed=seed)
@@ -368,7 +371,7 @@ def scan_g(
             "E_var": (bcs_variational_energy(
                 table, pair_energy_form(table, g, weights), seed)[0]
                 if with_variational else math.nan),
-            "residual_NC": eigen_residual(h0 + w1.scaled(g), state, e_nc - table.core_energy),
+            "residual_NC": math.sqrt(float(square)) / state.norm() if square else 0.0,
         })
     return rows
 

@@ -42,8 +42,8 @@ from .operators import (
     build_w,
     commutator,
     eigen_residual,
-    image_norm2,
     pair_commutator_rhs,
+    residual_squares,
 )
 from .states import nc_energy, nc_momentum, nc_state
 
@@ -115,15 +115,14 @@ class VerificationReport:
 def dark_residuals(w1: OperatorExpr, state: StateVector, couplings) -> list[float]:
     """``|| W|psi> || / (||W||_1 * ||psi||)`` of ``W = g W1`` at each
     coupling ``g``, exactly zero where the image is empty, from one image
-    of ``W1``: that of ``g W1`` has the exact square sum ``g**2`` times
-    ``W1``'s (``image_norm2``) and ``g W1`` the one-norm ``|g| ||W1||_1``,
-    so each float is the correctly rounded value the image of ``g W1``
-    gives, ``g = 0`` included."""
-    square = image_norm2(w1, state)
+    of ``W1``: ``residual_squares`` with no ``A`` gives the exact square
+    sum ``g**2`` times ``W1``'s and ``g W1`` has the one-norm ``|g|
+    ||W1||_1``, so each float is the correctly rounded value the image of
+    ``g W1`` gives, ``g = 0`` included."""
     one_norm, norm = w1.one_norm(), state.norm()
     out = []
-    for g in couplings:
-        length = math.sqrt(float(g * g * square))
+    for g, square in zip(couplings, residual_squares(OperatorExpr(), w1, state, couplings)):
+        length = math.sqrt(float(square))
         # a dark state's 0 needs no float of g: a coupling may be past its range
         denom = float(abs(g) * one_norm) * norm if length else 0.0
         out.append(length / denom if denom else length)
@@ -220,9 +219,9 @@ def run_battery(
     a check's ``seconds`` include what it builds first.  Check (2) takes
     one Wick product with ``W`` per pair monomial at each hemisphere ``k``,
     sums each ``[W, pair(k, lam)]`` from the two and keeps
-    ``[W, gamma_k]`` for checks (3) and (5).  Check (6) applies ``W``
-    to the paired state once, for every coupling (``dark_residuals``), and
-    check (10) reports its maximum.
+    ``[W, gamma_k]`` for checks (3) and (5).  Checks (6) to (9) root exact
+    squares from ``residual_squares``: (6) from one image of ``W`` for
+    every coupling (``dark_residuals``), whose maximum (10) reports.
     """
     g_values = [Fraction(g) for g in g_values]
     lambda_values = [Fraction(l) for l in lambda_values]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from darkpair import formfactors, operators
@@ -30,10 +30,9 @@ from darkpair.operators import (
     build_w,
     commutator,
     eigen_residual,
-    image_norm,
-    image_norm2,
     matrix_in_sector,
     pair_commutator_rhs,
+    residual_squares,
 )
 from darkpair.states import nc_state, phi_core
 from darkpair.verify import dark_residuals
@@ -654,7 +653,8 @@ def test_width_bound_is_summed_on_python_ints():
         assert signed.dtype == amps.dtype == object
         image, want = apply_operator(expr, vec), apply_dict(expr, DictState.of(vec))
         assert bits(image.amp) == bits(want.amp) and image == want.record()
-        assert image_norm(expr, vec).hex() == want.norm().hex()
+        [square] = residual_squares(expr, OperatorExpr(), vec, [0])
+        assert square == want.norm2() and math.sqrt(float(square)).hex() == want.norm().hex()
     # numerators past int64 meet no coefficient: the zero operator gives zero
     assert len(apply_operator(OperatorExpr(), StateVector(1, {1: 2**70}))) == 0
 
@@ -662,40 +662,64 @@ def test_width_bound_is_summed_on_python_ints():
 MIXED = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
+def assert_route_equals_the_oracle(a, b, vec, shift, g):
+    """``residual_squares`` of ``a - shift`` and ``b`` at ``g`` (and at 0)
+    against ``|| (a psi - shift psi) + g b psi ||**2`` summed as
+    ``DictState``s, exactly, and its root bit for bit; returns whether the
+    two images share an occupation, where the cross term lives."""
+    oracle = DictState.of(vec)
+    x, y = apply_dict(a, oracle) - oracle.scaled(shift), apply_dict(b, oracle)
+    got = residual_squares(a - OperatorExpr.identity(shift), b, vec, [g, 0])
+    for square, want in zip(got, ((x + y.scaled(g)).norm2(), x.norm2()), strict=True):
+        assert type(square) is Fraction and square == want
+        assert math.sqrt(float(square)).hex() == math.sqrt(float(want)).hex()
+    return bool(x.amp.keys() & y.amp.keys())
+
+
 @settings(max_examples=150, deadline=None)
-@given(monos=cancelling_monomials(), data=st.data())
-def test_residuals_equal_the_fraction_routes(monos, data):
-    # the image, and the norms summed from the kernel's numerators, against
-    # the dictionary oracle, bit for bit, int64 and object dtype alike
+@given(monos=cancelling_monomials(), other=cancelling_monomials(), data=st.data())
+def test_residuals_equal_the_fraction_routes(monos, other, data):
+    # the image, and the residual squares summed from the kernel's
+    # numerators, against the dictionary oracle, bit for bit, int64 and
+    # object dtype alike, with either operand zero; the CLI's paired
+    # states are H0 eigenstates, so only this test reaches a nonzero
+    # cross term <(A - E)psi, B psi>
     n_modes = 5
     amps = data.draw(st.dictionaries(st.integers(0, (1 << n_modes) - 1), MIXED,
                                      min_size=1, max_size=12))
+    number = OperatorExpr({(1 << m, 1 << m): 1 for m in range(n_modes)})
     expr = normal_ordered(monos)
     if data.draw(st.booleans()):  # the number operator: some shifts are exact eigenvalues
-        expr = expr + OperatorExpr({(1 << m, 1 << m): 1 for m in range(n_modes)})
+        expr = expr + number
     # a numerator or a denominator past 2**53 takes the object dtype; the
     # prime keeps it past 2**53 after any small coefficient is multiplied in
     prime = 2**53 + 5
-    wide, amp_wide = (data.draw(st.sampled_from([1, prime, Fraction(1, prime)]))
-                      for _ in range(2))
+    wide, amp_wide, b_wide = (data.draw(st.sampled_from([1, prime, Fraction(1, prime)]))
+                              for _ in range(3))
     expr = expr.scaled(wide)
     vec = StateVector(n_modes, {occ: a * amp_wide for occ, a in amps.items()})
     # the record holds numerators past 2**53 as Python ints
     assert vec.nums.dtype == (object if amp_wide == prime and len(vec) else np.int64)
     shift = data.draw(st.one_of(MIXED, st.integers(0, n_modes))) * wide
+    if data.draw(st.integers(0, 5)) == 0:  # A itself zero, now and then
+        expr, shift = OperatorExpr(), 0
     if len(vec) and (expr.terms or shift):
         signed = _values(*_numerators([*expr.terms.values(), Fraction(shift)]),
                          vec.nums, vec.den)[0]
         assert signed.dtype == (np.int64 if wide == amp_wide == 1 else object)
-    g = data.draw(MIXED)  # the dark residual of g W from the image of W
+    # B: zero, a drawn operator (its image often off A's), or the number
+    # operator, whose image lies on the state's own occupations as A's does
+    b = data.draw(st.sampled_from([OperatorExpr(), normal_ordered(other), number]))
+    b = b.scaled(b_wide)
+    g = data.draw(MIXED)
     oracle = DictState.of(vec)
     image, image_dict = apply_operator(expr, vec), apply_dict(expr, oracle)
     assert bits(image.amp) == bits(image_dict.amp) and image == image_dict.record()
-    assert image_norm2(expr, vec, shift) == (image_dict - oracle.scaled(shift)).norm2()
-    for got, want in ((image_norm(expr, vec, shift), (image_dict - oracle.scaled(shift)).norm()),
-                      (eigen_residual(expr, vec, shift),
+    shared = assert_route_equals_the_oracle(expr, b, vec, shift, g)
+    event(f"images share an occupation: {shared}")
+    for got, want in ((eigen_residual(expr, vec, shift),
                        eigen_residual_dict(expr, oracle, shift)),
-                      (dark_residuals(expr, vec, [g])[0], dark_residual_dict(expr.scaled(g), oracle))):
+                      (dark_residuals(b, vec, [g])[0], dark_residual_dict(b.scaled(g), oracle))):
         assert type(got) is float and got.hex() == want.hex()
 
 
@@ -725,8 +749,8 @@ def number_mixes(draw, n_modes=5):
 
 
 @settings(max_examples=200, deadline=None)
-@given(monos=number_mixes(), data=st.data())
-def test_number_terms_summed_on_the_diagonal_equal_the_oracle(monos, data):
+@given(monos=number_mixes(), other=number_mixes(), data=st.data())
+def test_number_terms_summed_on_the_diagonal_equal_the_oracle(monos, other, data):
     n_modes = 5
     prime = 2**53 + 5  # past 2**53 after any small coefficient is multiplied in
     wide, amp_wide = (data.draw(st.sampled_from([1, prime])) for _ in range(2))
@@ -742,10 +766,10 @@ def test_number_terms_summed_on_the_diagonal_equal_the_oracle(monos, data):
     oracle = DictState.of(vec)
     image, image_dict = apply_operator(expr, vec), apply_dict(expr, oracle)
     assert bits(image.amp) == bits(image_dict.amp) and image == image_dict.record()
-    for got, want in ((image_norm(expr, vec, shift), (image_dict - oracle.scaled(shift)).norm()),
-                      (eigen_residual(expr, vec, shift),
-                       eigen_residual_dict(expr, oracle, shift))):
-        assert type(got) is float and got.hex() == want.hex()
+    b = data.draw(st.sampled_from([OperatorExpr(), OperatorExpr.from_monomials(other)]))
+    assert_route_equals_the_oracle(expr, b.scaled(wide), vec, shift, data.draw(MIXED))
+    got, want = eigen_residual(expr, vec, shift), eigen_residual_dict(expr, oracle, shift)
+    assert type(got) is float and got.hex() == want.hex()
 
 
 def test_a_diagonal_operator_drops_exactly_its_zeros(monkeypatch):
@@ -758,7 +782,7 @@ def test_a_diagonal_operator_drops_exactly_its_zeros(monkeypatch):
     want = {occ: (occ.bit_count() - 2) * a for occ, a in amps.items()
             if occ.bit_count() != 2}
     monkeypatch.setattr(operators.np, "argsort", None)  # a diagonal image sorts nothing
-    occs, nums, den = operators._image(number, vec, 2)
+    occs, nums, den = operators._image(number - OperatorExpr.identity(2), vec)
     assert occs.tolist() == sorted(want)
     assert {o: Fraction(n, den) for o, n in zip(occs.tolist(), nums.tolist())} == want
     assert apply_operator(number - OperatorExpr.identity(2), vec).amp == want

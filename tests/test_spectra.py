@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkpair import formfactors
+from darkpair import formfactors, operators
 from darkpair.cli import bundled_config_path, load_config, write_csv
 from darkpair.fock import BasisSizeError, StateVector, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
-from darkpair.operators import (SectorCOO, apply_operator, build_w, eigen_residual,
-                                matrix_in_sector)
+from darkpair.operators import (OperatorExpr, SectorCOO, apply_operator, build_h0, build_w,
+                                eigen_residual, matrix_in_sector)
 from darkpair.spectra import (
     DENSE_CUTOFF,
     SCAN_FIELDS,
@@ -697,6 +697,41 @@ def test_scan_assembles_twice_and_solves_once_per_coupling(threepair_table,
     scan_g(threepair_table, couplings, "random:13", 13, with_variational=False)
     assert len(solves) == len(couplings) and len(assemblies) == 2
     assert all(isinstance(args[0], SectorCOO) for args, _ in solves)
+
+
+def test_scan_takes_one_image_of_each_operand_for_every_coupling(threepair_table,
+                                                                 monkeypatch):
+    # every coupling's residual_NC from one image each of H0 - E_NC and
+    # W1 (the others build |NC>), whatever the number of couplings, and
+    # no record that holds H0's and W's terms together: no H(g) is built
+    table = threepair_table
+    h0 = build_h0(table)
+    w1 = build_w(table, 1, formfactors.from_spec(table, "random:13", 13)[0])
+    a = h0 - OperatorExpr.identity(nc_energy(table) - table.core_energy)
+    images, records = [], []
+    image, wrap = operators._image, OperatorExpr._wrap.__func__
+
+    def counted(expr, *args):
+        images.append(expr)
+        return image(expr, *args)
+
+    def recorded(cls, nums, den=1):
+        records.append(set(nums))
+        return wrap(cls, nums, den)
+
+    monkeypatch.setattr(operators, "_image", counted)
+    monkeypatch.setattr(OperatorExpr, "_wrap", classmethod(recorded))
+    model, fired = h0.nums.keys() | w1.nums.keys(), []
+    for couplings in ([Fraction(1, 2)], [-1, Fraction(-1, 2), 0, Fraction(1, 3), 1, 7]):
+        images.clear()
+        records.clear()
+        rows = scan_g(table, couplings, "random:13", 13, with_variational=False)
+        assert len(rows) == len(couplings)
+        fired.append(len(images))
+        assert [e for e in images if e.nums.keys() & model] == [a, w1]
+        assert records and not any(keys & h0.nums.keys() and keys & w1.nums.keys()
+                                   for keys in records)
+    assert fired[0] == fired[1]
 
 
 def test_scan_csv_shape(minimal_table):

@@ -21,11 +21,11 @@ from darkpair.operators import (
     ANNIHILATE,
     CREATE,
     OperatorExpr,
+    apply_operator,
     build_gamma,
     build_pair,
     build_w,
     commutator,
-    image_norm,
 )
 from darkpair.verify import (
     CHECK_IDS,
@@ -269,7 +269,7 @@ ONE_IMAGE_COUPLINGS = [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7)
 def test_dark_state_takes_one_image_for_every_coupling(name, monkeypatch):
     # asymmetric weights leave the state bright, so each residual is a
     # nonzero g**2 S1 rooted; it must be the one the image of g W1 gives,
-    # by the kernel's image_norm and by the dictionary oracle
+    # by the kernel's apply_operator and by the dictionary oracle
     cfg = load_config(bundled_config_path(name))
     table, spec = cfg["table"], "asymmetric:4"
     weights, _ = from_spec(table, spec)
@@ -278,7 +278,7 @@ def test_dark_state_takes_one_image_for_every_coupling(name, monkeypatch):
     want = []
     for g in ONE_IMAGE_COUPLINGS:
         w = build_w(table, g, weights)
-        norm = image_norm(w, state)
+        norm = apply_operator(w, state).norm()
         want.append(norm / (float(w.one_norm()) * state.norm()) if g else norm)
         assert want[-1].hex() == dark_residual_dict(w, DictState.of(state)).hex()
         assert (want[-1] > 0) == (g != 0)
@@ -288,9 +288,9 @@ def test_dark_state_takes_one_image_for_every_coupling(name, monkeypatch):
     images = []
     image = operators._image
 
-    def counted(expr, vec, shift=0):
+    def counted(expr, vec):
         images.append(expr)
-        return image(expr, vec, shift)
+        return image(expr, vec)
 
     # W at any coupling is the one operator with W's terms
     monkeypatch.setattr(operators, "_image", counted)
