@@ -535,13 +535,6 @@ def residual_squares(a: OperatorExpr, b: OperatorExpr, vec: StateVector,
             for p, q in ((g.numerator, g.denominator) for g in couplings)]
 
 
-def eigen_residual(op: OperatorExpr, state: StateVector, eigenvalue) -> float:
-    """|| A|psi> - lambda|psi> || / ||psi|| for an exact ``lambda``: the
-    ``residual_squares`` of ``A - lambda`` alone, rooted; 0.0 when it vanishes."""
-    [square] = residual_squares(op - OperatorExpr.identity(eigenvalue), OperatorExpr(), state, [0])
-    return math.sqrt(float(square)) / state.norm() if square else 0.0
-
-
 def _sector_entries(compiled: list[tuple], signed: np.ndarray, occs):
     """Rows, columns and signed values of every term's entries: the
     diagonal, then one array each per ``_firings`` block.

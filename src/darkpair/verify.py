@@ -1,9 +1,11 @@
 """The identity battery: run the model's operator identities as checks.
 
-Symbolic checks are exact (rational arithmetic, tolerance 0); numerical
-checks on state vectors use a 1e-12 relative tolerance.  A report is
-deterministic given (config, seeds); wall times are reported in the text
-rendering only, so the JSON artifact is byte-reproducible.
+Symbolic checks are exact (rational arithmetic, tolerance 0); the
+paired-state checks root exact squares, summed in closed form over the
+state's doublets with no state vector built, and use a 1e-12 relative
+tolerance.  A report is deterministic given (config, seeds); wall times
+are reported in the text rendering only, so the JSON artifact is
+byte-reproducible.
 
 The continuum section compares the closed-form energy per particle with
 exact lattice counting at growing grid refinements, and both with a
@@ -26,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from . import formfactors
-from .fock import StateVector
 from .lattice import LatticeError, ModeTable, band_sums, boosted_twin
 from .operators import (
     ANNIHILATE,
@@ -41,11 +42,9 @@ from .operators import (
     build_pair,
     build_w,
     commutator,
-    eigen_residual,
     pair_commutator_rhs,
-    residual_squares,
 )
-from .states import nc_energy, nc_momentum, nc_state
+from .states import nc_energy, nc_momentum
 
 NUMERIC_TOL = 1e-12
 ANTICOMMUTATION_SAMPLES = 200  # random (state, i, j) draws of check (1)
@@ -112,17 +111,120 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def dark_residuals(w1: OperatorExpr, state: StateVector, couplings) -> list[float]:
-    """``|| W|psi> || / (||W||_1 * ||psi||)`` of ``W = g W1`` at each
-    coupling ``g``, exactly zero where the image is empty, from one image
-    of ``W1``: ``residual_squares`` with no ``A`` gives the exact square
-    sum ``g**2`` times ``W1``'s and ``g W1`` has the one-norm ``|g|
-    ||W1||_1``, so each float is the correctly rounded value the image of
-    ``g W1`` gives, ``g = 0`` included."""
-    one_norm, norm = w1.one_norm(), state.norm()
+Doublet = tuple[tuple[int, int], tuple[int, int], int]
+
+
+def doublets(table: ModeTable, gamma) -> list[Doublet]:
+    """The factors of ``|NC> = prod_k gamma_k |Phi>``, one doublet per
+    hemisphere point k: the created-mode masks of its two pair levels,
+    k's pair and its partner's, their numerators in ``gamma(k)``'s record
+    (the keys ``(mask, 0)``) and its denominator.  A level's amplitude is
+    that of its canonical pair monomial, so no sign is read."""
     out = []
-    for g, square in zip(couplings, residual_squares(OperatorExpr(), w1, state, couplings)):
-        length = math.sqrt(float(square))
+    for k in table.shell_plus:
+        rec = gamma(k)
+        levels = tuple(1 << up | 1 << dn
+                       for up, dn in map(table.pair_modes, (k, table.partner(k))))
+        out.append((levels, tuple(rec.nums.get((m, 0), 0) for m in levels), rec.den))
+    return out
+
+
+def _norm2(factors: list[Doublet]) -> Fraction:
+    """``||NC||**2``: the product of the doublets' ``s_a**2 + s_b**2``."""
+    return Fraction(math.prod(sa * sa + sb * sb for _, (sa, sb), _ in factors),
+                    math.prod(den for *_, den in factors) ** 2)
+
+
+def dark_square(w1: OperatorExpr, factors: list[Doublet]) -> Fraction:
+    """``|| W1|NC> ||**2`` exactly, summed over the doublets of ``|NC>``.
+
+    Pair operators are even, so they commute across doublets and ``|NC>``
+    is the product of each doublet's ``s_a|a> + s_b|b>``.  A term of
+    ``W1`` keyed ``(C_a, C_b)``, pair levels a and b, moves the pair of
+    b's doublet d to a.  Into d itself it leaves d's one pair in a, with
+    amplitude ``c_{a,d} = sum_{b in d} w_ab s_b``; into another doublet
+    d', whose pair must sit in a's other level, it leaves d empty and d'
+    full.  Those images are orthogonal, so with ``n_d = s_a**2 + s_b**2``
+    and ``N`` their product, ``||NC||**2``,
+
+        sum_d N/n_d sum_{a in d} c_{a,d}**2
+          + sum_{d != d'} N/(n_d n_d') (sum_{a in d'} c_{a,d} s_{other(a)})**2
+
+    on integer numerators, ``O(terms + M**2)`` for M doublets.  A pair
+    level's canonical annihilator is minus its creator's adjoint, a sign
+    the squares drop.  Each key of ``W1`` must pair two pair levels, as
+    ``build_w`` writes them; any other raises ``ValueError``.
+    """
+    level = {}  # level mask: (its doublet, its amplitude, its other level's)
+    for d, ((a, b), (sa, sb), _) in enumerate(factors):
+        level[a], level[b] = (d, sa, sb), (d, sb, sa)
+    norms = [sa * sa + sb * sb for _, (sa, sb), _ in factors]
+    total = math.prod(norms)
+    moved: dict = {}  # (b's doublet, level a): c_{a,d}
+    for (head, tail), n in w1.nums.items():
+        if head not in level or tail not in level:
+            raise ValueError("the closed form takes pair-level terms only")
+        d, s, _ = level[tail]
+        moved[d, head] = moved.get((d, head), 0) + n * s
+    inside, across = 0, {}
+    for (d, head), c in moved.items():
+        e, _, other = level[head]
+        if e == d:
+            inside += total // norms[d] * c * c
+        else:
+            across[d, e] = across.get((d, e), 0) + c * other
+    square = inside + sum(total // norms[d] // norms[e] * x * x
+                          for (d, e), x in across.items())
+    return Fraction(square, (w1.den * math.prod(den for *_, den in factors)) ** 2)
+
+
+def number_square(op: OperatorExpr, table: ModeTable, factors: list[Doublet],
+                  eigenvalue: Fraction) -> Fraction:
+    """``|| (op - eigenvalue)|NC> ||**2`` exactly, for an ``op`` of one-mode
+    number terms alone (``H0``, ``N``, each ``P`` component).
+
+    Each occupation of ``|NC>`` is the filled core (the table's inner
+    modes, which come first) and one pair level per doublet, weighted by
+    its squared amplitude, and ``op`` takes on it the core's value plus
+    each level's.  Over independent levels the square is ``||NC||**2``
+    times ``(core + sum_d mu_d - eigenvalue)**2 + sum_d var_d``, mu_d and
+    var_d the weighted mean and variance of doublet d's two level values.
+    Any other term raises ``ValueError``.
+    """
+    if any(cm != am or cm.bit_count() != 1 for cm, am in op.nums):
+        raise ValueError("the closed form takes one-mode number terms only")
+    value = {cm: n for (cm, _), n in op.nums.items()}
+    core = (1 << 2 * len(table.inner_points)) - 1
+    shift = Fraction(sum(n for cm, n in value.items() if cm & core), op.den) - eigenvalue
+    spread = Fraction(0)
+    for levels, (sa, sb), _ in factors:
+        va, vb = (Fraction(value.get(m & -m, 0) + value.get(m & m - 1, 0), op.den)
+                  for m in levels)
+        wa, wb = sa * sa, sb * sb
+        shift += (wa * va + wb * vb) / (wa + wb)
+        spread += wa * wb * (va - vb) ** 2 / (wa + wb) ** 2
+    return _norm2(factors) * (shift * shift + spread)
+
+
+def _eigen_residual(op: OperatorExpr, table: ModeTable, factors: list[Doublet],
+                    eigenvalue) -> float:
+    """``|| (op - eigenvalue)|NC> || / ||NC||`` rooted from ``number_square``
+    as the explicit state's residual is; 0.0 when it vanishes."""
+    square = number_square(op, table, factors, eigenvalue)
+    return math.sqrt(float(square)) / math.sqrt(float(_norm2(factors))) if square else 0.0
+
+
+def dark_residuals(w1: OperatorExpr, factors: list[Doublet], couplings) -> list[float]:
+    """``|| W|NC> || / (||W||_1 * ||NC||)`` of ``W = g W1`` at each coupling
+    ``g``, exactly zero where the image is empty: ``g**2`` times the one
+    ``dark_square`` of ``W1`` is each coupling's exact square, and ``g W1``
+    has the one-norm ``|g| ||W1||_1``, so each float is the correctly
+    rounded value the image of ``g W1`` gives, ``g = 0`` included."""
+    one_norm, norm = w1.one_norm(), math.sqrt(float(_norm2(factors)))
+    square = dark_square(w1, factors)
+    out = []
+    for g in couplings:
+        length = math.sqrt(float(g * g * square))
         # a dark state's 0 needs no float of g: a coupling may be past its range
         denom = float(abs(g) * one_norm) * norm if length else 0.0
         out.append(length / denom if denom else length)
@@ -220,8 +322,10 @@ def run_battery(
     one Wick product with ``W`` per pair monomial at each hemisphere ``k``,
     sums each ``[W, pair(k, lam)]`` from the two and keeps
     ``[W, gamma_k]`` for checks (3) and (5).  Checks (6) to (9) root exact
-    squares from ``residual_squares``: (6) from one image of ``W`` for
-    every coupling (``dark_residuals``), whose maximum (10) reports.
+    squares summed over the doublets of ``|NC>``, read from the gamma_k
+    records, and build no state vector: (6) one ``dark_square`` of ``W``
+    for every coupling (``dark_residuals``), whose maximum (10) reports,
+    and (7) to (9) a ``number_square`` of each number operator.
     """
     g_values = [Fraction(g) for g in g_values]
     lambda_values = [Fraction(l) for l in lambda_values]
@@ -231,10 +335,10 @@ def run_battery(
     g_ref = g_values[0] if g_values else Fraction(1)
     w1 = build_w(table, 1, weights)
     w_ref = w1.scaled(g_ref)
-    state = nc_state(table)
     dark = 0.0  # check (6)'s residual, which check (10) reports too
 
     gamma = functools.cache(lambda k: build_gamma(table, k))
+    factors = doublets(table, gamma)
     gamma_bracket = {}  # k: [W, gamma_k] and its distance to the closed form
 
     def anticommutation():
@@ -299,32 +403,33 @@ def run_battery(
         return {"inner_points": points}, res, 0.0
 
     def dark_state():
-        """(6) the paired state is dark for every coupling: one image of
-        W1 serves every ``g`` (``dark_residuals``)"""
+        """(6) the paired state is dark for every coupling: one closed-form
+        square of W1 serves every ``g`` (``dark_residuals``)"""
         nonlocal dark
-        dark = max(dark_residuals(w1, state, g_values), default=0.0)
+        dark = max(dark_residuals(w1, factors, g_values), default=0.0)
         return {"g": [str(g) for g in g_values], "formfactor": ff_name}, dark, NUMERIC_TOL
 
     def h0_eigenstate():
         """(7) kinetic eigenstate with the counting-oracle eigenvalue"""
         e_expect = nc_energy(table) - table.core_energy  # table-space part
-        res = eigen_residual(build_h0(table), state, e_expect)
+        res = _eigen_residual(build_h0(table), table, factors, e_expect)
         return {"energy": str(nc_energy(table))}, res, NUMERIC_TOL
 
     def number_eigenvalue():
         """(8) particle-number eigenvalue"""
         n_total = table.total_particles_nc()
         n_table = n_total - table.core_particles
-        res = eigen_residual(build_number_op(table), state, Fraction(n_table))
+        res = _eigen_residual(build_number_op(table), table, factors, Fraction(n_table))
         return {"particles": n_total}, res, NUMERIC_TOL
 
     def momentum_eigenvalue():
         """(9) momentum eigenvalue, here and on a boosted twin"""
-        res = _momentum_residual(table, state)
+        res = _momentum_residual(table, factors)
         boost_K = table.config.boost
         if boost_K == (0, 0, 0):
             btab = boosted_twin(table, (0, 0, 1))
-            res = max(res, _momentum_residual(btab, nc_state(btab)))
+            res = max(res, _momentum_residual(
+                btab, doublets(btab, lambda k: build_gamma(btab, k))))
             boost_K = (0, 0, 1)
         return {"boost_checked": list(boost_K)}, res, NUMERIC_TOL
 
@@ -345,13 +450,13 @@ def run_battery(
     return report
 
 
-def _momentum_residual(table: ModeTable, state: StateVector) -> float:
+def _momentum_residual(table: ModeTable, factors: list[Doublet]) -> float:
     p_ops = build_momentum_op(table)
     expect = nc_momentum(table)
     res = 0.0
     for axis in range(3):
         table_component = expect[axis] - table.core_momentum[axis]
-        res = max(res, eigen_residual(p_ops[axis], state, Fraction(table_component)))
+        res = max(res, _eigen_residual(p_ops[axis], table, factors, Fraction(table_component)))
     return res
 
 

@@ -4,15 +4,17 @@
 A ``DictState`` maps each packed occupation to its int or ``Fraction``
 amplitude and does its arithmetic term by term, as the engine's states
 did before they became the kernels' integer record.  ``apply_dict``
-applies an operator one state and one term at a time.  The engine never
-runs this code.
+applies an operator one state and one term at a time.  ``eigen_residual``
+roots the kernels' exact ``residual_squares`` on an explicit state
+record, the route ``verify``'s closed forms over doublets are held to.
+The engine never runs this code.
 """
 
 import math
 from fractions import Fraction
 
 from darkpair.fock import StateVector
-from darkpair.operators import _compile
+from darkpair.operators import OperatorExpr, _compile, residual_squares
 
 
 class DictState:
@@ -117,6 +119,14 @@ def apply_dict(expr, state: DictState) -> DictState:
     for occ, amp in sorted(state.amp.items()):
         apply_compiled(compiled, occ, Fraction(amp, expr.den), acc)
     return DictState(state.n_modes, acc)
+
+
+def eigen_residual(op, state: StateVector, eigenvalue) -> float:
+    """|| A|psi> - lambda|psi> || / ||psi|| for an exact ``lambda`` on the
+    explicit state record: the ``residual_squares`` of ``A - lambda``
+    alone, rooted; 0.0 when it vanishes."""
+    [square] = residual_squares(op - OperatorExpr.identity(eigenvalue), OperatorExpr(), state, [0])
+    return math.sqrt(float(square)) / state.norm() if square else 0.0
 
 
 def eigen_residual_dict(op, state: DictState, eigenvalue) -> float:

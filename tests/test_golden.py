@@ -5,7 +5,10 @@ Each bundled config goes through ``verify``, ``scan --no-variational``,
 ``spectrum --g=-1``; ``verify`` on a 40-mode shell (the stress lattice of
 the ``battery`` benchmark, ``golden/shell10/config.json``), on the same
 shell under the asymmetric weight ``asymmetric:5``, whose nonzero
-residuals of checks (2) and (3) pin the closed forms' differences, and two
+residuals of checks (2) and (3) pin the closed forms' differences, on the
+64-mode shell ``{kf 1.5, delta 0.5}`` under ``asymmetric:9``, the largest
+table ``verify`` takes, whose dark-state residual (8.930e-04) pins check
+(6)'s sum over 16 doublets, and two
 ``continuum`` runs, the second at the ``battery`` benchmark's sizes up to
 96, round it off.  The ``report.json`` and CSV bytes must
 equal the files under ``tests/golden/<config>/``, which makes the
@@ -45,6 +48,9 @@ RUNS = [
      "report.json", "report.json", EXIT_OK),
     ("shell10_asymmetric",
      ["verify", "--config", str(GOLDEN / "shell10_asymmetric" / "config.json")],
+     "report.json", "report.json", EXIT_CHECK_FAILED),
+    ("shell16_asymmetric",
+     ["verify", "--config", str(GOLDEN / "shell16_asymmetric" / "config.json")],
      "report.json", "report.json", EXIT_CHECK_FAILED),
     ("continuum", ["continuum", "--kf", "1.0", "--delta", "0.1",
                    "--sizes", "8,16,32"], "continuum.csv", "continuum.csv", EXIT_OK),

@@ -15,7 +15,7 @@ from darkpair.cli import bundled_config_path, load_config, write_csv
 from darkpair.fock import BasisSizeError, StateVector, sector_basis
 from darkpair.lattice import LatticeConfig, build_mode_table
 from darkpair.operators import (OperatorExpr, SectorCOO, apply_operator, build_h0, build_w,
-                                eigen_residual, matrix_in_sector)
+                                matrix_in_sector)
 from darkpair.spectra import (
     DENSE_CUTOFF,
     SCAN_FIELDS,
@@ -32,7 +32,7 @@ from darkpair.spectra import (
     spectrum_rows,
 )
 from darkpair.states import bcs_state, nc_energy, nc_state
-from state_oracle import DictState, eigen_residual_dict
+from state_oracle import DictState, eigen_residual, eigen_residual_dict
 
 
 def test_free_spectrum_is_degenerate_diagonal(minimal_table):

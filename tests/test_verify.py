@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -16,16 +17,20 @@ from hypothesis import strategies as st
 from darkpair.cli import bundled_config_path, load_config, write_csv
 from darkpair.formfactors import from_spec
 from darkpair.lattice import SPIN_DOWN, SPIN_UP, LatticeConfig, build_mode_table
-from darkpair import lattice, operators, verify
+from darkpair import lattice, verify
 from darkpair.operators import (
     ANNIHILATE,
     CREATE,
     OperatorExpr,
     apply_operator,
     build_gamma,
+    build_h0,
+    build_momentum_op,
+    build_number_op,
     build_pair,
     build_w,
     commutator,
+    residual_squares,
 )
 from darkpair.verify import (
     CHECK_IDS,
@@ -38,12 +43,15 @@ from darkpair.verify import (
     _distance,
     bracket_sum,
     dark_residuals,
+    dark_square,
+    doublets,
     monomial_brackets,
+    number_square,
     run_battery,
 )
-from darkpair.states import nc_state
+from darkpair.states import nc_energy, nc_momentum, nc_state
 from normal_order import factors, normal_ordered
-from state_oracle import DictState, dark_residual_dict
+from state_oracle import DictState, dark_residual_dict, eigen_residual
 
 G_LIST = [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
 LAMBDAS = [Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(7, 3)]
@@ -228,8 +236,8 @@ def test_dark_state_reuses_the_reference_interaction(twopair_table, boosted_tabl
         return build_w(table, g, weights)
 
     def counted_gamma(table, k):
-        gammas.append((k, build_gamma(table, k)))
-        return gammas[-1][1]
+        gammas.append((table, k))
+        return build_gamma(table, k)
 
     def counted_commutator(a, b):
         products.append((a, b))
@@ -254,19 +262,24 @@ def test_dark_state_reuses_the_reference_interaction(twopair_table, boosted_tabl
             report = run_battery(table, [Fraction(-1), Fraction(1, 2)], lambdas, seed=7)
             assert report.all_passed
             assert built_w == [(table, 1)]
-            assert sorted(k for k, _ in gammas) == sorted(table.shell_all)
+            assert sorted(k for t, k in gammas if t is table) == sorted(table.shell_all)
+            # check (9)'s twin reads one gamma_k per hemisphere point of its own
+            twins = list({id(t): t for t, _ in gammas if t is not table}.values())
+            assert sorted(k for t, k in gammas if t is not table) == sorted(
+                k for twin in twins for k in twin.shell_plus)
+            assert [twin.config.boost for twin in twins] == boosts
             with_w = [b for a, b in products if a == w_ref]
             assert len(with_w) == 2 * len(table.shell_plus)
             assert sorted(t for b in with_w for t in b.nums) == monomials
             assert [config.boost for config in tables] == boosts
 
 
-ONE_IMAGE_COUPLINGS = [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7),
-                       Fraction(10**6)]
+ONE_SQUARE_COUPLINGS = [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7),
+                        Fraction(10**6)]
 
 
 @pytest.mark.parametrize("name", ["minimal", "twopair", "threepair_core"])
-def test_dark_state_takes_one_image_for_every_coupling(name, monkeypatch):
+def test_dark_state_takes_one_square_for_every_coupling(name, monkeypatch):
     # asymmetric weights leave the state bright, so each residual is a
     # nonzero g**2 S1 rooted; it must be the one the image of g W1 gives,
     # by the kernel's apply_operator and by the dictionary oracle
@@ -276,31 +289,32 @@ def test_dark_state_takes_one_image_for_every_coupling(name, monkeypatch):
     state = nc_state(table)
     w1 = build_w(table, 1, weights)
     want = []
-    for g in ONE_IMAGE_COUPLINGS:
+    for g in ONE_SQUARE_COUPLINGS:
         w = build_w(table, g, weights)
         norm = apply_operator(w, state).norm()
         want.append(norm / (float(w.one_norm()) * state.norm()) if g else norm)
         assert want[-1].hex() == dark_residual_dict(w, DictState.of(state)).hex()
         assert (want[-1] > 0) == (g != 0)
-    got = dark_residuals(w1, state, ONE_IMAGE_COUPLINGS)
+    got = dark_residuals(w1, doublets(table, functools.partial(build_gamma, table)),
+                         ONE_SQUARE_COUPLINGS)
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
-    images = []
-    image = operators._image
+    squares = []
+    square = verify.dark_square
 
-    def counted(expr, vec):
-        images.append(expr)
-        return image(expr, vec)
+    def counted(w, factors):
+        squares.append(w)
+        return square(w, factors)
 
-    # W at any coupling is the one operator with W's terms
-    monkeypatch.setattr(operators, "_image", counted)
-    for couplings in (ONE_IMAGE_COUPLINGS[1:2], ONE_IMAGE_COUPLINGS):
-        images.clear()
+    # one closed-form square of W1 serves every coupling
+    monkeypatch.setattr(verify, "dark_square", counted)
+    for couplings in (ONE_SQUARE_COUPLINGS[1:2], ONE_SQUARE_COUPLINGS):
+        squares.clear()
         report = run_battery(table, couplings, [Fraction(-1)], spec)
-        assert [e for e in images if e.terms.keys() == w1.terms.keys()] == [w1]
+        assert squares == [w1]
         by_id = {c.check_id: c.residual for c in report.checks}
         assert by_id["dark_state"] == by_id["coupling_independence"] == max(
-            x for g, x in zip(ONE_IMAGE_COUPLINGS, want) if g in couplings)
+            x for g, x in zip(ONE_SQUARE_COUPLINGS, want) if g in couplings)
 
 
 # the bundled configs and the 40-mode battery shell
@@ -395,6 +409,11 @@ def _asymmetric_weights(monkeypatch, cfg):
     cfg["formfactor"] = "asymmetric:3"
 
 
+def _symmetric_gamma(monkeypatch, cfg):
+    """gamma_k becomes the lam = +1 pair, which W does not annihilate."""
+    monkeypatch.setattr(verify, "build_gamma", lambda table, k: build_pair(table, k, 1))
+
+
 def _doubled(name):
     """A mutation doubling every operator that ``verify.<name>`` builds."""
     def mutate(monkeypatch, cfg):
@@ -409,9 +428,10 @@ def _doubled(name):
 
 
 # One named mutation per check (1) to (9), each breaking what that check
-# tests.  Check (10) reports check (6)'s residual, so only check (6)'s
-# mutation fails it: giving check (10) a test of its own is the open
-# second half of ROADMAP item 18.
+# tests; check (6) has two, one in W and one in the gamma_k records it
+# reads the paired state's amplitudes from.  Check (10) reports check
+# (6)'s residual, so only check (6)'s mutations fail it: giving check (10)
+# a test of its own is the open second half of ROADMAP item 18.
 MUTATIONS = {
     "unsigned kernel": ("anticommutation", _unsigned_kernel),
     "negated closed form": ("pair_commutator", _negated_closed_form),
@@ -419,6 +439,7 @@ MUTATIONS = {
     "partner gamma sign": ("gamma_negation", _partner_gamma_sign),
     "off-shell number term": ("core_commutators", _bracket_plus(_off_shell)),
     "asymmetric weights": ("dark_state", _asymmetric_weights),
+    "symmetric gamma": ("dark_state", _symmetric_gamma),
     "doubled kinetic energy": ("h0_eigenstate", _doubled("build_h0")),
     "doubled number operator": ("number_eigenvalue", _doubled("build_number_op")),
     "doubled momentum": ("momentum_eigenvalue", _doubled("build_momentum_op")),
@@ -447,13 +468,132 @@ def test_each_check_fails_under_its_named_mutation(check_id, mutate, frozen,
 
 
 def test_residual_helpers(minimal_table):
-    from darkpair.operators import build_h0, build_w, eigen_residual
-    from darkpair.states import nc_state
-
     nc = nc_state(minimal_table)
-    assert dark_residuals(build_w(minimal_table, 1), nc, [1, Fraction(-3, 2)]) == [0.0, 0.0]
-    assert eigen_residual(build_h0(minimal_table), nc, Fraction(2)) == 0.0
-    assert eigen_residual(build_h0(minimal_table), nc, Fraction(3)) == 1.0
+    factors = doublets(minimal_table, functools.partial(build_gamma, minimal_table))
+    assert dark_residuals(build_w(minimal_table, 1), factors, [1, Fraction(-3, 2)]) == [0.0, 0.0]
+    h0 = build_h0(minimal_table)
+    assert eigen_residual(h0, nc, Fraction(2)) == 0.0
+    assert eigen_residual(h0, nc, Fraction(3)) == 1.0
+    # the closed form's square over |NC>'s doublets, ||NC||**2 = 2 times 1**2
+    assert number_square(h0, minimal_table, factors, Fraction(2)) == 0
+    assert number_square(h0, minimal_table, factors, Fraction(3)) == 2
+    # the closed forms take pair-level and one-mode number terms only
+    hop = OperatorExpr.from_monomial(1, [(CREATE, 0), (ANNIHILATE, 1)])
+    with pytest.raises(ValueError):
+        dark_square(build_w(minimal_table, 1) + hop, factors)
+    with pytest.raises(ValueError):
+        number_square(h0 + hop, minimal_table, factors, Fraction(2))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+TWOPAIR_LIVE = replace(load_config(bundled_config_path("twopair"))["lattice"],
+                       frozen_core=False)
+# name: a lattice, its config's weight spec and seed, for the closed forms
+# of checks (6) to (9) against the explicit paired state
+ORACLE_LATTICES = {
+    **{name: bundled_config_path(name) for name in
+       ("minimal", "twopair", "threepair_core", "boosted", "broken_formfactor")},
+    **{name: GOLDEN / name / "config.json"
+       for name in ("shell10", "shell10_asymmetric", "shell16_asymmetric")},
+    "twopair_live": TWOPAIR_LIVE,
+    "onepair_live": LatticeConfig(kf=1.2, delta=0.5, shell_points=((0, 0, 1), (0, 0, -1)),
+                                  volume=1),
+    "twopair_live_boosted": replace(TWOPAIR_LIVE, boost=(0, 0, 1), shell_points=tuple(
+        (x, y, z + 1) for x, y, z in TWOPAIR_LIVE.shell_points)),
+    "shell10_boosted": replace(load_config(GOLDEN / "shell10" / "config.json")["lattice"],
+                               boost=(1, 0, -1)),
+}
+ORACLE_COUPLINGS = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3), Fraction(10**9)]
+
+
+@functools.cache
+def _explicit(name):
+    """A lattice of ``ORACLE_LATTICES``, its weight spec and seed, its
+    paired state built as the explicit record and its doublets."""
+    source = ORACLE_LATTICES[name]
+    if isinstance(source, LatticeConfig):
+        table, spec, seed = build_mode_table(source), "unit", 0
+    else:
+        cfg = load_config(source)
+        table, spec, seed = cfg["table"], cfg["formfactor"], cfg["seed"]
+    factors = doublets(table, functools.partial(build_gamma, table))
+    return table, spec, seed, nc_state(table), factors
+
+
+def _number_operators(table):
+    """``(operator, eigenvalue)`` of checks (7) to (9) on the table's modes."""
+    moments = zip(build_momentum_op(table), nc_momentum(table), table.core_momentum)
+    return [(build_h0(table), nc_energy(table) - table.core_energy),
+            (build_number_op(table),
+             Fraction(table.total_particles_nc() - table.core_particles)),
+            *((p, Fraction(total - core)) for p, total, core in moments)]
+
+
+def _assert_closed_forms(name, spec, seed, couplings, shifts):
+    """Check (6)'s closed-form square at every coupling and the number
+    squares of checks (7) to (9) at each eigenvalue plus each shift, all
+    equal to ``residual_squares`` on the explicit ``|NC>`` as ``Fraction``s;
+    and each dark residual, bit for bit, the one the image gives."""
+    table, _, _, state, factors = _explicit(name)
+    assert verify._norm2(factors) == state.norm2()
+    w1 = build_w(table, 1, from_spec(table, spec, seed)[0])
+    square = dark_square(w1, factors)
+    want = residual_squares(OperatorExpr(), w1, state, couplings)
+    assert [g * g * square for g in couplings] == want
+    rooted = [math.sqrt(float(x)) for x in want]
+    assert dark_residuals(w1, factors, couplings) == [
+        x / (float(abs(g) * w1.one_norm()) * state.norm()) if x else x
+        for g, x in zip(couplings, rooted)]
+    for op, eigenvalue in _number_operators(table):
+        # ||(op + g 1)psi||**2 at g = -lam, one image of op for every shift
+        lams = [eigenvalue + shift for shift in shifts]
+        want = residual_squares(op, OperatorExpr.identity(1), state, [-lam for lam in lams])
+        assert [number_square(op, table, factors, lam) for lam in lams] == want
+    return square
+
+
+@pytest.mark.parametrize("name", ORACLE_LATTICES)
+def test_closed_forms_equal_the_explicit_route(name):
+    # checks (6) to (9) sum exact squares over the doublets of |NC>; each
+    # must be the square the explicit state's image gives, at the config's
+    # weight and the unit, random and asymmetric ones (the 64-mode table,
+    # whose image of W takes seconds, at its own and the unit one), at the
+    # right eigenvalues and wrong ones
+    table, spec, seed, *_ = _explicit(name)
+    specs = [(spec, seed), ("unit", 0), ("random:3", 0), ("asymmetric:5", 0)]
+    if table.n_modes == 64:
+        specs = specs[:2]
+    bright = [_assert_closed_forms(name, spec, seed, ORACLE_COUPLINGS,
+                                   [0, Fraction(1, 3), -2]) != 0 for spec, seed in specs]
+    assert bright[0] == name.startswith(("broken", "shell10_asym", "shell16"))
+    assert bright[1:] == [False, False, True][:len(specs) - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from([name for name in ORACLE_LATTICES if name != "shell16_asymmetric"]),
+       kind=st.sampled_from(["unit", "random", "asymmetric"]), spec_seed=st.integers(0, 10**6),
+       couplings=st.lists(st.fractions(max_denominator=10**4), min_size=1, max_size=4),
+       shift=st.fractions(max_denominator=100))
+def test_closed_forms_at_drawn_couplings_and_weights(name, kind, spec_seed, couplings, shift):
+    spec = kind if kind == "unit" else f"{kind}:{spec_seed}"
+    _assert_closed_forms(name, spec, spec_seed, couplings, [shift])
+
+
+def test_battery_builds_no_state_vector(monkeypatch):
+    # checks (6) to (9) read |NC> from its doublets: no state is built and
+    # no operator is applied to one, on any bundled config
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_battery built or applied to a state vector")
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("darkpair")]:
+        for attr in ("nc_state", "apply_operator"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    for name in ("minimal", "twopair", "threepair_core", "boosted", "broken_formfactor"):
+        cfg = load_config(bundled_config_path(name))
+        report = run_battery(cfg["table"], cfg["couplings"], cfg["lambda_values"],
+                             cfg["formfactor"], cfg["seed"])
+        assert report.all_passed == (name != "broken_formfactor")
 
 
 # ---------------------------------------------------------------------------
